@@ -21,18 +21,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 os.chdir(REPO_ROOT)
 
-from evarg.client import CompletionRequest, request_digest  # noqa: E402
-from evarg.corpus import (  # noqa: E402
-    load_corpus,
-    select_same_type,
-    validate_against_ontology,
-)
+from evarg.corpus import load_corpus, validate_against_ontology  # noqa: E402
 from evarg.emitter import (  # noqa: E402
     EmitterOptions,
     PromptStyle,
     assemble_prompt,
 )
-from evarg.harness import RunConfig, load_amr, run, write_report  # noqa: E402
+from evarg.harness import RunConfig, load_amr, prepare, run, write_report  # noqa: E402
 from evarg.ontology import load_ontology  # noqa: E402
 from evarg.variability import (  # noqa: E402
     VectorCluster,
@@ -364,22 +359,14 @@ def main() -> None:
 
     records = []
     for cfg, responses in ((cfg_code, CODE_RESPONSES), (cfg_t1, T1_RESPONSES)):
-        style = PromptStyle(cfg.prompt_style)
-        for inst in test.instances:
-            examples = select_same_type(train, inst.event_type, cfg.k)
-            opts = EmitterOptions(prompt_style=style)
-            bundle = assemble_prompt(ontology, inst.event_type, examples, inst, opts)
-            request = CompletionRequest(
-                prompt=bundle.text,
-                max_new_tokens=cfg.max_new_tokens,
-                temperature=cfg.temperature,
-                stop_patterns=bundle.stop_patterns,
-                model_id=cfg.model_id,
-            )
+        plan = prepare(cfg)
+        for inst in plan.test.instances:
+            task = plan.task(inst)
+            request = task.request
             text, finish = responses[inst.id]
             records.append(
                 {
-                    "digest": request_digest(request),
+                    "digest": task.digest,
                     "request": {
                         "model_id": request.model_id,
                         "max_new_tokens": request.max_new_tokens,

@@ -17,14 +17,13 @@ import yaml
 
 from .client import BackendError, FixtureMissError
 from .corpus import CorpusError, load_corpus, validate_against_ontology
-from .emitter import EmitterOptions, PromptStyle, assemble_prompt
 from .harness import (
     ConfigError,
     MissingFixtures,
     ReportError,
     RunConfig,
     compare,
-    load_amr,
+    prepare,
     run,
     write_report,
 )
@@ -96,8 +95,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", dest="output_path")
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    settings = _load_config_file(args.config) if args.config else {}
+def _build_config(args: argparse.Namespace, path: str | None) -> RunConfig:
+    """The config in the file at ``path``, overridden by the run flags in ``args``."""
+    settings = _load_config_file(path) if path else {}
     for name in _CONFIG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
@@ -109,27 +109,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_emit(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    ontology = load_ontology(cfg.ontology_path)
-    test = load_corpus(cfg.test_path, "test")
-    inst = test.by_id(args.id)
-    from .harness import _select_examples  # shared selection logic
-
-    examples = []
-    if cfg.k > 0:
-        train = load_corpus(cfg.train_path, "train")
-        examples = _select_examples(cfg, train, ontology, inst.event_type)
-    amr_table = load_amr(cfg.amr_path) if cfg.amr_path else {}
-    opts = EmitterOptions(
-        mark_trigger=cfg.mark_trigger,
-        include_description=cfg.include_description,
-        include_type_annotation=cfg.include_type_annotation,
-        include_hierarchy=cfg.include_hierarchy,
-        include_keywords=cfg.include_keywords,
-        amr_text=amr_table.get(inst.id),
-        prompt_style=PromptStyle(cfg.prompt_style),
-    )
-    bundle = assemble_prompt(ontology, inst.event_type, examples, inst, opts)
+    plan = prepare(_build_config(args, args.config))
+    bundle = plan.task(plan.test.by_id(args.id)).bundle
     if args.out_file:
         with open(args.out_file, "w", encoding="utf-8") as fh:
             fh.write(bundle.text)
@@ -140,7 +121,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, args.config)
     report = run(cfg)
     if not cfg.output_path:
         json.dump(report, sys.stdout, sort_keys=True, indent=2, ensure_ascii=False)
@@ -149,8 +130,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg_code = RunConfig(**_load_config_file(args.config_code))
-    cfg_text = RunConfig(**_load_config_file(args.config_text))
+    cfg_code = _build_config(args, args.config_code)
+    cfg_text = _build_config(args, args.config_text)
     report = compare(cfg_code, cfg_text, output_path=args.out)
     if not args.out:
         json.dump(report, sys.stdout, sort_keys=True, indent=2, ensure_ascii=False)

@@ -198,22 +198,24 @@ class ReplayBackend:
         return CompletionResponse(text=text, finish_reason=finish, latency_ms=0)
 
 
-class RecordingBackend:
-    """Wraps a live backend and appends each new response to a fixture file."""
+class RecordingBackend(ReplayBackend):
+    """Serves the fixture file's answers; asks a live backend for the rest and appends them."""
 
     def __init__(self, inner, fixture_path: str):
+        try:
+            open(fixture_path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise BackendError(f"cannot create fixture file {fixture_path}: {exc}") from exc
+        super().__init__(fixture_path)
         self.inner = inner
-        self.fixture_path = fixture_path
         self._lock = threading.Lock()
-        self._seen: set[str] = set()
-        if os.path.exists(fixture_path):
-            for line in open(fixture_path, encoding="utf-8"):
-                if line.strip():
-                    self._seen.add(json.loads(line)["digest"])
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
+        try:
+            return super().complete(req)
+        except FixtureMissError as miss:
+            digest = miss.digest
         resp = self.inner.complete(req)
-        digest = request_digest(req)
         record = {
             "digest": digest,
             "request": {
@@ -227,8 +229,8 @@ class RecordingBackend:
             "response": {"text": resp.text, "finish_reason": resp.finish_reason},
         }
         with self._lock:
-            if digest not in self._seen:
+            if digest not in self._entries:
                 with open(self.fixture_path, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-                self._seen.add(digest)
+                self._entries[digest] = (resp.text, resp.finish_reason)
         return resp

@@ -1,5 +1,7 @@
 """End-to-end runs: select examples, build prompts, complete, parse, score.
 
+``prepare`` validates a configuration and loads its inputs once; the plan
+it returns builds every instance's prompt, request and digest.
 ``run`` drives one configuration over a test corpus and produces a
 report dict that serializes byte-identically across runs when the
 backend is replay. ``compare`` runs a code-style and a text-style
@@ -28,13 +30,14 @@ from .client import (
 from .corpus import (
     CorpusError,
     Dataset,
+    TrainingInstance,
     load_corpus,
     select_non_sibling,
     select_same_type,
     select_sibling,
     split_hierarchy,
 )
-from .emitter import EmitterOptions, PromptStyle, assemble_prompt
+from .emitter import EmitterOptions, PromptBundle, PromptStyle, assemble_prompt
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import ParsedEvent, parse_completion, parse_text_completion
 from .scoring import HeadFinder, score
@@ -113,16 +116,14 @@ class RunConfig:
 
 
 def _build_backend(cfg: RunConfig):
-    if cfg.backend == "replay":
-        try:
+    try:
+        if cfg.backend == "replay":
             return ReplayBackend(cfg.fixture_path)
-        except BackendError as exc:
-            # unreadable or corrupt fixture file is a configuration problem
-            raise ConfigError(str(exc)) from exc
-    backend = HttpBackend(endpoint=cfg.endpoint)
-    if cfg.record:
-        backend = RecordingBackend(backend, cfg.fixture_path)
-    return backend
+        backend = HttpBackend(endpoint=cfg.endpoint)
+        return RecordingBackend(backend, cfg.fixture_path) if cfg.record else backend
+    except BackendError as exc:
+        # an unreadable or corrupt fixture file is a configuration problem
+        raise ConfigError(str(exc)) from exc
 
 
 def load_amr(path: str) -> dict[str, str]:
@@ -146,18 +147,78 @@ def load_amr(path: str) -> dict[str, str]:
     return table
 
 
-def _select_examples(cfg: RunConfig, train: Dataset, ontology: Ontology, event_type: str):
-    if cfg.selection_mode == "same":
-        return select_same_type(train, event_type, cfg.k)
-    if cfg.selection_mode == "sibling":
-        return select_sibling(train, ontology, event_type, cfg.k)
-    return select_non_sibling(train, ontology, event_type, cfg.k, cfg.seed)
+@dataclass(frozen=True)
+class Task:
+    """One test instance with the prompt and request a run sends for it."""
+
+    instance: TrainingInstance
+    bundle: PromptBundle
+    request: CompletionRequest
+    digest: str
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = asdict(cfg)
-    echo.pop("output_path")
-    return echo
+@dataclass(frozen=True)
+class Plan:
+    """A validated config with everything its prompts are built from."""
+
+    cfg: RunConfig
+    ontology: Ontology
+    train: Dataset
+    test: Dataset
+    amr: dict[str, str]
+    options: EmitterOptions
+
+    def task(self, inst: TrainingInstance) -> Task:
+        cfg, train, event_type = self.cfg, self.train, inst.event_type
+        try:
+            if cfg.selection_mode == "same":
+                examples = select_same_type(train, event_type, cfg.k)
+            elif cfg.selection_mode == "sibling":
+                examples = select_sibling(train, self.ontology, event_type, cfg.k)
+            else:
+                examples = select_non_sibling(train, self.ontology, event_type, cfg.k, cfg.seed)
+        except CorpusError as exc:
+            raise ConfigError(str(exc)) from exc
+        opts = replace(self.options, amr_text=self.amr.get(inst.id))
+        bundle = assemble_prompt(self.ontology, event_type, examples, inst, opts)
+        request = CompletionRequest(
+            prompt=bundle.text,
+            max_new_tokens=cfg.max_new_tokens,
+            temperature=cfg.temperature,
+            stop_patterns=bundle.stop_patterns,
+            model_id=cfg.model_id,
+        )
+        return Task(inst, bundle, request, request_digest(request))
+
+
+def prepare(cfg: RunConfig) -> Plan:
+    """Validate ``cfg`` and load once what ``run`` and ``evarg emit`` build prompts from."""
+    cfg.validate()
+    try:
+        ontology = load_ontology(cfg.ontology_path)
+        train = load_corpus(cfg.train_path, "train")
+        test = load_corpus(cfg.test_path, "test")
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    if cfg.selection_mode in ("sibling", "non_sibling"):
+        split = split_hierarchy(ontology, train)
+        if not any(entry.test_children for entry in split.values()):
+            raise ConfigError(
+                f"selection mode {cfg.selection_mode!r} needs a parent type "
+                "with at least two children carrying data"
+            )
+
+    amr = load_amr(cfg.amr_path) if cfg.amr_path else {}
+    options = EmitterOptions(
+        mark_trigger=cfg.mark_trigger,
+        include_description=cfg.include_description,
+        include_type_annotation=cfg.include_type_annotation,
+        include_hierarchy=cfg.include_hierarchy,
+        include_keywords=cfg.include_keywords,
+        prompt_style=PromptStyle(cfg.prompt_style),
+    )
+    return Plan(cfg, ontology, train, test, amr, options)
 
 
 def _parsed_to_dict(parsed: ParsedEvent) -> dict:
@@ -182,72 +243,27 @@ def _parse(style: PromptStyle, text: str, ontology: Ontology, event_type: str) -
 
 def run(cfg: RunConfig, hf: HeadFinder | None = None) -> dict:
     """Execute one configuration end to end and return the report dict."""
-    cfg.validate()
-    style = PromptStyle(cfg.prompt_style)
-    try:
-        ontology = load_ontology(cfg.ontology_path)
-        train = load_corpus(cfg.train_path, "train")
-        test = load_corpus(cfg.test_path, "test")
-    except OSError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    if cfg.selection_mode in ("sibling", "non_sibling"):
-        split = split_hierarchy(ontology, train)
-        if not any(entry.test_children for entry in split.values()):
-            raise ConfigError(
-                f"selection mode {cfg.selection_mode!r} needs a parent type "
-                "with at least two children carrying data"
-            )
-
-    amr_table = load_amr(cfg.amr_path) if cfg.amr_path else {}
-    base_opts = EmitterOptions(
-        mark_trigger=cfg.mark_trigger,
-        include_description=cfg.include_description,
-        include_type_annotation=cfg.include_type_annotation,
-        include_hierarchy=cfg.include_hierarchy,
-        include_keywords=cfg.include_keywords,
-        prompt_style=style,
-    )
-
+    plan = prepare(cfg)
     shortfall: dict[str, dict] = {}
     skipped: list[dict] = []
-    tasks: list[dict] = []
-    for inst in test.instances:
-        try:
-            examples = _select_examples(cfg, train, ontology, inst.event_type)
-        except CorpusError as exc:
-            raise ConfigError(str(exc)) from exc
-        cls = derive_class_name(inst.event_type)
-        if len(examples) < cfg.k:
-            note = shortfall.setdefault(cls, {"requested": cfg.k, "available": len(examples)})
-            note["available"] = max(note["available"], len(examples))
-        opts = replace(base_opts, amr_text=amr_table.get(inst.id))
-        bundle = assemble_prompt(ontology, inst.event_type, examples, inst, opts)
-        if cfg.max_prompt_chars is not None and len(bundle.text) > cfg.max_prompt_chars:
-            skipped.append({"id": inst.id, "prompt_chars": len(bundle.text)})
+    tasks: list[Task] = []
+    for inst in plan.test.instances:
+        task = plan.task(inst)
+        available = len(task.bundle.example_ids)
+        if available < cfg.k:
+            cls = derive_class_name(inst.event_type)
+            note = shortfall.setdefault(cls, {"requested": cfg.k, "available": available})
+            note["available"] = max(note["available"], available)
+        if cfg.max_prompt_chars is not None and len(task.bundle.text) > cfg.max_prompt_chars:
+            skipped.append({"id": inst.id, "prompt_chars": len(task.bundle.text)})
             continue
-        request = CompletionRequest(
-            prompt=bundle.text,
-            max_new_tokens=cfg.max_new_tokens,
-            temperature=cfg.temperature,
-            stop_patterns=bundle.stop_patterns,
-            model_id=cfg.model_id,
-        )
-        tasks.append(
-            {
-                "instance": inst,
-                "class_name": cls,
-                "bundle": bundle,
-                "request": request,
-                "digest": request_digest(request),
-            }
-        )
+        tasks.append(task)
 
     backend = _build_backend(cfg)
 
-    def complete_one(task: dict):
+    def complete_one(task: Task):
         try:
-            return client_mod.complete(backend, task["request"])
+            return client_mod.complete(backend, task.request)
         except FixtureMissError as exc:
             return exc
 
@@ -261,16 +277,16 @@ def run(cfg: RunConfig, hf: HeadFinder | None = None) -> dict:
     instances: list[dict] = []
     preds: list[tuple[str, ParsedEvent]] = []
     for task, response in zip(tasks, results):
-        inst = task["instance"]
-        parsed = _parse(style, response.text, ontology, inst.event_type)
+        inst = task.instance
+        parsed = _parse(plan.options.prompt_style, response.text, plan.ontology, inst.event_type)
         preds.append((inst.id, parsed))
         instances.append(
             {
                 "id": inst.id,
-                "event_type": task["class_name"],
-                "prompt_digest": task["digest"],
-                "prompt_chars": len(task["bundle"].text),
-                "example_ids": list(task["bundle"].example_ids),
+                "event_type": derive_class_name(inst.event_type),
+                "prompt_digest": task.digest,
+                "prompt_chars": len(task.bundle.text),
+                "example_ids": list(task.bundle.example_ids),
                 "completion": response.text,
                 "finish_reason": response.finish_reason,
                 "parsed": _parsed_to_dict(parsed),
@@ -278,11 +294,11 @@ def run(cfg: RunConfig, hf: HeadFinder | None = None) -> dict:
         )
 
     report = {
-        "config": _config_echo(cfg),
+        "config": {k: v for k, v in asdict(cfg).items() if k != "output_path"},
         "instances": instances,
         "skipped": skipped,
         "shortfall": shortfall,
-        "score": score(preds, test, hf).to_dict(),
+        "score": score(preds, plan.test, hf).to_dict(),
     }
     if cfg.output_path:
         write_report(report, cfg.output_path)

@@ -97,6 +97,32 @@ def _write(path, text):
     return str(path)
 
 
+@pytest.mark.parametrize("command", [["run"], ["emit", "--id", "test-001"]])
+@pytest.mark.parametrize(
+    "override",
+    [{"prompt_style": "bogus"}, {"selection_mode": "bogus"}, {"fixture_path": None}],
+)
+def test_invalid_config_values_exit_2(config_file, capsys, command, override):
+    assert main([*command, "--config", config_file(**override)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    ["not json\n", '{"response": {"text": ")", "finish_reason": "stop"}}\n'],
+    ids=["not-json", "no-digest"],
+)
+def test_run_corrupt_recording_file_exit_2(config_file, tmp_path, capsys, bad_line):
+    recording = tmp_path / "rec.jsonl"
+    good = {"digest": "d", "response": {"text": ")", "finish_reason": "stop"}}
+    recording.write_text(json.dumps(good) + "\n" + bad_line)
+    cfg = config_file(
+        backend="http", endpoint="http://127.0.0.1:9", record=True, fixture_path=str(recording)
+    )
+    assert main(["run", "--config", cfg]) == 2
+    assert f"{recording}:2" in capsys.readouterr().err
+
+
 def test_run_missing_input_file_exit_2(config_file, capsys):
     code = main(["run", "--config", config_file(train_path="fixtures/nope.jsonl")])
     assert code == 2
@@ -190,6 +216,13 @@ def test_compare_mismatched_configs_exit_2(config_file, capsys):
         ]
     )
     assert code == 2
+
+
+def test_compare_incomplete_config_exit_2(config_file, tmp_path, capsys):
+    incomplete = _write(tmp_path / "short.yaml", "k: 1\n")
+    code = main(["compare", "--config-code", config_file(), "--config-text", incomplete])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # --- variability -----------------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -285,6 +288,29 @@ def test_recording_dedupes_identical_requests(stub, tmp_path, monkeypatch):
     recorder.complete(CompletionRequest(prompt="other"))
     lines = path.read_text().splitlines()
     assert len(lines) == 2
+
+
+def test_concurrent_recording_appends_each_digest_once(tmp_path):
+    class Echo:
+        def complete(self, req):
+            time.sleep(0.005)  # lets several threads miss the same digest at once
+            return CompletionResponse(text=req.prompt.upper(), finish_reason="stop")
+
+    path = tmp_path / "rec.jsonl"
+    recorder = RecordingBackend(Echo(), str(path))
+    reqs = [CompletionRequest(prompt=f"p{i // 16}") for i in range(800)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            futures = [pool.submit(recorder.complete, r) for r in reqs]
+            responses = [f.result(timeout=30) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [resp.text for resp in responses] == [r.prompt.upper() for r in reqs]
+    digests = [json.loads(line)["digest"] for line in path.read_text().splitlines()]
+    assert sorted(digests) == sorted({request_digest(r) for r in reqs})
+    assert len(ReplayBackend(str(path))) == 50
 
 
 def test_recordings_hold_no_prompt_or_credentials(stub, tmp_path, monkeypatch):

@@ -3,22 +3,17 @@ from dataclasses import replace
 
 import pytest
 
-from evarg.client import CompletionRequest, request_digest
-from evarg.corpus import load_corpus
-from evarg.emitter import EmitterOptions, PromptStyle, assemble_prompt
 from evarg.harness import (
     ConfigError,
     MissingFixtures,
     ReportError,
     RunConfig,
-    _select_examples,
     compare,
-    load_amr,
     load_report,
+    prepare,
     run,
     write_report,
 )
-from evarg.ontology import load_ontology
 from evarg.scoring import HeuristicHeadFinder
 
 BASE = dict(
@@ -45,41 +40,12 @@ def cfg_t1(in_repo_root):
 
 def synth_fixture(cfg: RunConfig, path, respond) -> None:
     """Record fixture entries for every prompt a config would send."""
-    ontology = load_ontology(cfg.ontology_path)
-    train = load_corpus(cfg.train_path, "train")
-    test = load_corpus(cfg.test_path, "test")
-    amr_table = load_amr(cfg.amr_path) if cfg.amr_path else {}
-    style = PromptStyle(cfg.prompt_style)
-    base_opts = EmitterOptions(
-        mark_trigger=cfg.mark_trigger,
-        include_description=cfg.include_description,
-        include_type_annotation=cfg.include_type_annotation,
-        include_hierarchy=cfg.include_hierarchy,
-        include_keywords=cfg.include_keywords,
-        prompt_style=style,
-    )
+    plan = prepare(cfg)
     with open(path, "w", encoding="utf-8") as fh:
-        for inst in test.instances:
-            examples = _select_examples(cfg, train, ontology, inst.event_type)
-            opts = replace(base_opts, amr_text=amr_table.get(inst.id))
-            bundle = assemble_prompt(ontology, inst.event_type, examples, inst, opts)
-            request = CompletionRequest(
-                prompt=bundle.text,
-                max_new_tokens=cfg.max_new_tokens,
-                temperature=cfg.temperature,
-                stop_patterns=bundle.stop_patterns,
-                model_id=cfg.model_id,
-            )
+        for inst in plan.test.instances:
             text, finish = respond(inst)
-            fh.write(
-                json.dumps(
-                    {
-                        "digest": request_digest(request),
-                        "response": {"text": text, "finish_reason": finish},
-                    }
-                )
-                + "\n"
-            )
+            response = {"text": text, "finish_reason": finish}
+            fh.write(json.dumps({"digest": plan.task(inst).digest, "response": response}) + "\n")
 
 
 # --- golden replay run -----------------------------------------------------
@@ -237,6 +203,21 @@ def test_http_run_records_fixture_that_replays_identically(
     assert offline["instances"] == live["instances"]
     assert offline["score"] == live["score"]
     assert replayed["score"] == live["score"]
+
+
+def test_recording_resumes_a_partial_fixture(cfg_code, tmp_path, stub):
+    stub.set_default(200, {"choices": [{"text": ")", "finish_reason": "stop"}]})
+    recorded = tmp_path / "recorded.jsonl"
+    cfg = replace(
+        cfg_code, backend="http", endpoint=stub.url, record=True, fixture_path=str(recorded)
+    )
+    full = run(cfg)
+    lines = recorded.read_text().splitlines(keepends=True)
+    recorded.write_text("".join(lines[:6]))
+    stub.requests.clear()
+    assert run(cfg) == full
+    assert len(stub.requests) == 6
+    assert sorted(recorded.read_text().splitlines(keepends=True)) == sorted(lines)
 
 
 # --- configuration errors --------------------------------------------------

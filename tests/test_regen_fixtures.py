@@ -1,0 +1,27 @@
+"""The fixture regenerator reproduces every committed fixture byte for byte."""
+
+import shutil
+import subprocess
+import sys
+
+from conftest import ROOT
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_regenerator_is_byte_exact(tmp_path):
+    for name in ("src", "scripts", "fixtures"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
+    subprocess.run(
+        [sys.executable, "scripts/regen_fixtures.py"],
+        cwd=tmp_path,
+        check=True,
+        capture_output=True,
+        timeout=120,
+    )
+    regenerated, committed = _files(tmp_path / "fixtures"), _files(ROOT / "fixtures")
+    assert sorted(regenerated) == sorted(committed)
+    for name, data in committed.items():
+        assert regenerated[name] == data, f"fixtures/{name} differs after regeneration"
