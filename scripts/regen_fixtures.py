@@ -28,7 +28,7 @@ from evarg.emitter import (  # noqa: E402
     assemble_prompt,
 )
 from evarg.harness import RunConfig, load_amr, prepare, run, write_report  # noqa: E402
-from evarg.ontology import load_ontology  # noqa: E402
+from evarg.ontology import derive_class_name, load_ontology  # noqa: E402
 from evarg.variability import (  # noqa: E402
     VectorCluster,
     load_vectors,
@@ -286,7 +286,7 @@ def main() -> None:
 
     by_type: dict[str, list[str]] = {}
     for row in TRAIN:
-        by_type.setdefault(row[1].rsplit(":", 1)[-1].replace("-", "_"), []).append(row[0])
+        by_type.setdefault(derive_class_name(row[1]), []).append(row[0])
     grid = {
         "clusters": {
             k: {etype: ids[:k] for etype, ids in sorted(by_type.items())}

@@ -1,98 +1,8 @@
-"""Event argument extraction by prompting code models with class-style ontologies."""
+"""Event argument extraction by prompting code models with class-style ontologies.
 
-from .client import (
-    AuthError,
-    BackendError,
-    CompletionRequest,
-    CompletionResponse,
-    FixtureMissError,
-    HttpBackend,
-    RecordingBackend,
-    ReplayBackend,
-    complete,
-    request_digest,
-    truncate_at_stop,
-)
-from .corpus import (
-    CorpusError,
-    Dataset,
-    GoldArgument,
-    HierarchySplit,
-    Span,
-    TrainingInstance,
-    Trigger,
-    load_corpus,
-    select_non_sibling,
-    select_same_type,
-    select_sibling,
-    split_hierarchy,
-    validate_against_ontology,
-)
-from .emitter import (
-    CODE_STOP_PATTERNS,
-    TEXT_STOP_PATTERNS,
-    EmitterOptions,
-    EmitError,
-    PromptBundle,
-    PromptStyle,
-    assemble_prompt,
-    emit_entity_class,
-    emit_event_class,
-    emit_example,
-    emit_task_prompt,
-    emit_text_prompt,
-)
-from .harness import (
-    ConfigError,
-    MissingFixtures,
-    ReportError,
-    RunConfig,
-    compare,
-    load_report,
-    run,
-    write_report,
-)
-from .ontology import (
-    EntityTypeDef,
-    EventTypeDef,
-    Ontology,
-    OntologyError,
-    OntologyParseError,
-    OntologyValidationError,
-    RoleSpec,
-    ancestors,
-    derive_class_name,
-    emit_ontology,
-    instance_variable,
-    load_ontology,
-    parse_ontology,
-    siblings,
-)
-from .parsing import (
-    Diagnostic,
-    DiagnosticKind,
-    EntityMention,
-    ParsedEvent,
-    parse_completion,
-    parse_text_completion,
-)
-from .scoring import (
-    HeadFinder,
-    HeuristicHeadFinder,
-    Metric,
-    ScoreReport,
-    TypeCounts,
-    default_head,
-    ground,
-    score,
-)
-from .variability import (
-    VariabilityError,
-    VectorCluster,
-    load_vectors,
-    pearson,
-    variability,
-    variability_report,
-)
+The package's names live in its submodules: ``evarg.harness`` (``prepare``,
+``run``, ``compare``), ``evarg.corpus``, ``evarg.ontology``, ``evarg.emitter``,
+``evarg.client``, ``evarg.parsing``, ``evarg.scoring`` and ``evarg.variability``.
+"""
 
 __version__ = "0.1.0"

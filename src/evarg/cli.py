@@ -42,7 +42,7 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc

@@ -183,7 +183,7 @@ class ReplayBackend:
                             f"{fixture_path}:{lineno}: bad fixture record: {exc}"
                         ) from exc
                     self._entries[digest] = entry
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise BackendError(f"cannot read fixture file {fixture_path}: {exc}") from exc
 
     def __len__(self) -> int:

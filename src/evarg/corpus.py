@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
-from .ontology import Ontology, derive_class_name, siblings
+from .ontology import Ontology, ancestors, derive_class_name, siblings
 
 
 class CorpusError(Exception):
@@ -54,20 +55,31 @@ class Dataset:
     split: str  # train | dev | test
     instances: tuple[TrainingInstance, ...]
 
-    def by_id(self, instance_id: str) -> TrainingInstance:
+    @cached_property
+    def _ids(self) -> dict[str, TrainingInstance]:
+        return {inst.id: inst for inst in self.instances}
+
+    @cached_property
+    def by_class(self) -> dict[str, tuple[TrainingInstance, ...]]:
+        """Class name -> its instances in corpus order; classes without any are absent."""
+        groups: dict[str, list[TrainingInstance]] = {}
         for inst in self.instances:
-            if inst.id == instance_id:
-                return inst
-        raise KeyError(instance_id)
+            groups.setdefault(derive_class_name(inst.event_type), []).append(inst)
+        return {cls: tuple(insts) for cls, insts in groups.items()}
+
+    def by_id(self, instance_id: str) -> TrainingInstance:
+        return self._ids[instance_id]
 
 
 def load_corpus(path: str | Path, split: str) -> Dataset:
     """Load a corpus file, validating spans and id uniqueness."""
     instances: list[TrainingInstance] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not valid UTF-8: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -148,10 +160,6 @@ def validate_against_ontology(dataset: Dataset, ontology: Ontology) -> list[str]
     return problems
 
 
-def _same_type(a: str, b: str) -> bool:
-    return derive_class_name(a) == derive_class_name(b)
-
-
 def select_same_type(dataset: Dataset, event_type: str, k: int) -> list[TrainingInstance]:
     """First ``min(k, available)`` instances of ``event_type`` in corpus order.
 
@@ -160,13 +168,7 @@ def select_same_type(dataset: Dataset, event_type: str, k: int) -> list[Training
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    out: list[TrainingInstance] = []
-    for inst in dataset.instances:
-        if len(out) >= k:
-            break
-        if _same_type(inst.event_type, event_type):
-            out.append(inst)
-    return out
+    return list(dataset.by_class.get(derive_class_name(event_type), ())[:k])
 
 
 @dataclass(frozen=True)
@@ -182,19 +184,13 @@ def split_hierarchy(ontology: Ontology, dataset: Dataset) -> dict[str, Hierarchy
     lexicographically smaller class name); all other children become test
     types. Parents whose children carry no data at all are omitted.
     """
-    counts: dict[str, int] = {}
-    for inst in dataset.instances:
-        cls = derive_class_name(inst.event_type)
-        counts[cls] = counts.get(cls, 0) + 1
-
+    by_class = dataset.by_class
     out: dict[str, HierarchySplit] = {}
     for ev in ontology.event_types.values():
         children = ontology.children(ev.class_name)
-        if not children:
+        if not any(c in by_class for c in children):
             continue
-        if all(counts.get(c, 0) == 0 for c in children):
-            continue
-        train_child = min(children, key=lambda c: (-counts.get(c, 0), c))
+        train_child = min(children, key=lambda c: (-len(by_class.get(c, ())), c))
         test_children = tuple(c for c in children if c != train_child)
         out[ev.class_name] = HierarchySplit(
             train_child=train_child, test_children=test_children
@@ -234,21 +230,12 @@ def select_non_sibling(
     ancestors; candidates must carry at least one instance. The chosen type
     is stable for a fixed seed.
     """
-    from .ontology import ancestors as _ancestors
-
     event = ontology.resolve_event(event_type)
     excluded = {event.class_name}
     excluded.update(siblings(ontology, event.class_name))
-    excluded.update(_ancestors(ontology, event.class_name))
-
-    counts: dict[str, int] = {}
-    for inst in dataset.instances:
-        cls = derive_class_name(inst.event_type)
-        counts[cls] = counts.get(cls, 0) + 1
+    excluded.update(ancestors(ontology, event.class_name))
     candidates = sorted(
-        cls
-        for cls in ontology.event_types
-        if cls not in excluded and counts.get(cls, 0) > 0
+        cls for cls in ontology.event_types if cls not in excluded and cls in dataset.by_class
     )
     if not candidates:
         raise CorpusError(

@@ -262,7 +262,7 @@ def assemble_prompt(
 ) -> PromptBundle:
     """Full prompt: ontology definitions, k examples, then the task prompt."""
     if opts.prompt_style is not PromptStyle.CODE:
-        return emit_text_prompt(opts.prompt_style, ontology, event_type, examples, task, opts)
+        return _emit_text_prompt(ontology, event_type, examples, task, opts)
 
     event_classes = _event_definition_order(ontology, event_type, examples, opts)
     blocks = [_BASE_ENTITY_BLOCK, _BASE_EVENT_BLOCK]
@@ -381,8 +381,7 @@ def _t2_filled_template(inst: TrainingInstance, event: EventTypeDef) -> str:
     return re.sub(r"\{([A-Za-z_][A-Za-z0-9_]*)\}", fill, event.description_template)
 
 
-def emit_text_prompt(
-    style: PromptStyle,
+def _emit_text_prompt(
     ontology: Ontology,
     event_type: str,
     examples: list[TrainingInstance],
@@ -390,9 +389,7 @@ def emit_text_prompt(
     opts: EmitterOptions,
 ) -> PromptBundle:
     """Text prompt variants: labelled blocks (T1) or template filling (T2)."""
-    if style is PromptStyle.CODE:
-        raise EmitError("emit_text_prompt handles text styles only")
-    opts = replace(opts, prompt_style=style)
+    style = opts.prompt_style
     cls = derive_class_name(event_type)
     event = ontology.resolve_event(event_type)
 

@@ -142,7 +142,7 @@ def load_amr(path: str) -> dict[str, str]:
                 if not isinstance(amr, str) or not amr.strip():
                     raise ConfigError(f"{path}:{lineno}: empty amr for {instance_id!r}")
                 table[instance_id] = amr
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read amr file {path}: {exc}") from exc
     return table
 

@@ -122,7 +122,10 @@ def siblings(ontology: Ontology, event_type: str) -> set[str]:
 
 def load_ontology(path: str | Path) -> Ontology:
     """Load and validate an ontology document from ``path``."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OntologyParseError(f"{path}: not valid UTF-8: {exc}") from exc
     return parse_ontology(text)
 
 

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
+from pathlib import Path
 
 import pytest
 import yaml
@@ -121,6 +122,30 @@ def test_run_corrupt_recording_file_exit_2(config_file, tmp_path, capsys, bad_li
     )
     assert main(["run", "--config", cfg]) == 2
     assert f"{recording}:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field", ["ontology_path", "train_path", "fixture_path", "amr_path", "config"]
+)
+def test_non_utf8_input_exit_2_naming_the_file(config_file, tmp_path, capsys, field):
+    if field == "config":
+        bad = Path(config_file())
+        bad.write_bytes(bad.read_bytes() + b"# \xff\n")
+        cfg = str(bad)
+    else:
+        source = ROOT / BASE.get(field, "fixtures/amr.jsonl")
+        bad = tmp_path / source.name
+        bad.write_bytes(source.read_bytes() + b"\xff\n")
+        cfg = config_file(**{field: str(bad)})
+    commands = [["run", "--config", cfg]]
+    if field == "ontology_path":
+        commands.append(["validate", "--ontology", str(bad)])
+    if field == "train_path":
+        commands.append(["validate", "--ontology", BASE["ontology_path"], "--corpus", str(bad)])
+    for command in commands:
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err
 
 
 def test_run_missing_input_file_exit_2(config_file, capsys):

@@ -5,6 +5,7 @@ import pytest
 from conftest import make_dataset, make_instance
 from evarg.corpus import (
     CorpusError,
+    Dataset,
     load_corpus,
     select_non_sibling,
     select_same_type,
@@ -40,6 +41,30 @@ def test_load_fixture_corpora(train_set, test_set):
     assert inst.sentence[inst.trigger.start : inst.trigger.end] == "returned"
     with pytest.raises(KeyError):
         test_set.by_id("nope")
+
+
+def test_by_class_files_raw_and_class_names_under_one_key():
+    data = make_dataset(
+        "train",
+        [
+            make_instance("a", "Kim returned .", "returned", "Movement:Transport"),
+            make_instance("b", "Kim paid Joe .", "paid", "Transaction:Transfer-Money"),
+            make_instance("c", "Kim left .", "left", "Transport"),
+            make_instance("d", "Kim went .", "went", "Movement:Transport"),
+        ],
+    )
+    assert {cls: [i.id for i in insts] for cls, insts in data.by_class.items()} == {
+        "Transport": ["a", "c", "d"],
+        "Transfer_Money": ["b"],
+    }
+
+
+def test_built_indexes_stay_out_of_equality_and_hash(train_set):
+    train_set.by_id("train-001")
+    assert train_set.by_class
+    fresh = Dataset(train_set.split, train_set.instances)
+    assert fresh == train_set
+    assert hash(fresh) == hash(train_set)
 
 
 def test_trigger_surface_mismatch_rejected(tmp_path):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+from conftest import ROOT
 from evarg.harness import (
     ConfigError,
     MissingFixtures,
@@ -346,3 +350,18 @@ def test_compare_writes_report(cfg_code, cfg_t1, tmp_path):
     compare(cfg_code, cfg_t1, output_path=str(out))
     on_disk = json.loads(out.read_text())
     assert set(on_disk) == {"code", "text", "delta"}
+
+
+def test_importing_harness_leaves_numpy_unloaded():
+    """``run`` never builds a variability report, so importing it must not load numpy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, evarg.harness; "
+        "print(sorted({'numpy', 'evarg.variability'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
