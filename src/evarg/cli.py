@@ -18,6 +18,7 @@ import yaml
 from .client import BackendError, FixtureMissError
 from .corpus import CorpusError, load_corpus, validate_against_ontology
 from .harness import (
+    SETTING_TYPES,
     ConfigError,
     MissingFixtures,
     ReportError,
@@ -28,14 +29,21 @@ from .harness import (
     write_report,
 )
 from .ontology import OntologyError, load_ontology
-from .variability import (
-    VariabilityError,
-    VectorCluster,
-    load_vectors,
-    variability_report,
-)
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+# Flags spelled other than their setting; the rest are the name with dashes.
+_SHORT_FLAGS = {
+    "ontology_path": "ontology",
+    "train_path": "train",
+    "test_path": "test",
+    "prompt_style": "style",
+    "selection_mode": "mode",
+    "amr_path": "amr",
+    "fixture_path": "fixtures",
+    "model_id": "model",
+    "output_path": "out",
+}
 
 
 def _load_config_file(path: str) -> dict:
@@ -58,41 +66,14 @@ def _load_config_file(path: str) -> dict:
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="YAML file with run settings; flags override")
-    parser.add_argument("--ontology", dest="ontology_path")
-    parser.add_argument("--train", dest="train_path")
-    parser.add_argument("--test", dest="test_path")
-    parser.add_argument("--style", dest="prompt_style", choices=["code", "t1", "t2"])
-    parser.add_argument("--k", type=int)
-    parser.add_argument(
-        "--mode", dest="selection_mode", choices=["same", "sibling", "non_sibling"]
-    )
-    parser.add_argument("--seed", type=int)
-    for name in (
-        "mark-trigger",
-        "include-description",
-        "include-type-annotation",
-        "include-hierarchy",
-        "include-keywords",
-    ):
-        parser.add_argument(
-            f"--{name}",
-            dest=name.replace("-", "_"),
-            action=argparse.BooleanOptionalAction,
-            default=None,
-        )
-    parser.add_argument("--amr", dest="amr_path")
-    parser.add_argument("--backend", choices=["replay", "http"])
-    parser.add_argument(
-        "--record", action=argparse.BooleanOptionalAction, default=None
-    )
-    parser.add_argument("--fixtures", dest="fixture_path")
-    parser.add_argument("--endpoint")
-    parser.add_argument("--model", dest="model_id")
-    parser.add_argument("--max-new-tokens", dest="max_new_tokens", type=int)
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--max-prompt-chars", dest="max_prompt_chars", type=int)
-    parser.add_argument("--max-in-flight", dest="max_in_flight", type=int)
-    parser.add_argument("--out", dest="output_path")
+    for f in dataclasses.fields(RunConfig):
+        flag = "--" + _SHORT_FLAGS.get(f.name, f.name).replace("_", "-")
+        kind = SETTING_TYPES[f.name]
+        if kind is bool:
+            options = {"action": argparse.BooleanOptionalAction}
+        else:
+            options = {"type": kind, "choices": f.metadata.get("choices")}
+        parser.add_argument(flag, dest=f.name, **options)
 
 
 def _build_config(args: argparse.Namespace, path: str | None) -> RunConfig:
@@ -143,32 +124,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_variability(args: argparse.Namespace) -> int:
-    vectors = load_vectors(args.vectors)
+    # imported here so that the other commands never load numpy
+    from .variability import VariabilityError, load_grid, load_vectors, variability_report
+
     try:
-        with open(args.grid, encoding="utf-8") as fh:
-            grid = yaml.safe_load(fh)
-        cluster_ids = grid["clusters"]
-        arg_c = grid["arg_c_f1"]
-    except OSError as exc:
-        raise ConfigError(f"cannot read grid file {args.grid}: {exc}") from exc
-    except (yaml.YAMLError, KeyError, TypeError) as exc:
-        raise ConfigError(f"grid file {args.grid} is malformed: {exc}") from exc
-
-    clusters_per_k: dict[int, list[VectorCluster]] = {}
-    for k_raw, by_type in cluster_ids.items():
-        k = int(k_raw)
-        clusters = []
-        for event_type, ids in sorted(by_type.items()):
-            missing = [i for i in ids if i not in vectors]
-            if missing:
-                raise ConfigError(f"vector file lacks ids {missing} for {event_type!r}")
-            clusters.append(
-                VectorCluster(event_type, tuple(vectors[i] for i in ids))
-            )
-        clusters_per_k[k] = clusters
-    arg_c_per_k = {int(k): float(v) for k, v in arg_c.items()}
-
-    report = variability_report(clusters_per_k, arg_c_per_k)
+        report = variability_report(*load_grid(args.grid, load_vectors(args.vectors)))
+    except VariabilityError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.out:
         write_report(report, args.out)
     else:
@@ -237,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     except (MissingFixtures, FixtureMissError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, OntologyError, CorpusError, VariabilityError, ReportError) as exc:
+    except (ConfigError, OntologyError, CorpusError, ReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import client as client_mod
 from .client import (
@@ -37,7 +38,7 @@ from .corpus import (
     select_sibling,
     split_hierarchy,
 )
-from .emitter import EmitterOptions, PromptBundle, PromptStyle, assemble_prompt
+from .emitter import EmitError, EmitterOptions, PromptBundle, PromptStyle, assemble_prompt
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import ParsedEvent, parse_completion, parse_text_completion
 from .scoring import HeadFinder, score
@@ -60,14 +61,25 @@ class ReportError(Exception):
     """A stored report fails its internal consistency re-check."""
 
 
+def _one_of(default: str, choices: typing.Iterable[str]) -> typing.Any:
+    """A setting restricted to ``choices``; its flag offers them."""
+    return field(default=default, metadata={"choices": tuple(choices)})
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """Every run setting, declared once.
+
+    A field's annotation is its type and ``choices`` metadata lists the
+    values it may take; the CLI flags and ``validate`` both read them here.
+    """
+
     ontology_path: str
     train_path: str
     test_path: str
-    prompt_style: str = "code"  # code | t1 | t2
+    prompt_style: str = _one_of("code", (style.value for style in PromptStyle))
     k: int = 1
-    selection_mode: str = "same"  # same | sibling | non_sibling
+    selection_mode: str = _one_of("same", ("same", "sibling", "non_sibling"))
     seed: int = 0
     mark_trigger: bool = True
     include_description: bool = True
@@ -75,7 +87,7 @@ class RunConfig:
     include_hierarchy: bool = True
     include_keywords: bool = False
     amr_path: str | None = None
-    backend: str = "replay"  # replay | http
+    backend: str = _one_of("replay", ("replay", "http"))
     record: bool = False
     fixture_path: str | None = None
     endpoint: str | None = None
@@ -86,13 +98,23 @@ class RunConfig:
     max_in_flight: int = 4
     output_path: str | None = None
 
+    def __post_init__(self) -> None:
+        # YAML reads ``temperature: 0`` as an int; store the float that
+        # ``--temperature 0`` gives, so both send the same request
+        for name, kind in SETTING_TYPES.items():
+            if kind is float and type(getattr(self, name)) is int:
+                object.__setattr__(self, name, float(getattr(self, name)))
+
     def validate(self) -> None:
-        try:
-            PromptStyle(self.prompt_style)
-        except ValueError:
-            raise ConfigError(f"unknown prompt style {self.prompt_style!r}") from None
-        if self.selection_mode not in ("same", "sibling", "non_sibling"):
-            raise ConfigError(f"unknown selection mode {self.selection_mode!r}")
+        for f in fields(self):
+            value, kind = getattr(self, f.name), SETTING_TYPES[f.name]
+            if value is None and f.default is None:
+                continue
+            if type(value) is not kind:
+                raise ConfigError(f"{f.name} must be of type {kind.__name__}, not {value!r}")
+            choices = f.metadata.get("choices")
+            if choices and value not in choices:
+                raise ConfigError(f"{f.name} must be one of {list(choices)}, not {value!r}")
         if self.k < 0:
             raise ConfigError("k must be >= 0")
         if self.max_new_tokens <= 0:
@@ -106,13 +128,18 @@ class RunConfig:
                 raise ConfigError("replay backend requires fixture_path")
             if self.record:
                 raise ConfigError("recording requires the http backend")
-        elif self.backend == "http":
+        else:
             if self.endpoint is None:
                 raise ConfigError("http backend requires endpoint")
             if self.record and self.fixture_path is None:
                 raise ConfigError("recording requires fixture_path")
-        else:
-            raise ConfigError(f"unknown backend {self.backend!r}")
+
+
+# Each setting's type, without the ``| None`` of an optional setting.
+SETTING_TYPES: dict[str, type] = {
+    name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
 
 
 def _build_backend(cfg: RunConfig):
@@ -177,10 +204,10 @@ class Plan:
                 examples = select_sibling(train, self.ontology, event_type, cfg.k)
             else:
                 examples = select_non_sibling(train, self.ontology, event_type, cfg.k, cfg.seed)
-        except CorpusError as exc:
+            opts = replace(self.options, amr_text=self.amr.get(inst.id))
+            bundle = assemble_prompt(self.ontology, event_type, examples, inst, opts)
+        except (CorpusError, EmitError) as exc:
             raise ConfigError(str(exc)) from exc
-        opts = replace(self.options, amr_text=self.amr.get(inst.id))
-        bundle = assemble_prompt(self.ontology, event_type, examples, inst, opts)
         request = CompletionRequest(
             prompt=bundle.text,
             max_new_tokens=cfg.max_new_tokens,

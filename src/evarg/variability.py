@@ -3,7 +3,8 @@
 Variability of a cluster of example sentence vectors is the mean
 Euclidean distance from the cluster mean. Vectors come precomputed from
 a newline-delimited JSON file (one record per example); producing them
-is out of scope here.
+is out of scope here. A YAML grid file names, per k, the example ids
+shown for each event type and the Arg-C F1 that k scored.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import yaml
 
 
 class VariabilityError(Exception):
@@ -80,9 +82,44 @@ def load_vectors(path: str) -> dict[str, tuple[float, ...]]:
                 if example_id in vectors:
                     raise VariabilityError(f"{path}:{lineno}: duplicate id {example_id!r}")
                 vectors[example_id] = values
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise VariabilityError(f"cannot read vector file {path}: {exc}") from exc
     return vectors
+
+
+def _cluster(event_type: str, ids: list, vectors: dict[str, tuple[float, ...]]) -> VectorCluster:
+    if not isinstance(ids, list):  # a string would be read one character at a time
+        raise TypeError(f"ids for {event_type!r} are not a list: {ids!r}")
+    missing = [i for i in ids if i not in vectors]
+    if missing:
+        raise VariabilityError(f"vector file lacks ids {missing} for {event_type!r}")
+    return VectorCluster(event_type, tuple(vectors[i] for i in ids))
+
+
+def load_grid(
+    path: str, vectors: dict[str, tuple[float, ...]]
+) -> tuple[dict[int, list[VectorCluster]], dict[int, float]]:
+    """Read a grid file into ``variability_report``'s two arguments.
+
+    The file maps ``clusters`` to {k: {event type: [example id]}} and
+    ``arg_c_f1`` to {k: F1}; every id must have a vector in ``vectors``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            grid = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise VariabilityError(f"cannot read grid file {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise VariabilityError(f"grid file {path} is not valid YAML: {exc}") from exc
+    try:
+        clusters_per_k = {
+            int(k): [_cluster(t, ids, vectors) for t, ids in sorted(by_type.items())]
+            for k, by_type in grid["clusters"].items()
+        }
+        arg_c_per_k = {int(k): float(v) for k, v in grid["arg_c_f1"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise VariabilityError(f"grid file {path} is malformed: {exc!r}") from exc
+    return clusters_per_k, arg_c_per_k
 
 
 def variability_report(

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -10,7 +12,9 @@ import pytest
 import yaml
 
 from conftest import ROOT
-from evarg.cli import main
+from evarg.cli import build_parser, main
+from evarg.emitter import PromptStyle
+from evarg.harness import SETTING_TYPES, RunConfig
 
 BASE = dict(
     ontology_path="fixtures/ontology.yaml",
@@ -62,6 +66,13 @@ def test_run_flag_overrides_config_file(config_file, tmp_path):
     assert report["score"]["micro"]["arg_i"]["f1"] == pytest.approx(52 / 63)
 
 
+def test_integer_temperature_gives_the_golden_report(config_file, tmp_path, golden_dir):
+    """YAML reads ``temperature: 0`` as an int; it must send what ``0.0`` sends."""
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", config_file(temperature=0), "--out", str(out)]) == 0
+    assert out.read_bytes() == (golden_dir / "run_report.json").read_bytes()
+
+
 def test_run_missing_fixture_entries_exit_3(config_file, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -101,11 +112,42 @@ def _write(path, text):
 @pytest.mark.parametrize("command", [["run"], ["emit", "--id", "test-001"]])
 @pytest.mark.parametrize(
     "override",
-    [{"prompt_style": "bogus"}, {"selection_mode": "bogus"}, {"fixture_path": None}],
+    [
+        {"prompt_style": "bogus"},
+        {"selection_mode": "bogus"},
+        {"fixture_path": None},
+        # a value of the wrong type
+        {"k": "two"},
+        {"k": True},
+        {"max_in_flight": "4"},
+        {"temperature": "hot"},
+        {"mark_trigger": "no"},
+        {"include_keywords": 1},
+        {"seed": 1.5},
+        {"ontology_path": 3},
+        {"model_id": 7},
+    ],
 )
 def test_invalid_config_values_exit_2(config_file, capsys, command, override):
     assert main([*command, "--config", config_file(**override)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and next(iter(override)) in err
+
+
+@pytest.mark.parametrize("command", [["run"], ["emit", "--id", "test-001"]])
+@pytest.mark.parametrize(
+    "old, new",
+    [('"role": "agent"', '"role": "pilot"'), ('"entity_type": "PER"', '"entity_type": "ALIEN"')],
+    ids=["undefined-role", "unknown-entity-type"],
+)
+def test_bad_training_example_exit_2_naming_it(config_file, tmp_path, capsys, command, old, new):
+    # train-001 is the one example test-001 is shown at k=1
+    first, *rest = (ROOT / "fixtures/train.jsonl").read_text().splitlines(keepends=True)
+    train = tmp_path / "train.jsonl"
+    train.write_text(first.replace(old, new, 1) + "".join(rest))
+    assert main([*command, "--config", config_file(train_path=str(train))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "train-001" in err
 
 
 @pytest.mark.parametrize(
@@ -151,6 +193,21 @@ def test_non_utf8_input_exit_2_naming_the_file(config_file, tmp_path, capsys, fi
 def test_run_missing_input_file_exit_2(config_file, capsys):
     code = main(["run", "--config", config_file(train_path="fixtures/nope.jsonl")])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["run"], ["emit", "--id", "test-001"]])
+def test_every_setting_has_a_flag_with_its_choices(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices[command[0]]._actions}
+    for f in dataclasses.fields(RunConfig):
+        action = flags[f.name]
+        if SETTING_TYPES[f.name] is bool:
+            assert isinstance(action, argparse.BooleanOptionalAction), f.name
+        else:
+            assert action.type is SETTING_TYPES[f.name], f.name
+            assert action.choices == f.metadata.get("choices"), f.name
+    assert flags["prompt_style"].choices == tuple(style.value for style in PromptStyle)
 
 
 def test_rejected_flag_value_is_argparse_error(config_file):
@@ -311,6 +368,45 @@ def test_variability_mismatched_grid_exit_2(in_repo_root, tmp_path, capsys):
         ["variability", "--vectors", "fixtures/vectors.jsonl", "--grid", str(grid)]
     )
     assert code == 2
+
+
+GRID = {"clusters": {1: {"Transport": ["train-001"]}}, "arg_c_f1": {1: 0.5}}
+
+
+def _grid(**overrides) -> bytes:
+    return yaml.safe_dump({**GRID, **overrides}).encode()
+
+
+@pytest.mark.parametrize(
+    "bad_file, content",
+    [
+        ("vectors", (ROOT / "fixtures/vectors.jsonl").read_bytes() + b"\xff\n"),
+        ("grid", _grid() + b"# \xff\n"),
+        ("grid", _grid(clusters={"two": {"Transport": ["train-001"]}})),
+        ("grid", _grid(clusters={1: [["train-001"]]})),
+        ("grid", _grid(arg_c_f1={1: "high"})),
+        ("grid", _grid(clusters={1: {"Transport": "train-001"}})),
+    ],
+    ids=[
+        "vectors-not-utf8",
+        "grid-not-utf8",
+        "k-not-an-integer",
+        "cluster-table-a-list",
+        "f1-not-a-number",
+        "ids-a-string",
+    ],
+)
+def test_variability_bad_input_exit_2_naming_the_file(
+    in_repo_root, tmp_path, capsys, bad_file, content
+):
+    paths = {"vectors": "fixtures/vectors.jsonl", "grid": str(tmp_path / "grid.yaml")}
+    Path(paths["grid"]).write_bytes(_grid())
+    paths[bad_file] = str(tmp_path / f"bad-{bad_file}")
+    Path(paths[bad_file]).write_bytes(content)
+    code = main(["variability", "--vectors", paths["vectors"], "--grid", paths["grid"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and paths[bad_file] in err
 
 
 # --- validate --------------------------------------------------------------

@@ -1,10 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import pytest
+import yaml
 
 from conftest import ROOT
 from evarg.harness import (
@@ -241,12 +243,34 @@ def test_recording_resumes_a_partial_fixture(cfg_code, tmp_path, stub):
         {"record": True},
         {"backend": "http", "endpoint": None},
         {"backend": "http", "endpoint": "http://x", "record": True, "fixture_path": None},
+        {"k": "1"},
+        {"include_hierarchy": 1},
+        {"ontology_path": None},
     ],
 )
 def test_invalid_configs_rejected(overrides):
     cfg = RunConfig(**{**BASE, **overrides})
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+def test_readme_configuration_table_lists_every_setting_and_default():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for row in table.splitlines():
+        cells = re.split(r"(?<!\\)\|", row)
+        if len(cells) < 3 or "`" not in cells[1]:
+            continue
+        default = cells[2].strip()
+        if default == "required":
+            default = MISSING
+        elif default == "none":
+            default = None
+        else:
+            default = yaml.safe_load(default.strip("`"))
+        listed.update((key, default) for key in re.findall(r"`(\w+)`", cells[1]))
+    assert listed == {f.name: f.default for f in fields(RunConfig)}
 
 
 def test_missing_input_files_are_config_errors(cfg_code):
@@ -353,11 +377,11 @@ def test_compare_writes_report(cfg_code, cfg_t1, tmp_path):
 
 
 def test_importing_harness_leaves_numpy_unloaded():
-    """``run`` never builds a variability report, so importing it must not load numpy."""
+    """Only ``evarg variability`` uses numpy; importing ``run`` or the CLI must not load it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     probe = (
-        "import sys, evarg.harness; "
+        "import sys, evarg.harness, evarg.cli; "
         "print(sorted({'numpy', 'evarg.variability'} & set(sys.modules)))"
     )
     result = subprocess.run(
