@@ -17,6 +17,7 @@ import json
 import os
 import threading
 import time
+import typing
 from dataclasses import dataclass, field
 
 import requests
@@ -60,17 +61,64 @@ class CompletionResponse:
     latency_ms: int = 0
 
 
-def request_digest(req: CompletionRequest) -> str:
-    """Hex digest covering the prompt and all decoding settings."""
+def _around_prompt(req: CompletionRequest) -> tuple[str, str]:
+    """The digest payload's JSON before and after the prompt string's contents.
+
+    The payload holds the prompt and every decoding setting. Its keys are
+    sorted, so the prompt follows ``max_new_tokens`` and ``model_id``; an
+    escaped value holds no unescaped quote, so the first ``"prompt": "``
+    is the key.
+    """
     payload = {
-        "prompt": req.prompt,
+        "prompt": "",
         "model_id": req.model_id,
         "max_new_tokens": req.max_new_tokens,
         "temperature": req.temperature,
         "stop_patterns": list(req.stop_patterns),
     }
-    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+    head, key, tail = blob.partition('"prompt": "')
+    return head + key, tail
+
+
+def _escaped(text: str) -> bytes:
+    """``text`` as it stands inside the payload's JSON, UTF-8 encoded.
+
+    JSON escaping and UTF-8 both work one code point at a time, so an
+    escaped prompt is its escaped prefix followed by its escaped rest.
+    """
+    return json.dumps(text, ensure_ascii=False)[1:-1].encode("utf-8")
+
+
+class HashedPrefix(typing.NamedTuple):
+    """A digest's sha256 state, fed up to the end of a shared prompt prefix."""
+
+    head: str  # the payload before the prompt, which pins the settings it serves
+    tail: str  # the payload after the prompt
+    text: str
+    state: typing.Any  # a hashlib sha256 object; copied per request
+
+
+def hash_prefix(req: CompletionRequest, text: str) -> HashedPrefix:
+    """Hash once what the digests of requests like ``req`` starting with ``text`` share."""
+    head, tail = _around_prompt(req)
+    return HashedPrefix(head, tail, text, hashlib.sha256(head.encode("utf-8") + _escaped(text)))
+
+
+def request_digest(req: CompletionRequest, prefix: HashedPrefix | None = None) -> str:
+    """Hex digest covering the prompt and all decoding settings.
+
+    ``prefix`` saves hashing its text again; one that does not fit the
+    request's prompt or settings is ignored.
+    """
+    head, tail = _around_prompt(req)
+    fits = prefix is not None and (prefix.head, prefix.tail) == (head, tail)
+    if fits and req.prompt.startswith(prefix.text):
+        h, rest = prefix.state.copy(), req.prompt[len(prefix.text):]
+    else:
+        h, rest = hashlib.sha256(head.encode("utf-8")), req.prompt
+    h.update(_escaped(rest) + tail.encode("utf-8"))
+    return h.hexdigest()
 
 
 def truncate_at_stop(text: str, stop_patterns: tuple[str, ...]) -> tuple[str, bool]:
@@ -92,9 +140,13 @@ def truncate_at_stop(text: str, stop_patterns: tuple[str, ...]) -> tuple[str, bo
     return text[:cut], True
 
 
-def complete(backend, req: CompletionRequest) -> CompletionResponse:
-    """Obtain a completion and enforce stop truncation client-side."""
-    resp = backend.complete(req)
+def complete(backend, req: CompletionRequest, digest: str | None = None) -> CompletionResponse:
+    """Obtain a completion and enforce stop truncation client-side.
+
+    ``digest``, ``request_digest(req)`` when the caller has it, is handed
+    on so a fixture lookup need not hash the request again.
+    """
+    resp = backend.complete(req) if digest is None else backend.complete(req, digest)
     text, hit = truncate_at_stop(resp.text, req.stop_patterns)
     finish = "stop" if hit else resp.finish_reason
     return CompletionResponse(text=text, finish_reason=finish, latency_ms=resp.latency_ms)
@@ -106,7 +158,8 @@ class HttpBackend:
 
     POSTs {model, prompt, max_tokens, temperature, stop} to
     endpoint + path. The bearer token is read from the environment
-    variable named by api_key_env at call time.
+    variable named by api_key_env at call time. ``complete`` takes the
+    request digest as the fixture backends do, and has no use for it.
     """
 
     endpoint: str
@@ -118,7 +171,7 @@ class HttpBackend:
     backoff_cap_s: float = 32.0
     session: requests.Session = field(default_factory=requests.Session, repr=False)
 
-    def complete(self, req: CompletionRequest) -> CompletionResponse:
+    def complete(self, req: CompletionRequest, digest: str | None = None) -> CompletionResponse:
         headers = {}
         key = os.environ.get(self.api_key_env)
         if key:
@@ -161,6 +214,9 @@ class HttpBackend:
             return CompletionResponse(text=text, finish_reason=finish, latency_ms=latency)
         raise BackendError(f"retries exhausted calling {url}: {last_error}")
 
+    def close(self) -> None:
+        self.session.close()
+
 
 class ReplayBackend:
     """Serves recorded responses by request digest; fully deterministic."""
@@ -189,13 +245,17 @@ class ReplayBackend:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def complete(self, req: CompletionRequest) -> CompletionResponse:
-        digest = request_digest(req)
+    def complete(self, req: CompletionRequest, digest: str | None = None) -> CompletionResponse:
+        if digest is None:
+            digest = request_digest(req)
         try:
             text, finish = self._entries[digest]
         except KeyError:
             raise FixtureMissError(digest) from None
         return CompletionResponse(text=text, finish_reason=finish, latency_ms=0)
+
+    def close(self) -> None:
+        """Nothing to release: the fixture file is read whole and closed."""
 
 
 class RecordingBackend(ReplayBackend):
@@ -210,9 +270,9 @@ class RecordingBackend(ReplayBackend):
         self.inner = inner
         self._lock = threading.Lock()
 
-    def complete(self, req: CompletionRequest) -> CompletionResponse:
+    def complete(self, req: CompletionRequest, digest: str | None = None) -> CompletionResponse:
         try:
-            return super().complete(req)
+            return super().complete(req, digest)
         except FixtureMissError as miss:
             digest = miss.digest
         resp = self.inner.complete(req)
@@ -234,3 +294,6 @@ class RecordingBackend(ReplayBackend):
                     fh.write(json.dumps(record, ensure_ascii=False) + "\n")
                 self._entries[digest] = (resp.text, resp.finish_reason)
         return resp
+
+    def close(self) -> None:
+        self.inner.close()

@@ -253,38 +253,6 @@ def _reachable_entities(ontology: Ontology, event_classes: list[str]) -> list[st
     return [name for name in ontology.entity_types if name in reachable]
 
 
-def assemble_prompt(
-    ontology: Ontology,
-    event_type: str,
-    examples: list[TrainingInstance],
-    task: TrainingInstance,
-    opts: EmitterOptions,
-) -> PromptBundle:
-    """Full prompt: ontology definitions, k examples, then the task prompt."""
-    if opts.prompt_style is not PromptStyle.CODE:
-        return _emit_text_prompt(ontology, event_type, examples, task, opts)
-
-    event_classes = _event_definition_order(ontology, event_type, examples, opts)
-    blocks = [_BASE_ENTITY_BLOCK, _BASE_EVENT_BLOCK]
-    blocks.extend(
-        emit_entity_class(ontology, name)
-        for name in _reachable_entities(ontology, event_classes)
-    )
-    blocks.extend(emit_event_class(ontology, cls, opts) for cls in event_classes)
-    blocks.extend(emit_example(inst, ontology, opts) for inst in examples)
-    task_block = emit_task_prompt(task, event_type, opts)
-    blocks.append(task_block)
-
-    cls = derive_class_name(event_type)
-    return PromptBundle(
-        text="\n\n".join(blocks),
-        stop_patterns=CODE_STOP_PATTERNS,
-        completion_prefix=f"{instance_variable(cls)} = {cls}(",
-        example_ids=tuple(inst.id for inst in examples),
-        style=PromptStyle.CODE,
-    )
-
-
 # --- text prompt layouts ---------------------------------------------------
 
 
@@ -381,37 +349,72 @@ def _t2_filled_template(inst: TrainingInstance, event: EventTypeDef) -> str:
     return re.sub(r"\{([A-Za-z_][A-Za-z0-9_]*)\}", fill, event.description_template)
 
 
-def _emit_text_prompt(
+# --- whole prompts ---------------------------------------------------------
+
+
+def build_preamble(
+    ontology: Ontology,
+    event_type: str,
+    examples: list[TrainingInstance],
+    opts: EmitterOptions,
+) -> str:
+    """Every block before the task block, each followed by its blank line.
+
+    The preamble depends on the event type, the examples and every option
+    but ``amr_text``, so all instances sharing those share it. It is empty
+    only for a ``t2`` prompt without examples.
+    """
+    if opts.prompt_style is PromptStyle.TEXT_T2:
+        blocks = []
+        for inst in examples:
+            event = ontology.resolve_event(inst.event_type)
+            answer = _t2_filled_template(inst, event)
+            blocks.append(_t2_task_block(inst, event, replace(opts, amr_text=None), answer))
+    else:
+        event_classes = _event_definition_order(ontology, event_type, examples, opts)
+        entities = _reachable_entities(ontology, event_classes)
+        if opts.prompt_style is PromptStyle.CODE:
+            blocks = [_BASE_ENTITY_BLOCK, _BASE_EVENT_BLOCK]
+            blocks.extend(emit_entity_class(ontology, name) for name in entities)
+            blocks.extend(emit_event_class(ontology, cls, opts) for cls in event_classes)
+            blocks.extend(emit_example(inst, ontology, opts) for inst in examples)
+        else:
+            blocks = [_t1_entity_block(ontology, entities)]
+            blocks.extend(_t1_event_block(ontology, cls, opts) for cls in event_classes)
+            blocks.extend(_t1_example_block(inst, ontology, opts) for inst in examples)
+    return "".join(block + "\n\n" for block in blocks)
+
+
+def assemble_prompt(
     ontology: Ontology,
     event_type: str,
     examples: list[TrainingInstance],
     task: TrainingInstance,
     opts: EmitterOptions,
+    preamble: str | None = None,
 ) -> PromptBundle:
-    """Text prompt variants: labelled blocks (T1) or template filling (T2)."""
+    """Full prompt: ontology definitions, k examples, then the task prompt.
+
+    Code style defines classes; ``t1`` uses labelled text blocks and
+    ``t2`` fills a template. ``preamble`` is ``build_preamble``'s result
+    for the same arguments, when the caller already has it.
+    """
+    if preamble is None:
+        preamble = build_preamble(ontology, event_type, examples, opts)
     style = opts.prompt_style
     cls = derive_class_name(event_type)
-    event = ontology.resolve_event(event_type)
-
-    blocks: list[str] = []
-    if style is PromptStyle.TEXT_T1:
-        event_classes = _event_definition_order(ontology, event_type, examples, opts)
-        blocks.append(_t1_entity_block(ontology, _reachable_entities(ontology, event_classes)))
-        blocks.extend(_t1_event_block(ontology, c, opts) for c in event_classes)
-        blocks.extend(_t1_example_block(inst, ontology, opts) for inst in examples)
-        blocks.append(_t1_task_block(task, cls, opts))
-        prefix = "Arguments:"
+    if style is PromptStyle.CODE:
+        task_block = emit_task_prompt(task, event_type, opts)
+        prefix, stops = f"{instance_variable(cls)} = {cls}(", CODE_STOP_PATTERNS
+    elif style is PromptStyle.TEXT_T1:
+        task_block = _t1_task_block(task, cls, opts)
+        prefix, stops = "Arguments:", TEXT_STOP_PATTERNS
     else:
-        for inst in examples:
-            ex_event = ontology.resolve_event(inst.event_type)
-            answer = _t2_filled_template(inst, ex_event)
-            blocks.append(_t2_task_block(inst, ex_event, replace(opts, amr_text=None), answer))
-        blocks.append(_t2_task_block(task, event, opts, None))
-        prefix = "Answer:"
-
+        task_block = _t2_task_block(task, ontology.resolve_event(event_type), opts, None)
+        prefix, stops = "Answer:", TEXT_STOP_PATTERNS
     return PromptBundle(
-        text="\n\n".join(blocks),
-        stop_patterns=TEXT_STOP_PATTERNS,
+        text=preamble + task_block,
+        stop_patterns=stops,
         completion_prefix=prefix,
         example_ids=tuple(inst.id for inst in examples),
         style=style,

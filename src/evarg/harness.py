@@ -24,8 +24,10 @@ from .client import (
     CompletionRequest,
     FixtureMissError,
     HttpBackend,
+    HashedPrefix,
     RecordingBackend,
     ReplayBackend,
+    hash_prefix,
     request_digest,
 )
 from .corpus import (
@@ -38,7 +40,14 @@ from .corpus import (
     select_sibling,
     split_hierarchy,
 )
-from .emitter import EmitError, EmitterOptions, PromptBundle, PromptStyle, assemble_prompt
+from .emitter import (
+    EmitError,
+    EmitterOptions,
+    PromptBundle,
+    PromptStyle,
+    assemble_prompt,
+    build_preamble,
+)
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import ParsedEvent, parse_completion, parse_text_completion
 from .scoring import HeadFinder, score
@@ -186,7 +195,11 @@ class Task:
 
 @dataclass(frozen=True)
 class Plan:
-    """A validated config with everything its prompts are built from."""
+    """A validated config with everything its prompts are built from.
+
+    Instances of one event type given the same examples share a preamble;
+    the plan builds and hashes each such preamble once.
+    """
 
     cfg: RunConfig
     ontology: Ontology
@@ -194,6 +207,10 @@ class Plan:
     test: Dataset
     amr: dict[str, str]
     options: EmitterOptions
+    # (class name, example ids) -> the preamble, hashed as a request prefix
+    _preambles: dict[tuple, HashedPrefix] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def task(self, inst: TrainingInstance) -> Task:
         cfg, train, event_type = self.cfg, self.train, inst.event_type
@@ -204,8 +221,14 @@ class Plan:
                 examples = select_sibling(train, self.ontology, event_type, cfg.k)
             else:
                 examples = select_non_sibling(train, self.ontology, event_type, cfg.k, cfg.seed)
+            key = (derive_class_name(event_type), tuple(e.id for e in examples))
+            prefix = self._preambles.get(key)
+            if prefix is None:
+                preamble = build_preamble(self.ontology, event_type, examples, self.options)
+            else:
+                preamble = prefix.text
             opts = replace(self.options, amr_text=self.amr.get(inst.id))
-            bundle = assemble_prompt(self.ontology, event_type, examples, inst, opts)
+            bundle = assemble_prompt(self.ontology, event_type, examples, inst, opts, preamble)
         except (CorpusError, EmitError) as exc:
             raise ConfigError(str(exc)) from exc
         request = CompletionRequest(
@@ -215,7 +238,9 @@ class Plan:
             stop_patterns=bundle.stop_patterns,
             model_id=cfg.model_id,
         )
-        return Task(inst, bundle, request, request_digest(request))
+        if prefix is None:
+            prefix = self._preambles[key] = hash_prefix(request, preamble)
+        return Task(inst, bundle, request, request_digest(request, prefix))
 
 
 def prepare(cfg: RunConfig) -> Plan:
@@ -290,12 +315,17 @@ def run(cfg: RunConfig, hf: HeadFinder | None = None) -> dict:
 
     def complete_one(task: Task):
         try:
-            return client_mod.complete(backend, task.request)
+            return client_mod.complete(backend, task.request, task.digest)
         except FixtureMissError as exc:
             return exc
 
-    with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-        results = list(pool.map(complete_one, tasks))
+    try:
+        with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
+            # a replay lookup holds the GIL throughout: threads would only add overhead
+            mapper = map if cfg.backend == "replay" else pool.map
+            results = list(mapper(complete_one, tasks))
+    finally:
+        backend.close()
 
     misses = [r.digest for r in results if isinstance(r, FixtureMissError)]
     if misses:

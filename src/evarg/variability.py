@@ -96,6 +96,22 @@ def _cluster(event_type: str, ids: list, vectors: dict[str, tuple[float, ...]]) 
     return VectorCluster(event_type, tuple(vectors[i] for i in ids))
 
 
+def _per_k(table: dict, value) -> dict:
+    """``{k: value(entry)}`` for a grid table keyed by k.
+
+    A k key is an int or a string of digits; a bool or a float is refused
+    rather than truncated, and so is a second key naming the same k.
+    """
+    per_k = {}
+    for key, entry in table.items():
+        if not (type(key) is int or (isinstance(key, str) and key.isascii() and key.isdigit())):
+            raise ValueError(f"k must be an integer, not {key!r}")
+        if int(key) in per_k:
+            raise ValueError(f"two keys name k {int(key)}")
+        per_k[int(key)] = value(entry)
+    return per_k
+
+
 def load_grid(
     path: str, vectors: dict[str, tuple[float, ...]]
 ) -> tuple[dict[int, list[VectorCluster]], dict[int, float]]:
@@ -112,11 +128,11 @@ def load_grid(
     except yaml.YAMLError as exc:
         raise VariabilityError(f"grid file {path} is not valid YAML: {exc}") from exc
     try:
-        clusters_per_k = {
-            int(k): [_cluster(t, ids, vectors) for t, ids in sorted(by_type.items())]
-            for k, by_type in grid["clusters"].items()
-        }
-        arg_c_per_k = {int(k): float(v) for k, v in grid["arg_c_f1"].items()}
+        clusters_per_k = _per_k(
+            grid["clusters"],
+            lambda by_type: [_cluster(t, ids, vectors) for t, ids in sorted(by_type.items())],
+        )
+        arg_c_per_k = _per_k(grid["arg_c_f1"], float)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise VariabilityError(f"grid file {path} is malformed: {exc!r}") from exc
     return clusters_per_k, arg_c_per_k

@@ -386,6 +386,9 @@ def _grid(**overrides) -> bytes:
         ("grid", _grid(clusters={1: [["train-001"]]})),
         ("grid", _grid(arg_c_f1={1: "high"})),
         ("grid", _grid(clusters={1: {"Transport": "train-001"}})),
+        ("grid", _grid(clusters={1.5: {"Transport": ["train-001"]}})),
+        ("grid", _grid(clusters={True: {"Transport": ["train-001"]}})),
+        ("grid", _grid(arg_c_f1={1: 0.5, "01": 0.7})),
     ],
     ids=[
         "vectors-not-utf8",
@@ -394,6 +397,9 @@ def _grid(**overrides) -> bytes:
         "cluster-table-a-list",
         "f1-not-a-number",
         "ids-a-string",
+        "k-a-float",
+        "k-a-bool",
+        "k-twice",
     ],
 )
 def test_variability_bad_input_exit_2_naming_the_file(

@@ -1,10 +1,12 @@
+import hashlib
 import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evarg.client import (
@@ -17,6 +19,7 @@ from evarg.client import (
     RecordingBackend,
     ReplayBackend,
     complete,
+    hash_prefix,
     request_digest,
     truncate_at_stop,
 )
@@ -44,6 +47,62 @@ def test_digest_covers_every_decoding_setting():
     ]
     digests = {request_digest(v) for v in variants} | {request_digest(REQ)}
     assert len(digests) == len(variants) + 1
+
+
+def _whole_payload_digest(req):
+    payload = {
+        "prompt": req.prompt,
+        "model_id": req.model_id,
+        "max_new_tokens": req.max_new_tokens,
+        "temperature": req.temperature,
+        "stop_patterns": list(req.stop_patterns),
+    }
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+# quotes, backslashes, control characters and non-ASCII text escape differently
+PROMPT_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\\n\t\x00\x1f\x7f é\u2028中😀'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=30,
+)
+
+
+@given(
+    preamble=PROMPT_TEXT,
+    rest=PROMPT_TEXT,
+    model_id=st.text(max_size=12),
+    max_new_tokens=st.integers(min_value=1, max_value=4096),
+    temperature=st.one_of(st.integers(0, 2), st.floats(0, 2)),
+    stop_patterns=st.lists(PROMPT_TEXT, max_size=3),
+)
+@example(  # a t2 prompt without examples has an empty preamble
+    preamble="", rest="Answer:", model_id="m", max_new_tokens=1, temperature=0.0,
+    stop_patterns=["\n\n"],
+)
+def test_prefix_state_digest_equals_whole_payload_digest(
+    preamble, rest, model_id, max_new_tokens, temperature, stop_patterns
+):
+    req = CompletionRequest(
+        prompt=preamble + rest,
+        max_new_tokens=max_new_tokens,
+        temperature=temperature,
+        stop_patterns=tuple(stop_patterns),
+        model_id=model_id,
+    )
+    prefix = hash_prefix(req, preamble)
+    whole = _whole_payload_digest(req)
+    assert request_digest(req, prefix) == request_digest(req) == whole
+    # the prefix's state is what the digest is computed from ...
+    assert request_digest(req, prefix._replace(state=hashlib.sha256())) != whole
+    # ... and a prefix that does not fit the request is ignored
+    other = replace(req, model_id=model_id + "x")
+    assert request_digest(other, prefix) == _whole_payload_digest(other)
+    unrelated = replace(req, prompt="\x01" + req.prompt)
+    assert request_digest(unrelated, prefix) == _whole_payload_digest(unrelated)
 
 
 def test_request_validation():

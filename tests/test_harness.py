@@ -3,12 +3,16 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import MISSING, fields, replace
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
 from conftest import ROOT
+from evarg import client, harness
+from evarg.client import BackendError, HttpBackend, ReplayBackend, request_digest
 from evarg.harness import (
     ConfigError,
     MissingFixtures,
@@ -125,6 +129,107 @@ def test_run_writes_output_path(cfg_code, tmp_path):
     report = run(replace(cfg_code, output_path=str(out)))
     on_disk = json.loads(out.read_text())
     assert on_disk == json.loads(json.dumps(report))
+
+
+# --- the plan's shared preambles --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, overrides, instance_id, neighbour_id",
+    [
+        ("prompt_default.txt", {}, "test-001", "test-002"),
+        ("prompt_keywords.txt", {"include_keywords": True}, "test-001", "test-002"),
+        ("prompt_flat.txt", {"include_hierarchy": False}, "test-001", "test-002"),
+        ("prompt_t1.txt", {"prompt_style": "t1"}, "test-001", "test-002"),
+        ("prompt_t2.txt", {"prompt_style": "t2"}, "test-001", "test-002"),
+        ("prompt_amr.txt", {"amr_path": "fixtures/amr.jsonl"}, "test-001", "test-002"),
+        ("prompt_sibling.txt", {"selection_mode": "sibling"}, "test-006", "test-007"),
+    ],
+)
+def test_plan_prompt_equals_the_golden_prompt(
+    cfg_code, golden_dir, name, overrides, instance_id, neighbour_id
+):
+    """The golden prompt, whether the plan builds its preamble or reuses one built for
+    ``neighbour_id``, an instance of the same type given the same examples."""
+    golden = (golden_dir / name).read_text(encoding="utf-8")
+    cfg = replace(cfg_code, **overrides)
+    built = prepare(cfg)
+    reused = prepare(cfg)
+    reused.task(reused.test.by_id(neighbour_id))
+    for plan in (built, reused):
+        task = plan.task(plan.test.by_id(instance_id))
+        assert task.bundle.text == golden
+        assert task.digest == request_digest(task.request)
+
+
+def test_replay_run_builds_each_preamble_once_and_hashes_each_request_once(
+    cfg_code, monkeypatch
+):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "build_preamble", counted("preamble", harness.build_preamble))
+    monkeypatch.setattr(harness, "request_digest", counted("digest", harness.request_digest))
+    monkeypatch.setattr(client, "request_digest", counted("digest", client.request_digest))
+    report = run(cfg_code)
+    keys = {(e["event_type"], tuple(e["example_ids"])) for e in report["instances"]}
+    assert len(keys) < len(report["instances"]) == 12
+    assert calls == {"preamble": len(keys), "digest": 12}
+
+
+# --- closing the backend ---------------------------------------------------
+
+
+class FakeSession:
+    """Answers every POST with one status and a ``)`` completion; counts ``close``."""
+
+    def __init__(self, status: int):
+        self.status = status
+        self.closed = 0
+
+    def post(self, url, json, headers, timeout):
+        body = {"choices": [{"text": ")", "finish_reason": "stop"}]}
+        return SimpleNamespace(status_code=self.status, text="", json=lambda: body)
+
+    def close(self):
+        self.closed += 1
+
+
+@pytest.mark.parametrize("status, record", [(200, True), (200, False), (401, True), (401, False)])
+def test_run_closes_the_http_session(cfg_code, tmp_path, monkeypatch, status, record):
+    session = FakeSession(status)
+    monkeypatch.setattr(
+        harness, "HttpBackend", lambda endpoint: HttpBackend(endpoint=endpoint, session=session)
+    )
+    cfg = replace(
+        cfg_code,
+        backend="http",
+        endpoint="http://localhost",
+        record=record,
+        fixture_path=str(tmp_path / "recorded.jsonl"),
+    )
+    if status == 200:
+        assert len(run(cfg)["instances"]) == 12
+    else:
+        with pytest.raises(BackendError):
+            run(cfg)
+    assert session.closed == 1
+
+
+def test_replay_run_closes_its_backend_when_fixtures_are_missing(cfg_code, tmp_path, monkeypatch):
+    closed = []
+    monkeypatch.setattr(ReplayBackend, "close", lambda backend: closed.append(backend))
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    with pytest.raises(MissingFixtures):
+        run(replace(cfg_code, fixture_path=str(empty)))
+    assert len(closed) == 1
 
 
 # --- fixture misses, skips, shortfalls -------------------------------------
