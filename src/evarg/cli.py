@@ -13,10 +13,9 @@ import dataclasses
 import json
 import sys
 
-import yaml
-
 from .client import BackendError, FixtureMissError
 from .corpus import CorpusError, load_corpus, validate_against_ontology
+from .files import read_yaml
 from .harness import (
     SETTING_TYPES,
     ConfigError,
@@ -29,6 +28,7 @@ from .harness import (
     write_report,
 )
 from .ontology import OntologyError, load_ontology
+from .variability import VariabilityError, load_grid, load_vectors, variability_report
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
@@ -47,13 +47,7 @@ _SHORT_FLAGS = {
 
 
 def _load_config_file(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
+    data = read_yaml(path, "config", ConfigError)
     if data is None:
         return {}
     if not isinstance(data, dict):
@@ -124,9 +118,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_variability(args: argparse.Namespace) -> int:
-    # imported here so that the other commands never load numpy
-    from .variability import VariabilityError, load_grid, load_vectors, variability_report
-
     try:
         report = variability_report(*load_grid(args.grid, load_vectors(args.vectors)))
     except VariabilityError as exc:

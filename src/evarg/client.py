@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import requests
 
+from .files import read_jsonl
+
 
 class BackendError(Exception):
     """Completion could not be obtained."""
@@ -224,23 +226,13 @@ class ReplayBackend:
     def __init__(self, fixture_path: str):
         self.fixture_path = fixture_path
         self._entries: dict[str, tuple[str, str]] = {}
-        try:
-            with open(fixture_path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        record = json.loads(line)
-                        digest = record["digest"]
-                        response = record["response"]
-                        entry = (response["text"], response["finish_reason"])
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise BackendError(
-                            f"{fixture_path}:{lineno}: bad fixture record: {exc}"
-                        ) from exc
-                    self._entries[digest] = entry
-        except (OSError, UnicodeDecodeError) as exc:
-            raise BackendError(f"cannot read fixture file {fixture_path}: {exc}") from exc
+
+        def add(rec: dict) -> None:
+            response = rec["response"]
+            # a digest recorded twice is served its last answer
+            self._entries[rec["digest"]] = (response["text"], response["finish_reason"])
+
+        read_jsonl(fixture_path, "fixture", add, BackendError)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -7,12 +7,12 @@ points. Datasets are read-only after loading.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from .files import read_jsonl
 from .ontology import Ontology, ancestors, derive_class_name, siblings
 
 
@@ -73,28 +73,16 @@ class Dataset:
 
 def load_corpus(path: str | Path, split: str) -> Dataset:
     """Load a corpus file, validating spans and id uniqueness."""
-    instances: list[TrainingInstance] = []
-    seen_ids: set[str] = set()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not valid UTF-8: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        try:
-            inst = _instance_from_record(rec)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from exc
-        if inst.id in seen_ids:
-            raise CorpusError(f"{path}:{lineno}: duplicate instance id {inst.id!r}")
-        seen_ids.add(inst.id)
-        instances.append(inst)
-    return Dataset(split=split, instances=tuple(instances))
+    instances: dict[str, TrainingInstance] = {}
+
+    def add(rec: dict) -> None:
+        inst = _instance_from_record(rec)
+        if inst.id in instances:
+            raise ValueError(f"duplicate instance id {inst.id!r}")
+        instances[inst.id] = inst
+
+    read_jsonl(path, split, add, CorpusError)
+    return Dataset(split=split, instances=tuple(instances.values()))
 
 
 def _instance_from_record(rec: dict) -> TrainingInstance:
@@ -199,11 +187,10 @@ def split_hierarchy(ontology: Ontology, dataset: Dataset) -> dict[str, Hierarchy
 
 
 def select_sibling(
-    dataset: Dataset, ontology: Ontology, event_type: str, k: int
+    dataset: Dataset, ontology: Ontology, event_type: str, k: int, split: dict[str, HierarchySplit]
 ) -> list[TrainingInstance]:
-    """Examples for a test type drawn from its designated sibling training type."""
+    """Examples for a test type from the training sibling ``split_hierarchy`` chose for it."""
     event = ontology.resolve_event(event_type)
-    split = split_hierarchy(ontology, dataset)
     if event.parent is None or event.parent not in split:
         raise CorpusError(
             f"event type {event.class_name!r} has no sibling training type with data"

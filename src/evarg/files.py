@@ -1,0 +1,47 @@
+"""Reading the pipeline's input files: JSON lines and YAML.
+
+A JSON-lines file is UTF-8 with one JSON value per line; blank lines are
+skipped. Only a line break ends a record, so a string may hold U+2028,
+U+2029 or U+0085 unescaped, as ``json.dumps(ensure_ascii=False)`` writes.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any, Callable
+
+import yaml
+
+
+def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None], error: type) -> None:
+    """Call ``record`` on each line's value, in file order.
+
+    A line that is not JSON, or whose value ``record`` rejects with a
+    ``ValueError``, ``KeyError`` or ``TypeError``, raises
+    ``error("path:line: bad <what> record: ...")``; a file that cannot be
+    read as UTF-8 raises ``error("cannot read <what> file path: ...")``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record(json.loads(line))
+                except (KeyError, TypeError, ValueError) as exc:
+                    invalid = "invalid JSON: " if isinstance(exc, json.JSONDecodeError) else ""
+                    raise error(f"{path}:{lineno}: bad {what} record: {invalid}{exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def read_yaml(path: str, what: str, error: type) -> Any:
+    """The YAML document in ``path``; an unreadable or invalid file raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise error(f"{what} file {path} is not valid YAML: {exc}") from exc

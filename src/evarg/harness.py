@@ -33,6 +33,7 @@ from .client import (
 from .corpus import (
     CorpusError,
     Dataset,
+    HierarchySplit,
     TrainingInstance,
     load_corpus,
     select_non_sibling,
@@ -48,6 +49,7 @@ from .emitter import (
     assemble_prompt,
     build_preamble,
 )
+from .files import read_jsonl
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import ParsedEvent, parse_completion, parse_text_completion
 from .scoring import HeadFinder, score
@@ -128,6 +130,8 @@ class RunConfig:
             raise ConfigError("k must be >= 0")
         if self.max_new_tokens <= 0:
             raise ConfigError("max_new_tokens must be positive")
+        if not 0 <= self.temperature < float("inf"):
+            raise ConfigError(f"temperature must be finite and >= 0, not {self.temperature!r}")
         if self.max_prompt_chars is not None and self.max_prompt_chars <= 0:
             raise ConfigError("max_prompt_chars must be positive")
         if self.max_in_flight < 1:
@@ -165,21 +169,14 @@ def _build_backend(cfg: RunConfig):
 def load_amr(path: str) -> dict[str, str]:
     """Read {id, amr} records keyed by instance id."""
     table: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    instance_id, amr = record["id"], record["amr"]
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad record: {exc}") from exc
-                if not isinstance(amr, str) or not amr.strip():
-                    raise ConfigError(f"{path}:{lineno}: empty amr for {instance_id!r}")
-                table[instance_id] = amr
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read amr file {path}: {exc}") from exc
+
+    def add(rec: dict) -> None:
+        instance_id, amr = rec["id"], rec["amr"]
+        if not isinstance(amr, str) or not amr.strip():
+            raise ValueError(f"empty amr for {instance_id!r}")
+        table[instance_id] = amr
+
+    read_jsonl(path, "amr", add, ConfigError)
     return table
 
 
@@ -207,6 +204,8 @@ class Plan:
     test: Dataset
     amr: dict[str, str]
     options: EmitterOptions
+    # the parent -> training child split, for the modes that select by hierarchy
+    split: dict[str, HierarchySplit]
     # (class name, example ids) -> the preamble, hashed as a request prefix
     _preambles: dict[tuple, HashedPrefix] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -218,7 +217,7 @@ class Plan:
             if cfg.selection_mode == "same":
                 examples = select_same_type(train, event_type, cfg.k)
             elif cfg.selection_mode == "sibling":
-                examples = select_sibling(train, self.ontology, event_type, cfg.k)
+                examples = select_sibling(train, self.ontology, event_type, cfg.k, self.split)
             else:
                 examples = select_non_sibling(train, self.ontology, event_type, cfg.k, cfg.seed)
             key = (derive_class_name(event_type), tuple(e.id for e in examples))
@@ -250,9 +249,10 @@ def prepare(cfg: RunConfig) -> Plan:
         ontology = load_ontology(cfg.ontology_path)
         train = load_corpus(cfg.train_path, "train")
         test = load_corpus(cfg.test_path, "test")
-    except OSError as exc:
+    except (OSError, CorpusError) as exc:
         raise ConfigError(str(exc)) from exc
 
+    split = {}
     if cfg.selection_mode in ("sibling", "non_sibling"):
         split = split_hierarchy(ontology, train)
         if not any(entry.test_children for entry in split.values()):
@@ -270,7 +270,7 @@ def prepare(cfg: RunConfig) -> Plan:
         include_keywords=cfg.include_keywords,
         prompt_style=PromptStyle(cfg.prompt_style),
     )
-    return Plan(cfg, ontology, train, test, amr, options)
+    return Plan(cfg, ontology, train, test, amr, options, split)
 
 
 def _parsed_to_dict(parsed: ParsedEvent) -> dict:

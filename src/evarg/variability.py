@@ -9,12 +9,10 @@ shown for each event type and the Arg-C F1 that k scored.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-import yaml
+from .files import read_jsonl, read_yaml
 
 
 class VariabilityError(Exception):
@@ -38,52 +36,49 @@ class VectorCluster:
 
 def variability(cluster: VectorCluster) -> float:
     """Mean Euclidean distance of the cluster's vectors from their mean."""
-    matrix = np.asarray(cluster.vectors, dtype=float)
-    centroid = matrix.mean(axis=0)
-    return float(np.linalg.norm(matrix - centroid, axis=1).mean())
+    n = len(cluster.vectors)
+    centroid = [math.fsum(column) / n for column in zip(*cluster.vectors)]
+    return math.fsum(math.dist(v, centroid) for v in cluster.vectors) / n
 
 
 def pearson(xs: list[float], ys: list[float]) -> float | None:
-    """Pearson r, or None when undefined (short or constant series)."""
+    """Pearson r in ``numpy.corrcoef``'s order, or None when undefined (short or constant series).
+
+    ``math.fsum`` rounds the same on every Python; ``sum`` compensates from 3.12 on.
+    """
     if len(xs) != len(ys):
         raise VariabilityError("series length mismatch")
-    if len(xs) < 2:
+    n = len(xs)
+    if n < 2 or len(set(xs)) == 1 or len(set(ys)) == 1:
         return None
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if math.isclose(float(x.std()), 0.0) or math.isclose(float(y.std()), 0.0):
+    mx, my = math.fsum(xs) / n, math.fsum(ys) / n
+    dx, dy = [x - mx for x in xs], [y - my for y in ys]
+    scale = 1 / (n - 1)
+    sx = math.sqrt(math.fsum(a * a for a in dx) * scale)
+    sy = math.sqrt(math.fsum(b * b for b in dy) * scale)
+    if not sx or not sy:  # spreads so small that their squares underflow
         return None
-    return float(np.corrcoef(x, y)[0, 1])
+    cov = math.fsum(a * b for a, b in zip(dx, dy)) * scale
+    return max(-1.0, min(1.0, cov / sx / sy))
 
 
 def load_vectors(path: str) -> dict[str, tuple[float, ...]]:
     """Read {example_id, values} records; all dimensions must agree."""
     vectors: dict[str, tuple[float, ...]] = {}
-    dim: int | None = None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    example_id = record["example_id"]
-                    values = tuple(float(v) for v in record["values"])
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise VariabilityError(f"{path}:{lineno}: bad vector record: {exc}") from exc
-                if not values:
-                    raise VariabilityError(f"{path}:{lineno}: empty vector")
-                if dim is None:
-                    dim = len(values)
-                elif len(values) != dim:
-                    raise VariabilityError(
-                        f"{path}:{lineno}: dimension {len(values)} != {dim}"
-                    )
-                if example_id in vectors:
-                    raise VariabilityError(f"{path}:{lineno}: duplicate id {example_id!r}")
-                vectors[example_id] = values
-    except (OSError, UnicodeDecodeError) as exc:
-        raise VariabilityError(f"cannot read vector file {path}: {exc}") from exc
+
+    def add(rec: dict) -> None:
+        example_id = rec["example_id"]
+        values = tuple(float(v) for v in rec["values"])
+        if not values:
+            raise ValueError("empty vector")
+        dim = len(next(iter(vectors.values()), values))
+        if len(values) != dim:
+            raise ValueError(f"dimension {len(values)} != {dim}")
+        if example_id in vectors:
+            raise ValueError(f"duplicate id {example_id!r}")
+        vectors[example_id] = values
+
+    read_jsonl(path, "vector", add, VariabilityError)
     return vectors
 
 
@@ -120,13 +115,7 @@ def load_grid(
     The file maps ``clusters`` to {k: {event type: [example id]}} and
     ``arg_c_f1`` to {k: F1}; every id must have a vector in ``vectors``.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            grid = yaml.safe_load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise VariabilityError(f"cannot read grid file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise VariabilityError(f"grid file {path} is not valid YAML: {exc}") from exc
+    grid = read_yaml(path, "grid", VariabilityError)
     try:
         clusters_per_k = _per_k(
             grid["clusters"],

@@ -121,6 +121,10 @@ def _write(path, text):
         {"k": True},
         {"max_in_flight": "4"},
         {"temperature": "hot"},
+        # a value out of range
+        {"temperature": -1},
+        {"temperature": float("nan")},
+        {"temperature": float("inf")},
         {"mark_trigger": "no"},
         {"include_keywords": 1},
         {"seed": 1.5},
@@ -368,6 +372,16 @@ def test_variability_mismatched_grid_exit_2(in_repo_root, tmp_path, capsys):
         ["variability", "--vectors", "fixtures/vectors.jsonl", "--grid", str(grid)]
     )
     assert code == 2
+
+
+def test_variability_constant_f1_has_no_correlation(in_repo_root, tmp_path, capsys):
+    grid = yaml.safe_load((ROOT / "fixtures/variability_grid.yaml").read_text())
+    grid["arg_c_f1"] = {k: 0.1 for k in grid["arg_c_f1"]}
+    path = tmp_path / "grid.yaml"
+    path.write_text(yaml.safe_dump(grid))
+    code = main(["variability", "--vectors", "fixtures/vectors.jsonl", "--grid", str(path)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["correlation"] is None
 
 
 GRID = {"clusters": {1: {"Transport": ["train-001"]}}, "arg_c_f1": {1: 0.5}}

@@ -138,16 +138,18 @@ def test_split_tie_breaks_lexicographically(ontology):
 
 
 def test_sibling_selection_uses_training_sibling(ontology, train_set):
-    picked = select_sibling(train_set, ontology, "Transfer_Ownership", 2)
+    split = split_hierarchy(ontology, train_set)
+    picked = select_sibling(train_set, ontology, "Transfer_Ownership", 2, split)
     assert [p.id for p in picked] == ["train-006", "train-007"]
     assert all(p.event_type == "Transaction:Transfer-Money" for p in picked)
 
 
 def test_sibling_selection_rejects_training_child_and_roots(ontology, train_set):
+    split = split_hierarchy(ontology, train_set)
     with pytest.raises(CorpusError):
-        select_sibling(train_set, ontology, "Transfer_Money", 2)
+        select_sibling(train_set, ontology, "Transfer_Money", 2, split)
     with pytest.raises(CorpusError):
-        select_sibling(train_set, ontology, "Transaction", 2)
+        select_sibling(train_set, ontology, "Transaction", 2, split)
 
 
 def test_non_sibling_excludes_relatives(ontology, train_set):

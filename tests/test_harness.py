@@ -11,8 +11,9 @@ import pytest
 import yaml
 
 from conftest import ROOT
-from evarg import client, harness
+from evarg import client, corpus, harness
 from evarg.client import BackendError, HttpBackend, ReplayBackend, request_digest
+from evarg.corpus import split_hierarchy
 from evarg.harness import (
     ConfigError,
     MissingFixtures,
@@ -181,6 +182,21 @@ def test_replay_run_builds_each_preamble_once_and_hashes_each_request_once(
     keys = {(e["event_type"], tuple(e["example_ids"])) for e in report["instances"]}
     assert len(keys) < len(report["instances"]) == 12
     assert calls == {"preamble": len(keys), "digest": 12}
+
+
+def test_sibling_tasks_share_the_plans_hierarchy_split(cfg_code, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return split_hierarchy(*args)
+
+    monkeypatch.setattr(corpus, "split_hierarchy", counted)
+    monkeypatch.setattr(harness, "split_hierarchy", counted)
+    plan = prepare(replace(cfg_code, selection_mode="sibling"))
+    for instance_id in ("test-006", "test-007"):
+        plan.task(plan.test.by_id(instance_id))
+    assert len(calls) == 1
 
 
 # --- closing the backend ---------------------------------------------------
@@ -482,12 +498,12 @@ def test_compare_writes_report(cfg_code, cfg_t1, tmp_path):
 
 
 def test_importing_harness_leaves_numpy_unloaded():
-    """Only ``evarg variability`` uses numpy; importing ``run`` or the CLI must not load it."""
+    """numpy is a test-only dependency; no evarg module, the CLI included, may load it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     probe = (
-        "import sys, evarg.harness, evarg.cli; "
-        "print(sorted({'numpy', 'evarg.variability'} & set(sys.modules)))"
+        "import sys, evarg.harness, evarg.cli, evarg.variability; "
+        "print(sorted({'numpy'} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60

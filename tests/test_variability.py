@@ -102,6 +102,10 @@ def test_pearson_undefined_cases_return_none():
     assert pearson([1.0], [2.0]) is None
     assert pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
     assert pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) is None
+    # the mean of equal values can differ from them in the last digit
+    assert pearson([1.0, 2.0, 3.0], [0.1, 0.1, 0.1]) is None
+    # a spread whose square underflows to zero
+    assert pearson([0.0, 1e-200], [0.0, 1.0]) is None
 
 
 def test_pearson_length_mismatch_raises():
@@ -111,6 +115,29 @@ def test_pearson_length_mismatch_raises():
 
 def test_pearson_bounded():
     assert -1.0 <= pearson([0.1, 4.0, 2.0, 3.3], [9.0, 1.0, 5.0, 2.0]) <= 1.0
+
+
+# --- numpy as the oracle ---------------------------------------------------
+
+FINITE = st.floats(-100, 100)
+
+
+@given(st.lists(st.lists(FINITE, min_size=3, max_size=3), min_size=1, max_size=7))
+def test_variability_equals_numpy(vectors):
+    matrix = np.asarray(vectors)
+    want = float(np.linalg.norm(matrix - matrix.mean(axis=0), axis=1).mean())
+    assert variability(cluster(*vectors)) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@given(st.lists(st.tuples(FINITE, FINITE), min_size=2, max_size=7))
+def test_pearson_equals_numpy(pairs):
+    xs, ys = (list(series) for series in zip(*pairs))
+    # undefined for a constant series, or one whose variance underflows to zero
+    if len(set(xs)) == 1 or len(set(ys)) == 1 or 0 in np.diag(np.cov(xs, ys)):
+        assert pearson(xs, ys) is None
+    else:
+        # r's rounding error is bounded by a few ulps of 1 whatever the spread
+        assert pearson(xs, ys) == pytest.approx(float(np.corrcoef(xs, ys)[0, 1]), abs=1e-12)
 
 
 # --- vector files ----------------------------------------------------------
