@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -22,18 +23,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 os.chdir(REPO_ROOT)
 
 from evarg.corpus import load_corpus, validate_against_ontology  # noqa: E402
-from evarg.emitter import (  # noqa: E402
-    EmitterOptions,
-    PromptStyle,
-    assemble_prompt,
-)
-from evarg.harness import RunConfig, load_amr, prepare, run, write_report  # noqa: E402
+from evarg.harness import RunConfig, prepare, run, write_report  # noqa: E402
 from evarg.ontology import derive_class_name, load_ontology  # noqa: E402
-from evarg.variability import (  # noqa: E402
-    VectorCluster,
-    load_vectors,
-    variability_report,
-)
+from evarg.variability import load_grid, load_vectors, variability_report  # noqa: E402
 
 FIXTURES = Path("fixtures")
 GOLDEN = FIXTURES / "golden"
@@ -226,6 +218,29 @@ AMR = {
 
 VARIABILITY_ARG_C = {1: 0.30, 2: 0.42, 3: 0.48}
 
+# The run every golden prompt and the frozen replay runs start from.
+BASE = RunConfig(
+    ontology_path="fixtures/ontology.yaml",
+    train_path="fixtures/train.jsonl",
+    test_path="fixtures/test.jsonl",
+    k=1,
+    selection_mode="same",
+    seed=0,
+    backend="replay",
+    fixture_path="fixtures/completions.jsonl",
+)
+
+# golden prompt file -> (settings over BASE, test instance id)
+GOLDEN_PROMPTS = {
+    "prompt_default.txt": ({}, "test-001"),
+    "prompt_keywords.txt": ({"include_keywords": True}, "test-001"),
+    "prompt_amr.txt": ({"amr_path": "fixtures/amr.jsonl"}, "test-001"),
+    "prompt_flat.txt": ({"include_hierarchy": False}, "test-001"),
+    "prompt_t1.txt": ({"prompt_style": "t1"}, "test-001"),
+    "prompt_t2.txt": ({"prompt_style": "t2"}, "test-001"),
+    "prompt_sibling.txt": ({"selection_mode": "sibling"}, "test-006"),
+}
+
 
 def find_span(sentence: str, surface: str) -> tuple[int, int]:
     start = sentence.find(surface)
@@ -307,58 +322,16 @@ def main() -> None:
         if problems:
             raise SystemExit(f"{split_name} corpus invalid: {problems}")
 
-    amr_table = load_amr("fixtures/amr.jsonl")
-    kim = test.by_id("test-001")
-    kelly = [train.by_id("train-001")]
-
-    def bundle_for(opts: EmitterOptions, task=kim, examples=kelly, etype="Movement:Transport"):
-        return assemble_prompt(ontology, etype, examples, task, opts)
-
-    emit_golden("prompt_default.txt", bundle_for(EmitterOptions()).text)
-    emit_golden(
-        "prompt_keywords.txt", bundle_for(EmitterOptions(include_keywords=True)).text
-    )
-    emit_golden(
-        "prompt_amr.txt",
-        bundle_for(EmitterOptions(amr_text=amr_table["test-001"])).text,
-    )
-    emit_golden(
-        "prompt_flat.txt", bundle_for(EmitterOptions(include_hierarchy=False)).text
-    )
-    emit_golden(
-        "prompt_t1.txt",
-        bundle_for(EmitterOptions(prompt_style=PromptStyle.TEXT_T1)).text,
-    )
-    emit_golden(
-        "prompt_t2.txt",
-        bundle_for(EmitterOptions(prompt_style=PromptStyle.TEXT_T2)).text,
-    )
-    emit_golden(
-        "prompt_sibling.txt",
-        bundle_for(
-            EmitterOptions(),
-            task=test.by_id("test-006"),
-            examples=[train.by_id("train-006")],
-            etype="Transaction:Transfer-Ownership",
-        ).text,
-    )
+    for name, (settings, instance_id) in GOLDEN_PROMPTS.items():
+        plan = prepare(replace(BASE, **settings))
+        emit_golden(name, plan.task(plan.test.by_id(instance_id)).bundle.text)
 
     # completion fixtures for the frozen replay runs (code and t1, k=1)
-    base = dict(
-        ontology_path="fixtures/ontology.yaml",
-        train_path="fixtures/train.jsonl",
-        test_path="fixtures/test.jsonl",
-        k=1,
-        selection_mode="same",
-        seed=0,
-        backend="replay",
-        fixture_path="fixtures/completions.jsonl",
-    )
-    cfg_code = RunConfig(prompt_style="code", **base)
-    cfg_t1 = RunConfig(prompt_style="t1", **base)
-
     records = []
-    for cfg, responses in ((cfg_code, CODE_RESPONSES), (cfg_t1, T1_RESPONSES)):
+    for cfg, responses in (
+        (BASE, CODE_RESPONSES),
+        (replace(BASE, prompt_style="t1"), T1_RESPONSES),
+    ):
         plan = prepare(cfg)
         for inst in plan.test.instances:
             task = plan.task(inst)
@@ -380,19 +353,12 @@ def main() -> None:
             )
     write_jsonl(FIXTURES / "completions.jsonl", records)
 
-    report = run(cfg_code)
+    report = run(BASE)
     write_report(report, str(GOLDEN / "run_report.json"))
     print(f"wrote {GOLDEN / 'run_report.json'}")
 
     vectors = load_vectors("fixtures/vectors.jsonl")
-    clusters_per_k = {
-        k: [
-            VectorCluster(etype, tuple(vectors[i] for i in ids[:k]))
-            for etype, ids in sorted(by_type.items())
-        ]
-        for k in sorted(VARIABILITY_ARG_C)
-    }
-    var_report = variability_report(clusters_per_k, VARIABILITY_ARG_C)
+    var_report = variability_report(*load_grid("fixtures/variability_grid.yaml", vectors))
     write_report(var_report, str(GOLDEN / "variability_report.json"))
     print(f"wrote {GOLDEN / 'variability_report.json'}")
 

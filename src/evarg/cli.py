@@ -13,22 +13,20 @@ import dataclasses
 import json
 import sys
 
-from .client import BackendError, FixtureMissError
-from .corpus import CorpusError, load_corpus, validate_against_ontology
-from .files import read_yaml
+from .client import BackendError
+from .corpus import load_corpus, validate_against_ontology
+from .files import ConfigError, read_yaml
 from .harness import (
     SETTING_TYPES,
-    ConfigError,
     MissingFixtures,
-    ReportError,
     RunConfig,
     compare,
     prepare,
     run,
     write_report,
 )
-from .ontology import OntologyError, load_ontology
-from .variability import VariabilityError, load_grid, load_vectors, variability_report
+from .ontology import load_ontology
+from .variability import load_grid, load_vectors, variability_report
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
@@ -85,7 +83,11 @@ def _build_config(args: argparse.Namespace, path: str | None) -> RunConfig:
 
 def _cmd_emit(args: argparse.Namespace) -> int:
     plan = prepare(_build_config(args, args.config))
-    bundle = plan.task(plan.test.by_id(args.id)).bundle
+    try:
+        inst = plan.test.by_id(args.id)
+    except KeyError:
+        raise ConfigError(f"unknown id {args.id!r}") from None
+    bundle = plan.task(inst).bundle
     if args.out_file:
         with open(args.out_file, "w", encoding="utf-8") as fh:
             fh.write(bundle.text)
@@ -118,10 +120,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_variability(args: argparse.Namespace) -> int:
-    try:
-        report = variability_report(*load_grid(args.grid, load_vectors(args.vectors)))
-    except VariabilityError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = variability_report(*load_grid(args.grid, load_vectors(args.vectors)))
     if args.out:
         write_report(report, args.out)
     else:
@@ -187,16 +186,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MissingFixtures, FixtureMissError) as exc:
+    except MissingFixtures as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, OntologyError, CorpusError, ReportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: unknown id {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BackendError as exc:

@@ -206,9 +206,12 @@ class HttpBackend:
             if http.status_code != 200:
                 raise BackendError(f"HTTP {http.status_code} from {url}: {http.text[:200]}")
             try:
+                # indexing a choice that is not an object raises TypeError
                 choice = http.json()["choices"][0]
                 text = choice["text"]
-            except (ValueError, KeyError, IndexError) as exc:
+                if not isinstance(text, str):
+                    raise TypeError(f"text is {type(text).__name__}, not str")
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion response: {exc}") from exc
             finish = choice.get("finish_reason")
             if finish not in ("stop", "length"):

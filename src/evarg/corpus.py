@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .files import read_jsonl
+from .files import ConfigError, read_jsonl
 from .ontology import Ontology, ancestors, derive_class_name, siblings
 
 
-class CorpusError(Exception):
+class CorpusError(ConfigError):
     """A corpus file is malformed or violates an instance invariant."""
 
 

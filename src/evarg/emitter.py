@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .corpus import TrainingInstance
+from .files import ConfigError
 from .ontology import (
     Ontology,
     EventTypeDef,
@@ -22,7 +23,7 @@ from .ontology import (
 )
 
 
-class EmitError(Exception):
+class EmitError(ConfigError):
     """Prompt rendering failed (unknown type, bad span, bad gold data)."""
 
 

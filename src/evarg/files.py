@@ -1,5 +1,9 @@
 """Reading the pipeline's input files: JSON lines and YAML.
 
+``ConfigError`` is the base of every bad-input error: each loader's and
+validator's own error class derives from it, so one ``except`` clause
+catches any bad input.
+
 A JSON-lines file is UTF-8 with one JSON value per line; blank lines are
 skipped. Only a line break ends a record, so a string may hold U+2028,
 U+2029 or U+0085 unescaped, as ``json.dumps(ensure_ascii=False)`` writes.
@@ -12,6 +16,10 @@ from pathlib import Path
 from typing import Any, Callable
 
 import yaml
+
+
+class ConfigError(Exception):
+    """Invalid or inconsistent run configuration or input."""
 
 
 def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None], error: type) -> None:

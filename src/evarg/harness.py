@@ -31,7 +31,6 @@ from .client import (
     request_digest,
 )
 from .corpus import (
-    CorpusError,
     Dataset,
     HierarchySplit,
     TrainingInstance,
@@ -42,21 +41,16 @@ from .corpus import (
     split_hierarchy,
 )
 from .emitter import (
-    EmitError,
     EmitterOptions,
     PromptBundle,
     PromptStyle,
     assemble_prompt,
     build_preamble,
 )
-from .files import read_jsonl
+from .files import ConfigError, read_jsonl
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import ParsedEvent, parse_completion, parse_text_completion
 from .scoring import HeadFinder, score
-
-
-class ConfigError(Exception):
-    """Invalid or inconsistent run configuration."""
 
 
 class MissingFixtures(BackendError):
@@ -68,7 +62,7 @@ class MissingFixtures(BackendError):
         self.digests = digests
 
 
-class ReportError(Exception):
+class ReportError(ConfigError):
     """A stored report fails its internal consistency re-check."""
 
 
@@ -213,23 +207,20 @@ class Plan:
 
     def task(self, inst: TrainingInstance) -> Task:
         cfg, train, event_type = self.cfg, self.train, inst.event_type
-        try:
-            if cfg.selection_mode == "same":
-                examples = select_same_type(train, event_type, cfg.k)
-            elif cfg.selection_mode == "sibling":
-                examples = select_sibling(train, self.ontology, event_type, cfg.k, self.split)
-            else:
-                examples = select_non_sibling(train, self.ontology, event_type, cfg.k, cfg.seed)
-            key = (derive_class_name(event_type), tuple(e.id for e in examples))
-            prefix = self._preambles.get(key)
-            if prefix is None:
-                preamble = build_preamble(self.ontology, event_type, examples, self.options)
-            else:
-                preamble = prefix.text
-            opts = replace(self.options, amr_text=self.amr.get(inst.id))
-            bundle = assemble_prompt(self.ontology, event_type, examples, inst, opts, preamble)
-        except (CorpusError, EmitError) as exc:
-            raise ConfigError(str(exc)) from exc
+        if cfg.selection_mode == "same":
+            examples = select_same_type(train, event_type, cfg.k)
+        elif cfg.selection_mode == "sibling":
+            examples = select_sibling(train, self.ontology, event_type, cfg.k, self.split)
+        else:
+            examples = select_non_sibling(train, self.ontology, event_type, cfg.k, cfg.seed)
+        key = (derive_class_name(event_type), tuple(e.id for e in examples))
+        prefix = self._preambles.get(key)
+        if prefix is None:
+            preamble = build_preamble(self.ontology, event_type, examples, self.options)
+        else:
+            preamble = prefix.text
+        opts = replace(self.options, amr_text=self.amr.get(inst.id))
+        bundle = assemble_prompt(self.ontology, event_type, examples, inst, opts, preamble)
         request = CompletionRequest(
             prompt=bundle.text,
             max_new_tokens=cfg.max_new_tokens,
@@ -245,12 +236,9 @@ class Plan:
 def prepare(cfg: RunConfig) -> Plan:
     """Validate ``cfg`` and load once what ``run`` and ``evarg emit`` build prompts from."""
     cfg.validate()
-    try:
-        ontology = load_ontology(cfg.ontology_path)
-        train = load_corpus(cfg.train_path, "train")
-        test = load_corpus(cfg.test_path, "test")
-    except (OSError, CorpusError) as exc:
-        raise ConfigError(str(exc)) from exc
+    ontology = load_ontology(cfg.ontology_path)
+    train = load_corpus(cfg.train_path, "train")
+    test = load_corpus(cfg.test_path, "test")
 
     split = {}
     if cfg.selection_mode in ("sibling", "non_sibling"):

@@ -14,13 +14,15 @@ from pathlib import Path
 
 import yaml
 
+from .files import ConfigError
+
 logger = logging.getLogger(__name__)
 
 IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
-class OntologyError(Exception):
+class OntologyError(ConfigError):
     """Base class for ontology loading problems."""
 
 
@@ -124,8 +126,8 @@ def load_ontology(path: str | Path) -> Ontology:
     """Load and validate an ontology document from ``path``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise OntologyParseError(f"{path}: not valid UTF-8: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise OntologyParseError(f"cannot read ontology file {path}: {exc}") from exc
     return parse_ontology(text)
 
 

@@ -353,43 +353,27 @@ def _record_role(
 # --- text completions ------------------------------------------------------
 
 _T1_LINE_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$")
-_QUOTED_RE = re.compile(r'"((?:\\.|[^"\\])*)"')
 _T2_SLOT_RE = re.compile(
     r"\[\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?::((?:\"(?:\\.|[^\"\\])*\"|[^\]\"])*))?\]"
 )
 
 
-def _unescape(raw: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "\\" and i + 1 < len(raw):
-            nxt = raw[i + 1]
-            if nxt in _ESCAPES:
-                out.append(_ESCAPES[nxt])
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
-def _count_unescaped_quotes(line: str) -> int:
-    count = 0
-    i = 0
-    while i < len(line):
-        if line[i] == "\\":
-            i += 2
-            continue
-        if line[i] == '"':
-            count += 1
-        i += 1
-    return count
+def _literals(text: str) -> tuple[list[str], bool]:
+    """The string literals in ``text``, unescaped, and whether the last is cut off."""
+    values: list[str] = []
+    start = text.find('"')
+    while start >= 0:
+        tok = _lex_string(text, start)
+        if not tok.complete:
+            return values, True
+        values.append(tok.value)
+        start = text.find('"', start + len(tok.text))
+    return values, False
 
 
 def _parse_t1(text: str, event: ParsedEvent, known_roles: set[str], o: Ontology) -> None:
-    for line in text.splitlines():
+    # only "\n" ends a line: a filler may hold "\r", U+2028 or U+0085
+    for line in text.split("\n"):
         if not line.strip():
             continue
         m = _T1_LINE_RE.match(line)
@@ -398,9 +382,9 @@ def _parse_t1(text: str, event: ParsedEvent, known_roles: set[str], o: Ontology)
                 Diagnostic(DiagnosticKind.MALFORMED_TAIL, f"skipped line {line.strip()!r}")
             )
             continue
-        name, rest = m.group(1), m.group(2)
-        surfaces = [_unescape(s) for s in _QUOTED_RE.findall(rest)]
-        if _count_unescaped_quotes(rest) % 2 == 1:
+        name = m.group(1)
+        surfaces, cut_off = _literals(m.group(2))
+        if cut_off:
             event.diagnostics.append(
                 Diagnostic(
                     DiagnosticKind.TRUNCATED, f"input ends inside argument {name!r}"
@@ -420,7 +404,7 @@ def _parse_t2(text: str, event: ParsedEvent, known_roles: set[str], o: Ontology)
         name, filler = m.group(1), m.group(2)
         if filler is None or not filler.strip():
             continue  # unfilled slot
-        surfaces = [_unescape(s) for s in _QUOTED_RE.findall(filler)]
+        surfaces = _literals(filler)[0]
         if not surfaces:
             continue
         _record_role(event, name, [EntityMention(None, s) for s in surfaces], known_roles, o)

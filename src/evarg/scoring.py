@@ -2,10 +2,11 @@
 
 Predicted mention strings are grounded in the source sentence (first
 exact occurrence, then first case-insensitive occurrence, else they stay
-ungrounded and can never match). Heads are compared by character span.
-Arg-I counts one-to-one head matches regardless of role; Arg-C counts
-the matched pairs whose roles also agree. Counts pool per event type and
-micro metrics are computed from the pooled sums.
+ungrounded and can never match; an empty surface is ungrounded). Heads
+are compared by character span. Arg-I counts one-to-one head matches
+regardless of role; Arg-C counts the matched pairs whose roles also
+agree. Counts pool per event type and micro metrics are computed from
+the pooled sums.
 
 Matching is greedy over canonically sorted pairs: same role and head
 first, then remaining head-only pairs. Head-span equality partitions the
@@ -73,7 +74,12 @@ def default_head(span: Span, sentence: str) -> Span:
 
 
 def ground(pred_surface: str, sentence: str) -> Span | None:
-    """First exact occurrence, else first case-insensitive occurrence."""
+    """First exact occurrence, else first case-insensitive occurrence.
+
+    An empty surface grounds nowhere.
+    """
+    if not pred_surface:
+        return None
     idx = sentence.find(pred_surface)
     if idx < 0:
         idx = sentence.lower().find(pred_surface.lower())

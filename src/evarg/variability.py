@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .files import read_jsonl, read_yaml
+from .files import ConfigError, read_jsonl, read_yaml
 
 
-class VariabilityError(Exception):
+class VariabilityError(ConfigError):
     """Bad vector data (empty cluster, dimension mismatch, bad file)."""
 
 

@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 from conftest import ROOT
+from evarg import harness
 from evarg.cli import build_parser, main
 from evarg.emitter import PromptStyle
 from evarg.harness import SETTING_TYPES, RunConfig
@@ -197,6 +198,15 @@ def test_non_utf8_input_exit_2_naming_the_file(config_file, tmp_path, capsys, fi
 def test_run_missing_input_file_exit_2(config_file, capsys):
     code = main(["run", "--config", config_file(train_path="fixtures/nope.jsonl")])
     assert code == 2
+
+
+def test_key_error_from_a_bug_is_not_reported_as_bad_input(config_file, monkeypatch):
+    def broken_score(*args, **kwargs):
+        raise KeyError("x")
+
+    monkeypatch.setattr(harness, "score", broken_score)
+    with pytest.raises(KeyError):
+        main(["run", "--config", config_file()])
 
 
 @pytest.mark.parametrize("command", [["run"], ["emit", "--id", "test-001"]])
@@ -472,6 +482,12 @@ def test_validate_flags_problems_on_stderr(in_repo_root, tmp_path, capsys):
 def test_validate_ontology_only(in_repo_root, capsys):
     assert main(["validate", "--ontology", "fixtures/ontology.yaml"]) == 0
     assert capsys.readouterr().out == "ok\n"
+
+
+def test_validate_missing_ontology_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.yaml"
+    assert main(["validate", "--ontology", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read ontology file {missing}: ")
 
 
 # --- console script and module entry ----------------------------------------

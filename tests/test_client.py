@@ -300,11 +300,23 @@ def test_http_client_error_fails_immediately(stub, monkeypatch):
     assert len(stub.requests) == 1
 
 
+MALFORMED_BODIES = (
+    {"unexpected": True},
+    [],
+    {"choices": None},
+    {"choices": [None]},
+    {"choices": [{"text": 5}]},
+)
+
+
 def test_http_malformed_success_body(stub, monkeypatch):
     monkeypatch.delenv("EVARG_API_KEY", raising=False)
-    stub.script.append((200, {"unexpected": True}))
-    with pytest.raises(BackendError, match="malformed"):
-        _fast_backend(stub).complete(REQ)
+    backend = _fast_backend(stub)
+    for body in MALFORMED_BODIES:
+        stub.script.append((200, body))
+        with pytest.raises(BackendError, match="malformed completion response"):
+            backend.complete(REQ)
+    assert len(stub.requests) == len(MALFORMED_BODIES)
 
 
 def test_http_unknown_finish_reason_normalized(stub, monkeypatch):

@@ -13,7 +13,8 @@ import yaml
 from conftest import ROOT
 from evarg import client, corpus, harness
 from evarg.client import BackendError, HttpBackend, ReplayBackend, request_digest
-from evarg.corpus import split_hierarchy
+from evarg.corpus import CorpusError, split_hierarchy
+from evarg.emitter import EmitError
 from evarg.harness import (
     ConfigError,
     MissingFixtures,
@@ -25,7 +26,9 @@ from evarg.harness import (
     run,
     write_report,
 )
+from evarg.ontology import OntologyError
 from evarg.scoring import HeuristicHeadFinder
+from evarg.variability import VariabilityError
 
 BASE = dict(
     ontology_path="fixtures/ontology.yaml",
@@ -432,6 +435,21 @@ def test_bad_amr_files_are_config_errors(cfg_code, tmp_path):
     empty_amr.write_text('{"id": "test-001", "amr": "   "}\n')
     with pytest.raises(ConfigError, match="empty amr"):
         run(replace(cfg_code, amr_path=str(empty_amr)))
+
+
+@pytest.mark.parametrize(
+    "error", [CorpusError, OntologyError, EmitError, VariabilityError, ReportError]
+)
+def test_every_bad_input_error_is_a_config_error(error):
+    assert issubclass(error, harness.ConfigError)
+
+
+def test_run_with_a_test_event_type_the_ontology_lacks_is_config_error(cfg_code, tmp_path):
+    test = tmp_path / "test.jsonl"
+    lines = (ROOT / "fixtures/test.jsonl").read_text(encoding="utf-8")
+    test.write_text(lines.replace('"Movement:Transport"', '"Movement:Teleport"', 1))
+    with pytest.raises(ConfigError, match="Teleport"):
+        run(replace(cfg_code, test_path=str(test)))
 
 
 # --- report files ----------------------------------------------------------

@@ -248,6 +248,45 @@ def test_rendered_arguments_round_trip(ontology, kwargs):
 
 # --- text styles -----------------------------------------------------------
 
+# surfaces mixing plain text with quotes, escapes and the characters that
+# end a line for str.splitlines or delimit a t2 slot or filler
+_TEXT_SURFACE = st.text(alphabet='ab "\\\n\r\x0c];\u2028\x85', min_size=1, max_size=10)
+_TEXT_FILLERS = st.lists(
+    st.tuples(
+        st.sampled_from(["agent", "artifact", "vehicle", "origin", "destination"]),
+        st.lists(_TEXT_SURFACE, min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=5,
+    unique_by=lambda filler: filler[0],
+)
+
+
+def _quoted(surfaces):
+    return "; ".join(f'"{escape_literal(s)}"' for s in surfaces)
+
+
+@settings(max_examples=200)
+@given(_TEXT_FILLERS)
+def test_t1_rendered_fillers_round_trip(ontology, fillers):
+    text = "\n".join(f"{role}: {_quoted(surfaces)}" for role, surfaces in fillers)
+    event = parse_text_completion("t1", text, ontology, ET)
+    assert event.roles == {
+        role: [EntityMention(None, s) for s in surfaces] for role, surfaces in fillers
+    }
+    assert event.diagnostics == []
+
+
+@settings(max_examples=200)
+@given(_TEXT_FILLERS)
+def test_t2_rendered_fillers_round_trip(ontology, fillers):
+    text = " and ".join(f"[{role}: {_quoted(surfaces)}]" for role, surfaces in fillers)
+    event = parse_text_completion("t2", text, ontology, ET)
+    assert event.roles == {
+        role: [EntityMention(None, s) for s in surfaces] for role, surfaces in fillers
+    }
+    assert event.diagnostics == []
+
 
 def test_t1_basic_lines(ontology):
     text = '  agent: "Kelly"\n  destination: "Houston"\n'

@@ -41,6 +41,7 @@ def test_ground_first_occurrence_wins():
 
 def test_ground_missing_surface_is_none():
     assert ground("united states", "Kelly left Houston .") is None
+    assert ground("", "Kelly left Houston .") is None
 
 
 # --- head heuristic --------------------------------------------------------
@@ -202,6 +203,23 @@ def test_ungrounded_prediction_counts_as_false_positive():
     assert counts.tp_identified == 1
     assert report.micro_arg_i.p == 0.5
     assert report.micro_arg_i.r == 1.0
+
+
+def test_empty_prediction_is_ungrounded_false_positive():
+    golds = make_dataset(
+        "g",
+        [
+            make_instance(
+                "i1", "Kelly left Houston .", "left", "Movement:Transport",
+                args=[("agent", "Kelly", "PER")],
+            )
+        ],
+    )
+    parsed = ParsedEvent(roles={"agent": [EntityMention("PER", "")]})
+    report = score([("i1", parsed)], golds)
+    assert report.ungrounded_count == 1
+    assert report.per_type["Transport"].n_pred == 1
+    assert report.micro_arg_i.p == 0.0
 
 
 def test_case_insensitive_grounding_still_matches():
