@@ -50,7 +50,7 @@ def _load_config_file(path: str) -> dict:
         return {}
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
-    unknown = sorted(set(data) - _CONFIG_FIELDS)
+    unknown = sorted(set(data) - _CONFIG_FIELDS, key=str)
     if unknown:
         raise ConfigError(f"config file {path}: unknown keys {unknown}")
     return data

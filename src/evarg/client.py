@@ -232,8 +232,11 @@ class ReplayBackend:
 
         def add(rec: dict) -> None:
             response = rec["response"]
+            text, finish = response["text"], response["finish_reason"]
+            if not (isinstance(text, str) and isinstance(finish, str)):
+                raise TypeError(f"text {text!r} and finish_reason {finish!r} must be strings")
             # a digest recorded twice is served its last answer
-            self._entries[rec["digest"]] = (response["text"], response["finish_reason"])
+            self._entries[rec["digest"]] = (text, finish)
 
         read_jsonl(fixture_path, "fixture", add, BackendError)
 

@@ -85,10 +85,20 @@ def load_corpus(path: str | Path, split: str) -> Dataset:
     return Dataset(split=split, instances=tuple(instances.values()))
 
 
+def _offsets(rec: dict) -> tuple[int, int]:
+    """A span record's ``start`` and ``end``; each must be an int, and a bool is not one."""
+    start, end = rec["start"], rec["end"]
+    if type(start) is not int or type(end) is not int:
+        raise TypeError(f"offsets must be integers, not {start!r} and {end!r}")
+    return start, end
+
+
 def _instance_from_record(rec: dict) -> TrainingInstance:
+    if not isinstance(rec["id"], str):
+        raise TypeError(f"id must be a string, not {rec['id']!r}")
     sentence = rec["sentence"]
     trig = rec["trigger"]
-    trigger = Trigger(start=int(trig["start"]), end=int(trig["end"]), surface=trig["surface"])
+    trigger = Trigger(*_offsets(trig), surface=trig["surface"])
     if not (0 <= trigger.start <= trigger.end <= len(sentence)):
         raise ValueError(f"trigger span out of bounds for instance {rec.get('id')!r}")
     if sentence[trigger.start : trigger.end] != trigger.surface:
@@ -98,10 +108,11 @@ def _instance_from_record(rec: dict) -> TrainingInstance:
         )
     arguments: list[GoldArgument] = []
     for arg in rec.get("arguments", []):
+        if not isinstance(arg, dict):
+            raise TypeError(f"argument {arg!r} is not an object")
         head = None
         if arg.get("head") is not None:
-            h = arg["head"]
-            head = Span(start=int(h["start"]), end=int(h["end"]))
+            head = Span(*_offsets(arg["head"]))
             if not (0 <= head.start <= head.end <= len(sentence)):
                 raise ValueError(
                     f"argument head span out of bounds for instance {rec.get('id')!r}"
@@ -115,7 +126,7 @@ def _instance_from_record(rec: dict) -> TrainingInstance:
             )
         )
     return TrainingInstance(
-        id=str(rec["id"]),
+        id=rec["id"],
         sentence=sentence,
         trigger=trigger,
         event_type=rec["event_type"],

@@ -9,14 +9,16 @@ exact layouts are frozen by golden fixtures under ``fixtures/golden/``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .corpus import TrainingInstance
 from .files import ConfigError
 from .ontology import (
-    Ontology,
+    PLACEHOLDER_RE,
     EventTypeDef,
+    Ontology,
+    OntologyError,
     ancestors,
     derive_class_name,
     instance_variable,
@@ -39,6 +41,16 @@ CODE_STOP_PATTERNS: tuple[str, ...] = ('"""', "class", "print", "#")
 
 # Text completions end at the first blank line.
 TEXT_STOP_PATTERNS: tuple[str, ...] = ("\n\n",)
+
+# t1 heads a list of arguments with this line: a definition's roles, an answer's fillers.
+_T1_ARGUMENTS = "Arguments:"
+
+# style -> (the completion prefix its task block ends with, its stop patterns)
+_COMPLETION: dict[PromptStyle, tuple[str, tuple[str, ...]]] = {
+    PromptStyle.CODE: ("{var} = {cls}(", CODE_STOP_PATTERNS),
+    PromptStyle.TEXT_T1: (_T1_ARGUMENTS, TEXT_STOP_PATTERNS),
+    PromptStyle.TEXT_T2: ("Answer:", TEXT_STOP_PATTERNS),
+}
 
 TASK_INSTRUCTION = (
     "Translate the following sentence into an instance of {class_name}; "
@@ -98,13 +110,16 @@ def _docstring_block(lines: list[str], indent: str) -> list[str]:
     return out
 
 
-def rewrite_template(template: str, style: str) -> str:
-    """Rewrite ``{role}`` placeholders to the style's role reference form."""
-    if style == "member":
-        return re.sub(r"\{([A-Za-z_][A-Za-z0-9_]*)\}", r"self.\1", template)
-    if style == "slot":
-        return re.sub(r"\{([A-Za-z_][A-Za-z0-9_]*)\}", r"[\1]", template)
-    raise ValueError(style)
+def _slots(template: str) -> str:
+    """The template with each ``{role}`` placeholder written as a ``[role]`` slot."""
+    return PLACEHOLDER_RE.sub(r"[\1]", template)
+
+
+def _resolve(ontology: Ontology, event_type: str) -> EventTypeDef:
+    try:
+        return ontology.resolve_event(event_type)
+    except OntologyError as exc:
+        raise EmitError(str(exc)) from None
 
 
 def emit_entity_class(ontology: Ontology, name: str) -> str:
@@ -119,17 +134,14 @@ def emit_entity_class(ontology: Ontology, name: str) -> str:
 
 def emit_event_class(ontology: Ontology, event_type: str, opts: EmitterOptions) -> str:
     """Render one event class definition block."""
-    try:
-        event = ontology.resolve_event(event_type)
-    except Exception as exc:
-        raise EmitError(str(exc)) from None
+    event = _resolve(ontology, event_type)
 
     parent = event.parent if (opts.include_hierarchy and event.parent) else "Event"
     lines = [f"class {event.class_name}({parent}):"]
 
     doc_lines: list[str] = []
     if opts.include_description and event.description_template:
-        doc_lines.extend(rewrite_template(event.description_template, "member").splitlines())
+        doc_lines.extend(PLACEHOLDER_RE.sub(r"self.\1", event.description_template).splitlines())
     if opts.include_keywords and event.keywords:
         doc_lines.append("Keywords: " + ", ".join(event.keywords))
     if doc_lines:
@@ -162,62 +174,73 @@ def _marked_sentence(inst: TrainingInstance, opts: EmitterOptions) -> str:
     return sentence[:start] + "**" + sentence[start:end] + "**" + sentence[end:]
 
 
-def emit_task_prompt(inst: TrainingInstance, event_type: str, opts: EmitterOptions) -> str:
-    """Task docstring plus the unfinished instantiation line."""
-    cls = derive_class_name(event_type)
-    if derive_class_name(inst.event_type) != cls:
-        raise EmitError(
-            f"instance {inst.id!r} has type {inst.event_type!r}, expected {event_type!r}"
-        )
-    doc = [TASK_INSTRUCTION.format(class_name=cls), _marked_sentence(inst, opts)]
-    if opts.amr_text is not None:
-        doc.extend(opts.amr_text.splitlines())
-    lines = _docstring_block(doc, "")
-    lines.append(f"{instance_variable(cls)} = {cls}(")
-    return "\n".join(lines)
+def _task_block(
+    inst: TrainingInstance, event: EventTypeDef, opts: EmitterOptions, amr: str | None
+) -> tuple[str, str]:
+    """The task as the style poses it, and the completion prefix it ends with.
+
+    ``amr`` is the task sentence's semantic graph; it goes after the
+    sentence, with ``AMR: `` before its first line in the text styles.
+    """
+    style, cls = opts.prompt_style, event.class_name
+    sentence = _marked_sentence(inst, opts)
+    amr_lines = [] if amr is None else amr.splitlines()
+    if style is PromptStyle.CODE:
+        lines = ['"""', TASK_INSTRUCTION.format(class_name=cls), sentence, *amr_lines, '"""']
+    else:
+        instruction = T2_INSTRUCTION if style is PromptStyle.TEXT_T2 else TASK_INSTRUCTION
+        lines = [instruction.format(class_name=cls), "Sentence: " + sentence]
+        if amr_lines:
+            lines += ["AMR: " + amr_lines[0], *amr_lines[1:]]
+        if style is PromptStyle.TEXT_T2:
+            lines.append("Template: " + _slots(event.description_template))
+    prefix = _COMPLETION[style][0].format(var=instance_variable(cls), cls=cls)
+    lines.append(prefix)
+    return "\n".join(lines), prefix
 
 
-def _grouped_gold(inst: TrainingInstance, event: EventTypeDef) -> list[tuple[str, list]]:
-    """Gold arguments grouped per role, in ontology role order."""
-    defined = [r.name for r in event.roles]
-    groups: dict[str, list] = {name: [] for name in defined}
+def _answer(
+    inst: TrainingInstance, event: EventTypeDef, ontology: Ontology, style: PromptStyle
+) -> str:
+    """The gold arguments as ``style`` writes them after the task block, in role order."""
+    literals: dict[str, list[str]] = {role.name: [] for role in event.roles}
     for arg in inst.arguments:
-        if arg.role not in groups:
+        if arg.role not in literals:
             raise EmitError(
                 f"instance {inst.id!r}: role {arg.role!r} not defined for {event.class_name}"
             )
-        groups[arg.role].append(arg)
-    return [(name, groups[name]) for name in defined if groups[name]]
+        literal = f'"{escape_literal(arg.surface)}"'
+        if style is PromptStyle.CODE:
+            if arg.entity_type not in ontology.entity_types:
+                raise EmitError(
+                    f"instance {inst.id!r}: unresolvable entity type {arg.entity_type!r}"
+                )
+            literal = f"{arg.entity_type}({literal})"
+        literals[arg.role].append(literal)
+    sep = ", " if style is PromptStyle.CODE else "; "
+    filled = {role: sep.join(found) for role, found in literals.items() if found}
+    if style is PromptStyle.CODE:
+        calls = "".join(f"\n    {role}=[{f}]," for role, f in filled.items())
+        return calls + ("\n)" if filled else ")")
+    if style is PromptStyle.TEXT_T1:
+        return "".join(f"\n{role}: {f}" for role, f in filled.items())
+
+    def fill(match: re.Match[str]) -> str:
+        role = match.group(1)
+        return f"[{role}: {filled[role]}]" if role in filled else f"[{role}]"
+
+    return " " + PLACEHOLDER_RE.sub(fill, event.description_template)
 
 
 def emit_example(inst: TrainingInstance, ontology: Ontology, opts: EmitterOptions) -> str:
-    """A completed in-context example: task prompt plus gold argument list.
+    """A completed in-context example: the task block, then its gold answer.
 
     Examples never carry the task's semantic-graph augmentation; that is
     appended only to the final task prompt.
     """
-    try:
-        event = ontology.resolve_event(inst.event_type)
-    except Exception as exc:
-        raise EmitError(str(exc)) from None
-    for arg in inst.arguments:
-        if arg.entity_type not in ontology.entity_types:
-            raise EmitError(
-                f"instance {inst.id!r}: unresolvable entity type {arg.entity_type!r}"
-            )
-    example_opts = replace(opts, amr_text=None)
-    task = emit_task_prompt(inst, inst.event_type, example_opts)
-    filled = _grouped_gold(inst, event)
-    if not filled:
-        return task + ")"
-    lines = [task]
-    for role, args in filled:
-        calls = ", ".join(
-            f'{arg.entity_type}("{escape_literal(arg.surface)}")' for arg in args
-        )
-        lines.append(f"    {role}=[{calls}],")
-    lines.append(")")
-    return "\n".join(lines)
+    event = _resolve(ontology, inst.event_type)
+    block, _ = _task_block(inst, event, opts, None)
+    return block + _answer(inst, event, ontology, opts.prompt_style)
 
 
 def _event_definition_order(
@@ -277,14 +300,14 @@ def _t1_event_block(ontology: Ontology, cls: str, opts: EmitterOptions) -> str:
     if opts.include_hierarchy:
         header += f" (subtype of {event.parent or 'Event'})"
     if opts.include_description and event.description_template:
-        header += ": " + rewrite_template(event.description_template, "slot")
+        header += ": " + _slots(event.description_template)
     else:
         header += "."
     lines = ["Event definition:", header]
     if opts.include_keywords and event.keywords:
         lines.append("Keywords: " + ", ".join(event.keywords))
     if event.roles:
-        lines.append("Arguments:")
+        lines.append(_T1_ARGUMENTS)
         for role in event.roles:
             entry = f"- {role.name}"
             if opts.include_description and role.role_description:
@@ -293,61 +316,6 @@ def _t1_event_block(ontology: Ontology, cls: str, opts: EmitterOptions) -> str:
                 entry += f": list of {_type_list(role.allowed_entity_types)}"
             lines.append(entry)
     return "\n".join(lines)
-
-
-def _t1_task_block(inst: TrainingInstance, cls: str, opts: EmitterOptions) -> str:
-    lines = [
-        TASK_INSTRUCTION.format(class_name=cls),
-        "Sentence: " + _marked_sentence(inst, opts),
-    ]
-    if opts.amr_text is not None:
-        amr = opts.amr_text.splitlines()
-        lines.append("AMR: " + amr[0])
-        lines.extend(amr[1:])
-    lines.append("Arguments:")
-    return "\n".join(lines)
-
-
-def _t1_example_block(inst: TrainingInstance, ontology: Ontology, opts: EmitterOptions) -> str:
-    event = ontology.resolve_event(inst.event_type)
-    block = _t1_task_block(inst, event.class_name, replace(opts, amr_text=None))
-    lines = [block]
-    for role, args in _grouped_gold(inst, event):
-        fillers = "; ".join(f'"{escape_literal(a.surface)}"' for a in args)
-        lines.append(f"{role}: {fillers}")
-    return "\n".join(lines)
-
-
-def _t2_task_block(
-    inst: TrainingInstance, event: EventTypeDef, opts: EmitterOptions, answer: str | None
-) -> str:
-    lines = [
-        T2_INSTRUCTION.format(class_name=event.class_name),
-        "Sentence: " + _marked_sentence(inst, opts),
-    ]
-    if opts.amr_text is not None:
-        amr = opts.amr_text.splitlines()
-        lines.append("AMR: " + amr[0])
-        lines.extend(amr[1:])
-    lines.append("Template: " + rewrite_template(event.description_template, "slot"))
-    lines.append("Answer:" if answer is None else "Answer: " + answer)
-    return "\n".join(lines)
-
-
-def _t2_filled_template(inst: TrainingInstance, event: EventTypeDef) -> str:
-    groups: dict[str, list[str]] = {}
-    for role, args in _grouped_gold(inst, event):
-        groups[role] = [a.surface for a in args]
-
-    def fill(match: "re.Match[str]") -> str:
-        role = match.group(1)
-        surfaces = groups.get(role)
-        if not surfaces:
-            return f"[{role}]"
-        quoted = "; ".join(f'"{escape_literal(s)}"' for s in surfaces)
-        return f"[{role}: {quoted}]"
-
-    return re.sub(r"\{([A-Za-z_][A-Za-z0-9_]*)\}", fill, event.description_template)
 
 
 # --- whole prompts ---------------------------------------------------------
@@ -365,24 +333,19 @@ def build_preamble(
     but ``amr_text``, so all instances sharing those share it. It is empty
     only for a ``t2`` prompt without examples.
     """
-    if opts.prompt_style is PromptStyle.TEXT_T2:
-        blocks = []
-        for inst in examples:
-            event = ontology.resolve_event(inst.event_type)
-            answer = _t2_filled_template(inst, event)
-            blocks.append(_t2_task_block(inst, event, replace(opts, amr_text=None), answer))
-    else:
+    style = opts.prompt_style
+    blocks: list[str] = []
+    if style is not PromptStyle.TEXT_T2:
         event_classes = _event_definition_order(ontology, event_type, examples, opts)
         entities = _reachable_entities(ontology, event_classes)
-        if opts.prompt_style is PromptStyle.CODE:
+        if style is PromptStyle.CODE:
             blocks = [_BASE_ENTITY_BLOCK, _BASE_EVENT_BLOCK]
             blocks.extend(emit_entity_class(ontology, name) for name in entities)
             blocks.extend(emit_event_class(ontology, cls, opts) for cls in event_classes)
-            blocks.extend(emit_example(inst, ontology, opts) for inst in examples)
         else:
             blocks = [_t1_entity_block(ontology, entities)]
             blocks.extend(_t1_event_block(ontology, cls, opts) for cls in event_classes)
-            blocks.extend(_t1_example_block(inst, ontology, opts) for inst in examples)
+    blocks.extend(emit_example(inst, ontology, opts) for inst in examples)
     return "".join(block + "\n\n" for block in blocks)
 
 
@@ -402,21 +365,16 @@ def assemble_prompt(
     """
     if preamble is None:
         preamble = build_preamble(ontology, event_type, examples, opts)
-    style = opts.prompt_style
-    cls = derive_class_name(event_type)
-    if style is PromptStyle.CODE:
-        task_block = emit_task_prompt(task, event_type, opts)
-        prefix, stops = f"{instance_variable(cls)} = {cls}(", CODE_STOP_PATTERNS
-    elif style is PromptStyle.TEXT_T1:
-        task_block = _t1_task_block(task, cls, opts)
-        prefix, stops = "Arguments:", TEXT_STOP_PATTERNS
-    else:
-        task_block = _t2_task_block(task, ontology.resolve_event(event_type), opts, None)
-        prefix, stops = "Answer:", TEXT_STOP_PATTERNS
+    event = _resolve(ontology, event_type)
+    if derive_class_name(task.event_type) != event.class_name:
+        raise EmitError(
+            f"instance {task.id!r} has type {task.event_type!r}, expected {event_type!r}"
+        )
+    task_block, prefix = _task_block(task, event, opts, opts.amr_text)
     return PromptBundle(
         text=preamble + task_block,
-        stop_patterns=stops,
+        stop_patterns=_COMPLETION[opts.prompt_style][1],
         completion_prefix=prefix,
         example_ids=tuple(inst.id for inst in examples),
-        style=style,
+        style=opts.prompt_style,
     )

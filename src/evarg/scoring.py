@@ -8,10 +8,12 @@ regardless of role; Arg-C counts the matched pairs whose roles also
 agree. Counts pool per event type and micro metrics are computed from
 the pooled sums.
 
-Matching is greedy over canonically sorted pairs: same role and head
-first, then remaining head-only pairs. Head-span equality partitions the
-candidates into independent groups, so this greedy is exactly optimal;
-the test suite checks it against exhaustive matching.
+Only equal heads can match, so each head span is an independent group:
+its identified count is the smaller of its gold and predicted counts, and
+its classified count is the size of the role multiset the two sides share.
+Matching counts these per group in one walk over the predictions and
+never pairs an ungrounded head; the test suite checks it against
+exhaustive matching.
 """
 
 from __future__ import annotations
@@ -130,49 +132,30 @@ def _metric(tp: int, n_pred: int, n_gold: int) -> Metric:
     return Metric(p, r, f1)
 
 
-def _span_key(span: Span | None) -> tuple:
-    if span is None:
-        return (1, 0, 0)
-    return (0, span.start, span.end)
-
-
 def _match_instance(
     gold_pairs: list[tuple[str, Span | None]],
     pred_pairs: list[tuple[str, Span | None]],
 ) -> tuple[int, int]:
     """One-to-one matching on head spans; returns (identified, classified)."""
-    golds = sorted(gold_pairs, key=lambda x: (x[0], _span_key(x[1])))
-    preds = sorted(pred_pairs, key=lambda x: (x[0], _span_key(x[1])))
-    gold_used = [False] * len(golds)
-    matched_role = 0
-    matched_any = 0
-
-    # first pass: same head span and same role
-    pred_open: list[tuple[str, Span | None]] = []
-    for role, head in preds:
-        hit = False
-        if head is not None:
-            for i, (g_role, g_head) in enumerate(golds):
-                if not gold_used[i] and g_head == head and g_role == role:
-                    gold_used[i] = True
-                    matched_role += 1
-                    matched_any += 1
-                    hit = True
-                    break
-        if not hit:
-            pred_open.append((role, head))
-
-    # second pass: same head span, role mismatch
-    for role, head in pred_open:
-        if head is None:
+    golds = list(gold_pairs)
+    classified = 0
+    leftover: list[Span] = []
+    for pair in pred_pairs:
+        if pair[1] is None:
             continue
-        for i, (_, g_head) in enumerate(golds):
-            if not gold_used[i] and g_head == head:
-                gold_used[i] = True
-                matched_any += 1
-                break
-
-    return matched_any, matched_role
+        if pair in golds:
+            golds.remove(pair)
+            classified += 1
+        else:
+            leftover.append(pair[1])
+    # a gold left over matches a leftover prediction of the same head, whatever its role
+    heads = [head for _, head in golds]
+    identified = classified
+    for head in leftover:
+        if head in heads:
+            heads.remove(head)
+            identified += 1
+    return identified, classified
 
 
 def score(

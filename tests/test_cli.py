@@ -98,6 +98,7 @@ def test_run_backend_failure_exit_4(config_file, stub, capsys):
         lambda tmp: _write(tmp / "list.yaml", "- just\n- a\n- list\n"),
         lambda tmp: _write(tmp / "unknown.yaml", "nonsense_key: 1\n"),
         lambda tmp: _write(tmp / "short.yaml", "k: 1\n"),
+        lambda tmp: _write(tmp / "int_key.yaml", "1: x\nfoo: y\n"),
     ],
 )
 def test_run_bad_config_files_exit_2(tmp_path, in_repo_root, capsys, mutate):
@@ -157,8 +158,12 @@ def test_bad_training_example_exit_2_naming_it(config_file, tmp_path, capsys, co
 
 @pytest.mark.parametrize(
     "bad_line",
-    ["not json\n", '{"response": {"text": ")", "finish_reason": "stop"}}\n'],
-    ids=["not-json", "no-digest"],
+    [
+        "not json\n",
+        '{"response": {"text": ")", "finish_reason": "stop"}}\n',
+        '{"digest": "e", "response": {"text": 5, "finish_reason": "stop"}}\n',
+    ],
+    ids=["not-json", "no-digest", "text-not-string"],
 )
 def test_run_corrupt_recording_file_exit_2(config_file, tmp_path, capsys, bad_line):
     recording = tmp_path / "rec.jsonl"

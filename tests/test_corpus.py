@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -90,6 +91,29 @@ def test_invalid_json_line_rejected(tmp_path):
     path.write_text("{not json}\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="invalid JSON"):
         load_corpus(str(path), "train")
+
+
+_HEAD_ARG = {"role": "agent", "surface": "Kim", "entity_type": "PER"}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"arguments": [5]},
+        {"arguments": ["x"]},
+        {"start": 4.0},
+        {"end": 12.5},
+        {"arguments": [{**_HEAD_ARG, "head": {"start": 0.5, "end": 3}}]},
+        {"arguments": [{**_HEAD_ARG, "head": {"start": 0, "end": True}}]},
+        {"instance_id": 7},
+    ],
+    ids=["int-argument", "str-argument", "float-start", "float-end", "float-head",
+         "bool-head", "int-id"],
+)
+def test_malformed_record_rejected_naming_its_line(tmp_path, fields):
+    path = _write_corpus(tmp_path, [_record(**fields)])
+    with pytest.raises(CorpusError, match=f"^{re.escape(path)}:1: bad train record"):
+        load_corpus(path, "train")
 
 
 def test_same_type_selection_in_corpus_order(train_set):

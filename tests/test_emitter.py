@@ -8,9 +8,9 @@ from evarg.emitter import (
     EmitterOptions,
     PromptStyle,
     assemble_prompt,
+    build_preamble,
     emit_event_class,
     emit_example,
-    emit_task_prompt,
     escape_literal,
 )
 
@@ -243,7 +243,7 @@ def test_example_rejects_unknown_entity_type(ontology):
 
 def test_task_prompt_type_mismatch_rejected(ontology, kim):
     with pytest.raises(EmitError):
-        emit_task_prompt(kim, "Conflict:Attack", EmitterOptions())
+        assemble_prompt(ontology, "Conflict:Attack", [], kim, EmitterOptions())
 
 
 def test_event_class_for_unknown_type_rejected(ontology):
@@ -289,6 +289,78 @@ def test_amr_line_in_text_styles(ontology, kim):
         ontology, kim, [], prompt_style=PromptStyle.TEXT_T1, amr_text="(x / y)"
     ).text
     assert "AMR: (x / y)" in text
+
+
+def test_t2_amr_lines_sit_between_sentence_and_template(ontology, kim):
+    amr = "(r / return-01\n   :ARG1 (p / person))"
+    text = _bundle(ontology, kim, [], prompt_style=PromptStyle.TEXT_T2, amr_text=amr).text
+    assert text == (
+        "Fill in the event template for a Transport event; the trigger is marked with **.\n"
+        "Sentence: Kim **returned** to Boston on Friday .\n"
+        "AMR: (r / return-01\n"
+        "   :ARG1 (p / person))\n"
+        "Template: [agent] transported [artifact] in [vehicle] vehicle from [origin] place"
+        " to [destination] place.\n"
+        "Answer:"
+    )
+
+
+def test_t2_zero_shot_preamble_is_empty(ontology, kim):
+    opts = EmitterOptions(prompt_style=PromptStyle.TEXT_T2)
+    assert build_preamble(ontology, kim.event_type, [], opts) == ""
+    text = assemble_prompt(ontology, kim.event_type, [], kim, opts).text
+    assert text.startswith("Fill in the event template")
+
+
+@pytest.mark.parametrize(
+    "style, block",
+    [
+        (
+            PromptStyle.TEXT_T1,
+            "Translate the following sentence into an instance of Transport;"
+            " the trigger is marked with **.\n"
+            "Sentence: Kim **returned** .\n"
+            "Arguments:",
+        ),
+        (
+            PromptStyle.TEXT_T2,
+            "Fill in the event template for a Transport event; the trigger is marked with **.\n"
+            "Sentence: Kim **returned** .\n"
+            "Template: [agent] transported [artifact] in [vehicle] vehicle from [origin] place"
+            " to [destination] place.\n"
+            "Answer: [agent] transported [artifact] in [vehicle] vehicle from [origin] place"
+            " to [destination] place.",
+        ),
+    ],
+)
+def test_text_example_without_arguments(ontology, kim, style, block):
+    inst = make_instance("e-0", "Kim returned .", "returned", "Movement:Transport")
+    preamble = build_preamble(
+        ontology, kim.event_type, [inst], EmitterOptions(prompt_style=style)
+    )
+    assert preamble.split("\n\n")[-2:] == [block, ""]
+
+
+def test_t1_definitions_of_every_example_type_precede_the_examples(
+    ontology, train_set, kim, kelly
+):
+    examples = [train_set.by_id("train-006"), kelly]
+    text = _bundle(ontology, kim, examples, prompt_style=PromptStyle.TEXT_T1).text
+    heads = [block.split("\n")[:2] for block in text.split("\n\n")]
+    assert [head[0] for head in heads] == ["Entity definitions:"] + ["Event definition:"] * 4 + [
+        "Translate the following sentence into an instance of Transfer_Money;"
+        " the trigger is marked with **.",
+        "Translate the following sentence into an instance of Transport;"
+        " the trigger is marked with **.",
+        "Translate the following sentence into an instance of Transport;"
+        " the trigger is marked with **.",
+    ]
+    assert [head[1].split(" event")[0] for head in heads[1:5]] == [
+        "Transaction",
+        "Transfer_Money",
+        "Movement",
+        "Transport",
+    ]
 
 
 def test_empty_amr_rejected():
