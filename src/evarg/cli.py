@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from .client import BackendError
@@ -101,8 +100,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _build_config(args, args.config)
     report = run(cfg)
     if not cfg.output_path:
-        json.dump(report, sys.stdout, sort_keys=True, indent=2, ensure_ascii=False)
-        sys.stdout.write("\n")
+        write_report(report, None)
     return 0
 
 
@@ -111,8 +109,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     cfg_text = _build_config(args, args.config_text)
     report = compare(cfg_code, cfg_text, output_path=args.out)
     if not args.out:
-        json.dump(report, sys.stdout, sort_keys=True, indent=2, ensure_ascii=False)
-        sys.stdout.write("\n")
+        write_report(report, None)
     else:
         delta = report["delta"]
         print(f"delta arg_i_f1={delta['arg_i_f1']:+.4f} arg_c_f1={delta['arg_c_f1']:+.4f}")
@@ -121,11 +118,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_variability(args: argparse.Namespace) -> int:
     report = variability_report(*load_grid(args.grid, load_vectors(args.vectors)))
-    if args.out:
-        write_report(report, args.out)
-    else:
-        json.dump(report, sys.stdout, sort_keys=True, indent=2, ensure_ascii=False)
-        sys.stdout.write("\n")
+    write_report(report, args.out)
     return 0
 
 

@@ -231,12 +231,14 @@ class ReplayBackend:
         self._entries: dict[str, tuple[str, str]] = {}
 
         def add(rec: dict) -> None:
-            response = rec["response"]
+            response, digest = rec["response"], rec["digest"]
             text, finish = response["text"], response["finish_reason"]
-            if not (isinstance(text, str) and isinstance(finish, str)):
-                raise TypeError(f"text {text!r} and finish_reason {finish!r} must be strings")
+            if not all(isinstance(v, str) for v in (digest, text, finish)):
+                raise TypeError(
+                    f"digest {digest!r}, text {text!r}, finish_reason {finish!r} must be strings"
+                )
             # a digest recorded twice is served its last answer
-            self._entries[rec["digest"]] = (text, finish)
+            self._entries[digest] = (text, finish)
 
         read_jsonl(fixture_path, "fixture", add, BackendError)
 

@@ -13,7 +13,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .files import ConfigError, read_jsonl
-from .ontology import Ontology, ancestors, derive_class_name, siblings
+from .ontology import Ontology, OntologyError, ancestors, derive_class_name, siblings
 
 
 class CorpusError(ConfigError):
@@ -93,17 +93,23 @@ def _offsets(rec: dict) -> tuple[int, int]:
     return start, end
 
 
+def _text(rec: dict, key: str, default: str | None = None) -> str:
+    """``rec[key]``, or ``default`` for a missing key when one is given; it must be a string."""
+    value = rec[key] if default is None else rec.get(key, default)
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, not {value!r}")
+    return value
+
+
 def _instance_from_record(rec: dict) -> TrainingInstance:
-    if not isinstance(rec["id"], str):
-        raise TypeError(f"id must be a string, not {rec['id']!r}")
-    sentence = rec["sentence"]
+    instance_id, sentence = _text(rec, "id"), _text(rec, "sentence")
     trig = rec["trigger"]
-    trigger = Trigger(*_offsets(trig), surface=trig["surface"])
+    trigger = Trigger(*_offsets(trig), surface=_text(trig, "surface"))
     if not (0 <= trigger.start <= trigger.end <= len(sentence)):
-        raise ValueError(f"trigger span out of bounds for instance {rec.get('id')!r}")
+        raise ValueError(f"trigger span out of bounds for instance {instance_id!r}")
     if sentence[trigger.start : trigger.end] != trigger.surface:
         raise ValueError(
-            f"trigger surface mismatch for instance {rec.get('id')!r}: "
+            f"trigger surface mismatch for instance {instance_id!r}: "
             f"{sentence[trigger.start:trigger.end]!r} != {trigger.surface!r}"
         )
     arguments: list[GoldArgument] = []
@@ -115,21 +121,21 @@ def _instance_from_record(rec: dict) -> TrainingInstance:
             head = Span(*_offsets(arg["head"]))
             if not (0 <= head.start <= head.end <= len(sentence)):
                 raise ValueError(
-                    f"argument head span out of bounds for instance {rec.get('id')!r}"
+                    f"argument head span out of bounds for instance {instance_id!r}"
                 )
         arguments.append(
             GoldArgument(
-                role=arg["role"],
-                surface=arg["surface"],
-                entity_type=arg.get("entity_type", ""),
+                role=_text(arg, "role"),
+                surface=_text(arg, "surface"),
+                entity_type=_text(arg, "entity_type", ""),
                 head=head,
             )
         )
     return TrainingInstance(
-        id=rec["id"],
+        id=instance_id,
         sentence=sentence,
         trigger=trigger,
-        event_type=rec["event_type"],
+        event_type=_text(rec, "event_type"),
         arguments=tuple(arguments),
     )
 
@@ -143,7 +149,7 @@ def validate_against_ontology(dataset: Dataset, ontology: Ontology) -> list[str]
     for inst in dataset.instances:
         try:
             event = ontology.resolve_event(inst.event_type)
-        except Exception:
+        except OntologyError:
             problems.append(f"{inst.id}: unknown event type {inst.event_type!r}")
             continue
         role_names = {r.name for r in event.roles}

@@ -68,33 +68,21 @@ _BASE_EVENT_BLOCK = "class Event:\n    pass"
 
 @dataclass(frozen=True)
 class EmitterOptions:
-    """Prompt component toggles.
-
-    The boolean toggles each govern one localized region of the output;
-    ``amr_text`` is an optional precomputed semantic-graph string appended
-    after the task sentence.
-    """
+    """Per-run prompt toggles; each governs one localized region of the output."""
 
     mark_trigger: bool = True
     include_description: bool = True
     include_type_annotation: bool = True
     include_hierarchy: bool = True
     include_keywords: bool = False
-    amr_text: str | None = None
     prompt_style: PromptStyle = PromptStyle.CODE
-
-    def __post_init__(self) -> None:
-        if self.amr_text is not None and not self.amr_text.strip():
-            raise ValueError("amr_text must be non-empty when present")
 
 
 @dataclass(frozen=True)
 class PromptBundle:
     text: str
     stop_patterns: tuple[str, ...]
-    completion_prefix: str
     example_ids: tuple[str, ...]
-    style: PromptStyle
 
 
 def escape_literal(surface: str) -> str:
@@ -176,8 +164,8 @@ def _marked_sentence(inst: TrainingInstance, opts: EmitterOptions) -> str:
 
 def _task_block(
     inst: TrainingInstance, event: EventTypeDef, opts: EmitterOptions, amr: str | None
-) -> tuple[str, str]:
-    """The task as the style poses it, and the completion prefix it ends with.
+) -> str:
+    """The task as the style poses it, ending with the style's completion prefix.
 
     ``amr`` is the task sentence's semantic graph; it goes after the
     sentence, with ``AMR: `` before its first line in the text styles.
@@ -194,9 +182,8 @@ def _task_block(
             lines += ["AMR: " + amr_lines[0], *amr_lines[1:]]
         if style is PromptStyle.TEXT_T2:
             lines.append("Template: " + _slots(event.description_template))
-    prefix = _COMPLETION[style][0].format(var=instance_variable(cls), cls=cls)
-    lines.append(prefix)
-    return "\n".join(lines), prefix
+    lines.append(_COMPLETION[style][0].format(var=instance_variable(cls), cls=cls))
+    return "\n".join(lines)
 
 
 def _answer(
@@ -239,8 +226,7 @@ def emit_example(inst: TrainingInstance, ontology: Ontology, opts: EmitterOption
     appended only to the final task prompt.
     """
     event = _resolve(ontology, inst.event_type)
-    block, _ = _task_block(inst, event, opts, None)
-    return block + _answer(inst, event, ontology, opts.prompt_style)
+    return _task_block(inst, event, opts, None) + _answer(inst, event, ontology, opts.prompt_style)
 
 
 def _event_definition_order(
@@ -329,9 +315,9 @@ def build_preamble(
 ) -> str:
     """Every block before the task block, each followed by its blank line.
 
-    The preamble depends on the event type, the examples and every option
-    but ``amr_text``, so all instances sharing those share it. It is empty
-    only for a ``t2`` prompt without examples.
+    The preamble depends on the event type, the examples and the options,
+    so all instances sharing those share it. It is empty only for a ``t2``
+    prompt without examples.
     """
     style = opts.prompt_style
     blocks: list[str] = []
@@ -356,13 +342,17 @@ def assemble_prompt(
     task: TrainingInstance,
     opts: EmitterOptions,
     preamble: str | None = None,
+    amr: str | None = None,
 ) -> PromptBundle:
     """Full prompt: ontology definitions, k examples, then the task prompt.
 
     Code style defines classes; ``t1`` uses labelled text blocks and
     ``t2`` fills a template. ``preamble`` is ``build_preamble``'s result
-    for the same arguments, when the caller already has it.
+    for the same arguments, when the caller already has it. ``amr``, the
+    task sentence's semantic graph, must not be blank.
     """
+    if amr is not None and not amr.strip():
+        raise EmitError(f"instance {task.id!r}: empty AMR")
     if preamble is None:
         preamble = build_preamble(ontology, event_type, examples, opts)
     event = _resolve(ontology, event_type)
@@ -370,11 +360,8 @@ def assemble_prompt(
         raise EmitError(
             f"instance {task.id!r} has type {task.event_type!r}, expected {event_type!r}"
         )
-    task_block, prefix = _task_block(task, event, opts, opts.amr_text)
     return PromptBundle(
-        text=preamble + task_block,
+        text=preamble + _task_block(task, event, opts, amr),
         stop_patterns=_COMPLETION[opts.prompt_style][1],
-        completion_prefix=prefix,
         example_ids=tuple(inst.id for inst in examples),
-        style=opts.prompt_style,
     )

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 from . import client as client_mod
 from .client import (
@@ -49,7 +50,7 @@ from .emitter import (
 )
 from .files import ConfigError, read_jsonl
 from .ontology import Ontology, derive_class_name, load_ontology
-from .parsing import ParsedEvent, parse_completion, parse_text_completion
+from .parsing import ParsedEvent, parse_completion
 from .scoring import HeadFinder, score
 
 
@@ -219,8 +220,10 @@ class Plan:
             preamble = build_preamble(self.ontology, event_type, examples, self.options)
         else:
             preamble = prefix.text
-        opts = replace(self.options, amr_text=self.amr.get(inst.id))
-        bundle = assemble_prompt(self.ontology, event_type, examples, inst, opts, preamble)
+        bundle = assemble_prompt(
+            self.ontology, event_type, examples, inst, self.options, preamble,
+            amr=self.amr.get(inst.id),
+        )
         request = CompletionRequest(
             prompt=bundle.text,
             max_new_tokens=cfg.max_new_tokens,
@@ -275,12 +278,6 @@ def _parsed_to_dict(parsed: ParsedEvent) -> dict:
     }
 
 
-def _parse(style: PromptStyle, text: str, ontology: Ontology, event_type: str) -> ParsedEvent:
-    if style is PromptStyle.CODE:
-        return parse_completion(text, ontology, event_type)
-    return parse_text_completion(style.value, text, ontology, event_type)
-
-
 def run(cfg: RunConfig, hf: HeadFinder | None = None) -> dict:
     """Execute one configuration end to end and return the report dict."""
     plan = prepare(cfg)
@@ -323,7 +320,7 @@ def run(cfg: RunConfig, hf: HeadFinder | None = None) -> dict:
     preds: list[tuple[str, ParsedEvent]] = []
     for task, response in zip(tasks, results):
         inst = task.instance
-        parsed = _parse(plan.options.prompt_style, response.text, plan.ontology, inst.event_type)
+        parsed = parse_completion(response.text, plan.ontology, inst.event_type, cfg.prompt_style)
         preds.append((inst.id, parsed))
         instances.append(
             {
@@ -350,11 +347,17 @@ def run(cfg: RunConfig, hf: HeadFinder | None = None) -> dict:
     return report
 
 
-def write_report(report: dict, path: str) -> None:
-    """Serialize with stable key order and atomically replace the target."""
+def write_report(report: dict, path: str | None) -> None:
+    """Serialize with stable key order and atomically replace the target.
+
+    Without a ``path`` the same bytes go to stdout.
+    """
+    payload = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    if not path:
+        sys.stdout.write(payload)
+        return
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    payload = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -373,9 +376,9 @@ def load_report(path: str, ontology: Ontology | None = None) -> dict:
     config = report.get("config", {})
     if ontology is None:
         ontology = load_ontology(config["ontology_path"])
-    style = PromptStyle(config.get("prompt_style", "code"))
+    style = config.get("prompt_style", "code")
     for entry in report.get("instances", []):
-        parsed = _parse(style, entry["completion"], ontology, entry["event_type"])
+        parsed = parse_completion(entry["completion"], ontology, entry["event_type"], style)
         if _parsed_to_dict(parsed) != entry["parsed"]:
             raise ReportError(
                 f"instance {entry['id']!r}: stored parse does not match its completion"

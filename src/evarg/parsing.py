@@ -1,10 +1,10 @@
 """Total parsers for model completions.
 
-``parse_completion`` handles the constructor-call body that follows
-``<var>_event = <Class>(`` using a recovering recursive-descent parser;
-``parse_text_completion`` handles the two labelled text layouts. Neither
-ever raises on completion text: garbage degrades into diagnostics, and
-truncated input keeps every fully parsed argument.
+``parse_completion`` reads every prompt style: a recovering recursive-descent
+parser takes the constructor-call body that follows ``<var>_event = <Class>(``,
+and line and slot patterns take the two labelled text layouts. It never
+raises on completion text: garbage degrades into diagnostics, and truncated
+input keeps every fully parsed argument.
 
 Grammar for code completions:
 
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
+from .emitter import PromptStyle
 from .ontology import Ontology
 
 
@@ -73,7 +74,6 @@ class _Token(NamedTuple):
     text: str
     value: str
     complete: bool
-    start: int
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -88,7 +88,7 @@ def _lex_string(text: str, start: int) -> _Token:
     while i < len(text):
         ch = text[i]
         if ch == '"':
-            return _Token("STRING", text[start : i + 1], "".join(out), True, start)
+            return _Token("STRING", text[start : i + 1], "".join(out), True)
         if ch == "\\" and i + 1 < len(text):
             nxt = text[i + 1]
             if nxt in _ESCAPES:
@@ -100,7 +100,7 @@ def _lex_string(text: str, start: int) -> _Token:
             continue
         out.append(ch)
         i += 1
-    return _Token("STRING", text[start:], "".join(out), False, start)
+    return _Token("STRING", text[start:], "".join(out), False)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -119,21 +119,25 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         kind = _PUNCT.get(ch)
         if kind is not None:
-            tokens.append(_Token(kind, ch, ch, True, i))
+            tokens.append(_Token(kind, ch, ch, True))
             i += 1
             continue
         m = _IDENT_RE.match(text, i)
         if m is not None:
-            tokens.append(_Token("IDENT", m.group(), m.group(), True, i))
+            tokens.append(_Token("IDENT", m.group(), m.group(), True))
             i = m.end()
             continue
-        tokens.append(_Token("JUNK", ch, ch, True, i))
+        tokens.append(_Token("JUNK", ch, ch, True))
         i += 1
-    tokens.append(_Token("EOF", "", "", True, n))
+    tokens.append(_Token("EOF", "", "", True))
     return tokens
 
 
 # --- recursive descent with recovery ---------------------------------------
+
+
+def _truncated(name: str) -> Diagnostic:
+    return Diagnostic(DiagnosticKind.TRUNCATED, f"input ends inside argument {name!r}")
 
 
 class _Truncated(Exception):
@@ -171,13 +175,13 @@ class _Parser:
             raise _Truncated
         return tok.value
 
-    def parse_value(self, depth: int = 0) -> list[EntityMention]:
+    def parse_value(self) -> list[EntityMention]:
         """One value position; always normalized to a mention list."""
-        if depth > 64:
+        if self.depth > 64:
             raise _Malformed("value nesting too deep")
         tok = self.peek()
         if tok.kind == "LB":
-            return self.parse_list(depth + 1)
+            return self.parse_list()
         if tok.kind == "IDENT":
             return [self.parse_ctor()]
         if tok.kind == "STRING":
@@ -186,7 +190,7 @@ class _Parser:
             raise _Truncated
         raise _Malformed(f"unexpected {tok.text!r} where a value was expected")
 
-    def parse_list(self, depth: int) -> list[EntityMention]:
+    def parse_list(self) -> list[EntityMention]:
         self.advance()  # LB
         mentions: list[EntityMention] = []
         while True:
@@ -200,7 +204,7 @@ class _Parser:
                 self.advance()
                 continue
             # nested lists are flattened
-            mentions.extend(self.parse_value(depth))
+            mentions.extend(self.parse_value())
 
     def parse_ctor(self) -> EntityMention:
         name = self.advance().value
@@ -243,18 +247,8 @@ class _Parser:
         return " ".join(skipped)
 
 
-def parse_completion(text: str, ontology: Ontology, event_type: str) -> ParsedEvent:
-    """Parse a stop-truncated code completion into roles and diagnostics.
-
-    Total over arbitrary input: complete keyword arguments are always
-    retained, an argument cut off by the end of input is dropped with a
-    truncated diagnostic, and unparseable stretches are skipped with a
-    malformed_tail diagnostic.
-    """
-    known_roles = {r.name for r in ontology.resolve_event(event_type).roles}
+def _parse_code(text: str, event: ParsedEvent, known_roles: set[str], o: Ontology) -> None:
     parser = _Parser(text)
-    event = ParsedEvent()
-
     while True:
         tok = parser.peek()
         if tok.kind == "EOF":
@@ -275,11 +269,7 @@ def parse_completion(text: str, ontology: Ontology, event_type: str) -> ParsedEv
         name = parser.advance().value
         tok = parser.peek()
         if tok.kind == "EOF":
-            event.diagnostics.append(
-                Diagnostic(
-                    DiagnosticKind.TRUNCATED, f"input ends inside argument {name!r}"
-                )
-            )
+            event.diagnostics.append(_truncated(name))
             break
         if tok.kind != "EQ":
             # not a kwarg after all; discard through the next separator
@@ -295,11 +285,7 @@ def parse_completion(text: str, ontology: Ontology, event_type: str) -> ParsedEv
         try:
             mentions = parser.parse_value()
         except _Truncated:
-            event.diagnostics.append(
-                Diagnostic(
-                    DiagnosticKind.TRUNCATED, f"input ends inside argument {name!r}"
-                )
-            )
+            event.diagnostics.append(_truncated(name))
             break
         except _Malformed as exc:
             parser.skip_to_separator()
@@ -310,9 +296,7 @@ def parse_completion(text: str, ontology: Ontology, event_type: str) -> ParsedEv
             )
             continue
 
-        _record_role(event, name, mentions, known_roles, ontology)
-
-    return event
+        _record_role(event, name, mentions, known_roles, o)
 
 
 def _record_role(
@@ -385,11 +369,7 @@ def _parse_t1(text: str, event: ParsedEvent, known_roles: set[str], o: Ontology)
         name = m.group(1)
         surfaces, cut_off = _literals(m.group(2))
         if cut_off:
-            event.diagnostics.append(
-                Diagnostic(
-                    DiagnosticKind.TRUNCATED, f"input ends inside argument {name!r}"
-                )
-            )
+            event.diagnostics.append(_truncated(name))
         if not surfaces:
             continue
         _record_role(event, name, [EntityMention(None, s) for s in surfaces], known_roles, o)
@@ -419,21 +399,25 @@ def _parse_t2(text: str, event: ParsedEvent, known_roles: set[str], o: Ontology)
         )
 
 
-def parse_text_completion(
-    style: str, text: str, ontology: Ontology, event_type: str
-) -> ParsedEvent:
-    """Parse a text-style completion; same recovery contract as code parsing.
+_READERS = {
+    PromptStyle.CODE: _parse_code,
+    PromptStyle.TEXT_T1: _parse_t1,
+    PromptStyle.TEXT_T2: _parse_t2,
+}
 
-    style accepts the text layout values of PromptStyle ("t1" or "t2").
-    Mentions carry no entity type.
+
+def parse_completion(
+    text: str, ontology: Ontology, event_type: str, style: PromptStyle | str = PromptStyle.CODE
+) -> ParsedEvent:
+    """Parse a stop-truncated completion in ``style`` into roles and diagnostics.
+
+    ``style`` is a PromptStyle or its value; an unknown value raises
+    ``ValueError``. Total over arbitrary text: a complete argument is always
+    kept, one cut off by the end of input is dropped with a truncated
+    diagnostic, and an unparseable stretch is skipped with a malformed_tail
+    one. Text-style mentions carry no entity type.
     """
-    style_value = getattr(style, "value", style)
     known_roles = {r.name for r in ontology.resolve_event(event_type).roles}
     event = ParsedEvent()
-    if style_value == "t1":
-        _parse_t1(text, event, known_roles, ontology)
-    elif style_value == "t2":
-        _parse_t2(text, event, known_roles, ontology)
-    else:
-        raise ValueError(f"unknown text style: {style!r}")
+    _READERS[PromptStyle(style)](text, event, known_roles, ontology)
     return event

@@ -85,9 +85,7 @@ def test_criterion_01_golden_prompt_fixtures(
             "prompt_keywords.txt": (
                 task, example, task.event_type, EmitterOptions(include_keywords=True),
             ),
-            "prompt_amr.txt": (
-                task, example, task.event_type, EmitterOptions(amr_text=amr),
-            ),
+            "prompt_amr.txt": (task, example, task.event_type, EmitterOptions()),
             "prompt_flat.txt": (
                 task, example, task.event_type, EmitterOptions(include_hierarchy=False),
             ),
@@ -107,7 +105,8 @@ def test_criterion_01_golden_prompt_fixtures(
             ),
         }
         for name, (inst, examples, etype, opts) in cases.items():
-            bundle = assemble_prompt(ontology, etype, examples, inst, opts)
+            task_amr = amr if name == "prompt_amr.txt" else None
+            bundle = assemble_prompt(ontology, etype, examples, inst, opts, amr=task_amr)
             golden = (golden_dir / name).read_text(encoding="utf-8")
             assert bundle.text == golden, f"{name} drifted from its golden bytes"
 

@@ -49,10 +49,10 @@ def test_run_writes_golden_report(config_file, tmp_path, golden_dir):
     assert out.read_bytes() == (golden_dir / "run_report.json").read_bytes()
 
 
-def test_run_prints_report_when_no_out(config_file, capsys):
+def test_run_prints_report_when_no_out(config_file, capsys, golden_dir):
     assert main(["run", "--config", config_file()]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["score"]["micro"]["arg_c"]["f1"] == pytest.approx(0.8125)
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (golden_dir / "run_report.json").read_bytes()
 
 
 def test_run_flag_overrides_config_file(config_file, tmp_path):

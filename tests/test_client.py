@@ -217,9 +217,11 @@ def test_replay_missing_file_is_backend_error(tmp_path):
 
 def test_replay_corrupt_line_reports_position(tmp_path):
     path = tmp_path / "f.jsonl"
-    path.write_text('{"digest": "d", "response": {"text": "x", "finish_reason": "stop"}}\nnot json\n')
-    with pytest.raises(BackendError, match=":2"):
-        ReplayBackend(str(path))
+    good = '{"digest": "d", "response": {"text": "x", "finish_reason": "stop"}}\n'
+    for bad in ("not json", '{"digest": 5, "response": {"text": ")", "finish_reason": "stop"}}'):
+        path.write_text(good + bad + "\n")
+        with pytest.raises(BackendError, match=":2"):
+            ReplayBackend(str(path))
 
 
 def test_shipped_fixture_loads(fixtures_dir):

@@ -106,9 +106,14 @@ _HEAD_ARG = {"role": "agent", "surface": "Kim", "entity_type": "PER"}
         {"arguments": [{**_HEAD_ARG, "head": {"start": 0.5, "end": 3}}]},
         {"arguments": [{**_HEAD_ARG, "head": {"start": 0, "end": True}}]},
         {"instance_id": 7},
+        {"event_type": 5},
+        {"arguments": [{**_HEAD_ARG, "role": 5}]},
+        {"arguments": [{**_HEAD_ARG, "surface": 5}]},
+        {"arguments": [{**_HEAD_ARG, "entity_type": 5}]},
     ],
     ids=["int-argument", "str-argument", "float-start", "float-end", "float-head",
-         "bool-head", "int-id"],
+         "bool-head", "int-id", "int-event-type", "int-role", "int-surface",
+         "int-entity-type"],
 )
 def test_malformed_record_rejected_naming_its_line(tmp_path, fields):
     path = _write_corpus(tmp_path, [_record(**fields)])
@@ -224,6 +229,15 @@ def test_validate_against_ontology_flags_problems(ontology):
     assert "pilot" in joined
     assert "ALIEN" in joined
     assert "Such_Type" in joined or "Such-Type" in joined
+
+
+def test_validate_lets_a_bug_in_the_lookup_propagate(monkeypatch, ontology, test_set):
+    def broken(self, name):
+        raise KeyError(name)
+
+    monkeypatch.setattr(type(ontology), "resolve_event", broken)
+    with pytest.raises(KeyError):
+        validate_against_ontology(test_set, ontology)
 
 
 def test_fixture_corpora_validate_cleanly(ontology, train_set, test_set):

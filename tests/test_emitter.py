@@ -25,9 +25,9 @@ def kelly(train_set):
     return train_set.by_id("train-001")
 
 
-def _bundle(ontology, task, examples, **kwargs):
+def _bundle(ontology, task, examples, amr=None, **kwargs):
     return assemble_prompt(
-        ontology, task.event_type, examples, task, EmitterOptions(**kwargs)
+        ontology, task.event_type, examples, task, EmitterOptions(**kwargs), amr=amr
     )
 
 
@@ -53,7 +53,7 @@ def test_golden_amr_prompt(golden_dir, fixtures_dir, ontology, kim, kelly):
     from evarg.harness import load_amr
 
     amr = load_amr(str(fixtures_dir / "amr.jsonl"))["test-001"]
-    bundle = _bundle(ontology, kim, [kelly], amr_text=amr)
+    bundle = _bundle(ontology, kim, [kelly], amr=amr)
     assert bundle.text == (golden_dir / "prompt_amr.txt").read_text(encoding="utf-8")
     assert amr in bundle.text
 
@@ -78,10 +78,8 @@ def test_golden_sibling_prompt(golden_dir, ontology, train_set, test_set):
 def test_bundle_metadata(ontology, kim, kelly):
     bundle = _bundle(ontology, kim, [kelly])
     assert bundle.stop_patterns == CODE_STOP_PATTERNS
-    assert bundle.completion_prefix == "transport_event = Transport("
-    assert bundle.text.endswith(bundle.completion_prefix)
+    assert bundle.text.endswith("\ntransport_event = Transport(")
     assert bundle.example_ids == ("train-001",)
-    assert bundle.style is PromptStyle.CODE
 
 
 def test_text_bundles_stop_on_blank_line(ontology, kim, kelly):
@@ -91,8 +89,7 @@ def test_text_bundles_stop_on_blank_line(ontology, kim, kelly):
     ):
         bundle = _bundle(ontology, kim, [kelly], prompt_style=style)
         assert bundle.stop_patterns == TEXT_STOP_PATTERNS
-        assert bundle.completion_prefix == prefix
-        assert bundle.text.endswith(prefix)
+        assert bundle.text.endswith("\n" + prefix)
 
 
 def test_docstring_quotes_balanced(ontology, kim, kelly):
@@ -211,7 +208,7 @@ def test_escape_literal_round_trip_chars():
 
 
 def test_example_never_carries_task_amr(ontology, kim, kelly):
-    bundle = _bundle(ontology, kim, [kelly], amr_text="(r / return-01)")
+    bundle = _bundle(ontology, kim, [kelly], amr="(r / return-01)")
     assert bundle.text.count("(r / return-01)") == 1
     task_block = bundle.text.split("\n\n")[-1]
     assert "(r / return-01)" in task_block
@@ -286,14 +283,14 @@ def test_t2_fills_known_slots_and_leaves_rest_bare(ontology, kim, kelly):
 
 def test_amr_line_in_text_styles(ontology, kim):
     text = _bundle(
-        ontology, kim, [], prompt_style=PromptStyle.TEXT_T1, amr_text="(x / y)"
+        ontology, kim, [], prompt_style=PromptStyle.TEXT_T1, amr="(x / y)"
     ).text
     assert "AMR: (x / y)" in text
 
 
 def test_t2_amr_lines_sit_between_sentence_and_template(ontology, kim):
     amr = "(r / return-01\n   :ARG1 (p / person))"
-    text = _bundle(ontology, kim, [], prompt_style=PromptStyle.TEXT_T2, amr_text=amr).text
+    text = _bundle(ontology, kim, [], prompt_style=PromptStyle.TEXT_T2, amr=amr).text
     assert text == (
         "Fill in the event template for a Transport event; the trigger is marked with **.\n"
         "Sentence: Kim **returned** to Boston on Friday .\n"
@@ -363,6 +360,6 @@ def test_t1_definitions_of_every_example_type_precede_the_examples(
     ]
 
 
-def test_empty_amr_rejected():
-    with pytest.raises(ValueError):
-        EmitterOptions(amr_text="   ")
+def test_empty_amr_rejected(ontology, kim):
+    with pytest.raises(EmitError):
+        _bundle(ontology, kim, [], amr="   ")

@@ -487,6 +487,20 @@ def test_load_report_verifies_stored_parses(cfg_code, golden_dir, tmp_path, onto
         load_report(str(bad), ontology=ontology)
 
 
+def test_load_report_verifies_a_text_style_report(cfg_t1, tmp_path, ontology):
+    path = tmp_path / "t1.json"
+    run(replace(cfg_t1, output_path=str(path)))
+    assert load_report(str(path), ontology=ontology)["config"]["prompt_style"] == "t1"
+
+    tampered = json.loads(path.read_text(encoding="utf-8"))
+    entry = next(e for e in tampered["instances"] if e["parsed"]["roles"])
+    entry["completion"] = entry["completion"].replace('"', '"Bob ', 1)
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(tampered))
+    with pytest.raises(ReportError, match=re.escape(repr(entry["id"]))):
+        load_report(str(bad), ontology=ontology)
+
+
 # --- compare ---------------------------------------------------------------
 
 

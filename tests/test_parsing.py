@@ -8,7 +8,6 @@ from evarg.parsing import (
     EntityMention,
     ParsedEvent,
     parse_completion,
-    parse_text_completion,
 )
 
 ET = "Movement:Transport"
@@ -270,7 +269,7 @@ def _quoted(surfaces):
 @given(_TEXT_FILLERS)
 def test_t1_rendered_fillers_round_trip(ontology, fillers):
     text = "\n".join(f"{role}: {_quoted(surfaces)}" for role, surfaces in fillers)
-    event = parse_text_completion("t1", text, ontology, ET)
+    event = parse_completion(text, ontology, ET, "t1")
     assert event.roles == {
         role: [EntityMention(None, s) for s in surfaces] for role, surfaces in fillers
     }
@@ -281,7 +280,7 @@ def test_t1_rendered_fillers_round_trip(ontology, fillers):
 @given(_TEXT_FILLERS)
 def test_t2_rendered_fillers_round_trip(ontology, fillers):
     text = " and ".join(f"[{role}: {_quoted(surfaces)}]" for role, surfaces in fillers)
-    event = parse_text_completion("t2", text, ontology, ET)
+    event = parse_completion(text, ontology, ET, "t2")
     assert event.roles == {
         role: [EntityMention(None, s) for s in surfaces] for role, surfaces in fillers
     }
@@ -290,7 +289,7 @@ def test_t2_rendered_fillers_round_trip(ontology, fillers):
 
 def test_t1_basic_lines(ontology):
     text = '  agent: "Kelly"\n  destination: "Houston"\n'
-    event = parse_text_completion("t1", text, ontology, ET)
+    event = parse_completion(text, ontology, ET, "t1")
     assert event.roles == {
         "agent": [EntityMention(None, "Kelly")],
         "destination": [EntityMention(None, "Houston")],
@@ -299,7 +298,7 @@ def test_t1_basic_lines(ontology):
 
 
 def test_t1_multiple_fillers_on_one_line(ontology):
-    event = parse_text_completion("t1", 'artifact: "Welch", "wife"', ontology, ET)
+    event = parse_completion('artifact: "Welch", "wife"', ontology, ET, "t1")
     assert event.roles["artifact"] == [
         EntityMention(None, "Welch"),
         EntityMention(None, "wife"),
@@ -307,25 +306,25 @@ def test_t1_multiple_fillers_on_one_line(ontology):
 
 
 def test_t1_line_without_label_is_skipped(ontology):
-    event = parse_text_completion("t1", 'not a label line\nagent: "a"', ontology, ET)
+    event = parse_completion('not a label line\nagent: "a"', ontology, ET, "t1")
     assert event.roles == {"agent": [EntityMention(None, "a")]}
     assert event.has(DiagnosticKind.MALFORMED_TAIL)
 
 
 def test_t1_dangling_quote_is_truncation(ontology):
-    event = parse_text_completion("t1", 'agent: "Kel', ontology, ET)
+    event = parse_completion('agent: "Kel', ontology, ET, "t1")
     assert event.roles == {}
     assert event.has(DiagnosticKind.TRUNCATED)
 
 
 def test_t1_label_without_fillers_is_absent(ontology):
-    event = parse_text_completion("t1", "agent:\n", ontology, ET)
+    event = parse_completion("agent:\n", ontology, ET, "t1")
     assert event.roles == {}
     assert event.diagnostics == []
 
 
 def test_t1_unknown_role_flagged(ontology):
-    event = parse_text_completion("t1", 'amount: "ten"', ontology, ET)
+    event = parse_completion('amount: "ten"', ontology, ET, "t1")
     assert "amount" in event.roles
     assert event.has(DiagnosticKind.UNKNOWN_ROLE)
 
@@ -335,7 +334,7 @@ def test_t2_filled_and_unfilled_slots(ontology):
         '[agent: "Kim"] transported [artifact] in [vehicle] vehicle '
         'from [origin] place to [destination: "Boston"] place.'
     )
-    event = parse_text_completion("t2", text, ontology, ET)
+    event = parse_completion(text, ontology, ET, "t2")
     assert event.roles == {
         "agent": [EntityMention(None, "Kim")],
         "destination": [EntityMention(None, "Boston")],
@@ -344,28 +343,32 @@ def test_t2_filled_and_unfilled_slots(ontology):
 
 
 def test_t2_unclosed_slot_is_truncation(ontology):
-    event = parse_text_completion("t2", '[agent: "Kim"] from [desti', ontology, ET)
+    event = parse_completion('[agent: "Kim"] from [desti', ontology, ET, "t2")
     assert event.roles == {"agent": [EntityMention(None, "Kim")]}
     assert event.has(DiagnosticKind.TRUNCATED)
     assert "desti" in event.diagnostics[-1].detail
 
 
 def test_t2_prose_without_slots_flagged(ontology):
-    event = parse_text_completion("t2", "no slots here at all", ontology, ET)
+    event = parse_completion("no slots here at all", ontology, ET, "t2")
     assert event.roles == {}
     assert event.has(DiagnosticKind.MALFORMED_TAIL)
 
 
 def test_t2_blank_is_clean(ontology):
-    event = parse_text_completion("t2", "   \n", ontology, ET)
+    event = parse_completion("   \n", ontology, ET, "t2")
     assert event.roles == {}
     assert event.diagnostics == []
 
 
-def test_text_style_accepts_enum_and_rejects_code(ontology):
+def test_style_accepts_enum_or_value_and_rejects_unknown(ontology):
     from evarg.emitter import PromptStyle
 
-    event = parse_text_completion(PromptStyle.TEXT_T1, 'agent: "a"', ontology, ET)
-    assert "agent" in event.roles
+    for style in (PromptStyle.TEXT_T1, "t1"):
+        event = parse_completion('agent: "a"', ontology, ET, style)
+        assert event.roles == {"agent": [EntityMention(None, "a")]}
+    for style in (PromptStyle.CODE, "code"):
+        event = parse_completion('agent=[PER("a")])', ontology, ET, style)
+        assert event.roles == {"agent": [EntityMention("PER", "a")]}
     with pytest.raises(ValueError):
-        parse_text_completion("code", "", ontology, ET)
+        parse_completion("", ontology, ET, "t3")
