@@ -20,9 +20,10 @@ import time
 import typing
 from dataclasses import dataclass, field
 
-import requests
-
 from .files import read_jsonl
+
+if typing.TYPE_CHECKING:
+    import requests
 
 
 class BackendError(Exception):
@@ -162,6 +163,9 @@ class HttpBackend:
     endpoint + path. The bearer token is read from the environment
     variable named by api_key_env at call time. ``complete`` takes the
     request digest as the fixture backends do, and has no use for it.
+    ``requests`` is imported when a backend is built without a session
+    and by ``complete``, not with the module, so a replay run never loads
+    the HTTP stack.
     """
 
     endpoint: str
@@ -171,9 +175,17 @@ class HttpBackend:
     max_retries: int = 6
     backoff_base_s: float = 1.0
     backoff_cap_s: float = 32.0
-    session: requests.Session = field(default_factory=requests.Session, repr=False)
+    session: requests.Session | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.session is None:
+            import requests
+
+            self.session = requests.Session()
 
     def complete(self, req: CompletionRequest, digest: str | None = None) -> CompletionResponse:
+        import requests
+
         headers = {}
         key = os.environ.get(self.api_key_env)
         if key:

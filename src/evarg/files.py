@@ -7,6 +7,10 @@ catches any bad input.
 A JSON-lines file is UTF-8 with one JSON value per line; blank lines are
 skipped. Only a line break ends a record, so a string may hold U+2028,
 U+2029 or U+0085 unescaped, as ``json.dumps(ensure_ascii=False)`` writes.
+
+YAML is parsed by PyYAML's libyaml-backed ``CSafeLoader`` when PyYAML was
+built with libyaml, and by its pure-Python ``SafeLoader`` otherwise; both
+accept the same safe subset.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from pathlib import Path
 from typing import Any, Callable
 
 import yaml
+
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(Exception):
@@ -44,11 +50,16 @@ def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None], error
         raise error(f"cannot read {what} file {path}: {exc}") from exc
 
 
+def parse_yaml(stream: Any) -> Any:
+    """The YAML document in ``stream``, a string or text file; raises ``yaml.YAMLError``."""
+    return yaml.load(stream, Loader=YAML_LOADER)
+
+
 def read_yaml(path: str, what: str, error: type) -> Any:
     """The YAML document in ``path``; an unreadable or invalid file raises ``error``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return yaml.safe_load(fh)
+            return parse_yaml(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

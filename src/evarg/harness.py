@@ -35,6 +35,7 @@ from .corpus import (
     Dataset,
     HierarchySplit,
     TrainingInstance,
+    _text,
     load_corpus,
     select_non_sibling,
     select_same_type,
@@ -166,8 +167,8 @@ def load_amr(path: str) -> dict[str, str]:
     table: dict[str, str] = {}
 
     def add(rec: dict) -> None:
-        instance_id, amr = rec["id"], rec["amr"]
-        if not isinstance(amr, str) or not amr.strip():
+        instance_id, amr = _text(rec, "id"), _text(rec, "amr")
+        if not amr.strip():
             raise ValueError(f"empty amr for {instance_id!r}")
         table[instance_id] = amr
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .files import ConfigError
+from .files import ConfigError, parse_yaml
 
 logger = logging.getLogger(__name__)
 
@@ -134,7 +134,7 @@ def load_ontology(path: str | Path) -> Ontology:
 def parse_ontology(text: str) -> Ontology:
     """Parse and validate an ontology document given as a string."""
     try:
-        doc = yaml.safe_load(text)
+        doc = parse_yaml(text)
     except yaml.YAMLError as exc:
         raise OntologyParseError(f"malformed ontology document: {exc}") from exc
     if doc is None:

@@ -78,16 +78,31 @@ def default_head(span: Span, sentence: str) -> Span:
 def ground(pred_surface: str, sentence: str) -> Span | None:
     """First exact occurrence, else first case-insensitive occurrence.
 
-    An empty surface grounds nowhere.
+    A case-insensitive match covers whole characters of ``sentence`` whose
+    lowercase equals the surface's. An empty surface grounds nowhere.
     """
     if not pred_surface:
         return None
     idx = sentence.find(pred_surface)
-    if idx < 0:
-        idx = sentence.lower().find(pred_surface.lower())
-    if idx < 0:
-        return None
-    return Span(idx, idx + len(pred_surface))
+    if idx >= 0:
+        return Span(idx, idx + len(pred_surface))
+    target, lowered = pred_surface.lower(), sentence.lower()
+    if len(lowered) == len(sentence):  # every character lowercases to one
+        idx = lowered.find(target)
+        return None if idx < 0 else Span(idx, idx + len(target))
+    # some character, such as "İ", lowercases to two: map offsets back
+    at: dict[int, int] = {}
+    offset = 0
+    for i, ch in enumerate(sentence):
+        at[offset] = i
+        offset += len(ch.lower())
+    at[offset] = len(sentence)
+    idx = lowered.find(target)
+    while idx >= 0:
+        if idx in at and idx + len(target) in at:
+            return Span(at[idx], at[idx + len(target)])
+        idx = lowered.find(target, idx + 1)
+    return None
 
 
 @dataclass

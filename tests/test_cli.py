@@ -176,6 +176,14 @@ def test_run_corrupt_recording_file_exit_2(config_file, tmp_path, capsys, bad_li
     assert f"{recording}:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run"], ["emit", "--id", "test-001"]])
+def test_amr_record_whose_id_is_not_a_string_exit_2(config_file, tmp_path, capsys, command):
+    amr = tmp_path / "amr.jsonl"
+    amr.write_text('{"id": 5, "amr": "(r / return-01)"}\n')
+    assert main([*command, "--config", config_file(amr_path=str(amr))]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {amr}:1: bad amr record: ")
+
+
 @pytest.mark.parametrize(
     "field", ["ontology_path", "train_path", "fixture_path", "amr_path", "config"]
 )

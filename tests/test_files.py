@@ -1,10 +1,13 @@
-"""JSON-lines inputs: every loader reads and reports through ``files.read_jsonl``."""
+"""Input files: every JSON-lines loader reads and reports through ``files.read_jsonl``,
+and every YAML input is parsed by the one loader ``files`` chooses."""
 
 import json
 
 import pytest
+import yaml
 
 from conftest import ROOT
+from evarg import files
 from evarg.cli import main
 from evarg.client import BackendError, CompletionRequest, RecordingBackend, ReplayBackend
 from evarg.corpus import CorpusError, load_corpus
@@ -99,3 +102,57 @@ def test_cli_reads_a_test_corpus_with_a_line_separator(tmp_path, in_repo_root, c
     ]
     assert main(emit) == 0
     assert SEPARATORS in capsys.readouterr().out
+
+
+# --- YAML inputs -----------------------------------------------------------
+
+
+def _readme_run_yaml():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("A minimal `run.yaml`:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+
+
+YAML_DOCUMENTS = {
+    "ontology": lambda: (ROOT / "fixtures/ontology.yaml").read_text(encoding="utf-8"),
+    "grid": lambda: (ROOT / "fixtures/variability_grid.yaml").read_text(encoding="utf-8"),
+    "readme-run-config": _readme_run_yaml,
+}
+
+
+def test_yaml_loader_is_libyaml_when_pyyaml_has_it():
+    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert files.YAML_LOADER is expected
+
+
+@pytest.mark.parametrize("document", YAML_DOCUMENTS)
+def test_chosen_yaml_loader_agrees_with_the_pure_python_loader(tmp_path, document):
+    text = YAML_DOCUMENTS[document]()
+    expected = yaml.load(text, Loader=yaml.SafeLoader)
+    assert isinstance(expected, dict) and expected
+    path = tmp_path / "doc.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert files.parse_yaml(text) == expected
+    assert files.read_yaml(str(path), document, files.ConfigError) == expected
+
+
+# input -> (the command reading the file at {path}, the start of its error message)
+YAML_INPUTS = {
+    "config": (["run", "--config", "{path}"], "error: config file {path} is not valid YAML: "),
+    "grid": (
+        ["variability", "--vectors", "fixtures/vectors.jsonl", "--grid", "{path}"],
+        "error: grid file {path} is not valid YAML: ",
+    ),
+    "ontology": (["validate", "--ontology", "{path}"], "error: malformed ontology document: "),
+}
+
+
+@pytest.mark.parametrize("what", YAML_INPUTS)
+@pytest.mark.parametrize(
+    "text", ["k: 1\nseed: \x07\n", "k: 1\n  seed: 0\n"], ids=["control-character", "indentation"]
+)
+def test_invalid_yaml_exit_2_with_its_message(tmp_path, in_repo_root, capsys, what, text):
+    path = tmp_path / f"{what}.yaml"
+    path.write_text(text, encoding="utf-8")
+    command, prefix = YAML_INPUTS[what]
+    assert main([arg.format(path=path) for arg in command]) == 2
+    assert capsys.readouterr().err.startswith(prefix.format(path=path))

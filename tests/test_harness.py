@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 from dataclasses import MISSING, fields, replace
 from types import SimpleNamespace
@@ -530,15 +531,40 @@ def test_compare_writes_report(cfg_code, cfg_t1, tmp_path):
 
 
 def test_importing_harness_leaves_numpy_unloaded():
-    """numpy is a test-only dependency; no evarg module, the CLI included, may load it."""
+    """numpy is a test-only dependency; no evarg module, the CLI included, may load it.
+
+    Nor may a replay ``validate``, ``emit`` or ``run`` load ``requests``: only
+    an ``HttpBackend`` built without a session imports it.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    probe = (
-        "import sys, evarg.harness, evarg.cli, evarg.variability; "
-        "print(sorted({'numpy'} & set(sys.modules)))"
+    probe = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import evarg.harness, evarg.variability
+        from evarg.cli import main
+
+        inputs = ["--ontology", "fixtures/ontology.yaml", "--train", "fixtures/train.jsonl",
+                  "--test", "fixtures/test.jsonl", "--fixtures", "fixtures/completions.jsonl"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [
+                main(["validate", "--ontology", "fixtures/ontology.yaml",
+                      "--corpus", "fixtures/train.jsonl"]),
+                main(["emit", *inputs, "--id", "test-001"]),
+                main(["run", *inputs]),
+            ]
+        print(codes, sorted({"numpy", "requests"} & set(sys.modules)))
+        evarg.harness.HttpBackend(endpoint="http://127.0.0.1:9").close()
+        print(sorted({"numpy", "requests"} & set(sys.modules)))
+        """
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", probe],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines() == ["[0, 0, 0] []", "['requests']"]

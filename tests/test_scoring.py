@@ -44,6 +44,25 @@ def test_ground_missing_surface_is_none():
     assert ground("", "Kelly left Houston .") is None
 
 
+def test_ground_span_survives_a_lowercase_that_lengthens_the_sentence():
+    # "İ".lower() is two characters, so offsets into sentence.lower() run one ahead
+    sentence = "İstanbul police met ANKARA officials"
+    assert ground("ankara", sentence) == Span(20, 26)
+    assert ground("i̇STANBUL", sentence) == Span(0, 8)
+    # "i" matches the first half of "İ".lower() only, which is no whole character
+    assert ground("i", sentence) == Span(12, 13)
+
+
+def test_ground_case_insensitive_span_covers_the_surface():
+    rng = random.Random(7)
+    for _ in range(500):
+        sentence = "".join(rng.choice("aAiIİı kK.") for _ in range(rng.randint(1, 12)))
+        i = rng.randrange(len(sentence))
+        surface = sentence[i : rng.randint(i + 1, len(sentence))].lower()
+        span = ground(surface, sentence)
+        assert span is not None and sentence[span.start : span.end].lower() == surface
+
+
 # --- head heuristic --------------------------------------------------------
 
 
