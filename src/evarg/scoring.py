@@ -87,10 +87,7 @@ def ground(pred_surface: str, sentence: str) -> Span | None:
     if idx >= 0:
         return Span(idx, idx + len(pred_surface))
     target, lowered = pred_surface.lower(), sentence.lower()
-    if len(lowered) == len(sentence):  # every character lowercases to one
-        idx = lowered.find(target)
-        return None if idx < 0 else Span(idx, idx + len(target))
-    # some character, such as "İ", lowercases to two: map offsets back
+    # some characters, such as "İ", lowercase to two: map offsets back
     at: dict[int, int] = {}
     offset = 0
     for i, ch in enumerate(sentence):

@@ -49,8 +49,9 @@ def test_ground_span_survives_a_lowercase_that_lengthens_the_sentence():
     sentence = "İstanbul police met ANKARA officials"
     assert ground("ankara", sentence) == Span(20, 26)
     assert ground("i̇STANBUL", sentence) == Span(0, 8)
-    # "i" matches the first half of "İ".lower() only, which is no whole character
-    assert ground("i", sentence) == Span(12, 13)
+    # "I" has no exact match; its lowercase first hits the half of "İ".lower()
+    # at offset 0, which is no whole character, so the "i" of "police" wins
+    assert ground("I", sentence) == Span(12, 13)
 
 
 def test_ground_case_insensitive_span_covers_the_surface():
