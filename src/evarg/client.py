@@ -20,7 +20,7 @@ import time
 import typing
 from dataclasses import dataclass, field
 
-from .files import read_jsonl
+from .files import ConfigError, read_jsonl
 
 if typing.TYPE_CHECKING:
     import requests
@@ -252,7 +252,7 @@ class ReplayBackend:
             # a digest recorded twice is served its last answer
             self._entries[digest] = (text, finish)
 
-        read_jsonl(fixture_path, "fixture", add, BackendError)
+        read_jsonl(fixture_path, "fixture", add, ConfigError)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -277,7 +277,7 @@ class RecordingBackend(ReplayBackend):
         try:
             open(fixture_path, "a", encoding="utf-8").close()
         except OSError as exc:
-            raise BackendError(f"cannot create fixture file {fixture_path}: {exc}") from exc
+            raise ConfigError(f"cannot create fixture file {fixture_path}: {exc}") from exc
         super().__init__(fixture_path)
         self.inner = inner
         self._lock = threading.Lock()

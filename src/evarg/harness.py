@@ -52,7 +52,7 @@ from .emitter import (
 from .files import ConfigError, read_jsonl
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import ParsedEvent, parse_completion
-from .scoring import HeadFinder, score
+from .scoring import score
 
 
 class MissingFixtures(BackendError):
@@ -152,14 +152,10 @@ SETTING_TYPES: dict[str, type] = {
 
 
 def _build_backend(cfg: RunConfig):
-    try:
-        if cfg.backend == "replay":
-            return ReplayBackend(cfg.fixture_path)
-        backend = HttpBackend(endpoint=cfg.endpoint)
-        return RecordingBackend(backend, cfg.fixture_path) if cfg.record else backend
-    except BackendError as exc:
-        # an unreadable or corrupt fixture file is a configuration problem
-        raise ConfigError(str(exc)) from exc
+    if cfg.backend == "replay":
+        return ReplayBackend(cfg.fixture_path)
+    backend = HttpBackend(endpoint=cfg.endpoint)
+    return RecordingBackend(backend, cfg.fixture_path) if cfg.record else backend
 
 
 def load_amr(path: str) -> dict[str, str]:
@@ -279,7 +275,13 @@ def _parsed_to_dict(parsed: ParsedEvent) -> dict:
     }
 
 
-def run(cfg: RunConfig, hf: HeadFinder | None = None) -> dict:
+def _score_block(preds: list[tuple[str, ParsedEvent]], skipped: list[dict], test: Dataset) -> dict:
+    """The report's score: each skipped instance counts as predicting nothing."""
+    unanswered = [(entry["id"], ParsedEvent()) for entry in skipped]
+    return score(preds + unanswered, test).to_dict()
+
+
+def run(cfg: RunConfig) -> dict:
     """Execute one configuration end to end and return the report dict."""
     plan = prepare(cfg)
     shortfall: dict[str, dict] = {}
@@ -341,7 +343,7 @@ def run(cfg: RunConfig, hf: HeadFinder | None = None) -> dict:
         "instances": instances,
         "skipped": skipped,
         "shortfall": shortfall,
-        "score": score(preds, plan.test, hf).to_dict(),
+        "score": _score_block(preds, skipped, plan.test),
     }
     if cfg.output_path:
         write_report(report, cfg.output_path)
@@ -371,19 +373,28 @@ def write_report(report: dict, path: str | None) -> None:
 
 
 def load_report(path: str, ontology: Ontology | None = None) -> dict:
-    """Load a report and re-verify completion/parse consistency."""
+    """Load a report; re-check its parses and its score against ``config["test_path"]``."""
     with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
     config = report.get("config", {})
     if ontology is None:
         ontology = load_ontology(config["ontology_path"])
     style = config.get("prompt_style", "code")
+    preds: list[tuple[str, ParsedEvent]] = []
     for entry in report.get("instances", []):
         parsed = parse_completion(entry["completion"], ontology, entry["event_type"], style)
         if _parsed_to_dict(parsed) != entry["parsed"]:
             raise ReportError(
                 f"instance {entry['id']!r}: stored parse does not match its completion"
             )
+        preds.append((entry["id"], parsed))
+    test = load_corpus(config["test_path"], "test")
+    try:
+        rescored = _score_block(preds, report.get("skipped", []), test)
+    except KeyError as exc:
+        raise ReportError(f"instance {exc} is not in the test corpus") from None
+    if rescored != report.get("score"):
+        raise ReportError("stored score does not match the stored parses")
     return report
 
 

@@ -34,13 +34,13 @@ class OntologyValidationError(OntologyError):
     """The document parsed but violates an ontology invariant."""
 
 
-def derive_class_name(raw_name: str) -> str:
+def derive_class_name(type_name: str) -> str:
     """Class identifier for a source type string.
 
     Takes the last colon-separated segment and maps ``-`` to ``_``,
     e.g. ``"Justice:Arrest-Jail"`` -> ``"Arrest_Jail"``.
     """
-    return raw_name.rsplit(":", 1)[-1].replace("-", "_")
+    return type_name.rsplit(":", 1)[-1].replace("-", "_")
 
 
 def instance_variable(class_name: str) -> str:
@@ -63,7 +63,6 @@ class RoleSpec:
 
 @dataclass(frozen=True)
 class EventTypeDef:
-    raw_name: str
     class_name: str
     parent: str | None  # class_name of the parent event type
     roles: tuple[RoleSpec, ...]
@@ -187,7 +186,7 @@ def _parse_events(
 
     # First pass: collect names so parents can be declared in any order.
     records: list[dict] = []
-    by_class: dict[str, str] = {}  # class_name -> raw_name
+    by_class: dict[str, str] = {}  # class_name -> the name as written
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise OntologyParseError(f"events[{i}] must be a mapping")
@@ -250,7 +249,6 @@ def _parse_events(
                 )
 
         out[cls] = EventTypeDef(
-            raw_name=name,
             class_name=cls,
             parent=parent,
             roles=roles,
@@ -320,35 +318,3 @@ def _check_acyclic(events: dict[str, EventTypeDef], problems: list[str]) -> None
                 return
             seen.add(node.parent)
             node = events[node.parent]
-
-
-def emit_ontology(ontology: Ontology) -> str:
-    """Serialize an ontology back to its document form.
-
-    ``parse_ontology(emit_ontology(o))`` yields an ontology equal to ``o``.
-    """
-    doc: dict = {
-        "entities": [
-            {"name": e.name, "description": e.description}
-            for e in ontology.entity_types.values()
-        ],
-        "events": [],
-    }
-    for ev in ontology.event_types.values():
-        rec: dict = {"name": ev.raw_name}
-        if ev.parent is not None:
-            rec["parent"] = ontology.event_types[ev.parent].raw_name
-        rec["template"] = ev.description_template
-        if ev.keywords:
-            rec["keywords"] = list(ev.keywords)
-        if ev.roles:
-            rec["roles"] = [
-                {
-                    "name": r.name,
-                    "types": list(r.allowed_entity_types),
-                    "description": r.role_description,
-                }
-                for r in ev.roles
-            ]
-        doc["events"].append(rec)
-    return yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)

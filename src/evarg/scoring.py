@@ -20,22 +20,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Protocol
 
-from .corpus import Dataset, Span, TrainingInstance
+from .corpus import Dataset, Span
 from .ontology import derive_class_name
 from .parsing import ParsedEvent
-
-
-class HeadFinder(Protocol):
-    """Resolves an argument span to its head token span.
-
-    The returned span must lie within the input span. The default
-    implementation is a heuristic; a dependency-parser-backed finder can
-    be plugged in without touching the scorer.
-    """
-
-    def resolve(self, span: Span, sentence: str) -> Span: ...
 
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -50,29 +38,26 @@ _PREPOSITIONS = frozenset(
 )
 
 
-class HeuristicHeadFinder:
-    """Last content token before the first comma or preposition."""
+def head_span(span: Span, sentence: str) -> Span:
+    """The head of ``span``: its last content token before the first comma or preposition.
 
-    def resolve(self, span: Span, sentence: str) -> Span:
-        tokens = [
-            (m.start() + span.start, m.end() + span.start, m.group())
-            for m in _TOKEN_RE.finditer(sentence[span.start : span.end])
-        ]
-        words = [t for t in tokens if t[2][0].isalnum() or t[2][0] == "_"]
-        if not words:
-            return span
-        boundary = len(tokens)
-        for i, (_, _, text) in enumerate(tokens):
-            if text == "," or text.lower() in _PREPOSITIONS:
-                boundary = i
-                break
-        candidates = [t for t in tokens[:boundary] if t in words] or words
-        start, end, _ = candidates[-1]
-        return Span(start, end)
-
-
-def default_head(span: Span, sentence: str) -> Span:
-    return HeuristicHeadFinder().resolve(span, sentence)
+    The head lies within ``span``; a span with no word token is its own head.
+    """
+    tokens = [
+        (m.start() + span.start, m.end() + span.start, m.group())
+        for m in _TOKEN_RE.finditer(sentence[span.start : span.end])
+    ]
+    words = [t for t in tokens if t[2][0].isalnum() or t[2][0] == "_"]
+    if not words:
+        return span
+    boundary = len(tokens)
+    for i, (_, _, text) in enumerate(tokens):
+        if text == "," or text.lower() in _PREPOSITIONS:
+            boundary = i
+            break
+    candidates = [t for t in tokens[:boundary] if t in words] or words
+    start, end, _ = candidates[-1]
+    return Span(start, end)
 
 
 def ground(pred_surface: str, sentence: str) -> Span | None:
@@ -170,18 +155,13 @@ def _match_instance(
     return identified, classified
 
 
-def score(
-    preds: list[tuple[str, ParsedEvent]],
-    golds: Dataset,
-    hf: HeadFinder | None = None,
-) -> ScoreReport:
+def score(preds: list[tuple[str, ParsedEvent]], golds: Dataset) -> ScoreReport:
     """Score parsed predictions against gold arguments.
 
     preds pairs an instance id from golds with its ParsedEvent; a missing
     id raises KeyError. Predictions are deduped per instance by role and
     head span (ungrounded ones by role and surface) before counting.
     """
-    hf = hf or HeuristicHeadFinder()
     report = ScoreReport()
 
     for instance_id, parsed in preds:
@@ -195,7 +175,7 @@ def score(
             head = arg.head
             if head is None:
                 span = ground(arg.surface, inst.sentence)
-                head = hf.resolve(span, inst.sentence) if span is not None else None
+                head = head_span(span, inst.sentence) if span is not None else None
             gold_pairs.append((arg.role, head))
 
         pred_pairs: list[tuple[str, Span | None]] = []
@@ -207,7 +187,7 @@ def score(
                     key = (role, None, mention.surface)
                     head = None
                 else:
-                    head = hf.resolve(span, inst.sentence)
+                    head = head_span(span, inst.sentence)
                     key = (role, head.start, head.end)
                 if key in seen:
                     continue

@@ -1,0 +1,36 @@
+"""The benchmark under ``bench/`` imports evarg names; each must still resolve."""
+
+import ast
+import importlib
+
+import pytest
+
+from conftest import ROOT
+
+BENCH = ROOT / "bench"
+
+
+def bench_imports() -> set[tuple[str, str]]:
+    """Every (module, name) of a ``from evarg... import name`` in ``bench/*.py``."""
+    found = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                if node.module == "evarg" or node.module.startswith("evarg."):
+                    found.update((node.module, alias.name) for alias in node.names)
+    return found
+
+
+@pytest.mark.skipif(not BENCH.is_dir(), reason="no bench/ directory")
+def test_every_name_the_benchmark_imports_resolves():
+    names = bench_imports()
+    assert names, "found no evarg import under bench/"
+    unresolved = []
+    for module, name in sorted(names):
+        owner = importlib.import_module(module)
+        if not hasattr(owner, name):
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ModuleNotFoundError:
+                unresolved.append(f"{module}.{name}")
+    assert unresolved == []

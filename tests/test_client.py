@@ -23,6 +23,7 @@ from evarg.client import (
     request_digest,
     truncate_at_stop,
 )
+from evarg.files import ConfigError
 
 REQ = CompletionRequest(prompt="hello", stop_patterns=('"""', "class"))
 
@@ -210,9 +211,14 @@ def test_replay_last_entry_wins(tmp_path):
     assert backend.complete(REQ).text == "new"
 
 
-def test_replay_missing_file_is_backend_error(tmp_path):
-    with pytest.raises(BackendError):
+def test_replay_missing_file_is_config_error(tmp_path):
+    with pytest.raises(ConfigError):
         ReplayBackend(str(tmp_path / "absent.jsonl"))
+
+
+def test_recording_into_a_missing_directory_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot create fixture file"):
+        RecordingBackend(inner=None, fixture_path=str(tmp_path / "absent" / "f.jsonl"))
 
 
 def test_replay_corrupt_line_reports_position(tmp_path):
@@ -220,7 +226,7 @@ def test_replay_corrupt_line_reports_position(tmp_path):
     good = '{"digest": "d", "response": {"text": "x", "finish_reason": "stop"}}\n'
     for bad in ("not json", '{"digest": 5, "response": {"text": ")", "finish_reason": "stop"}}'):
         path.write_text(good + bad + "\n")
-        with pytest.raises(BackendError, match=":2"):
+        with pytest.raises(ConfigError, match=":2"):
             ReplayBackend(str(path))
 
 

@@ -9,7 +9,7 @@ import yaml
 from conftest import ROOT
 from evarg import files
 from evarg.cli import main
-from evarg.client import BackendError, CompletionRequest, RecordingBackend, ReplayBackend
+from evarg.client import CompletionRequest, RecordingBackend, ReplayBackend
 from evarg.corpus import CorpusError, load_corpus
 from evarg.harness import ConfigError, load_amr
 from evarg.variability import VariabilityError, load_vectors
@@ -39,7 +39,7 @@ LOADERS = {
     "fixture": (
         {"digest": "d", "response": {"text": SEPARATORS, "finish_reason": "stop"}},
         lambda path: ReplayBackend(path).complete(CompletionRequest(prompt="p"), "d").text,
-        BackendError,
+        ConfigError,
         "fixture",
     ),
     "vector": (

@@ -28,7 +28,6 @@ from evarg.harness import (
     write_report,
 )
 from evarg.ontology import OntologyError
-from evarg.scoring import HeuristicHeadFinder
 from evarg.variability import VariabilityError
 
 BASE = dict(
@@ -123,10 +122,6 @@ def test_concurrency_width_does_not_change_results(cfg_code):
     wide = run(replace(cfg_code, max_in_flight=8))
     assert serial["instances"] == wide["instances"]
     assert serial["score"] == wide["score"]
-
-
-def test_default_head_finder_injection_is_neutral(cfg_code):
-    assert run(cfg_code, hf=HeuristicHeadFinder())["score"] == run(cfg_code)["score"]
 
 
 def test_run_writes_output_path(cfg_code, tmp_path):
@@ -272,6 +267,16 @@ def test_oversize_prompts_are_skipped_not_sent(cfg_code, tmp_path):
     assert len(report["skipped"]) == 12
     assert all(entry["prompt_chars"] > 10 for entry in report["skipped"])
     assert report["score"]["micro"]["arg_i"]["f1"] == 0.0
+
+
+def test_skipped_instances_count_in_the_score_as_predicting_nothing(cfg_code):
+    full = run(cfg_code)["score"]
+    report = run(replace(cfg_code, max_prompt_chars=1400))
+    assert len(report["instances"]) == 1 and len(report["skipped"]) == 11
+    per_type = report["score"]["per_type"].values()
+    assert sum(counts["n_gold"] for counts in per_type) == 35
+    assert report["score"]["per_type"].keys() == full["per_type"].keys()
+    assert report["score"]["micro"]["arg_c"]["r"] < full["micro"]["arg_c"]["r"]
 
 
 def test_shortfall_notes_available_examples(cfg_code, tmp_path):
@@ -486,6 +491,42 @@ def test_load_report_verifies_stored_parses(cfg_code, golden_dir, tmp_path, onto
     bad.write_text(json.dumps(tampered))
     with pytest.raises(ReportError, match="test-001"):
         load_report(str(bad), ontology=ontology)
+
+
+def _set_arg_c_f1(report):
+    assert report["score"]["micro"]["arg_c"]["f1"] != 0.99
+    report["score"]["micro"]["arg_c"]["f1"] = 0.99
+
+
+def _rename_an_instance(report):
+    report["instances"][0]["id"] = "test-999"
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [(_set_arg_c_f1, "stored score"), (_rename_an_instance, "'test-999' is not in the test corpus")],
+)
+def test_load_report_rechecks_the_score_block(
+    in_repo_root, golden_dir, tmp_path, ontology, tamper, message
+):
+    tampered = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
+    tamper(tampered)
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(tampered), encoding="utf-8")
+    with pytest.raises(ReportError, match=message):
+        load_report(str(bad), ontology=ontology)
+
+
+def test_load_report_rechecks_a_report_with_skipped_instances(cfg_code, tmp_path, ontology):
+    path = tmp_path / "skips.json"
+    run(replace(cfg_code, max_prompt_chars=1400, output_path=str(path)))
+    assert load_report(str(path), ontology=ontology)["skipped"]
+
+    tampered = json.loads(path.read_text(encoding="utf-8"))
+    tampered["skipped"].pop()
+    path.write_text(json.dumps(tampered), encoding="utf-8")
+    with pytest.raises(ReportError, match="stored score"):
+        load_report(str(path), ontology=ontology)
 
 
 def test_load_report_verifies_a_text_style_report(cfg_t1, tmp_path, ontology):

@@ -8,7 +8,6 @@ from evarg.ontology import (
     OntologyValidationError,
     ancestors,
     derive_class_name,
-    emit_ontology,
     instance_variable,
     parse_ontology,
     siblings,
@@ -79,12 +78,6 @@ def test_siblings_of_root_warns_and_returns_empty(ontology, caplog):
 def test_children_query(ontology):
     assert ontology.children("Transaction") == ["Transfer_Money", "Transfer_Ownership"]
     assert ontology.children("Transfer_Money") == []
-
-
-def test_round_trip_through_emitter(ontology):
-    text = emit_ontology(ontology)
-    again = parse_ontology(text)
-    assert again == ontology
 
 
 def test_rejects_cycles():

@@ -5,13 +5,7 @@ import pytest
 from conftest import make_dataset, make_instance
 from evarg.corpus import GoldArgument, Span, Trigger, TrainingInstance
 from evarg.parsing import EntityMention, ParsedEvent
-from evarg.scoring import (
-    HeuristicHeadFinder,
-    _match_instance,
-    default_head,
-    ground,
-    score,
-)
+from evarg.scoring import _match_instance, ground, head_span, score
 
 
 def event(**roles):
@@ -69,7 +63,7 @@ def test_ground_case_insensitive_span_covers_the_surface():
 
 def head_text(surface, sentence):
     span = ground(surface, sentence)
-    h = default_head(span, sentence)
+    h = head_span(span, sentence)
     return sentence[h.start : h.end]
 
 
@@ -97,13 +91,13 @@ def test_head_leading_preposition_falls_back_to_words():
 def test_head_punctuation_only_span_returned_unchanged():
     s = "Stop ! ! now ."
     span = Span(5, 8)
-    assert default_head(span, s) == span
+    assert head_span(span, s) == span
 
 
 def test_head_offsets_are_absolute():
     s = "Yesterday Kelly met the Irish teacher again ."
     span = ground("the Irish teacher", s)
-    h = HeuristicHeadFinder().resolve(span, s)
+    h = head_span(span, s)
     assert span.start <= h.start <= h.end <= span.end
     assert s[h.start : h.end] == "teacher"
 
@@ -319,30 +313,6 @@ def test_gold_explicit_head_is_honored():
     # the annotated head is "Irish", so the heuristic head "teacher" misses
     assert score([("i1", event(agent=["teacher"]))], golds).micro_arg_i.f1 == 0.0
     assert score([("i1", event(agent=["Irish"]))], golds).micro_arg_i.f1 == 1.0
-
-
-def test_head_finder_is_pluggable():
-    class FirstToken:
-        def resolve(self, span, sentence):
-            h = HeuristicHeadFinder().resolve(span, sentence)
-            tokens = sentence[span.start : span.end].split()
-            if not tokens:
-                return h
-            start = span.start + sentence[span.start : span.end].index(tokens[0])
-            return Span(start, start + len(tokens[0]))
-
-    golds = make_dataset(
-        "g",
-        [
-            make_instance(
-                "i1", "the Irish teacher taught .", "taught", "Movement:Transport",
-                args=[("agent", "the Irish teacher", "PER")],
-            )
-        ],
-    )
-    preds = [("i1", event(agent=["teacher"]))]
-    assert score(preds, golds).micro_arg_i.f1 == 1.0
-    assert score(preds, golds, hf=FirstToken()).micro_arg_i.f1 == 0.0
 
 
 def test_unknown_instance_id_raises():
