@@ -44,7 +44,7 @@ _SHORT_FLAGS = {
 
 
 def _load_config_file(path: str) -> dict:
-    data = read_yaml(path, "config", ConfigError)
+    data = read_yaml(path, "config")
     if data is None:
         return {}
     if not isinstance(data, dict):

@@ -30,16 +30,13 @@ class BackendError(Exception):
     """Completion could not be obtained."""
 
 
-class AuthError(BackendError):
-    """The endpoint rejected the credential."""
+class MissingFixtures(BackendError):
+    """The replay fixture has no recorded response for these request digests."""
 
-
-class FixtureMissError(BackendError):
-    """The replay fixture has no entry for the request digest."""
-
-    def __init__(self, digest: str):
-        super().__init__(f"no fixture entry for request digest {digest}")
-        self.digest = digest
+    def __init__(self, digests: list[str]):
+        listing = "\n".join(f"  {d}" for d in digests)
+        super().__init__(f"{len(digests)} request(s) missing from fixtures:\n{listing}")
+        self.digests = digests
 
 
 @dataclass(frozen=True)
@@ -211,7 +208,7 @@ class HttpBackend:
                 continue
             latency = int((time.monotonic() - started) * 1000)
             if http.status_code in (401, 403):
-                raise AuthError(f"endpoint rejected credential (HTTP {http.status_code})")
+                raise BackendError(f"endpoint rejected credential (HTTP {http.status_code})")
             if http.status_code == 429 or http.status_code >= 500:
                 last_error = BackendError(f"HTTP {http.status_code} from {url}")
                 continue
@@ -252,7 +249,7 @@ class ReplayBackend:
             # a digest recorded twice is served its last answer
             self._entries[digest] = (text, finish)
 
-        read_jsonl(fixture_path, "fixture", add, ConfigError)
+        read_jsonl(fixture_path, "fixture", add)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -263,7 +260,7 @@ class ReplayBackend:
         try:
             text, finish = self._entries[digest]
         except KeyError:
-            raise FixtureMissError(digest) from None
+            raise MissingFixtures([digest]) from None
         return CompletionResponse(text=text, finish_reason=finish, latency_ms=0)
 
     def close(self) -> None:
@@ -285,8 +282,8 @@ class RecordingBackend(ReplayBackend):
     def complete(self, req: CompletionRequest, digest: str | None = None) -> CompletionResponse:
         try:
             return super().complete(req, digest)
-        except FixtureMissError as miss:
-            digest = miss.digest
+        except MissingFixtures as miss:
+            [digest] = miss.digests
         resp = self.inner.complete(req)
         record = {
             "digest": digest,

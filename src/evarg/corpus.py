@@ -13,11 +13,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .files import ConfigError, read_jsonl
-from .ontology import Ontology, OntologyError, ancestors, derive_class_name, siblings
-
-
-class CorpusError(ConfigError):
-    """A corpus file is malformed or violates an instance invariant."""
+from .ontology import Ontology, ancestors, derive_class_name, siblings
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,7 @@ def load_corpus(path: str | Path, split: str) -> Dataset:
             raise ValueError(f"duplicate instance id {inst.id!r}")
         instances[inst.id] = inst
 
-    read_jsonl(path, split, add, CorpusError)
+    read_jsonl(path, split, add)
     return Dataset(split=split, instances=tuple(instances.values()))
 
 
@@ -149,7 +145,7 @@ def validate_against_ontology(dataset: Dataset, ontology: Ontology) -> list[str]
     for inst in dataset.instances:
         try:
             event = ontology.resolve_event(inst.event_type)
-        except OntologyError:
+        except ConfigError:
             problems.append(f"{inst.id}: unknown event type {inst.event_type!r}")
             continue
         role_names = {r.name for r in event.roles}
@@ -209,12 +205,12 @@ def select_sibling(
     """Examples for a test type from the training sibling ``split_hierarchy`` chose for it."""
     event = ontology.resolve_event(event_type)
     if event.parent is None or event.parent not in split:
-        raise CorpusError(
+        raise ConfigError(
             f"event type {event.class_name!r} has no sibling training type with data"
         )
     decision = split[event.parent]
     if event.class_name == decision.train_child:
-        raise CorpusError(
+        raise ConfigError(
             f"event type {event.class_name!r} is the training child of "
             f"{event.parent!r}, not a test type"
         )
@@ -242,7 +238,7 @@ def select_non_sibling(
         cls for cls in ontology.event_types if cls not in excluded and cls in dataset.by_class
     )
     if not candidates:
-        raise CorpusError(
+        raise ConfigError(
             f"no non-sibling event type with data exists for {event.class_name!r}"
         )
     chosen = random.Random(seed).choice(candidates)

@@ -18,15 +18,10 @@ from .ontology import (
     PLACEHOLDER_RE,
     EventTypeDef,
     Ontology,
-    OntologyError,
     ancestors,
     derive_class_name,
     instance_variable,
 )
-
-
-class EmitError(ConfigError):
-    """Prompt rendering failed (unknown type, bad span, bad gold data)."""
 
 
 class PromptStyle(Enum):
@@ -103,18 +98,11 @@ def _slots(template: str) -> str:
     return PLACEHOLDER_RE.sub(r"[\1]", template)
 
 
-def _resolve(ontology: Ontology, event_type: str) -> EventTypeDef:
-    try:
-        return ontology.resolve_event(event_type)
-    except OntologyError as exc:
-        raise EmitError(str(exc)) from None
-
-
 def emit_entity_class(ontology: Ontology, name: str) -> str:
     try:
         entity = ontology.entity_types[name]
     except KeyError:
-        raise EmitError(f"unknown entity type: {name!r}") from None
+        raise ConfigError(f"unknown entity type: {name!r}") from None
     lines = [f"class {entity.name}(Entity):"]
     lines.extend(_docstring_block(entity.description.splitlines() or [""], "    "))
     return "\n".join(lines)
@@ -122,7 +110,7 @@ def emit_entity_class(ontology: Ontology, name: str) -> str:
 
 def emit_event_class(ontology: Ontology, event_type: str, opts: EmitterOptions) -> str:
     """Render one event class definition block."""
-    event = _resolve(ontology, event_type)
+    event = ontology.resolve_event(event_type)
 
     parent = event.parent if (opts.include_hierarchy and event.parent) else "Event"
     lines = [f"class {event.class_name}({parent}):"]
@@ -156,7 +144,7 @@ def _marked_sentence(inst: TrainingInstance, opts: EmitterOptions) -> str:
     sentence = inst.sentence
     start, end = inst.trigger.start, inst.trigger.end
     if not (0 <= start <= end <= len(sentence)):
-        raise EmitError(f"trigger span out of bounds for instance {inst.id!r}")
+        raise ConfigError(f"trigger span out of bounds for instance {inst.id!r}")
     if not opts.mark_trigger:
         return sentence
     return sentence[:start] + "**" + sentence[start:end] + "**" + sentence[end:]
@@ -193,13 +181,13 @@ def _answer(
     literals: dict[str, list[str]] = {role.name: [] for role in event.roles}
     for arg in inst.arguments:
         if arg.role not in literals:
-            raise EmitError(
+            raise ConfigError(
                 f"instance {inst.id!r}: role {arg.role!r} not defined for {event.class_name}"
             )
         literal = f'"{escape_literal(arg.surface)}"'
         if style is PromptStyle.CODE:
             if arg.entity_type not in ontology.entity_types:
-                raise EmitError(
+                raise ConfigError(
                     f"instance {inst.id!r}: unresolvable entity type {arg.entity_type!r}"
                 )
             literal = f"{arg.entity_type}({literal})"
@@ -225,7 +213,7 @@ def emit_example(inst: TrainingInstance, ontology: Ontology, opts: EmitterOption
     Examples never carry the task's semantic-graph augmentation; that is
     appended only to the final task prompt.
     """
-    event = _resolve(ontology, inst.event_type)
+    event = ontology.resolve_event(inst.event_type)
     return _task_block(inst, event, opts, None) + _answer(inst, event, ontology, opts.prompt_style)
 
 
@@ -352,12 +340,12 @@ def assemble_prompt(
     task sentence's semantic graph, must not be blank.
     """
     if amr is not None and not amr.strip():
-        raise EmitError(f"instance {task.id!r}: empty AMR")
+        raise ConfigError(f"instance {task.id!r}: empty AMR")
     if preamble is None:
         preamble = build_preamble(ontology, event_type, examples, opts)
-    event = _resolve(ontology, event_type)
+    event = ontology.resolve_event(event_type)
     if derive_class_name(task.event_type) != event.class_name:
-        raise EmitError(
+        raise ConfigError(
             f"instance {task.id!r} has type {task.event_type!r}, expected {event_type!r}"
         )
     return PromptBundle(

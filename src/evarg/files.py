@@ -1,8 +1,7 @@
 """Reading the pipeline's input files: JSON lines and YAML.
 
-``ConfigError`` is the base of every bad-input error: each loader's and
-validator's own error class derives from it, so one ``except`` clause
-catches any bad input.
+``ConfigError`` is the one bad-input error: every loader and validator
+raises it, so one ``except`` clause catches any bad input.
 
 A JSON-lines file is UTF-8 with one JSON value per line; blank lines are
 skipped. Only a line break ends a record, so a string may hold U+2028,
@@ -28,13 +27,13 @@ class ConfigError(Exception):
     """Invalid or inconsistent run configuration or input."""
 
 
-def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None], error: type) -> None:
+def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None]) -> None:
     """Call ``record`` on each line's value, in file order.
 
     A line that is not JSON, or whose value ``record`` rejects with a
     ``ValueError``, ``KeyError`` or ``TypeError``, raises
-    ``error("path:line: bad <what> record: ...")``; a file that cannot be
-    read as UTF-8 raises ``error("cannot read <what> file path: ...")``.
+    ``ConfigError("path:line: bad <what> record: ...")``; a file that cannot
+    be read as UTF-8 raises ``ConfigError("cannot read <what> file path: ...")``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -45,9 +44,10 @@ def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None], error
                     record(json.loads(line))
                 except (KeyError, TypeError, ValueError) as exc:
                     invalid = "invalid JSON: " if isinstance(exc, json.JSONDecodeError) else ""
-                    raise error(f"{path}:{lineno}: bad {what} record: {invalid}{exc}") from exc
+                    message = f"{path}:{lineno}: bad {what} record: {invalid}{exc}"
+                    raise ConfigError(message) from exc
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {what} file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def parse_yaml(stream: Any) -> Any:
@@ -55,12 +55,12 @@ def parse_yaml(stream: Any) -> Any:
     return yaml.load(stream, Loader=YAML_LOADER)
 
 
-def read_yaml(path: str, what: str, error: type) -> Any:
-    """The YAML document in ``path``; an unreadable or invalid file raises ``error``."""
+def read_yaml(path: str, what: str) -> Any:
+    """The YAML document in ``path``; an unreadable or invalid file raises ``ConfigError``."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_yaml(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {what} file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise error(f"{what} file {path} is not valid YAML: {exc}") from exc
+        raise ConfigError(f"{what} file {path} is not valid YAML: {exc}") from exc

@@ -21,11 +21,10 @@ from dataclasses import asdict, dataclass, field, fields
 
 from . import client as client_mod
 from .client import (
-    BackendError,
     CompletionRequest,
-    FixtureMissError,
     HttpBackend,
     HashedPrefix,
+    MissingFixtures,
     RecordingBackend,
     ReplayBackend,
     hash_prefix,
@@ -53,19 +52,6 @@ from .files import ConfigError, read_jsonl
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import ParsedEvent, parse_completion
 from .scoring import score
-
-
-class MissingFixtures(BackendError):
-    """Replay run hit prompts with no recorded response."""
-
-    def __init__(self, digests: list[str]):
-        listing = "\n".join(f"  {d}" for d in digests)
-        super().__init__(f"{len(digests)} request(s) missing from fixtures:\n{listing}")
-        self.digests = digests
-
-
-class ReportError(ConfigError):
-    """A stored report fails its internal consistency re-check."""
 
 
 def _one_of(default: str, choices: typing.Iterable[str]) -> typing.Any:
@@ -168,7 +154,7 @@ def load_amr(path: str) -> dict[str, str]:
             raise ValueError(f"empty amr for {instance_id!r}")
         table[instance_id] = amr
 
-    read_jsonl(path, "amr", add, ConfigError)
+    read_jsonl(path, "amr", add)
     return table
 
 
@@ -304,7 +290,7 @@ def run(cfg: RunConfig) -> dict:
     def complete_one(task: Task):
         try:
             return client_mod.complete(backend, task.request, task.digest)
-        except FixtureMissError as exc:
+        except MissingFixtures as exc:
             return exc
 
     try:
@@ -315,7 +301,7 @@ def run(cfg: RunConfig) -> dict:
     finally:
         backend.close()
 
-    misses = [r.digest for r in results if isinstance(r, FixtureMissError)]
+    misses = [d for r in results if isinstance(r, MissingFixtures) for d in r.digests]
     if misses:
         raise MissingFixtures(misses)
 
@@ -372,29 +358,36 @@ def write_report(report: dict, path: str | None) -> None:
         raise
 
 
-def load_report(path: str, ontology: Ontology | None = None) -> dict:
-    """Load a report; re-check its parses and its score against ``config["test_path"]``."""
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
-    config = report.get("config", {})
-    if ontology is None:
-        ontology = load_ontology(config["ontology_path"])
+def load_report(path: str) -> dict:
+    """Load a report; re-check its parses and its score against ``config["test_path"]``.
+
+    Relative paths in the config are read from the current directory, so a report
+    is re-checked from the directory its run was started in.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+        config = report["config"]
+        ontology_path, test_path = config["ontology_path"], config["test_path"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"report file {path} is malformed: {exc!r}") from exc
+    ontology = load_ontology(ontology_path)
     style = config.get("prompt_style", "code")
     preds: list[tuple[str, ParsedEvent]] = []
     for entry in report.get("instances", []):
         parsed = parse_completion(entry["completion"], ontology, entry["event_type"], style)
         if _parsed_to_dict(parsed) != entry["parsed"]:
-            raise ReportError(
+            raise ConfigError(
                 f"instance {entry['id']!r}: stored parse does not match its completion"
             )
         preds.append((entry["id"], parsed))
-    test = load_corpus(config["test_path"], "test")
+    test = load_corpus(test_path, "test")
     try:
         rescored = _score_block(preds, report.get("skipped", []), test)
     except KeyError as exc:
-        raise ReportError(f"instance {exc} is not in the test corpus") from None
+        raise ConfigError(f"instance {exc} is not in the test corpus") from None
     if rescored != report.get("score"):
-        raise ReportError("stored score does not match the stored parses")
+        raise ConfigError("stored score does not match the stored parses")
     return report
 
 

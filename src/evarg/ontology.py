@@ -22,18 +22,6 @@ IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
-class OntologyError(ConfigError):
-    """Base class for ontology loading problems."""
-
-
-class OntologyParseError(OntologyError):
-    """The document is not structurally well-formed."""
-
-
-class OntologyValidationError(OntologyError):
-    """The document parsed but violates an ontology invariant."""
-
-
 def derive_class_name(type_name: str) -> str:
     """Class identifier for a source type string.
 
@@ -83,7 +71,7 @@ class Ontology:
         try:
             return self.event_types[cls]
         except KeyError:
-            raise OntologyError(f"unknown event type: {name!r}") from None
+            raise ConfigError(f"unknown event type: {name!r}") from None
 
     def children(self, parent: str) -> list[str]:
         """Class names of the direct children of ``parent``, in file order."""
@@ -126,7 +114,7 @@ def load_ontology(path: str | Path) -> Ontology:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise OntologyParseError(f"cannot read ontology file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read ontology file {path}: {exc}") from exc
     return parse_ontology(text)
 
 
@@ -135,32 +123,30 @@ def parse_ontology(text: str) -> Ontology:
     try:
         doc = parse_yaml(text)
     except yaml.YAMLError as exc:
-        raise OntologyParseError(f"malformed ontology document: {exc}") from exc
+        raise ConfigError(f"malformed ontology document: {exc}") from exc
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
-        raise OntologyParseError("ontology document must be a mapping")
+        raise ConfigError("ontology document must be a mapping")
     unknown = set(doc) - {"entities", "events"}
     if unknown:
-        raise OntologyParseError(f"unknown top-level keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level keys: {sorted(unknown, key=str)}")
 
     problems: list[str] = []
     entity_types = _parse_entities(doc.get("entities", []), problems)
     event_types = _parse_events(doc.get("events", []), entity_types, problems)
     if problems:
-        raise OntologyValidationError(
-            "invalid ontology:\n  " + "\n  ".join(problems)
-        )
+        raise ConfigError("invalid ontology:\n  " + "\n  ".join(problems))
     return Ontology(entity_types=entity_types, event_types=event_types)
 
 
 def _parse_entities(raw: object, problems: list[str]) -> dict[str, EntityTypeDef]:
     out: dict[str, EntityTypeDef] = {}
     if not isinstance(raw, list):
-        raise OntologyParseError("'entities' must be a list")
+        raise ConfigError("'entities' must be a list")
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
-            raise OntologyParseError(f"entities[{i}] must be a mapping")
+            raise ConfigError(f"entities[{i}] must be a mapping")
         name = item.get("name")
         description = item.get("description")
         if not isinstance(name, str) or not IDENTIFIER_RE.match(name):
@@ -182,14 +168,14 @@ def _parse_events(
     problems: list[str],
 ) -> dict[str, EventTypeDef]:
     if not isinstance(raw, list):
-        raise OntologyParseError("'events' must be a list")
+        raise ConfigError("'events' must be a list")
 
     # First pass: collect names so parents can be declared in any order.
     records: list[dict] = []
     by_class: dict[str, str] = {}  # class_name -> the name as written
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
-            raise OntologyParseError(f"events[{i}] must be a mapping")
+            raise ConfigError(f"events[{i}] must be a mapping")
         name = item.get("name")
         if not isinstance(name, str) or not name.strip():
             problems.append(f"events[{i}] has no usable name")
@@ -269,12 +255,12 @@ def _parse_roles(
     if raw is None:
         return ()
     if not isinstance(raw, list):
-        raise OntologyParseError(f"event {event_name!r}: roles must be a list")
+        raise ConfigError(f"event {event_name!r}: roles must be a list")
     roles: list[RoleSpec] = []
     seen: set[str] = set()
     for item in raw:
         if not isinstance(item, dict):
-            raise OntologyParseError(f"event {event_name!r}: each role must be a mapping")
+            raise ConfigError(f"event {event_name!r}: each role must be a mapping")
         rname = item.get("name")
         if not isinstance(rname, str) or not IDENTIFIER_RE.match(rname):
             problems.append(f"event {event_name!r}: role name {rname!r} is invalid")
@@ -289,7 +275,7 @@ def _parse_roles(
             continue
         ok = True
         for t in types:
-            if t not in entity_types:
+            if not isinstance(t, str) or t not in entity_types:
                 problems.append(
                     f"event {event_name!r}: role {rname!r} uses unknown entity type {t!r}"
                 )

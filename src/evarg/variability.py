@@ -15,10 +15,6 @@ from dataclasses import dataclass
 from .files import ConfigError, read_jsonl, read_yaml
 
 
-class VariabilityError(ConfigError):
-    """Bad vector data (empty cluster, dimension mismatch, bad file)."""
-
-
 @dataclass(frozen=True)
 class VectorCluster:
     event_type: str
@@ -26,10 +22,10 @@ class VectorCluster:
 
     def __post_init__(self) -> None:
         if not self.vectors:
-            raise VariabilityError(f"empty vector cluster for {self.event_type!r}")
+            raise ConfigError(f"empty vector cluster for {self.event_type!r}")
         dims = {len(v) for v in self.vectors}
         if len(dims) != 1:
-            raise VariabilityError(
+            raise ConfigError(
                 f"dimension mismatch in cluster {self.event_type!r}: {sorted(dims)}"
             )
 
@@ -47,7 +43,7 @@ def pearson(xs: list[float], ys: list[float]) -> float | None:
     ``math.fsum`` rounds the same on every Python; ``sum`` compensates from 3.12 on.
     """
     if len(xs) != len(ys):
-        raise VariabilityError("series length mismatch")
+        raise ValueError("series length mismatch")
     n = len(xs)
     if n < 2 or len(set(xs)) == 1 or len(set(ys)) == 1:
         return None
@@ -78,7 +74,7 @@ def load_vectors(path: str) -> dict[str, tuple[float, ...]]:
             raise ValueError(f"duplicate id {example_id!r}")
         vectors[example_id] = values
 
-    read_jsonl(path, "vector", add, VariabilityError)
+    read_jsonl(path, "vector", add)
     return vectors
 
 
@@ -87,7 +83,7 @@ def _cluster(event_type: str, ids: list, vectors: dict[str, tuple[float, ...]]) 
         raise TypeError(f"ids for {event_type!r} are not a list: {ids!r}")
     missing = [i for i in ids if i not in vectors]
     if missing:
-        raise VariabilityError(f"vector file lacks ids {missing} for {event_type!r}")
+        raise ConfigError(f"vector file lacks ids {missing} for {event_type!r}")
     return VectorCluster(event_type, tuple(vectors[i] for i in ids))
 
 
@@ -115,7 +111,7 @@ def load_grid(
     The file maps ``clusters`` to {k: {event type: [example id]}} and
     ``arg_c_f1`` to {k: F1}; every id must have a vector in ``vectors``.
     """
-    grid = read_yaml(path, "grid", VariabilityError)
+    grid = read_yaml(path, "grid")
     try:
         clusters_per_k = _per_k(
             grid["clusters"],
@@ -123,7 +119,7 @@ def load_grid(
         )
         arg_c_per_k = _per_k(grid["arg_c_f1"], float)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise VariabilityError(f"grid file {path} is malformed: {exc!r}") from exc
+        raise ConfigError(f"grid file {path} is malformed: {exc!r}") from exc
     return clusters_per_k, arg_c_per_k
 
 
@@ -133,7 +129,7 @@ def variability_report(
 ) -> dict:
     """Mean variability per k plus its Pearson correlation with Arg-C F1."""
     if set(clusters_per_k) != set(arg_c_per_k):
-        raise VariabilityError(
+        raise ConfigError(
             f"k grids differ: {sorted(clusters_per_k)} vs {sorted(arg_c_per_k)}"
         )
     per_k = {}
@@ -142,7 +138,7 @@ def variability_report(
     for k in sorted(clusters_per_k):
         clusters = clusters_per_k[k]
         if not clusters:
-            raise VariabilityError(f"no clusters for k={k}")
+            raise ConfigError(f"no clusters for k={k}")
         mean = sum(variability(c) for c in clusters) / len(clusters)
         per_k[str(k)] = {"mean_variability": mean, "arg_c_f1": arg_c_per_k[k]}
         means.append(mean)

@@ -10,12 +10,11 @@ import math
 import os
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
 from conftest import make_dataset, make_instance
-from evarg.client import CompletionRequest, truncate_at_stop
+from evarg.client import truncate_at_stop
 from evarg.corpus import Span, select_same_type, split_hierarchy
 from evarg.emitter import (
     CODE_STOP_PATTERNS,

@@ -82,13 +82,25 @@ def test_run_missing_fixture_entries_exit_3(config_file, tmp_path, capsys):
     assert "missing from fixtures" in capsys.readouterr().err
 
 
-def test_run_backend_failure_exit_4(config_file, stub, capsys):
+def test_run_backend_failure_exit_4(config_file, stub, tmp_path, capsys):
     stub.set_default(400, {"error": "rejected"})
     code = main(
         ["run", "--config", config_file(backend="http", endpoint=stub.url)]
     )
     assert code == 4
     assert "HTTP 400" in capsys.readouterr().err
+
+    # a rejected credential is not retried: a one-instance run sends one request
+    first = (ROOT / "fixtures/test.jsonl").read_text(encoding="utf-8").splitlines(True)[0]
+    one = _write(tmp_path / "one.jsonl", first)
+    stub.set_default(401, {"error": "no"})
+    sent = len(stub.requests)
+    code = main(
+        ["run", "--config", config_file(backend="http", endpoint=stub.url, test_path=one)]
+    )
+    assert code == 4
+    assert "rejected credential" in capsys.readouterr().err
+    assert len(stub.requests) == sent + 1
 
 
 @pytest.mark.parametrize(

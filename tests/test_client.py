@@ -10,12 +10,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evarg.client import (
-    AuthError,
     BackendError,
     CompletionRequest,
     CompletionResponse,
-    FixtureMissError,
     HttpBackend,
+    MissingFixtures,
     RecordingBackend,
     ReplayBackend,
     complete,
@@ -196,10 +195,10 @@ def test_replay_round_trip(tmp_path):
 def test_replay_miss_carries_digest(tmp_path):
     path = tmp_path / "f.jsonl"
     _write_fixture(path, [])
-    with pytest.raises(FixtureMissError) as err:
+    with pytest.raises(MissingFixtures) as err:
         ReplayBackend(str(path)).complete(REQ)
-    assert err.value.digest == request_digest(REQ)
-    assert err.value.digest in str(err.value)
+    assert err.value.digests == [request_digest(REQ)]
+    assert request_digest(REQ) in str(err.value)
 
 
 def test_replay_last_entry_wins(tmp_path):
@@ -273,7 +272,7 @@ def test_http_sends_bearer_token_from_env(stub, monkeypatch):
 def test_http_auth_failure_is_not_retried(stub, monkeypatch):
     monkeypatch.delenv("EVARG_API_KEY", raising=False)
     stub.script.append((401, {"error": "no"}))
-    with pytest.raises(AuthError):
+    with pytest.raises(BackendError, match="rejected credential"):
         _fast_backend(stub).complete(REQ)
     assert len(stub.requests) == 1
 

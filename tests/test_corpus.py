@@ -5,7 +5,6 @@ import pytest
 
 from conftest import make_dataset, make_instance
 from evarg.corpus import (
-    CorpusError,
     Dataset,
     load_corpus,
     select_non_sibling,
@@ -14,6 +13,7 @@ from evarg.corpus import (
     split_hierarchy,
     validate_against_ontology,
 )
+from evarg.files import ConfigError
 
 
 def _write_corpus(tmp_path, records):
@@ -70,26 +70,26 @@ def test_built_indexes_stay_out_of_equality_and_hash(train_set):
 
 def test_trigger_surface_mismatch_rejected(tmp_path):
     path = _write_corpus(tmp_path, [_record(surface="return")])
-    with pytest.raises(CorpusError, match="mismatch"):
+    with pytest.raises(ConfigError, match="mismatch"):
         load_corpus(path, "train")
 
 
 def test_trigger_span_out_of_bounds_rejected(tmp_path):
     path = _write_corpus(tmp_path, [_record(start=4, end=99, surface="returned")])
-    with pytest.raises(CorpusError, match="bounds"):
+    with pytest.raises(ConfigError, match="bounds"):
         load_corpus(path, "train")
 
 
 def test_duplicate_ids_rejected(tmp_path):
     path = _write_corpus(tmp_path, [_record(), _record()])
-    with pytest.raises(CorpusError, match="duplicate"):
+    with pytest.raises(ConfigError, match="duplicate"):
         load_corpus(path, "train")
 
 
 def test_invalid_json_line_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("{not json}\n", encoding="utf-8")
-    with pytest.raises(CorpusError, match="invalid JSON"):
+    with pytest.raises(ConfigError, match="invalid JSON"):
         load_corpus(str(path), "train")
 
 
@@ -117,7 +117,7 @@ _HEAD_ARG = {"role": "agent", "surface": "Kim", "entity_type": "PER"}
 )
 def test_malformed_record_rejected_naming_its_line(tmp_path, fields):
     path = _write_corpus(tmp_path, [_record(**fields)])
-    with pytest.raises(CorpusError, match=f"^{re.escape(path)}:1: bad train record"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}:1: bad train record"):
         load_corpus(path, "train")
 
 
@@ -175,9 +175,9 @@ def test_sibling_selection_uses_training_sibling(ontology, train_set):
 
 def test_sibling_selection_rejects_training_child_and_roots(ontology, train_set):
     split = split_hierarchy(ontology, train_set)
-    with pytest.raises(CorpusError):
+    with pytest.raises(ConfigError, match="is the training child of"):
         select_sibling(train_set, ontology, "Transfer_Money", 2, split)
-    with pytest.raises(CorpusError):
+    with pytest.raises(ConfigError, match="has no sibling training type"):
         select_sibling(train_set, ontology, "Transaction", 2, split)
 
 
@@ -206,7 +206,7 @@ def test_non_sibling_errors_when_no_candidates(ontology):
         "train",
         [make_instance("a", "Kim paid Joe .", "paid", "Transaction:Transfer-Money")],
     )
-    with pytest.raises(CorpusError):
+    with pytest.raises(ConfigError, match="no non-sibling event type with data"):
         select_non_sibling(data, ontology, "Transfer_Ownership", 1, seed=0)
 
 

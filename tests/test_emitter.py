@@ -4,7 +4,6 @@ from conftest import make_instance
 from evarg.emitter import (
     CODE_STOP_PATTERNS,
     TEXT_STOP_PATTERNS,
-    EmitError,
     EmitterOptions,
     PromptStyle,
     assemble_prompt,
@@ -13,6 +12,7 @@ from evarg.emitter import (
     emit_example,
     escape_literal,
 )
+from evarg.files import ConfigError
 
 
 @pytest.fixture
@@ -222,7 +222,7 @@ def test_example_rejects_undefined_role(ontology):
         "Movement:Transport",
         args=[("pilot", "Kim", "PER")],
     )
-    with pytest.raises(EmitError, match="pilot"):
+    with pytest.raises(ConfigError, match="pilot"):
         emit_example(inst, ontology, EmitterOptions())
 
 
@@ -234,17 +234,17 @@ def test_example_rejects_unknown_entity_type(ontology):
         "Movement:Transport",
         args=[("agent", "Kim", "ALIEN")],
     )
-    with pytest.raises(EmitError, match="ALIEN"):
+    with pytest.raises(ConfigError, match="ALIEN"):
         emit_example(inst, ontology, EmitterOptions())
 
 
 def test_task_prompt_type_mismatch_rejected(ontology, kim):
-    with pytest.raises(EmitError):
+    with pytest.raises(ConfigError, match="expected 'Conflict:Attack'"):
         assemble_prompt(ontology, "Conflict:Attack", [], kim, EmitterOptions())
 
 
 def test_event_class_for_unknown_type_rejected(ontology):
-    with pytest.raises(EmitError):
+    with pytest.raises(ConfigError, match="unknown event type: 'Nope'"):
         emit_event_class(ontology, "Nope", EmitterOptions())
 
 
@@ -361,5 +361,5 @@ def test_t1_definitions_of_every_example_type_precede_the_examples(
 
 
 def test_empty_amr_rejected(ontology, kim):
-    with pytest.raises(EmitError):
+    with pytest.raises(ConfigError, match="empty AMR"):
         _bundle(ontology, kim, [], amr="   ")

@@ -14,12 +14,10 @@ import yaml
 from conftest import ROOT
 from evarg import client, corpus, harness
 from evarg.client import BackendError, HttpBackend, ReplayBackend, request_digest
-from evarg.corpus import CorpusError, split_hierarchy
-from evarg.emitter import EmitError
+from evarg.corpus import split_hierarchy
 from evarg.harness import (
     ConfigError,
     MissingFixtures,
-    ReportError,
     RunConfig,
     compare,
     load_report,
@@ -27,8 +25,6 @@ from evarg.harness import (
     run,
     write_report,
 )
-from evarg.ontology import OntologyError
-from evarg.variability import VariabilityError
 
 BASE = dict(
     ontology_path="fixtures/ontology.yaml",
@@ -443,13 +439,6 @@ def test_bad_amr_files_are_config_errors(cfg_code, tmp_path):
         run(replace(cfg_code, amr_path=str(empty_amr)))
 
 
-@pytest.mark.parametrize(
-    "error", [CorpusError, OntologyError, EmitError, VariabilityError, ReportError]
-)
-def test_every_bad_input_error_is_a_config_error(error):
-    assert issubclass(error, harness.ConfigError)
-
-
 def test_run_with_a_test_event_type_the_ontology_lacks_is_config_error(cfg_code, tmp_path):
     test = tmp_path / "test.jsonl"
     lines = (ROOT / "fixtures/test.jsonl").read_text(encoding="utf-8")
@@ -476,12 +465,11 @@ def test_write_report_failure_leaves_target_and_no_temp(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
-def test_load_report_verifies_stored_parses(cfg_code, golden_dir, tmp_path, ontology):
+def test_load_report_verifies_stored_parses(cfg_code, golden_dir, tmp_path):
     golden = golden_dir / "run_report.json"
-    loaded = load_report(str(golden), ontology=ontology)
+    loaded = load_report(str(golden))
     assert loaded["score"]["micro"]["arg_c"]["f1"] == pytest.approx(0.8125)
-    # also resolves the ontology from the stored config path
-    assert load_report(str(golden))["config"]["k"] == 1
+    assert loaded["config"]["k"] == 1
 
     tampered = json.loads(golden.read_text())
     entry = tampered["instances"][0]
@@ -489,8 +477,8 @@ def test_load_report_verifies_stored_parses(cfg_code, golden_dir, tmp_path, onto
     entry["completion"] = entry["completion"].replace("Kim", "Bob")
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(tampered))
-    with pytest.raises(ReportError, match="test-001"):
-        load_report(str(bad), ontology=ontology)
+    with pytest.raises(ConfigError, match="test-001"):
+        load_report(str(bad))
 
 
 def _set_arg_c_f1(report):
@@ -506,41 +494,60 @@ def _rename_an_instance(report):
     "tamper, message",
     [(_set_arg_c_f1, "stored score"), (_rename_an_instance, "'test-999' is not in the test corpus")],
 )
-def test_load_report_rechecks_the_score_block(
-    in_repo_root, golden_dir, tmp_path, ontology, tamper, message
-):
+def test_load_report_rechecks_the_score_block(in_repo_root, golden_dir, tmp_path, tamper, message):
     tampered = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
     tamper(tampered)
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(tampered), encoding="utf-8")
-    with pytest.raises(ReportError, match=message):
-        load_report(str(bad), ontology=ontology)
+    with pytest.raises(ConfigError, match=message):
+        load_report(str(bad))
 
 
-def test_load_report_rechecks_a_report_with_skipped_instances(cfg_code, tmp_path, ontology):
+def test_load_report_rechecks_a_report_with_skipped_instances(cfg_code, tmp_path):
     path = tmp_path / "skips.json"
     run(replace(cfg_code, max_prompt_chars=1400, output_path=str(path)))
-    assert load_report(str(path), ontology=ontology)["skipped"]
+    assert load_report(str(path))["skipped"]
 
     tampered = json.loads(path.read_text(encoding="utf-8"))
     tampered["skipped"].pop()
     path.write_text(json.dumps(tampered), encoding="utf-8")
-    with pytest.raises(ReportError, match="stored score"):
-        load_report(str(path), ontology=ontology)
+    with pytest.raises(ConfigError, match="stored score"):
+        load_report(str(path))
 
 
-def test_load_report_verifies_a_text_style_report(cfg_t1, tmp_path, ontology):
+def test_load_report_verifies_a_text_style_report(cfg_t1, tmp_path):
     path = tmp_path / "t1.json"
     run(replace(cfg_t1, output_path=str(path)))
-    assert load_report(str(path), ontology=ontology)["config"]["prompt_style"] == "t1"
+    assert load_report(str(path))["config"]["prompt_style"] == "t1"
 
     tampered = json.loads(path.read_text(encoding="utf-8"))
     entry = next(e for e in tampered["instances"] if e["parsed"]["roles"])
     entry["completion"] = entry["completion"].replace('"', '"Bob ', 1)
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(tampered))
-    with pytest.raises(ReportError, match=re.escape(repr(entry["id"]))):
-        load_report(str(bad), ontology=ontology)
+    with pytest.raises(ConfigError, match=re.escape(repr(entry["id"]))):
+        load_report(str(bad))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{}", "not json", "[]", '{"config": "fixtures/ontology.yaml"}'],
+    ids=["no-config", "not-json", "not-an-object", "config-not-an-object"],
+)
+def test_load_report_rejects_a_malformed_file_naming_it(in_repo_root, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^report file {re.escape(str(bad))} is malformed: "):
+        load_report(str(bad))
+
+
+def test_load_report_rejects_a_config_without_test_path(in_repo_root, golden_dir, tmp_path):
+    report = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
+    del report["config"]["test_path"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^report file {re.escape(str(bad))} .*'test_path'"):
+        load_report(str(bad))
 
 
 # --- compare ---------------------------------------------------------------

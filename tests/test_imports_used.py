@@ -1,0 +1,41 @@
+"""Every name a module imports is read somewhere in that module.
+
+No linter is a dependency, so this walks ``src/evarg``, ``scripts`` and
+``tests`` with ``ast``. ``bench/`` is left to the benchmark's own checks.
+"""
+
+import ast
+
+from conftest import ROOT
+
+CHECKED = ("src/evarg/*.py", "scripts/*.py", "tests/*.py")
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name an import in ``source`` binds and nothing reads."""
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_the_check_finds_an_unused_import():
+    source = "import os.path\nimport sys\nfrom json import dumps as d, loads\nsys.exit(d)\n"
+    assert unused_imports(source) == [(1, "os"), (3, "loads")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for pattern in CHECKED
+        for path in sorted(ROOT.glob(pattern))
+        for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

@@ -2,10 +2,9 @@ import logging
 
 import pytest
 
+from evarg.cli import main
+from evarg.files import ConfigError
 from evarg.ontology import (
-    OntologyError,
-    OntologyParseError,
-    OntologyValidationError,
     ancestors,
     derive_class_name,
     instance_variable,
@@ -31,7 +30,7 @@ def test_resolve_accepts_raw_and_class_names(ontology):
     by_class = ontology.resolve_event("Transport")
     assert by_raw is by_class
     assert by_raw.parent == "Movement"
-    with pytest.raises(OntologyError, match="NoSuchEvent"):
+    with pytest.raises(ConfigError, match="unknown event type: 'NoSuchEvent'"):
         ontology.resolve_event("NoSuchEvent")
 
 
@@ -81,7 +80,7 @@ def test_children_query(ontology):
 
 
 def test_rejects_cycles():
-    with pytest.raises(OntologyValidationError, match="cycle"):
+    with pytest.raises(ConfigError, match="(?s)invalid ontology:.*cycle"):
         parse_ontology(
             """
 entities: []
@@ -96,8 +95,8 @@ events:
         )
 
 
-def test_rejects_unknown_parent_and_role_types():
-    with pytest.raises(OntologyValidationError) as err:
+def test_rejects_unknown_parent_and_role_types(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="invalid ontology") as err:
         parse_ontology(
             """
 entities:
@@ -117,9 +116,23 @@ events:
     assert "BOGUS" in message
     assert "{y}" in message or "y" in message  # placeholder without a role
 
+    # a type name that is a list or a mapping is an unknown type, not a crash
+    for types in ("[[PER]]", "[{PER: x}]"):
+        path = tmp_path / "roles.yaml"
+        path.write_text(
+            "entities:\n  - name: PER\n    description: a person\n"
+            f"events:\n  - name: A\n    template: t\n    roles:\n"
+            f"      - name: x\n        types: {types}\n",
+            encoding="utf-8",
+        )
+        assert main(["validate", "--ontology", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid ontology:")
+        assert "role 'x' uses unknown entity type" in err
+
 
 def test_rejects_duplicates_and_bad_identifiers():
-    with pytest.raises(OntologyValidationError) as err:
+    with pytest.raises(ConfigError, match="invalid ontology") as err:
         parse_ontology(
             """
 entities:
@@ -137,13 +150,18 @@ events:
     assert "Bad Name!" in message
 
 
-def test_rejects_unknown_top_level_keys():
-    with pytest.raises(OntologyParseError):
+def test_rejects_unknown_top_level_keys(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="unknown top-level keys"):
         parse_ontology("entities: []\nevents: []\nextras: []\n")
+    # keys of different types are listed, not compared
+    path = tmp_path / "keys.yaml"
+    path.write_text("1: a\nfoo: b\n", encoding="utf-8")
+    assert main(["validate", "--ontology", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown top-level keys: [1, 'foo']\n"
 
 
 def test_rejects_empty_description():
-    with pytest.raises(OntologyValidationError):
+    with pytest.raises(ConfigError, match="invalid ontology"):
         parse_ontology(
             """
 entities:
@@ -156,7 +174,7 @@ events: []
 
 def test_colliding_class_names_rejected():
     # distinct raw names that derive to the same class identifier
-    with pytest.raises(OntologyValidationError):
+    with pytest.raises(ConfigError, match="invalid ontology"):
         parse_ontology(
             """
 entities: []

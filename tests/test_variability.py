@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evarg.files import ConfigError
 from evarg.variability import (
-    VariabilityError,
     VectorCluster,
     load_vectors,
     pearson,
@@ -69,12 +69,12 @@ def test_positive_scaling_scales_variability(vectors, factor):
 
 
 def test_empty_cluster_rejected():
-    with pytest.raises(VariabilityError):
+    with pytest.raises(ConfigError, match="empty vector cluster"):
         VectorCluster("Transport", ())
 
 
 def test_mixed_dimensions_rejected():
-    with pytest.raises(VariabilityError):
+    with pytest.raises(ConfigError, match="dimension mismatch"):
         cluster([1.0], [1.0, 2.0])
 
 
@@ -109,7 +109,7 @@ def test_pearson_undefined_cases_return_none():
 
 
 def test_pearson_length_mismatch_raises():
-    with pytest.raises(VariabilityError):
+    with pytest.raises(ValueError, match="series length mismatch"):
         pearson([1.0, 2.0], [1.0])
 
 
@@ -156,7 +156,7 @@ def test_load_vectors_rejects_dimension_drift(tmp_path):
         '{"example_id": "a", "values": [1.0, 2.0]}\n'
         '{"example_id": "b", "values": [1.0]}\n'
     )
-    with pytest.raises(VariabilityError, match=":2"):
+    with pytest.raises(ConfigError, match=":2"):
         load_vectors(str(path))
 
 
@@ -165,23 +165,23 @@ def test_load_vectors_rejects_duplicates(tmp_path):
     path.write_text(
         '{"example_id": "a", "values": [1.0]}\n{"example_id": "a", "values": [2.0]}\n'
     )
-    with pytest.raises(VariabilityError, match="duplicate"):
+    with pytest.raises(ConfigError, match="duplicate"):
         load_vectors(str(path))
 
 
 def test_load_vectors_rejects_empty_values_and_bad_json(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text('{"example_id": "a", "values": []}\n')
-    with pytest.raises(VariabilityError, match="empty vector"):
+    with pytest.raises(ConfigError, match="empty vector"):
         load_vectors(str(empty))
     bad = tmp_path / "bad.jsonl"
     bad.write_text("nope\n")
-    with pytest.raises(VariabilityError, match="bad vector record"):
+    with pytest.raises(ConfigError, match="bad vector record"):
         load_vectors(str(bad))
 
 
 def test_load_vectors_missing_file(tmp_path):
-    with pytest.raises(VariabilityError, match="cannot read"):
+    with pytest.raises(ConfigError, match="cannot read"):
         load_vectors(str(tmp_path / "absent.jsonl"))
 
 
@@ -212,10 +212,10 @@ def test_report_correlation_none_when_flat():
 
 
 def test_report_rejects_mismatched_k_grid():
-    with pytest.raises(VariabilityError, match="grids differ"):
+    with pytest.raises(ConfigError, match="grids differ"):
         variability_report({1: [cluster([0.0])]}, {2: 0.5})
 
 
 def test_report_rejects_empty_cluster_list():
-    with pytest.raises(VariabilityError, match="no clusters"):
+    with pytest.raises(ConfigError, match="no clusters"):
         variability_report({1: []}, {1: 0.5})
