@@ -20,7 +20,7 @@ import time
 import typing
 from dataclasses import dataclass, field
 
-from .files import ConfigError, read_jsonl
+from .files import ConfigError, read_jsonl, string_field
 
 if typing.TYPE_CHECKING:
     import requests
@@ -240,12 +240,8 @@ class ReplayBackend:
         self._entries: dict[str, tuple[str, str]] = {}
 
         def add(rec: dict) -> None:
-            response, digest = rec["response"], rec["digest"]
-            text, finish = response["text"], response["finish_reason"]
-            if not all(isinstance(v, str) for v in (digest, text, finish)):
-                raise TypeError(
-                    f"digest {digest!r}, text {text!r}, finish_reason {finish!r} must be strings"
-                )
+            response, digest = rec["response"], string_field(rec, "digest")
+            text, finish = string_field(response, "text"), string_field(response, "finish_reason")
             # a digest recorded twice is served its last answer
             self._entries[digest] = (text, finish)
 

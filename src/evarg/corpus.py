@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .files import ConfigError, read_jsonl
+from .files import ConfigError, read_jsonl, string_field
 from .ontology import Ontology, ancestors, derive_class_name, siblings
 
 
@@ -89,18 +89,10 @@ def _offsets(rec: dict) -> tuple[int, int]:
     return start, end
 
 
-def _text(rec: dict, key: str, default: str | None = None) -> str:
-    """``rec[key]``, or ``default`` for a missing key when one is given; it must be a string."""
-    value = rec[key] if default is None else rec.get(key, default)
-    if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string, not {value!r}")
-    return value
-
-
 def _instance_from_record(rec: dict) -> TrainingInstance:
-    instance_id, sentence = _text(rec, "id"), _text(rec, "sentence")
+    instance_id, sentence = string_field(rec, "id"), string_field(rec, "sentence")
     trig = rec["trigger"]
-    trigger = Trigger(*_offsets(trig), surface=_text(trig, "surface"))
+    trigger = Trigger(*_offsets(trig), surface=string_field(trig, "surface"))
     if not (0 <= trigger.start <= trigger.end <= len(sentence)):
         raise ValueError(f"trigger span out of bounds for instance {instance_id!r}")
     if sentence[trigger.start : trigger.end] != trigger.surface:
@@ -121,9 +113,9 @@ def _instance_from_record(rec: dict) -> TrainingInstance:
                 )
         arguments.append(
             GoldArgument(
-                role=_text(arg, "role"),
-                surface=_text(arg, "surface"),
-                entity_type=_text(arg, "entity_type", ""),
+                role=string_field(arg, "role"),
+                surface=string_field(arg, "surface"),
+                entity_type=string_field(arg, "entity_type", ""),
                 head=head,
             )
         )
@@ -131,7 +123,7 @@ def _instance_from_record(rec: dict) -> TrainingInstance:
         id=instance_id,
         sentence=sentence,
         trigger=trigger,
-        event_type=_text(rec, "event_type"),
+        event_type=string_field(rec, "event_type"),
         arguments=tuple(arguments),
     )
 

@@ -31,7 +31,8 @@ def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None]) -> No
     """Call ``record`` on each line's value, in file order.
 
     A line that is not JSON, or whose value ``record`` rejects with a
-    ``ValueError``, ``KeyError`` or ``TypeError``, raises
+    ``ValueError``, ``KeyError``, ``TypeError`` or ``OverflowError`` (a number
+    too large for a float), raises
     ``ConfigError("path:line: bad <what> record: ...")``; a file that cannot
     be read as UTF-8 raises ``ConfigError("cannot read <what> file path: ...")``.
     """
@@ -42,12 +43,20 @@ def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None]) -> No
                     continue
                 try:
                     record(json.loads(line))
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     invalid = "invalid JSON: " if isinstance(exc, json.JSONDecodeError) else ""
                     message = f"{path}:{lineno}: bad {what} record: {invalid}{exc}"
                     raise ConfigError(message) from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def string_field(rec: dict, key: str, default: str | None = None) -> str:
+    """``rec[key]``, or ``default`` for a missing key when one is given; it must be a string."""
+    value = rec[key] if default is None else rec.get(key, default)
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, not {value!r}")
+    return value
 
 
 def parse_yaml(stream: Any) -> Any:

@@ -34,7 +34,6 @@ from .corpus import (
     Dataset,
     HierarchySplit,
     TrainingInstance,
-    _text,
     load_corpus,
     select_non_sibling,
     select_same_type,
@@ -48,7 +47,7 @@ from .emitter import (
     assemble_prompt,
     build_preamble,
 )
-from .files import ConfigError, read_jsonl
+from .files import ConfigError, read_jsonl, string_field
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import ParsedEvent, parse_completion
 from .scoring import score
@@ -149,7 +148,7 @@ def load_amr(path: str) -> dict[str, str]:
     table: dict[str, str] = {}
 
     def add(rec: dict) -> None:
-        instance_id, amr = _text(rec, "id"), _text(rec, "amr")
+        instance_id, amr = string_field(rec, "id"), string_field(rec, "amr")
         if not amr.strip():
             raise ValueError(f"empty amr for {instance_id!r}")
         table[instance_id] = amr
@@ -261,10 +260,9 @@ def _parsed_to_dict(parsed: ParsedEvent) -> dict:
     }
 
 
-def _score_block(preds: list[tuple[str, ParsedEvent]], skipped: list[dict], test: Dataset) -> dict:
-    """The report's score: each skipped instance counts as predicting nothing."""
-    unanswered = [(entry["id"], ParsedEvent()) for entry in skipped]
-    return score(preds + unanswered, test).to_dict()
+def _score_block(preds: list[tuple[str, ParsedEvent]], skipped: list[str], test: Dataset) -> dict:
+    """The report's score: each instance id in ``skipped`` counts as predicting nothing."""
+    return score(preds + [(i, ParsedEvent()) for i in skipped], test).to_dict()
 
 
 def run(cfg: RunConfig) -> dict:
@@ -329,7 +327,7 @@ def run(cfg: RunConfig) -> dict:
         "instances": instances,
         "skipped": skipped,
         "shortfall": shortfall,
-        "score": _score_block(preds, skipped, plan.test),
+        "score": _score_block(preds, [entry["id"] for entry in skipped], plan.test),
     }
     if cfg.output_path:
         write_report(report, cfg.output_path)
@@ -368,22 +366,28 @@ def load_report(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
         config = report["config"]
-        ontology_path, test_path = config["ontology_path"], config["test_path"]
+        ontology_path = string_field(config, "ontology_path")
+        test_path = string_field(config, "test_path")
+        style = PromptStyle(config.get("prompt_style", "code"))
+        entries = [
+            (*(string_field(e, key) for key in ("id", "event_type", "completion")), e["parsed"])
+            for e in report.get("instances", [])
+        ]
+        skipped_ids = [string_field(e, "id") for e in report.get("skipped", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"report file {path} is malformed: {exc!r}") from exc
     ontology = load_ontology(ontology_path)
-    style = config.get("prompt_style", "code")
     preds: list[tuple[str, ParsedEvent]] = []
-    for entry in report.get("instances", []):
-        parsed = parse_completion(entry["completion"], ontology, entry["event_type"], style)
-        if _parsed_to_dict(parsed) != entry["parsed"]:
+    for instance_id, event_type, completion, stored in entries:
+        parsed = parse_completion(completion, ontology, event_type, style)
+        if _parsed_to_dict(parsed) != stored:
             raise ConfigError(
-                f"instance {entry['id']!r}: stored parse does not match its completion"
+                f"instance {instance_id!r}: stored parse does not match its completion"
             )
-        preds.append((entry["id"], parsed))
+        preds.append((instance_id, parsed))
     test = load_corpus(test_path, "test")
     try:
-        rescored = _score_block(preds, report.get("skipped", []), test)
+        rescored = _score_block(preds, skipped_ids, test)
     except KeyError as exc:
         raise ConfigError(f"instance {exc} is not in the test corpus") from None
     if rescored != report.get("score"):

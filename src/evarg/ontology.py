@@ -18,8 +18,10 @@ from .files import ConfigError, parse_yaml
 
 logger = logging.getLogger(__name__)
 
-IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
+# every ontology name and every name a completion reader accepts; a name must fullmatch
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+IDENTIFIER_RE = re.compile(IDENTIFIER)
+PLACEHOLDER_RE = re.compile(rf"\{{({IDENTIFIER})\}}")
 
 
 def derive_class_name(type_name: str) -> str:
@@ -149,7 +151,7 @@ def _parse_entities(raw: object, problems: list[str]) -> dict[str, EntityTypeDef
             raise ConfigError(f"entities[{i}] must be a mapping")
         name = item.get("name")
         description = item.get("description")
-        if not isinstance(name, str) or not IDENTIFIER_RE.match(name):
+        if not isinstance(name, str) or not IDENTIFIER_RE.fullmatch(name):
             problems.append(f"entity name {name!r} is not a valid identifier")
             continue
         if name in out:
@@ -181,7 +183,7 @@ def _parse_events(
             problems.append(f"events[{i}] has no usable name")
             continue
         cls = derive_class_name(name)
-        if not IDENTIFIER_RE.match(cls):
+        if not IDENTIFIER_RE.fullmatch(cls):
             problems.append(f"event {name!r} derives invalid class name {cls!r}")
             continue
         if cls in by_class:
@@ -262,7 +264,7 @@ def _parse_roles(
         if not isinstance(item, dict):
             raise ConfigError(f"event {event_name!r}: each role must be a mapping")
         rname = item.get("name")
-        if not isinstance(rname, str) or not IDENTIFIER_RE.match(rname):
+        if not isinstance(rname, str) or not IDENTIFIER_RE.fullmatch(rname):
             problems.append(f"event {event_name!r}: role name {rname!r} is invalid")
             continue
         if rname in seen:

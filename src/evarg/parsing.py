@@ -15,9 +15,21 @@ Grammar for code completions:
     list       := "[" [value ("," value)*] "]"
     ctor       := IDENT "(" string ")"
 
-Strings are double-quoted; recognized escapes are \\" \\\\ \\n, anything
-else passes through literally. Bare strings and bare constructors where a
-list is expected are wrapped into singleton lists without complaint.
+for t1 completions, one role per line:
+
+    line       := IDENT ":" (string | other)*
+
+and for t2 completions, slots anywhere in the text:
+
+    slot       := "[" IDENT [":" (string | other)*] "]"
+
+where ``other`` is any character but a double quote (in a slot, nor "]").
+IDENT is ``ontology.IDENTIFIER``. A string is one rule in every style: it
+opens with a double quote, a backslash escapes any one character (a line
+break included), and the closing quote may be missing only where the input
+ends, which reads as truncation. Recognized escapes are \\" \\\\ \\n;
+any other pair passes through literally. Bare strings and bare constructors
+where a list is expected are wrapped into singleton lists without complaint.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .emitter import PromptStyle
-from .ontology import Ontology
+from .ontology import IDENTIFIER, IDENTIFIER_RE, Ontology
 
 
 class DiagnosticKind(str, Enum):
@@ -76,31 +88,20 @@ class _Token(NamedTuple):
     complete: bool
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# A string literal: a backslash escapes any one character, a line break included;
+# where the input ends, the closing quote may be missing and a lone backslash left.
+_LITERAL_BODY = r'[^"\\]*(?s:\\.[^"\\]*)*'
+_LITERAL_RE = re.compile(rf'"({_LITERAL_BODY}\\?)("?)')
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n"}
 _PUNCT = {"[": "LB", "]": "RB", "(": "LP", ")": "RP", ",": "COMMA", "=": "EQ"}
 
 
-def _lex_string(text: str, start: int) -> _Token:
-    # start points at the opening quote
-    out: list[str] = []
-    i = start + 1
-    while i < len(text):
-        ch = text[i]
-        if ch == '"':
-            return _Token("STRING", text[start : i + 1], "".join(out), True)
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt in _ESCAPES:
-                out.append(_ESCAPES[nxt])
-            else:
-                out.append(ch)
-                out.append(nxt)
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return _Token("STRING", text[start:], "".join(out), False)
+def _unescape(body: str) -> str:
+    """``body`` with \\" \\\\ \\n decoded; any other backslash pair passes through."""
+    if "\\" not in body:
+        return body
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m.group(1), m.group()), body)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -113,16 +114,16 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if ch == '"':
-            tok = _lex_string(text, i)
-            tokens.append(tok)
-            i += len(tok.text)
+            m = _LITERAL_RE.match(text, i)
+            tokens.append(_Token("STRING", m.group(), _unescape(m.group(1)), bool(m.group(2))))
+            i = m.end()
             continue
         kind = _PUNCT.get(ch)
         if kind is not None:
             tokens.append(_Token(kind, ch, ch, True))
             i += 1
             continue
-        m = _IDENT_RE.match(text, i)
+        m = IDENTIFIER_RE.match(text, i)
         if m is not None:
             tokens.append(_Token("IDENT", m.group(), m.group(), True))
             i = m.end()
@@ -169,11 +170,14 @@ class _Parser:
                 self.depth = max(0, self.depth - 1)
         return tok
 
-    def _string_value(self) -> str:
-        tok = self.advance()
-        if not tok.complete:
+    def _expect(self, kind: str, problem: str) -> _Token:
+        """Consume a ``kind`` token; end of input or an unterminated string truncates."""
+        tok = self.peek()
+        if tok.kind == "EOF" or (tok.kind == kind == "STRING" and not tok.complete):
             raise _Truncated
-        return tok.value
+        if tok.kind != kind:
+            raise _Malformed(problem)
+        return self.advance()
 
     def parse_value(self) -> list[EntityMention]:
         """One value position; always normalized to a mention list."""
@@ -184,11 +188,8 @@ class _Parser:
             return self.parse_list()
         if tok.kind == "IDENT":
             return [self.parse_ctor()]
-        if tok.kind == "STRING":
-            return [EntityMention(None, self._string_value())]
-        if tok.kind == "EOF":
-            raise _Truncated
-        raise _Malformed(f"unexpected {tok.text!r} where a value was expected")
+        problem = f"unexpected {tok.text!r} where a value was expected"
+        return [EntityMention(None, self._expect("STRING", problem).value)]
 
     def parse_list(self) -> list[EntityMention]:
         self.advance()  # LB
@@ -208,24 +209,10 @@ class _Parser:
 
     def parse_ctor(self) -> EntityMention:
         name = self.advance().value
-        tok = self.peek()
-        if tok.kind == "EOF":
-            raise _Truncated
-        if tok.kind != "LP":
-            raise _Malformed(f"expected '(' after constructor {name!r}")
-        self.advance()
-        tok = self.peek()
-        if tok.kind == "EOF":
-            raise _Truncated
-        if tok.kind != "STRING":
-            raise _Malformed(f"constructor {name!r} takes a single string literal")
-        surface = self._string_value()
-        tok = self.peek()
-        if tok.kind == "EOF":
-            raise _Truncated
-        if tok.kind != "RP":
-            raise _Malformed(f"constructor {name!r} takes a single string literal")
-        self.advance()
+        problem = f"constructor {name!r} takes a single string literal"
+        self._expect("LP", f"expected '(' after constructor {name!r}")
+        surface = self._expect("STRING", problem).value
+        self._expect("RP", problem)
         return EntityMention(name, surface)
 
     def skip_to_separator(self) -> str:
@@ -336,22 +323,19 @@ def _record_role(
 
 # --- text completions ------------------------------------------------------
 
-_T1_LINE_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$")
-_T2_SLOT_RE = re.compile(
-    r"\[\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?::((?:\"(?:\\.|[^\"\\])*\"|[^\]\"])*))?\]"
-)
+_T1_LINE_RE = re.compile(rf"^\s*({IDENTIFIER})\s*:\s*(.*)$")
+_T2_OPEN = rf"\[\s*({IDENTIFIER})"
+_T2_OPEN_RE = re.compile(_T2_OPEN)
+_T2_SLOT_RE = re.compile(rf'{_T2_OPEN}\s*(?::((?:"{_LITERAL_BODY}"|[^\]"])*))?\]')
 
 
 def _literals(text: str) -> tuple[list[str], bool]:
     """The string literals in ``text``, unescaped, and whether the last is cut off."""
     values: list[str] = []
-    start = text.find('"')
-    while start >= 0:
-        tok = _lex_string(text, start)
-        if not tok.complete:
+    for m in _LITERAL_RE.finditer(text):
+        if not m.group(2):
             return values, True
-        values.append(tok.value)
-        start = text.find('"', start + len(tok.text))
+        values.append(_unescape(m.group(1)))
     return values, False
 
 
@@ -390,7 +374,7 @@ def _parse_t2(text: str, event: ParsedEvent, known_roles: set[str], o: Ontology)
         _record_role(event, name, [EntityMention(None, s) for s in surfaces], known_roles, o)
     tail = text[last_end:]
     if "[" in tail:
-        name_m = re.search(r"\[\s*([A-Za-z_][A-Za-z0-9_]*)", tail)
+        name_m = _T2_OPEN_RE.search(tail)
         detail = f"input ends inside argument {name_m.group(1)!r}" if name_m else "unclosed slot"
         event.diagnostics.append(Diagnostic(DiagnosticKind.TRUNCATED, detail))
     elif not matched_any and text.strip():

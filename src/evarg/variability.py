@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .files import ConfigError, read_jsonl, read_yaml
+from .files import ConfigError, read_jsonl, read_yaml, string_field
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,16 @@ def pearson(xs: list[float], ys: list[float]) -> float | None:
 
 
 def load_vectors(path: str) -> dict[str, tuple[float, ...]]:
-    """Read {example_id, values} records; all dimensions must agree."""
+    """Read {example_id: str, values: [finite int or float]} records, all of one dimension."""
     vectors: dict[str, tuple[float, ...]] = {}
 
     def add(rec: dict) -> None:
-        example_id = rec["example_id"]
-        values = tuple(float(v) for v in rec["values"])
+        example_id, raw = string_field(rec, "example_id"), rec["values"]
+        if not isinstance(raw, list) or not all(type(v) in (int, float) for v in raw):
+            raise TypeError(f"values must be a list of numbers, not {raw!r}")
+        values = tuple(map(float, raw))
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"values must be finite, not {raw!r}")
         if not values:
             raise ValueError("empty vector")
         dim = len(next(iter(vectors.values()), values))

@@ -529,14 +529,47 @@ def test_load_report_verifies_a_text_style_report(cfg_t1, tmp_path):
         load_report(str(bad))
 
 
+def _golden_with(edit):
+    """The golden report, as text, after ``edit`` changes it in place."""
+
+    def text(golden: dict) -> str:
+        edit(golden)
+        return json.dumps(golden)
+
+    return text
+
+
 @pytest.mark.parametrize(
-    "text",
-    ["{}", "not json", "[]", '{"config": "fixtures/ontology.yaml"}'],
-    ids=["no-config", "not-json", "not-an-object", "config-not-an-object"],
+    "make_text",
+    [
+        lambda golden: "{}",
+        lambda golden: "not json",
+        lambda golden: "[]",
+        lambda golden: '{"config": "fixtures/ontology.yaml"}',
+        _golden_with(lambda r: r["instances"][0].pop("completion")),
+        _golden_with(lambda r: r["config"].update(ontology_path=5)),
+        _golden_with(lambda r: r["config"].update(prompt_style="t3")),
+        _golden_with(lambda r: r.update(instances=5)),
+        _golden_with(lambda r: r.update(skipped=[{"prompt_chars": 10}])),
+    ],
+    ids=[
+        "no-config",
+        "not-json",
+        "not-an-object",
+        "config-not-an-object",
+        "instance-without-completion",
+        "ontology-path-not-a-string",
+        "unknown-prompt-style",
+        "instances-not-a-list",
+        "skipped-without-id",
+    ],
 )
-def test_load_report_rejects_a_malformed_file_naming_it(in_repo_root, tmp_path, text):
+def test_load_report_rejects_a_malformed_file_naming_it(
+    in_repo_root, golden_dir, tmp_path, make_text
+):
+    golden = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
     bad = tmp_path / "bad.json"
-    bad.write_text(text, encoding="utf-8")
+    bad.write_text(make_text(golden), encoding="utf-8")
     with pytest.raises(ConfigError, match=f"^report file {re.escape(str(bad))} is malformed: "):
         load_report(str(bad))
 

@@ -1,7 +1,9 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and no
+module of the package imports another's underscore-prefixed name.
 
 No linter is a dependency, so this walks ``src/evarg``, ``scripts`` and
 ``tests`` with ``ast``. ``bench/`` is left to the benchmark's own checks.
+Tests may import private names: they check the module that defines them.
 """
 
 import ast
@@ -26,6 +28,18 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each underscore-prefixed name ``source`` imports from an evarg module."""
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "evarg")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
 def test_the_check_finds_an_unused_import():
     source = "import os.path\nimport sys\nfrom json import dumps as d, loads\nsys.exit(d)\n"
     assert unused_imports(source) == [(1, "os"), (3, "loads")]
@@ -37,5 +51,22 @@ def test_no_module_imports_a_name_it_never_uses():
         for pattern in CHECKED
         for path in sorted(ROOT.glob(pattern))
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_the_check_finds_a_private_import_from_the_package():
+    source = (
+        "from ._x import a\nfrom .corpus import _text, b\nfrom evarg.y import _c\n"
+        "from os import _exit\nfrom . import _d\n"
+    )
+    assert private_imports(source) == [(2, "_text"), (3, "_c"), (5, "_d")]
+
+
+def test_no_package_module_imports_another_modules_private_name():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted(ROOT.glob("src/evarg/*.py"))
+        for line, name in private_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []

@@ -1,3 +1,4 @@
+import json
 import logging
 
 import pytest
@@ -131,7 +132,7 @@ events:
         assert "role 'x' uses unknown entity type" in err
 
 
-def test_rejects_duplicates_and_bad_identifiers():
+def test_rejects_duplicates_and_bad_identifiers(tmp_path, capsys):
     with pytest.raises(ConfigError, match="invalid ontology") as err:
         parse_ontology(
             """
@@ -148,6 +149,26 @@ events:
     message = str(err.value)
     assert "PER" in message
     assert "Bad Name!" in message
+
+    # a name must be an identifier as a whole: a trailing line break is not one
+    names = {"entity": "PER", "event": "Move", "role": "x"}
+    for where, problem in [
+        ("entity", "entity name 'PER\\n' is not a valid identifier"),
+        ("event", "event 'Move\\n' derives invalid class name 'Move\\n'"),
+        ("role", "event 'Move': role name 'x\\n' is invalid"),
+    ]:
+        name = {**names, where: names[where] + "\n"}
+        path = tmp_path / "names.yaml"
+        path.write_text(
+            f"entities:\n  - name: {json.dumps(name['entity'])}\n    description: a person\n"
+            f"events:\n  - name: {json.dumps(name['event'])}\n    template: t\n    roles:\n"
+            f"      - name: {json.dumps(name['role'])}\n        types: [PER]\n",
+            encoding="utf-8",
+        )
+        assert main(["validate", "--ontology", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid ontology:")
+        assert problem in err
 
 
 def test_rejects_unknown_top_level_keys(tmp_path, capsys):

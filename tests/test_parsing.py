@@ -7,6 +7,8 @@ from evarg.parsing import (
     DiagnosticKind,
     EntityMention,
     ParsedEvent,
+    _literals,
+    _tokenize,
     parse_completion,
 )
 
@@ -245,6 +247,45 @@ def test_rendered_arguments_round_trip(ontology, kwargs):
     assert event.diagnostics == []
 
 
+def _reference_strings(text):
+    """(text, value, complete) of each string literal, read one character at a time."""
+    found = []
+    start = text.find('"')
+    while start >= 0:
+        chars, complete, i = [], False, start + 1
+        while i < len(text):
+            ch = text[i]
+            if ch == '"':
+                complete, i = True, i + 1
+                break
+            if ch == "\\" and i + 1 < len(text):
+                chars.append({'"': '"', "\\": "\\", "n": "\n"}.get(text[i + 1], text[i : i + 2]))
+                i += 2
+                continue
+            chars.append(ch)
+            i += 1
+        found.append((text[start:i], "".join(chars), complete))
+        start = text.find('"', i)
+    return found
+
+
+# quotes, backslashes and line breaks, each drawn more often than the rest
+_LITERAL_TEXT = st.lists(
+    st.sampled_from(['"'] * 3 + ["\\"] * 3 + ["\n"] * 2 + ["\u2028", "\x85", "n", "a", " ", "("]),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(_LITERAL_TEXT)
+def test_every_reader_lexes_strings_as_the_reference_reader_does(text):
+    expected = _reference_strings(text)
+    lexed = [(tok.text, tok.value, tok.complete) for tok in _tokenize(text) if tok.kind == "STRING"]
+    assert lexed == expected
+    cut_off = bool(expected) and not expected[-1][2]
+    assert _literals(text) == ([value for _, value, complete in expected if complete], cut_off)
+
+
 # --- text styles -----------------------------------------------------------
 
 # surfaces mixing plain text with quotes, escapes and the characters that
@@ -347,6 +388,17 @@ def test_t2_unclosed_slot_is_truncation(ontology):
     assert event.roles == {"agent": [EntityMention(None, "Kim")]}
     assert event.has(DiagnosticKind.TRUNCATED)
     assert "desti" in event.diagnostics[-1].detail
+
+
+def test_t2_literal_holding_an_escaped_line_break_is_kept(ontology):
+    event = parse_completion(' [agent: "a\\\nb"] moved [artifact: "c"]', ontology, ET, "t2")
+    assert event.roles == {
+        "agent": [EntityMention(None, "a\\\nb")],
+        "artifact": [EntityMention(None, "c")],
+    }
+    assert event.diagnostics == []
+    code = parse('agent=[PER("a\\\nb")])', ontology)
+    assert code.roles == {"agent": [EntityMention("PER", "a\\\nb")]}
 
 
 def test_t2_prose_without_slots_flagged(ontology):

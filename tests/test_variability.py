@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,19 @@ def test_load_vectors_rejects_empty_values_and_bad_json(tmp_path):
     bad.write_text("nope\n")
     with pytest.raises(ConfigError, match="bad vector record"):
         load_vectors(str(bad))
+    # values must be a list of finite numbers and the id a string, as a grid names it
+    for record in (
+        '{"example_id": "a", "values": "123"}',
+        '{"example_id": "a", "values": [true, false, 1]}',
+        '{"example_id": 5, "values": [1.0]}',
+        '{"example_id": "a", "values": [1%s]}' % ("0" * 400),
+        '{"example_id": "a", "values": [NaN]}',
+        '{"example_id": "a", "values": [1.0, -Infinity]}',
+        '{"example_id": "a", "values": [1e999]}',
+    ):
+        bad.write_text('{"example_id": "z", "values": [0.0]}\n' + record + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(bad))}:2: bad vector record: "):
+            load_vectors(str(bad))
 
 
 def test_load_vectors_missing_file(tmp_path):
