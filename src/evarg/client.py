@@ -1,13 +1,12 @@
 """Completion backends: HTTP completions endpoint and record/replay fixtures.
 
-All backends serve ``CompletionRequest -> CompletionResponse``. The
-module-level ``complete`` wrapper re-applies stop-pattern truncation on
-the client side regardless of what the server did, so replayed fixtures
-and live calls agree byte for byte. Requests are keyed by a sha256
-digest over the prompt and every decoding setting; fixture files are
-newline-delimited JSON records of digest, request summary, and response.
-Credentials never enter fixtures: the HTTP backend reads its key from an
-environment variable and stores only a prompt hash in recordings.
+Every backend serves ``complete(req, digest)``, ``digest`` being
+``request_digest(req)``: a sha256 over the prompt and every decoding
+setting, which keys the fixture files' JSON lines of digest, request
+summary, and response. The module-level ``complete`` wrapper re-applies
+stop-pattern truncation client-side, so replayed fixtures and live calls
+agree byte for byte. Credentials never enter fixtures: the HTTP backend
+reads its key from the environment and records only a prompt hash.
 """
 
 from __future__ import annotations
@@ -140,38 +139,39 @@ def truncate_at_stop(text: str, stop_patterns: tuple[str, ...]) -> tuple[str, bo
     return text[:cut], True
 
 
-def complete(backend, req: CompletionRequest, digest: str | None = None) -> CompletionResponse:
+def complete(backend, req: CompletionRequest, digest: str) -> CompletionResponse:
     """Obtain a completion and enforce stop truncation client-side.
 
-    ``digest``, ``request_digest(req)`` when the caller has it, is handed
-    on so a fixture lookup need not hash the request again.
+    ``digest`` is ``request_digest(req)``, hashed once by the caller and
+    handed on so a fixture lookup need not hash the request again.
     """
-    resp = backend.complete(req) if digest is None else backend.complete(req, digest)
+    resp = backend.complete(req, digest)
     text, hit = truncate_at_stop(resp.text, req.stop_patterns)
     finish = "stop" if hit else resp.finish_reason
     return CompletionResponse(text=text, finish_reason=finish, latency_ms=resp.latency_ms)
+
+
+PATH = "/v1/completions"
+API_KEY_ENV = "EVARG_API_KEY"
+TIMEOUT_S = 60.0
+MAX_RETRIES = 6
+BACKOFF_BASE_S = 1.0
+BACKOFF_CAP_S = 32.0
 
 
 @dataclass
 class HttpBackend:
     """OpenAI-style completions endpoint.
 
-    POSTs {model, prompt, max_tokens, temperature, stop} to
-    endpoint + path. The bearer token is read from the environment
-    variable named by api_key_env at call time. ``complete`` takes the
-    request digest as the fixture backends do, and has no use for it.
-    ``requests`` is imported when a backend is built without a session
-    and by ``complete``, not with the module, so a replay run never loads
-    the HTTP stack.
+    POSTs {model, prompt, max_tokens, temperature, stop} to endpoint +
+    ``PATH`` with the bearer token in ``API_KEY_ENV`` at call time, and
+    retries 429, 5xx and transport errors with backoff. ``complete`` has
+    no use for the digest. ``requests`` is imported when a backend is
+    built without a session and by ``complete``, not with the module, so
+    a replay run never loads the HTTP stack.
     """
 
     endpoint: str
-    path: str = "/v1/completions"
-    api_key_env: str = "EVARG_API_KEY"
-    timeout_s: float = 60.0
-    max_retries: int = 6
-    backoff_base_s: float = 1.0
-    backoff_cap_s: float = 32.0
     session: requests.Session | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -180,11 +180,11 @@ class HttpBackend:
 
             self.session = requests.Session()
 
-    def complete(self, req: CompletionRequest, digest: str | None = None) -> CompletionResponse:
+    def complete(self, req: CompletionRequest, digest: str) -> CompletionResponse:
         import requests
 
         headers = {}
-        key = os.environ.get(self.api_key_env)
+        key = os.environ.get(API_KEY_ENV)
         if key:
             headers["Authorization"] = f"Bearer {key}"
         body = {
@@ -194,15 +194,14 @@ class HttpBackend:
             "temperature": req.temperature,
             "stop": list(req.stop_patterns),
         }
-        url = self.endpoint.rstrip("/") + self.path
+        url = self.endpoint.rstrip("/") + PATH
         last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                delay = min(self.backoff_base_s * 2 ** (attempt - 1), self.backoff_cap_s)
-                time.sleep(delay)
+                time.sleep(min(BACKOFF_BASE_S * 2 ** (attempt - 1), BACKOFF_CAP_S))
             started = time.monotonic()
             try:
-                http = self.session.post(url, json=body, headers=headers, timeout=self.timeout_s)
+                http = self.session.post(url, json=body, headers=headers, timeout=TIMEOUT_S)
             except requests.RequestException as exc:
                 last_error = exc
                 continue
@@ -250,9 +249,7 @@ class ReplayBackend:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def complete(self, req: CompletionRequest, digest: str | None = None) -> CompletionResponse:
-        if digest is None:
-            digest = request_digest(req)
+    def complete(self, req: CompletionRequest, digest: str) -> CompletionResponse:
         try:
             text, finish = self._entries[digest]
         except KeyError:
@@ -264,7 +261,10 @@ class ReplayBackend:
 
 
 class RecordingBackend(ReplayBackend):
-    """Serves the fixture file's answers; asks a live backend for the rest and appends them."""
+    """Serves the fixture file's answers; asks a live backend for the rest and appends them.
+
+    Threads that miss one digest at once are all served the first answer appended.
+    """
 
     def __init__(self, inner, fixture_path: str):
         try:
@@ -275,30 +275,30 @@ class RecordingBackend(ReplayBackend):
         self.inner = inner
         self._lock = threading.Lock()
 
-    def complete(self, req: CompletionRequest, digest: str | None = None) -> CompletionResponse:
-        try:
-            return super().complete(req, digest)
-        except MissingFixtures as miss:
-            [digest] = miss.digests
-        resp = self.inner.complete(req)
-        record = {
-            "digest": digest,
-            "request": {
-                "model_id": req.model_id,
-                "max_new_tokens": req.max_new_tokens,
-                "temperature": req.temperature,
-                "stop_patterns": list(req.stop_patterns),
-                "prompt_sha256": hashlib.sha256(req.prompt.encode("utf-8")).hexdigest(),
-                "prompt_chars": len(req.prompt),
-            },
-            "response": {"text": resp.text, "finish_reason": resp.finish_reason},
-        }
-        with self._lock:
-            if digest not in self._entries:
-                with open(self.fixture_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-                self._entries[digest] = (resp.text, resp.finish_reason)
-        return resp
+    def complete(self, req: CompletionRequest, digest: str) -> CompletionResponse:
+        latency = 0
+        if digest not in self._entries:
+            resp = self.inner.complete(req, digest)
+            latency = resp.latency_ms
+            record = {
+                "digest": digest,
+                "request": {
+                    "model_id": req.model_id,
+                    "max_new_tokens": req.max_new_tokens,
+                    "temperature": req.temperature,
+                    "stop_patterns": list(req.stop_patterns),
+                    "prompt_sha256": hashlib.sha256(req.prompt.encode("utf-8")).hexdigest(),
+                    "prompt_chars": len(req.prompt),
+                },
+                "response": {"text": resp.text, "finish_reason": resp.finish_reason},
+            }
+            with self._lock:
+                if digest not in self._entries:
+                    with open(self.fixture_path, "a", encoding="utf-8") as fh:
+                        fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                    self._entries[digest] = (resp.text, resp.finish_reason)
+        text, finish = self._entries[digest]
+        return CompletionResponse(text=text, finish_reason=finish, latency_ms=latency)
 
     def close(self) -> None:
         self.inner.close()

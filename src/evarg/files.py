@@ -15,12 +15,14 @@ accept the same safe subset.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Any, Callable
 
 import yaml
 
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD]")  # only an escape puts a surrogate in a string
 
 
 class ConfigError(Exception):
@@ -30,10 +32,10 @@ class ConfigError(Exception):
 def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None]) -> None:
     """Call ``record`` on each line's value, in file order.
 
-    A line that is not JSON, or whose value ``record`` rejects with a
-    ``ValueError``, ``KeyError``, ``TypeError`` or ``OverflowError`` (a number
-    too large for a float), raises
-    ``ConfigError("path:line: bad <what> record: ...")``; a file that cannot
+    A line that is not JSON, whose strings hold a lone surrogate, or whose
+    value ``record`` rejects with a ``ValueError``, ``KeyError``,
+    ``TypeError`` or ``OverflowError`` (a number too large for a float),
+    raises ``ConfigError("path:line: bad <what> record: ...")``; a file that cannot
     be read as UTF-8 raises ``ConfigError("cannot read <what> file path: ...")``.
     """
     try:
@@ -42,7 +44,10 @@ def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None]) -> No
                 if not line.strip():
                     continue
                 try:
-                    record(json.loads(line))
+                    value = json.loads(line)
+                    if "\\" in line and _SURROGATE_ESCAPE.search(line):  # the cheap test first
+                        json.dumps(value, ensure_ascii=False).encode("utf-8")  # a lone one raises
+                    record(value)
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     invalid = "invalid JSON: " if isinstance(exc, json.JSONDecodeError) else ""
                     message = f"{path}:{lineno}: bad {what} record: {invalid}{exc}"
@@ -59,16 +64,11 @@ def string_field(rec: dict, key: str, default: str | None = None) -> str:
     return value
 
 
-def parse_yaml(stream: Any) -> Any:
-    """The YAML document in ``stream``, a string or text file; raises ``yaml.YAMLError``."""
-    return yaml.load(stream, Loader=YAML_LOADER)
-
-
-def read_yaml(path: str, what: str) -> Any:
+def read_yaml(path: str | Path, what: str) -> Any:
     """The YAML document in ``path``; an unreadable or invalid file raises ``ConfigError``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_yaml(fh)
+            return yaml.load(fh, Loader=YAML_LOADER)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -12,9 +12,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
-from .files import ConfigError, parse_yaml
+from .files import ConfigError, read_yaml
 
 logger = logging.getLogger(__name__)
 
@@ -113,19 +111,7 @@ def siblings(ontology: Ontology, event_type: str) -> set[str]:
 
 def load_ontology(path: str | Path) -> Ontology:
     """Load and validate an ontology document from ``path``."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read ontology file {path}: {exc}") from exc
-    return parse_ontology(text)
-
-
-def parse_ontology(text: str) -> Ontology:
-    """Parse and validate an ontology document given as a string."""
-    try:
-        doc = parse_yaml(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"malformed ontology document: {exc}") from exc
+    doc = read_yaml(path, "ontology")
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):

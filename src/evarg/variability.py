@@ -58,17 +58,25 @@ def pearson(xs: list[float], ys: list[float]) -> float | None:
     return max(-1.0, min(1.0, cov / sx / sy))
 
 
+def _finite(value) -> float:
+    """``value``, an int or float but not a bool, as a finite float (or ``OverflowError``)."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
+
+
 def load_vectors(path: str) -> dict[str, tuple[float, ...]]:
     """Read {example_id: str, values: [finite int or float]} records, all of one dimension."""
     vectors: dict[str, tuple[float, ...]] = {}
 
     def add(rec: dict) -> None:
         example_id, raw = string_field(rec, "example_id"), rec["values"]
-        if not isinstance(raw, list) or not all(type(v) in (int, float) for v in raw):
+        if not isinstance(raw, list):
             raise TypeError(f"values must be a list of numbers, not {raw!r}")
-        values = tuple(map(float, raw))
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"values must be finite, not {raw!r}")
+        values = tuple(map(_finite, raw))
         if not values:
             raise ValueError("empty vector")
         dim = len(next(iter(vectors.values()), values))
@@ -113,7 +121,7 @@ def load_grid(
     """Read a grid file into ``variability_report``'s two arguments.
 
     The file maps ``clusters`` to {k: {event type: [example id]}} and
-    ``arg_c_f1`` to {k: F1}; every id must have a vector in ``vectors``.
+    ``arg_c_f1`` to {k: finite F1}; every id must have a vector in ``vectors``.
     """
     grid = read_yaml(path, "grid")
     try:
@@ -121,8 +129,8 @@ def load_grid(
             grid["clusters"],
             lambda by_type: [_cluster(t, ids, vectors) for t, ids in sorted(by_type.items())],
         )
-        arg_c_per_k = _per_k(grid["arg_c_f1"], float)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        arg_c_per_k = _per_k(grid["arg_c_f1"], _finite)
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"grid file {path} is malformed: {exc!r}") from exc
     return clusters_per_k, arg_c_per_k
 

@@ -434,6 +434,10 @@ def _grid(**overrides) -> bytes:
         ("grid", _grid(clusters={"two": {"Transport": ["train-001"]}})),
         ("grid", _grid(clusters={1: [["train-001"]]})),
         ("grid", _grid(arg_c_f1={1: "high"})),
+        ("grid", _grid(arg_c_f1={1: float("nan")})),
+        ("grid", _grid(arg_c_f1={1: True})),
+        ("grid", _grid(arg_c_f1={1: "0.5"})),
+        ("grid", _grid(arg_c_f1={1: 10**400})),
         ("grid", _grid(clusters={1: {"Transport": "train-001"}})),
         ("grid", _grid(clusters={1.5: {"Transport": ["train-001"]}})),
         ("grid", _grid(clusters={True: {"Transport": ["train-001"]}})),
@@ -445,6 +449,10 @@ def _grid(**overrides) -> bytes:
         "k-not-an-integer",
         "cluster-table-a-list",
         "f1-not-a-number",
+        "f1-nan",
+        "f1-a-bool",
+        "f1-a-numeric-string",
+        "f1-too-large-for-a-float",
         "ids-a-string",
         "k-a-float",
         "k-a-bool",

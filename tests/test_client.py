@@ -1,15 +1,26 @@
 import hashlib
 import json
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+import requests
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import evarg.client
+from conftest import ROOT
 from evarg.client import (
+    API_KEY_ENV,
+    BACKOFF_BASE_S,
+    BACKOFF_CAP_S,
+    MAX_RETRIES,
+    PATH,
+    TIMEOUT_S,
     BackendError,
     CompletionRequest,
     CompletionResponse,
@@ -25,6 +36,7 @@ from evarg.client import (
 from evarg.files import ConfigError
 
 REQ = CompletionRequest(prompt="hello", stop_patterns=('"""', "class"))
+DIGEST = request_digest(REQ)
 
 
 # --- digests ---------------------------------------------------------------
@@ -151,20 +163,20 @@ def test_truncate_idempotent_and_clean(text, patterns):
 
 def test_complete_wrapper_truncates_and_marks_stop():
     class Fixed:
-        def complete(self, req):
+        def complete(self, req, digest):
             return CompletionResponse(text='x)\nclass Tail', finish_reason="length")
 
-    resp = complete(Fixed(), REQ)
+    resp = complete(Fixed(), REQ, DIGEST)
     assert resp.text == "x)\n"
     assert resp.finish_reason == "stop"
 
 
 def test_complete_wrapper_keeps_backend_finish_when_no_hit():
     class Fixed:
-        def complete(self, req):
+        def complete(self, req, digest):
             return CompletionResponse(text="plain", finish_reason="length")
 
-    resp = complete(Fixed(), REQ)
+    resp = complete(Fixed(), REQ, DIGEST)
     assert resp.text == "plain"
     assert resp.finish_reason == "length"
 
@@ -188,7 +200,7 @@ def test_replay_round_trip(tmp_path):
     _write_fixture(path, [(request_digest(REQ), "answer)", "stop")])
     backend = ReplayBackend(str(path))
     assert len(backend) == 1
-    resp = backend.complete(REQ)
+    resp = backend.complete(REQ, DIGEST)
     assert (resp.text, resp.finish_reason) == ("answer)", "stop")
 
 
@@ -196,7 +208,7 @@ def test_replay_miss_carries_digest(tmp_path):
     path = tmp_path / "f.jsonl"
     _write_fixture(path, [])
     with pytest.raises(MissingFixtures) as err:
-        ReplayBackend(str(path)).complete(REQ)
+        ReplayBackend(str(path)).complete(REQ, DIGEST)
     assert err.value.digests == [request_digest(REQ)]
     assert request_digest(REQ) in str(err.value)
 
@@ -207,7 +219,7 @@ def test_replay_last_entry_wins(tmp_path):
     _write_fixture(path, [(digest, "old", "stop"), (digest, "new", "stop")])
     backend = ReplayBackend(str(path))
     assert len(backend) == 1
-    assert backend.complete(REQ).text == "new"
+    assert backend.complete(REQ, DIGEST).text == "new"
 
 
 def test_replay_missing_file_is_config_error(tmp_path):
@@ -234,13 +246,46 @@ def test_shipped_fixture_loads(fixtures_dir):
     assert len(backend) == 24
 
 
-# --- HTTP backend against a local stub -------------------------------------
+# --- HTTP backend against a local stub or a scripted session ---------------
 
 
-def _fast_backend(stub, **kwargs):
-    kwargs.setdefault("backoff_base_s", 0.01)
-    kwargs.setdefault("backoff_cap_s", 0.02)
-    return HttpBackend(endpoint=stub.url, **kwargs)
+class ScriptedSession:
+    """A ``requests.Session`` stand-in: each post gets the next status, or raises it."""
+
+    def __init__(self, *outcomes):
+        self.outcomes = list(outcomes)
+        self.timeouts = []
+
+    def post(self, url, json, headers, timeout):
+        self.timeouts.append(timeout)
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        body = {"choices": [{"text": "late", "finish_reason": "stop"}]}
+        return SimpleNamespace(status_code=outcome, text="", json=lambda: body)
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The backoff delays ``HttpBackend`` asks for, in order; none is slept."""
+    slept = []
+    fake_time = SimpleNamespace(sleep=slept.append, monotonic=time.monotonic)
+    monkeypatch.setattr(evarg.client, "time", fake_time)
+    return slept
+
+
+def test_readme_backends_section_states_the_client_constants():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Backends\n", 1)[1].split("\n## ", 1)[0]
+    prose = " ".join(section.split())
+    for stated in (
+        f"(`POST <endpoint>{PATH}`)",
+        f"at most {TIMEOUT_S:g} s for each response",
+        f"from the `{API_KEY_ENV}` environment variable",
+        f"retried up to {MAX_RETRIES} times",
+        f"backoff of {BACKOFF_BASE_S:g} s, doubling, capped at {BACKOFF_CAP_S:g} s",
+    ):
+        assert stated in prose
 
 
 def test_http_posts_openai_shaped_body(stub, monkeypatch):
@@ -248,7 +293,7 @@ def test_http_posts_openai_shaped_body(stub, monkeypatch):
     stub.script.append(
         (200, {"choices": [{"text": "agent=)", "finish_reason": "stop"}]})
     )
-    resp = _fast_backend(stub).complete(REQ)
+    resp = HttpBackend(endpoint=stub.url).complete(REQ, DIGEST)
     assert resp.text == "agent=)"
     assert resp.finish_reason == "stop"
     sent = stub.requests[0]
@@ -265,19 +310,20 @@ def test_http_posts_openai_shaped_body(stub, monkeypatch):
 
 def test_http_sends_bearer_token_from_env(stub, monkeypatch):
     monkeypatch.setenv("EVARG_API_KEY", "sk-test-secret-123")
-    _fast_backend(stub).complete(REQ)
+    HttpBackend(endpoint=stub.url).complete(REQ, DIGEST)
     assert stub.requests[0]["auth"] == "Bearer sk-test-secret-123"
 
 
-def test_http_auth_failure_is_not_retried(stub, monkeypatch):
+def test_http_auth_failure_is_not_retried(stub, monkeypatch, sleeps):
     monkeypatch.delenv("EVARG_API_KEY", raising=False)
     stub.script.append((401, {"error": "no"}))
     with pytest.raises(BackendError, match="rejected credential"):
-        _fast_backend(stub).complete(REQ)
+        HttpBackend(endpoint=stub.url).complete(REQ, DIGEST)
     assert len(stub.requests) == 1
+    assert sleeps == []
 
 
-def test_http_retries_server_errors_then_succeeds(stub, monkeypatch):
+def test_http_retries_server_errors_then_succeeds(stub, monkeypatch, sleeps):
     monkeypatch.delenv("EVARG_API_KEY", raising=False)
     stub.script.extend(
         [
@@ -286,25 +332,59 @@ def test_http_retries_server_errors_then_succeeds(stub, monkeypatch):
             (200, {"choices": [{"text": "late", "finish_reason": "stop"}]}),
         ]
     )
-    resp = _fast_backend(stub).complete(REQ)
+    resp = HttpBackend(endpoint=stub.url).complete(REQ, DIGEST)
     assert resp.text == "late"
     assert len(stub.requests) == 3
+    assert sleeps == [1.0, 2.0]
 
 
-def test_http_retries_exhausted(stub, monkeypatch):
+def test_http_retries_exhausted(stub, monkeypatch, sleeps):
     monkeypatch.delenv("EVARG_API_KEY", raising=False)
-    stub.script.extend([(500, {}), (500, {})])
+    stub.set_default(500, {})
     with pytest.raises(BackendError, match="retries exhausted"):
-        _fast_backend(stub, max_retries=1).complete(REQ)
-    assert len(stub.requests) == 2
+        HttpBackend(endpoint=stub.url).complete(REQ, DIGEST)
+    assert len(stub.requests) == 7
+    assert sleeps == [1, 2, 4, 8, 16, 32]
 
 
-def test_http_client_error_fails_immediately(stub, monkeypatch):
+def test_http_backoff_is_capped(monkeypatch, sleeps):
+    monkeypatch.setattr(evarg.client, "MAX_RETRIES", 8)
+    session = ScriptedSession(*[503] * 9)
+    with pytest.raises(BackendError, match="retries exhausted"):
+        HttpBackend(endpoint="http://localhost", session=session).complete(REQ, DIGEST)
+    assert sleeps == [1, 2, 4, 8, 16, 32, 32, 32]
+
+
+def test_http_client_error_fails_immediately(stub, monkeypatch, sleeps):
     monkeypatch.delenv("EVARG_API_KEY", raising=False)
     stub.script.append((400, {"error": "bad request"}))
     with pytest.raises(BackendError, match="HTTP 400"):
-        _fast_backend(stub).complete(REQ)
+        HttpBackend(endpoint=stub.url).complete(REQ, DIGEST)
     assert len(stub.requests) == 1
+    assert sleeps == []
+
+
+TRANSIENT_FAILURES = [
+    429, 500, 502, 503, 504, requests.ConnectionError("refused"), requests.Timeout("slow"),
+]
+
+
+@pytest.mark.parametrize("failure", TRANSIENT_FAILURES, ids=repr)
+def test_http_retries_rate_limits_server_and_transport_errors(failure, sleeps):
+    session = ScriptedSession(failure, failure, 200)
+    resp = HttpBackend(endpoint="http://localhost", session=session).complete(REQ, DIGEST)
+    assert resp.text == "late"
+    assert sleeps == [1, 2]
+    assert session.timeouts == [60.0] * 3
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404])
+def test_http_client_errors_are_not_retried(status, sleeps):
+    session = ScriptedSession(status, 200)
+    with pytest.raises(BackendError, match=f"HTTP {status}"):
+        HttpBackend(endpoint="http://localhost", session=session).complete(REQ, DIGEST)
+    assert session.timeouts == [60.0]
+    assert sleeps == []
 
 
 MALFORMED_BODIES = (
@@ -318,26 +398,24 @@ MALFORMED_BODIES = (
 
 def test_http_malformed_success_body(stub, monkeypatch):
     monkeypatch.delenv("EVARG_API_KEY", raising=False)
-    backend = _fast_backend(stub)
+    backend = HttpBackend(endpoint=stub.url)
     for body in MALFORMED_BODIES:
         stub.script.append((200, body))
         with pytest.raises(BackendError, match="malformed completion response"):
-            backend.complete(REQ)
+            backend.complete(REQ, DIGEST)
     assert len(stub.requests) == len(MALFORMED_BODIES)
 
 
 def test_http_unknown_finish_reason_normalized(stub, monkeypatch):
     monkeypatch.delenv("EVARG_API_KEY", raising=False)
     stub.script.append((200, {"choices": [{"text": "x"}]}))
-    assert _fast_backend(stub).complete(REQ).finish_reason == "length"
+    assert HttpBackend(endpoint=stub.url).complete(REQ, DIGEST).finish_reason == "length"
 
 
-def test_http_connection_refused_retries_then_fails():
-    backend = HttpBackend(
-        endpoint="http://127.0.0.1:9", max_retries=1, backoff_base_s=0.01
-    )
+def test_http_connection_refused_retries_then_fails(sleeps):
     with pytest.raises(BackendError, match="retries exhausted"):
-        backend.complete(REQ)
+        HttpBackend(endpoint="http://127.0.0.1:9").complete(REQ, DIGEST)
+    assert sleeps == [1, 2, 4, 8, 16, 32]
 
 
 # --- record then replay ----------------------------------------------------
@@ -349,28 +427,29 @@ def test_record_then_replay_is_byte_identical(stub, tmp_path, monkeypatch):
     stub.script.append((200, {"choices": [{"text": raw, "finish_reason": "stop"}]}))
     path = tmp_path / "rec.jsonl"
 
-    recorder = RecordingBackend(_fast_backend(stub), str(path))
-    live = complete(recorder, REQ)
+    recorder = RecordingBackend(HttpBackend(endpoint=stub.url), str(path))
+    live = complete(recorder, REQ, DIGEST)
     assert live.text == 'x=[PER("a")])\n'
 
-    replayed = complete(ReplayBackend(str(path)), REQ)
+    replayed = complete(ReplayBackend(str(path)), REQ, DIGEST)
     assert (replayed.text, replayed.finish_reason) == (live.text, live.finish_reason)
 
 
 def test_recording_dedupes_identical_requests(stub, tmp_path, monkeypatch):
     monkeypatch.delenv("EVARG_API_KEY", raising=False)
     path = tmp_path / "rec.jsonl"
-    recorder = RecordingBackend(_fast_backend(stub), str(path))
-    recorder.complete(REQ)
-    recorder.complete(REQ)
-    recorder.complete(CompletionRequest(prompt="other"))
+    recorder = RecordingBackend(HttpBackend(endpoint=stub.url), str(path))
+    recorder.complete(REQ, DIGEST)
+    recorder.complete(REQ, DIGEST)
+    other = CompletionRequest(prompt="other")
+    recorder.complete(other, request_digest(other))
     lines = path.read_text().splitlines()
     assert len(lines) == 2
 
 
 def test_concurrent_recording_appends_each_digest_once(tmp_path):
     class Echo:
-        def complete(self, req):
+        def complete(self, req, digest):
             time.sleep(0.005)  # lets several threads miss the same digest at once
             return CompletionResponse(text=req.prompt.upper(), finish_reason="stop")
 
@@ -381,7 +460,7 @@ def test_concurrent_recording_appends_each_digest_once(tmp_path):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=16) as pool:
-            futures = [pool.submit(recorder.complete, r) for r in reqs]
+            futures = [pool.submit(recorder.complete, r, request_digest(r)) for r in reqs]
             responses = [f.result(timeout=30) for f in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -391,12 +470,42 @@ def test_concurrent_recording_appends_each_digest_once(tmp_path):
     assert len(ReplayBackend(str(path))) == 50
 
 
+def test_racing_misses_are_served_the_one_recorded_answer(tmp_path):
+    class Changing:
+        """Answers differently on each call; both calls wait until both have missed."""
+
+        def __init__(self):
+            self.calls = 0
+            self.both_missed = threading.Barrier(2, timeout=10)
+
+        def complete(self, req, digest):
+            self.both_missed.wait()
+            with lock:
+                answer, self.calls = f"answer {self.calls}", self.calls + 1
+            return CompletionResponse(text=answer, finish_reason="stop", latency_ms=7)
+
+    lock = threading.Lock()
+    path = tmp_path / "rec.jsonl"
+    recorder = RecordingBackend(Changing(), str(path))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(recorder.complete, REQ, DIGEST) for _ in range(2)]
+        responses = [f.result(timeout=30) for f in futures]
+    [line] = path.read_text().splitlines()
+    recorded = json.loads(line)["response"]
+    assert recorded["text"] in ("answer 0", "answer 1")
+    for resp in responses:
+        assert (resp.text, resp.finish_reason) == (recorded["text"], recorded["finish_reason"])
+        assert resp.latency_ms == 7
+    assert ReplayBackend(str(path)).complete(REQ, DIGEST).text == recorded["text"]
+
+
 def test_recordings_hold_no_prompt_or_credentials(stub, tmp_path, monkeypatch):
     monkeypatch.setenv("EVARG_API_KEY", "sk-test-secret-123")
     secret_prompt = "do not store this prompt text"
     path = tmp_path / "rec.jsonl"
-    recorder = RecordingBackend(_fast_backend(stub), str(path))
-    recorder.complete(CompletionRequest(prompt=secret_prompt))
+    recorder = RecordingBackend(HttpBackend(endpoint=stub.url), str(path))
+    req = CompletionRequest(prompt=secret_prompt)
+    recorder.complete(req, request_digest(req))
 
     content = path.read_text()
     assert "sk-test-secret-123" not in content

@@ -74,6 +74,54 @@ def test_line_that_is_not_json_names_its_position(tmp_path, loader):
     assert str(err.value).startswith(f"{path}:2: bad {what} record: invalid JSON: ")
 
 
+def _with_escape(record, escape):
+    """``record`` as an ASCII JSON line whose SEPARATORS string is ``escape``, as written."""
+    line, escaped = json.dumps(record), json.dumps(SEPARATORS)[1:-1]
+    assert escaped in line
+    return line.replace(escaped, escape)
+
+
+@pytest.mark.parametrize("escape", ["\\ud800", "x\\uDFFF", "\\ude00\\ud83d"])
+@pytest.mark.parametrize("loader", LOADERS)
+def test_lone_surrogate_escape_names_its_position(tmp_path, loader, escape):
+    record, read, what = LOADERS[loader]
+    path = tmp_path / "input.jsonl"
+    path.write_text(json.dumps(record) + "\n" + _with_escape(record, escape) + "\n")
+    with pytest.raises(ConfigError) as err:
+        read(str(path))
+    assert str(err.value).startswith(f"{path}:2: bad {what} record: ")
+    assert str(err.value).endswith(": surrogates not allowed")
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_surrogate_pair_escape_loads_as_its_character(tmp_path, loader):
+    record, read, _ = LOADERS[loader]
+    path = tmp_path / "input.jsonl"
+    path.write_text(_with_escape(record, "\\ud83d\\ude00") + "\n")
+    assert read(str(path)) == "\U0001F600"
+
+
+def test_cli_rejects_a_test_corpus_with_a_lone_surrogate(tmp_path, in_repo_root, capsys):
+    first, *rest = (ROOT / "fixtures/test.jsonl").read_text(encoding="utf-8").splitlines(True)
+    corpus = tmp_path / "test.jsonl"
+    corpus.write_text("".join(rest) + first.replace(' ."', ' \\ud800 ."', 1), "utf-8")
+    assert "\\ud800" in corpus.read_text("utf-8")
+    inputs = [
+        "--ontology", "fixtures/ontology.yaml", "--train", "fixtures/train.jsonl",
+        "--test", str(corpus), "--fixtures", "fixtures/completions.jsonl",
+    ]
+    for argv in (
+        ["validate", "--ontology", "fixtures/ontology.yaml", "--corpus", str(corpus),
+         "--split", "test"],
+        ["emit", *inputs, "--id", "test-002"],
+        ["run", *inputs],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"{corpus}:{len(rest) + 1}: bad test record: " in err
+        assert "surrogates not allowed" in err and "Traceback" not in err
+
+
 def test_recording_backend_serves_a_recorded_line_separator(tmp_path):
     record, _, _ = LOADERS["fixture"]
     path = tmp_path / "recording.jsonl"
@@ -127,7 +175,6 @@ def test_chosen_yaml_loader_agrees_with_the_pure_python_loader(tmp_path, documen
     assert isinstance(expected, dict) and expected
     path = tmp_path / "doc.yaml"
     path.write_text(text, encoding="utf-8")
-    assert files.parse_yaml(text) == expected
     assert files.read_yaml(str(path), document) == expected
 
 
@@ -138,7 +185,9 @@ YAML_INPUTS = {
         ["variability", "--vectors", "fixtures/vectors.jsonl", "--grid", "{path}"],
         "error: grid file {path} is not valid YAML: ",
     ),
-    "ontology": (["validate", "--ontology", "{path}"], "error: malformed ontology document: "),
+    "ontology": (
+        ["validate", "--ontology", "{path}"], "error: ontology file {path} is not valid YAML: "
+    ),
 }
 
 

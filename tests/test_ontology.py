@@ -9,9 +9,16 @@ from evarg.ontology import (
     ancestors,
     derive_class_name,
     instance_variable,
-    parse_ontology,
+    load_ontology,
     siblings,
 )
+
+
+def load_text(tmp_path, text):
+    """The ontology in ``text``, written to a file and loaded from it."""
+    path = tmp_path / "ontology.yaml"
+    path.write_text(text, encoding="utf-8")
+    return load_ontology(str(path))
 
 
 def test_class_name_from_colon_path():
@@ -35,8 +42,9 @@ def test_resolve_accepts_raw_and_class_names(ontology):
         ontology.resolve_event("NoSuchEvent")
 
 
-def test_ancestors_immediate_parent_first():
-    onto = parse_ontology(
+def test_ancestors_immediate_parent_first(tmp_path):
+    onto = load_text(
+        tmp_path,
         """
 entities:
   - name: PER
@@ -80,9 +88,10 @@ def test_children_query(ontology):
     assert ontology.children("Transfer_Money") == []
 
 
-def test_rejects_cycles():
+def test_rejects_cycles(tmp_path):
     with pytest.raises(ConfigError, match="(?s)invalid ontology:.*cycle"):
-        parse_ontology(
+        load_text(
+            tmp_path,
             """
 entities: []
 events:
@@ -98,7 +107,8 @@ events:
 
 def test_rejects_unknown_parent_and_role_types(tmp_path, capsys):
     with pytest.raises(ConfigError, match="invalid ontology") as err:
-        parse_ontology(
+        load_text(
+            tmp_path,
             """
 entities:
   - name: PER
@@ -134,7 +144,8 @@ events:
 
 def test_rejects_duplicates_and_bad_identifiers(tmp_path, capsys):
     with pytest.raises(ConfigError, match="invalid ontology") as err:
-        parse_ontology(
+        load_text(
+            tmp_path,
             """
 entities:
   - name: PER
@@ -173,7 +184,7 @@ events:
 
 def test_rejects_unknown_top_level_keys(tmp_path, capsys):
     with pytest.raises(ConfigError, match="unknown top-level keys"):
-        parse_ontology("entities: []\nevents: []\nextras: []\n")
+        load_text(tmp_path, "entities: []\nevents: []\nextras: []\n")
     # keys of different types are listed, not compared
     path = tmp_path / "keys.yaml"
     path.write_text("1: a\nfoo: b\n", encoding="utf-8")
@@ -181,9 +192,10 @@ def test_rejects_unknown_top_level_keys(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown top-level keys: [1, 'foo']\n"
 
 
-def test_rejects_empty_description():
+def test_rejects_empty_description(tmp_path):
     with pytest.raises(ConfigError, match="invalid ontology"):
-        parse_ontology(
+        load_text(
+            tmp_path,
             """
 entities:
   - name: PER
@@ -193,10 +205,11 @@ events: []
         )
 
 
-def test_colliding_class_names_rejected():
+def test_colliding_class_names_rejected(tmp_path):
     # distinct raw names that derive to the same class identifier
     with pytest.raises(ConfigError, match="invalid ontology"):
-        parse_ontology(
+        load_text(
+            tmp_path,
             """
 entities: []
 events:
