@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: emit (render one prompt), run (full pipeline), compare
-(code vs text prompts), variability (vector-based example spread),
-validate (ontology/corpus checks). Exit codes: 0 success, 2 bad
-configuration or input, 3 fixture miss under replay, 4 backend failure.
+(F1 differences between two run reports, each re-checked before use),
+variability (vector-based example spread), validate (ontology/corpus
+checks). Exit codes: 0 success, 2 bad configuration or input, 3 fixture
+miss under replay, 4 backend failure.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=f.name, **options)
 
 
-def _build_config(args: argparse.Namespace, path: str | None) -> RunConfig:
-    """The config in the file at ``path``, overridden by the run flags in ``args``."""
-    settings = _load_config_file(path) if path else {}
+def _build_config(args: argparse.Namespace) -> RunConfig:
+    """The config in the ``--config`` file, overridden by the run flags in ``args``."""
+    settings = _load_config_file(args.config) if args.config else {}
     for name in _CONFIG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
@@ -81,7 +82,7 @@ def _build_config(args: argparse.Namespace, path: str | None) -> RunConfig:
 
 
 def _cmd_emit(args: argparse.Namespace) -> int:
-    plan = prepare(_build_config(args, args.config))
+    plan = prepare(_build_config(args))
     try:
         inst = plan.test.by_id(args.id)
     except KeyError:
@@ -97,7 +98,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _build_config(args, args.config)
+    cfg = _build_config(args)
     report = run(cfg)
     if not cfg.output_path:
         write_report(report, None)
@@ -105,12 +106,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg_code = _build_config(args, args.config_code)
-    cfg_text = _build_config(args, args.config_text)
-    report = compare(cfg_code, cfg_text, output_path=args.out)
-    if not args.out:
-        write_report(report, None)
-    else:
+    report = compare(args.first, args.second)
+    write_report(report, args.out)
+    if args.out:
         delta = report["delta"]
         print(f"delta arg_i_f1={delta['arg_i_f1']:+.4f} arg_c_f1={delta['arg_c_f1']:+.4f}")
     return 0
@@ -153,9 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="delta between code and text prompt runs")
-    p_cmp.add_argument("--config-code", required=True)
-    p_cmp.add_argument("--config-text", required=True)
+    p_cmp = sub.add_parser("compare", help="first-minus-second F1 of two run reports")
+    p_cmp.add_argument("first", help="report file written by evarg run")
+    p_cmp.add_argument("second", help="report file over the same test instances")
     p_cmp.add_argument("--out")
     p_cmp.set_defaults(func=_cmd_compare)
 

@@ -49,8 +49,8 @@ class CompletionRequest:
     def __post_init__(self) -> None:
         if self.max_new_tokens <= 0:
             raise ValueError("max_new_tokens must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < float("inf"):
+            raise ValueError(f"temperature must be finite and >= 0, not {self.temperature!r}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ import yaml
 
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD]")  # only an escape puts a surrogate in a string
+# one escape in a JSON string, a surrogate pair counting as one; group 1 is a lone surrogate
+_ESCAPE = re.compile(r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|u([dD]...)|.)")
 
 
 class ConfigError(Exception):
@@ -46,7 +48,7 @@ def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None]) -> No
                 try:
                     value = json.loads(line)
                     if "\\" in line and _SURROGATE_ESCAPE.search(line):  # the cheap test first
-                        json.dumps(value, ensure_ascii=False).encode("utf-8")  # a lone one raises
+                        _reject_lone_surrogate(line)
                     record(value)
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     invalid = "invalid JSON: " if isinstance(exc, json.JSONDecodeError) else ""
@@ -54,6 +56,18 @@ def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None]) -> No
                     raise ConfigError(message) from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _reject_lone_surrogate(line: str) -> None:
+    """Raise ``ValueError`` naming the first unpaired surrogate escape in ``line`` by column.
+
+    ``line`` is valid JSON, so each backslash in it starts an escape in a string
+    and each ``\\u`` is followed by four hex digits.
+    """
+    lone = next((m for m in _ESCAPE.finditer(line) if m.group(1)), None)
+    if lone is not None:
+        column = lone.start() + 1
+        raise ValueError(f"escape {lone.group()} at column {column}: surrogates not allowed")
 
 
 def string_field(rec: dict, key: str, default: str | None = None) -> str:

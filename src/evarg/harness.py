@@ -4,9 +4,9 @@
 it returns builds every instance's prompt, request and digest.
 ``run`` drives one configuration over a test corpus and produces a
 report dict that serializes byte-identically across runs when the
-backend is replay. ``compare`` runs a code-style and a text-style
-configuration over the same corpus and reports the F1 differences.
-Reports are written atomically (temp file then rename).
+backend is replay. Reports are written atomically (temp file then
+rename); ``load_report`` re-checks one, and ``compare`` reports the F1
+differences between two re-checked reports.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 import typing
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -260,9 +261,16 @@ def _parsed_to_dict(parsed: ParsedEvent) -> dict:
     }
 
 
-def _score_block(preds: list[tuple[str, ParsedEvent]], skipped: list[str], test: Dataset) -> dict:
-    """The report's score: each instance id in ``skipped`` counts as predicting nothing."""
-    return score(preds + [(i, ParsedEvent()) for i in skipped], test).to_dict()
+def _parse_and_score(
+    entries: list[tuple], skipped: list[str], ontology: Ontology, test: Dataset, style: str
+) -> tuple[list[dict], dict]:
+    """Each ``(id, event_type, completion)`` entry's stored parse, and the score block.
+
+    Each instance id in ``skipped`` counts as predicting nothing.
+    """
+    preds = [(i, parse_completion(text, ontology, t, style)) for i, t, text in entries]
+    block = score(preds + [(i, ParsedEvent()) for i in skipped], test).to_dict()
+    return [_parsed_to_dict(parsed) for _, parsed in preds], block
 
 
 def run(cfg: RunConfig) -> dict:
@@ -303,31 +311,29 @@ def run(cfg: RunConfig) -> dict:
     if misses:
         raise MissingFixtures(misses)
 
-    instances: list[dict] = []
-    preds: list[tuple[str, ParsedEvent]] = []
-    for task, response in zip(tasks, results):
-        inst = task.instance
-        parsed = parse_completion(response.text, plan.ontology, inst.event_type, cfg.prompt_style)
-        preds.append((inst.id, parsed))
-        instances.append(
-            {
-                "id": inst.id,
-                "event_type": derive_class_name(inst.event_type),
-                "prompt_digest": task.digest,
-                "prompt_chars": len(task.bundle.text),
-                "example_ids": list(task.bundle.example_ids),
-                "completion": response.text,
-                "finish_reason": response.finish_reason,
-                "parsed": _parsed_to_dict(parsed),
-            }
-        )
-
+    entries = [(t.instance.id, t.instance.event_type, r.text) for t, r in zip(tasks, results)]
+    parses, score_block = _parse_and_score(
+        entries, [entry["id"] for entry in skipped], plan.ontology, plan.test, cfg.prompt_style
+    )
+    instances = [
+        {
+            "id": task.instance.id,
+            "event_type": derive_class_name(task.instance.event_type),
+            "prompt_digest": task.digest,
+            "prompt_chars": len(task.bundle.text),
+            "example_ids": list(task.bundle.example_ids),
+            "completion": response.text,
+            "finish_reason": response.finish_reason,
+            "parsed": parsed,
+        }
+        for task, response, parsed in zip(tasks, results, parses)
+    ]
     report = {
         "config": {k: v for k, v in asdict(cfg).items() if k != "output_path"},
         "instances": instances,
         "skipped": skipped,
         "shortfall": shortfall,
-        "score": _score_block(preds, [entry["id"] for entry in skipped], plan.test),
+        "score": score_block,
     }
     if cfg.output_path:
         write_report(report, cfg.output_path)
@@ -357,10 +363,12 @@ def write_report(report: dict, path: str | None) -> None:
 
 
 def load_report(path: str) -> dict:
-    """Load a report; re-check its parses and its score against ``config["test_path"]``.
+    """Load a report; re-check its parses, its score and its coverage of ``config["test_path"]``.
 
-    Relative paths in the config are read from the current directory, so a report
-    is re-checked from the directory its run was started in.
+    The ids of ``instances`` and ``skipped`` together must name every test
+    instance exactly once. Relative paths in the config are read from the
+    current directory, so a report is re-checked from the directory its run
+    was started in.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -368,57 +376,50 @@ def load_report(path: str) -> dict:
         config = report["config"]
         ontology_path = string_field(config, "ontology_path")
         test_path = string_field(config, "test_path")
-        style = PromptStyle(config.get("prompt_style", "code"))
+        style = PromptStyle(config.get("prompt_style", "code")).value
         entries = [
-            (*(string_field(e, key) for key in ("id", "event_type", "completion")), e["parsed"])
-            for e in report.get("instances", [])
+            tuple(string_field(e, key) for key in ("id", "event_type", "completion"))
+            for e in report["instances"]
         ]
-        skipped_ids = [string_field(e, "id") for e in report.get("skipped", [])]
+        stored = [e["parsed"] for e in report["instances"]]
+        skipped = [string_field(e, "id") for e in report["skipped"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"report file {path} is malformed: {exc!r}") from exc
     ontology = load_ontology(ontology_path)
-    preds: list[tuple[str, ParsedEvent]] = []
-    for instance_id, event_type, completion, stored in entries:
-        parsed = parse_completion(completion, ontology, event_type, style)
-        if _parsed_to_dict(parsed) != stored:
-            raise ConfigError(
-                f"instance {instance_id!r}: stored parse does not match its completion"
-            )
-        preds.append((instance_id, parsed))
     test = load_corpus(test_path, "test")
     try:
-        rescored = _score_block(preds, skipped_ids, test)
+        parses, score_block = _parse_and_score(entries, skipped, ontology, test, style)
     except KeyError as exc:
         raise ConfigError(f"instance {exc} is not in the test corpus") from None
-    if rescored != report.get("score"):
+    for (i, _, _), parsed, kept in zip(entries, parses, stored):
+        if parsed != kept:
+            raise ConfigError(f"instance {i!r}: stored parse does not match its completion")
+    if score_block != report.get("score"):
         raise ConfigError("stored score does not match the stored parses")
+    counts = Counter([e[0] for e in entries] + skipped)
+    wrong = next((i.id for i in test.instances if counts[i.id] != 1), None)
+    if wrong is not None:
+        n = counts[wrong]
+        raise ConfigError(f"report file {path} lists test instance {wrong!r} {n} times, not once")
     return report
 
 
-def compare(cfg_code: RunConfig, cfg_text: RunConfig, output_path: str | None = None) -> dict:
-    """Run two configs over the same corpus and report first-minus-second F1.
+def compare(first_path: str, second_path: str) -> dict:
+    """First-minus-second micro F1 of two reports, each re-checked by ``load_report``.
 
-    Intended for code-versus-text prompt comparisons, but any style pair
-    sharing corpus, k, and selection mode is accepted (including a config
-    against itself, which yields exact zero deltas).
+    Both reports must cover the same test instance ids; a report compared
+    with itself yields exact zero deltas.
     """
-    for field_name in ("train_path", "test_path", "k", "selection_mode"):
-        a, b = getattr(cfg_code, field_name), getattr(cfg_text, field_name)
-        if a != b:
-            raise ConfigError(f"configs disagree on {field_name}: {a!r} vs {b!r}")
-
-    report_code = run(cfg_code)
-    report_text = run(cfg_text)
-    micro_code = report_code["score"]["micro"]
-    micro_text = report_text["score"]["micro"]
-    report = {
-        "code": report_code,
-        "text": report_text,
+    first, second = load_report(first_path), load_report(second_path)
+    ids = [{e["id"] for e in [*r["instances"], *r["skipped"]]} for r in (first, second)]
+    only = min(ids[0] ^ ids[1], default=None)
+    if only is not None:
+        holder, other = (first_path, second_path) if only in ids[0] else (second_path, first_path)
+        raise ConfigError(f"reports cover different ids: {only!r} is in {holder}, not {other}")
+    a, b = first["score"]["micro"], second["score"]["micro"]
+    return {
         "delta": {
-            "arg_i_f1": micro_code["arg_i"]["f1"] - micro_text["arg_i"]["f1"],
-            "arg_c_f1": micro_code["arg_c"]["f1"] - micro_text["arg_c"]["f1"],
-        },
+            "arg_i_f1": a["arg_i"]["f1"] - b["arg_i"]["f1"],
+            "arg_c_f1": a["arg_c"]["f1"] - b["arg_c"]["f1"],
+        }
     }
-    if output_path:
-        write_report(report, output_path)
-    return report

@@ -18,6 +18,8 @@ from evarg.corpus import (  # noqa: E402
     load_corpus,
 )
 from evarg.ontology import load_ontology  # noqa: E402
+from evarg.parsing import ParsedEvent, parse_completion  # noqa: E402
+from evarg.scoring import score  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +51,29 @@ def train_set(fixtures_dir):
 @pytest.fixture(scope="session")
 def test_set(fixtures_dir):
     return load_corpus(str(fixtures_dir / "test.jsonl"), "test")
+
+
+def rescore(report: dict) -> dict:
+    """``report`` with the score block its instances and skips give, as ``run`` computes it.
+
+    Paths in the report's config are read from the current directory.
+    """
+    config = report["config"]
+    ontology, style = load_ontology(config["ontology_path"]), config["prompt_style"]
+    preds = [
+        (e["id"], parse_completion(e["completion"], ontology, e["event_type"], style))
+        for e in report["instances"]
+    ] + [(e["id"], ParsedEvent()) for e in report["skipped"]]
+    report["score"] = score(preds, load_corpus(config["test_path"], "test")).to_dict()
+    return report
+
+
+def drop_the_first_instance(report: dict) -> None:
+    report["instances"].pop(0)
+
+
+def list_the_first_instance_twice(report: dict) -> None:
+    report["instances"].append(report["instances"][0])
 
 
 def make_instance(

@@ -10,6 +10,7 @@ import math
 import os
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -433,7 +434,9 @@ def test_criterion_09_end_to_end_determinism(capfd, in_repo_root, golden_dir, tm
         write_report(run(cfg), str(out))
         assert out.read_bytes() == (golden_dir / "run_report.json").read_bytes()
 
-        self_compare = compare(cfg, cfg)
+        again = tmp_path / "again.json"
+        run(replace(cfg, output_path=str(again)))
+        self_compare = compare(str(out), str(again))
         assert self_compare["delta"] == {"arg_i_f1": 0.0, "arg_c_f1": 0.0}
 
     _announce(capfd, 9, "replay runs are byte-identical; self-compare delta is 0", body, bound=10.0)

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,11 +12,11 @@ from pathlib import Path
 import pytest
 import yaml
 
-from conftest import ROOT
+from conftest import ROOT, drop_the_first_instance, list_the_first_instance_twice, rescore
 from evarg import harness
 from evarg.cli import build_parser, main
 from evarg.emitter import PromptStyle
-from evarg.harness import SETTING_TYPES, RunConfig
+from evarg.harness import SETTING_TYPES, RunConfig, run
 
 BASE = dict(
     ontology_path="fixtures/ontology.yaml",
@@ -300,50 +301,94 @@ def test_emit_unknown_id_exit_2(config_file, capsys):
 # --- compare ---------------------------------------------------------------
 
 
-def test_compare_prints_delta_line_when_writing(config_file, tmp_path, capsys):
+@pytest.fixture
+def report_file(tmp_path, in_repo_root):
+    """Write the report ``run`` gives for the base config with ``overrides``."""
+
+    def write(name="report.json", **overrides):
+        path = str(tmp_path / name)
+        run(RunConfig(**{**BASE, **overrides, "output_path": path}))
+        return path
+
+    return write
+
+
+def _test_corpus_without_test_001(tmp_path):
+    lines = (ROOT / "fixtures/test.jsonl").read_text(encoding="utf-8").splitlines(True)
+    assert '"test-001"' in lines[0]
+    return _write(tmp_path / "short.jsonl", "".join(lines[1:]))
+
+
+def test_compare_prints_delta_line_when_writing(report_file, tmp_path, capsys):
     out = tmp_path / "compare.json"
     code = main(
         [
             "compare",
-            "--config-code", config_file("code.yaml", prompt_style="code"),
-            "--config-text", config_file("t1.yaml", prompt_style="t1"),
+            report_file("code.json", prompt_style="code"),
+            report_file("t1.json", prompt_style="t1"),
             "--out", str(out),
         ]
     )
     assert code == 0
     assert capsys.readouterr().out == "delta arg_i_f1=+0.0184 arg_c_f1=+0.0188\n"
-    assert set(json.loads(out.read_text())) == {"code", "text", "delta"}
+    assert set(json.loads(out.read_text())) == {"delta"}
 
 
-def test_compare_prints_full_report_without_out(config_file, capsys):
-    code = main(
-        [
-            "compare",
-            "--config-code", config_file("a.yaml"),
-            "--config-text", config_file("b.yaml"),
-        ]
-    )
+def test_compare_prints_full_report_without_out(report_file, capsys):
+    code = main(["compare", report_file("a.json"), report_file("b.json")])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["delta"] == {"arg_i_f1": 0.0, "arg_c_f1": 0.0}
+    assert report == {"delta": {"arg_i_f1": 0.0, "arg_c_f1": 0.0}}
 
 
-def test_compare_mismatched_configs_exit_2(config_file, capsys):
-    code = main(
-        [
-            "compare",
-            "--config-code", config_file("a.yaml", k=1),
-            "--config-text", config_file("b.yaml", k=0),
-        ]
-    )
+def test_compare_mismatched_configs_exit_2(report_file, tmp_path, capsys):
+    """Reports over different test ids exit 2 naming the first id only one of them holds."""
+    full = report_file("full.json")
+    short = report_file("short.json", test_path=_test_corpus_without_test_001(tmp_path))
+    for first, second in ((full, short), (short, full)):
+        assert main(["compare", first, second]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: reports cover different ids: 'test-001' is in {full}, not {short}\n"
+
+
+def test_compare_incomplete_config_exit_2(report_file, tmp_path, capsys):
+    report = json.loads(Path(report_file()).read_text(encoding="utf-8"))
+    del report["config"]["test_path"]
+    incomplete = _write(tmp_path / "short.json", json.dumps(report))
+    code = main(["compare", report_file(), incomplete])
     assert code == 2
+    assert f"error: report file {incomplete} is malformed: " in capsys.readouterr().err
 
 
-def test_compare_incomplete_config_exit_2(config_file, tmp_path, capsys):
-    incomplete = _write(tmp_path / "short.yaml", "k: 1\n")
-    code = main(["compare", "--config-code", config_file(), "--config-text", incomplete])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "edit, times",
+    [(drop_the_first_instance, 0), (list_the_first_instance_twice, 2)],
+    ids=["dropped-instance", "duplicated-instance"],
+)
+def test_compare_an_edited_report_exit_2(report_file, tmp_path, capsys, edit, times):
+    """An edited report exits 2, even when its score block is recomputed to match."""
+    report = json.loads(Path(report_file()).read_text(encoding="utf-8"))
+    edit(report)
+    rescore(report)
+    edited = _write(tmp_path / "edited.json", json.dumps(report))
+    assert main(["compare", report_file(), edited]) == 2
+    assert f"lists test instance 'test-001' {times} times, not once" in capsys.readouterr().err
+
+
+def test_readme_quick_start_commands_parse():
+    """Each ``evarg`` command in README's Quick start is one the parser accepts."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Quick start\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("evarg ")]
+    assert [argv[1] for argv in commands] == [
+        "emit", "run", "run", "compare", "variability", "validate"
+    ]
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README's Quick start command does not parse: {' '.join(argv)}")
 
 
 # --- variability -----------------------------------------------------------

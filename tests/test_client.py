@@ -124,6 +124,13 @@ def test_request_validation():
         CompletionRequest(prompt="x", temperature=-0.1)
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+def test_request_rejects_a_temperature_that_is_not_finite(temperature):
+    """JSON cannot carry it, and a client library that refuses to encode it looks transient."""
+    with pytest.raises(ValueError, match="temperature must be finite"):
+        CompletionRequest(prompt="x", temperature=temperature)
+
+
 # --- stop truncation -------------------------------------------------------
 
 

@@ -5,6 +5,8 @@ import json
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import ROOT
 from evarg import files
@@ -91,6 +93,54 @@ def test_lone_surrogate_escape_names_its_position(tmp_path, loader, escape):
         read(str(path))
     assert str(err.value).startswith(f"{path}:2: bad {what} record: ")
     assert str(err.value).endswith(": surrogates not allowed")
+
+
+@pytest.mark.parametrize(
+    "line, escape, column",
+    [
+        ('{"text":"é\\ud800"}', "\\ud800", 11),
+        ('{"text":"\\u00e9\\ud800"}', "\\ud800", 16),
+        ('{"a": "\\\\ud800", "text": "x\\ud83d\\n\\ude00"}', "\\ud83d", 28),
+        ('{"text": "\\ud83d\\ude00\\udfff"}', "\\udfff", 23),
+    ],
+    ids=["after-a-character", "after-an-escape", "after-a-backslash", "after-a-pair"],
+)
+def test_lone_surrogate_message_gives_the_column_in_the_file(tmp_path, line, escape, column):
+    """The column counts characters of the line as written, not as Python re-serialises it."""
+    path = tmp_path / "input.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert line[column - 1 :].startswith(escape)
+    with pytest.raises(ConfigError) as err:
+        load_corpus(str(path), "test")
+    assert str(err.value) == (
+        f"{path}:1: bad test record: escape {escape} at column {column}: surrogates not allowed"
+    )
+
+
+@given(
+    st.lists(
+        st.sampled_from(
+            ["a", "é", "\\\\", "\\n", "\\u00e9", "\\ud83d", "\\uDBFF", "\\ude00", "\\uDC00"]
+        ),
+        max_size=8,
+    )
+)
+def test_lone_surrogate_check_agrees_with_utf8_encoding(pieces):
+    """The escape named is the first character that UTF-8 cannot encode, if any."""
+    line = '{"a": "' + "".join(pieces) + '", "b": "' + "".join(reversed(pieces)) + '"}'
+    try:
+        json.dumps(json.loads(line), ensure_ascii=False).encode("utf-8")
+        expected = None
+    except UnicodeEncodeError as exc:
+        expected = exc.object[exc.start]
+    try:
+        files._reject_lone_surrogate(line)
+        named = None
+    except ValueError as exc:
+        escape, column = str(exc).split()[1], int(str(exc).split()[4].rstrip(":"))
+        assert line[column - 1 :].startswith(escape)
+        named = json.loads(f'"{escape}"')
+    assert named == expected
 
 
 @pytest.mark.parametrize("loader", LOADERS)

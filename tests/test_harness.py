@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 import yaml
 
-from conftest import ROOT
+from conftest import ROOT, drop_the_first_instance, list_the_first_instance_twice, rescore
 from evarg import client, corpus, harness
 from evarg.client import BackendError, HttpBackend, ReplayBackend, request_digest
 from evarg.corpus import split_hierarchy
@@ -529,6 +529,28 @@ def test_load_report_verifies_a_text_style_report(cfg_t1, tmp_path):
         load_report(str(bad))
 
 
+@pytest.mark.parametrize(
+    "edit, times, arg_c_f1",
+    [(drop_the_first_instance, 0, 0.8), (list_the_first_instance_twice, 2, 0.8235)],
+    ids=["dropped", "duplicated"],
+)
+def test_load_report_rejects_a_report_not_covering_each_test_instance_once(
+    in_repo_root, golden_dir, tmp_path, edit, times, arg_c_f1
+):
+    report = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
+    assert report["instances"][0]["id"] == "test-001"
+    edit(report)
+    rescored = rescore(report)["score"]["micro"]["arg_c"]["f1"]
+    assert rescored == pytest.approx(arg_c_f1, abs=1e-4)  # the edit moves the score
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(report), encoding="utf-8")
+    with pytest.raises(
+        ConfigError, match=f"^report file {re.escape(str(bad))} lists test instance "
+        f"'test-001' {times} times, not once$"
+    ):
+        load_report(str(bad))
+
+
 def _golden_with(edit):
     """The golden report, as text, after ``edit`` changes it in place."""
 
@@ -551,6 +573,7 @@ def _golden_with(edit):
         _golden_with(lambda r: r["config"].update(prompt_style="t3")),
         _golden_with(lambda r: r.update(instances=5)),
         _golden_with(lambda r: r.update(skipped=[{"prompt_chars": 10}])),
+        _golden_with(lambda r: r.pop("skipped")),
     ],
     ids=[
         "no-config",
@@ -562,6 +585,7 @@ def _golden_with(edit):
         "unknown-prompt-style",
         "instances-not-a-list",
         "skipped-without-id",
+        "no-skipped",
     ],
 )
 def test_load_report_rejects_a_malformed_file_naming_it(
@@ -586,29 +610,57 @@ def test_load_report_rejects_a_config_without_test_path(in_repo_root, golden_dir
 # --- compare ---------------------------------------------------------------
 
 
-def test_compare_code_beats_text_on_fixture_corpus(cfg_code, cfg_t1):
-    report = compare(cfg_code, cfg_t1)
+@pytest.fixture
+def report_files(cfg_code, cfg_t1, tmp_path):
+    """Report files that ``run`` writes for the code and t1 configs."""
+    paths = {}
+    for cfg in (cfg_code, cfg_t1):
+        paths[cfg.prompt_style] = str(tmp_path / f"{cfg.prompt_style}.json")
+        run(replace(cfg, output_path=paths[cfg.prompt_style]))
+    return paths
+
+
+def test_compare_code_beats_text_on_fixture_corpus(report_files):
+    report = compare(report_files["code"], report_files["t1"])
     assert report["delta"]["arg_i_f1"] == pytest.approx(0.0183531746, abs=1e-9)
     assert report["delta"]["arg_c_f1"] == pytest.approx(0.0188492063, abs=1e-9)
-    assert report["code"]["config"]["prompt_style"] == "code"
-    assert report["text"]["config"]["prompt_style"] == "t1"
 
 
-def test_compare_run_against_itself_is_zero(cfg_code):
-    report = compare(cfg_code, cfg_code)
+def test_compare_run_against_itself_is_zero(report_files):
+    report = compare(report_files["code"], report_files["code"])
     assert report["delta"] == {"arg_i_f1": 0.0, "arg_c_f1": 0.0}
 
 
-def test_compare_rejects_mismatched_corpora(cfg_code, cfg_t1):
-    with pytest.raises(ConfigError, match="disagree on k"):
-        compare(cfg_code, replace(cfg_t1, k=2))
+def test_compare_rejects_mismatched_corpora(cfg_t1, report_files, tmp_path):
+    lines = (ROOT / "fixtures/test.jsonl").read_text(encoding="utf-8").splitlines(True)
+    assert '"test-001"' in lines[0]
+    short = tmp_path / "short.jsonl"
+    short.write_text("".join(lines[1:]), encoding="utf-8")
+    other = str(tmp_path / "short.json")
+    run(replace(cfg_t1, test_path=str(short), output_path=other))
+    code = report_files["code"]
+    with pytest.raises(ConfigError, match=f"'test-001' is in {re.escape(code)}, not "):
+        compare(code, other)
+    with pytest.raises(ConfigError, match=f"'test-001' is in {re.escape(code)}, not "):
+        compare(other, code)
 
 
-def test_compare_writes_report(cfg_code, cfg_t1, tmp_path):
+def test_compare_writes_report(report_files, tmp_path):
     out = tmp_path / "compare.json"
-    compare(cfg_code, cfg_t1, output_path=str(out))
+    write_report(compare(report_files["code"], report_files["t1"]), str(out))
     on_disk = json.loads(out.read_text())
-    assert set(on_disk) == {"code", "text", "delta"}
+    assert set(on_disk) == {"delta"}
+    assert set(on_disk["delta"]) == {"arg_i_f1", "arg_c_f1"}
+
+
+def test_compare_rejects_an_edited_report(report_files):
+    with open(report_files["t1"], encoding="utf-8") as fh:
+        edited = json.load(fh)
+    edited["score"]["micro"]["arg_c"]["f1"] += 0.5
+    with open(report_files["t1"], "w", encoding="utf-8") as fh:
+        json.dump(edited, fh)
+    with pytest.raises(ConfigError, match="stored score"):
+        compare(report_files["code"], report_files["t1"])
 
 
 def test_importing_harness_leaves_numpy_unloaded():
