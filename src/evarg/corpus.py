@@ -11,34 +11,31 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .files import ConfigError, read_jsonl, string_field
 from .ontology import Ontology, ancestors, derive_class_name, siblings
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     start: int
     end: int
 
 
-@dataclass(frozen=True)
-class Trigger:
+class Trigger(NamedTuple):
     start: int
     end: int
     surface: str
 
 
-@dataclass(frozen=True)
-class GoldArgument:
+class GoldArgument(NamedTuple):
     role: str
     surface: str
     entity_type: str
     head: Span | None = None
 
 
-@dataclass(frozen=True)
-class TrainingInstance:
+class TrainingInstance(NamedTuple):
     id: str
     sentence: str
     trigger: Trigger
@@ -92,13 +89,14 @@ def _offsets(rec: dict) -> tuple[int, int]:
 def _instance_from_record(rec: dict) -> TrainingInstance:
     instance_id, sentence = string_field(rec, "id"), string_field(rec, "sentence")
     trig = rec["trigger"]
-    trigger = Trigger(*_offsets(trig), surface=string_field(trig, "surface"))
-    if not (0 <= trigger.start <= trigger.end <= len(sentence)):
+    start, end = _offsets(trig)
+    surface = string_field(trig, "surface")
+    if not (0 <= start <= end <= len(sentence)):
         raise ValueError(f"trigger span out of bounds for instance {instance_id!r}")
-    if sentence[trigger.start : trigger.end] != trigger.surface:
+    if sentence[start:end] != surface:
         raise ValueError(
             f"trigger surface mismatch for instance {instance_id!r}: "
-            f"{sentence[trigger.start:trigger.end]!r} != {trigger.surface!r}"
+            f"{sentence[start:end]!r} != {surface!r}"
         )
     arguments: list[GoldArgument] = []
     for arg in rec.get("arguments", []):
@@ -113,18 +111,18 @@ def _instance_from_record(rec: dict) -> TrainingInstance:
                 )
         arguments.append(
             GoldArgument(
-                role=string_field(arg, "role"),
-                surface=string_field(arg, "surface"),
-                entity_type=string_field(arg, "entity_type", ""),
-                head=head,
+                string_field(arg, "role"),
+                string_field(arg, "surface"),
+                string_field(arg, "entity_type", ""),
+                head,
             )
         )
     return TrainingInstance(
-        id=instance_id,
-        sentence=sentence,
-        trigger=trigger,
-        event_type=string_field(rec, "event_type"),
-        arguments=tuple(arguments),
+        instance_id,
+        sentence,
+        Trigger(start, end, surface),
+        string_field(rec, "event_type"),
+        tuple(arguments),
     )
 
 

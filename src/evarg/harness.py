@@ -19,6 +19,7 @@ import typing
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from urllib.parse import urlsplit
 
 from . import client as client_mod
 from .client import (
@@ -126,6 +127,15 @@ class RunConfig:
         else:
             if self.endpoint is None:
                 raise ConfigError("http backend requires endpoint")
+            try:
+                url = urlsplit(self.endpoint)
+            except ValueError:  # an unclosed "[" around an IPv6 host
+                url = None
+            if url is None or url.scheme not in ("http", "https") or not url.hostname:
+                raise ConfigError(
+                    f"endpoint must be an http:// or https:// URL with a host, "
+                    f"not {self.endpoint!r}"
+                )
             if self.record and self.fixture_path is None:
                 raise ConfigError("recording requires fixture_path")
 
@@ -365,10 +375,11 @@ def write_report(report: dict, path: str | None) -> None:
 def load_report(path: str) -> dict:
     """Load a report; re-check its parses, its score and its coverage of ``config["test_path"]``.
 
-    The ids of ``instances`` and ``skipped`` together must name every test
-    instance exactly once. Relative paths in the config are read from the
-    current directory, so a report is re-checked from the directory its run
-    was started in.
+    Each stored ``event_type`` must be the class name of that instance's
+    type in the test corpus, and the ids of ``instances`` and ``skipped``
+    together must name every test instance exactly once. Relative paths in
+    the config are read from the current directory, so a report is
+    re-checked from the directory its run was started in.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -396,6 +407,13 @@ def load_report(path: str) -> dict:
             raise ConfigError(f"instance {i!r}: stored parse does not match its completion")
     if score_block != report.get("score"):
         raise ConfigError("stored score does not match the stored parses")
+    for i, stored_type, _ in entries:
+        expected = derive_class_name(test.by_id(i).event_type)
+        if stored_type != expected:
+            raise ConfigError(
+                f"instance {i!r}: stored event_type {stored_type!r} is not "
+                f"the test corpus's {expected!r}"
+            )
     counts = Counter([e[0] for e in entries] + skipped)
     wrong = next((i.id for i in test.instances if counts[i.id] != 1), None)
     if wrong is not None:

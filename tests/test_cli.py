@@ -6,12 +6,15 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
+import evarg.client
 from conftest import ROOT, drop_the_first_instance, list_the_first_instance_twice, rescore
 from evarg import harness
 from evarg.cli import build_parser, main
@@ -102,6 +105,24 @@ def test_run_backend_failure_exit_4(config_file, stub, tmp_path, capsys):
     assert code == 4
     assert "rejected credential" in capsys.readouterr().err
     assert len(stub.requests) == sent + 1
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    ["localhost:8000", "127.0.0.1:8000", "ftp://localhost:8000", "http://", "http://[::1"],
+)
+def test_run_endpoint_without_http_scheme_and_host_exit_2(
+    config_file, monkeypatch, capsys, endpoint
+):
+    """A URL requests cannot send to is a config error, not a retried transport failure."""
+    slept = []
+    fake_time = SimpleNamespace(sleep=slept.append, monotonic=time.monotonic)
+    monkeypatch.setattr(evarg.client, "time", fake_time)
+    assert main(["run", "--config", config_file(backend="http", endpoint=endpoint)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: endpoint must be an http:// or https:// URL with a host, not {endpoint!r}\n"
+    )
+    assert slept == []
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 import json
-import re
 
 import pytest
 
 from conftest import make_dataset, make_instance
 from evarg.corpus import (
     Dataset,
+    GoldArgument,
+    Span,
+    TrainingInstance,
+    Trigger,
     load_corpus,
     select_non_sibling,
     select_same_type,
@@ -42,6 +45,48 @@ def test_load_fixture_corpora(train_set, test_set):
     assert inst.sentence[inst.trigger.start : inst.trigger.end] == "returned"
     with pytest.raises(KeyError):
         test_set.by_id("nope")
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_fixture_records_load_back_field_for_field(fixtures_dir, split):
+    path = fixtures_dir / f"{split}.jsonl"
+    raw = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    loaded = load_corpus(str(path), split).instances
+    assert len(loaded) == len(raw)
+    for inst, rec in zip(loaded, raw):
+        assert (inst.id, inst.sentence, inst.event_type) == (
+            rec["id"], rec["sentence"], rec["event_type"]
+        )
+        trig = rec["trigger"]
+        assert inst.trigger == (trig["start"], trig["end"], trig["surface"])
+        assert len(inst.arguments) == len(rec["arguments"])
+        for arg, raw_arg in zip(inst.arguments, rec["arguments"]):
+            head = raw_arg.get("head")
+            assert arg == (
+                raw_arg["role"],
+                raw_arg["surface"],
+                raw_arg.get("entity_type", ""),
+                None if head is None else (head["start"], head["end"]),
+            )
+
+
+def test_records_are_immutable(test_set):
+    inst = test_set.by_id("test-001")
+    arg = inst.arguments[0]
+    for record, name in [(inst, "id"), (inst.trigger, "start"), (arg, "role"),
+                         (Span(0, 3), "end")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+def test_record_fields_are_pinned():
+    assert Span._fields == ("start", "end")
+    assert Trigger._fields == ("start", "end", "surface")
+    assert GoldArgument._fields == ("role", "surface", "entity_type", "head")
+    assert TrainingInstance._fields == ("id", "sentence", "trigger", "event_type", "arguments")
+    assert GoldArgument("agent", "Kim", "PER").head is None
+    assert TrainingInstance("a", "Kim left .", Trigger(4, 8, "left"), "Transport").arguments == ()
+    assert Span(0, 3) == (0, 3)
 
 
 def test_by_class_files_raw_and_class_names_under_one_key():
@@ -96,29 +141,54 @@ def test_invalid_json_line_rejected(tmp_path):
 _HEAD_ARG = {"role": "agent", "surface": "Kim", "entity_type": "PER"}
 
 
+def _without(key):
+    record = _record()
+    del record[key]
+    return record
+
+
 @pytest.mark.parametrize(
-    "fields",
+    "record, message",
     [
-        {"arguments": [5]},
-        {"arguments": ["x"]},
-        {"start": 4.0},
-        {"end": 12.5},
-        {"arguments": [{**_HEAD_ARG, "head": {"start": 0.5, "end": 3}}]},
-        {"arguments": [{**_HEAD_ARG, "head": {"start": 0, "end": True}}]},
-        {"instance_id": 7},
-        {"event_type": 5},
-        {"arguments": [{**_HEAD_ARG, "role": 5}]},
-        {"arguments": [{**_HEAD_ARG, "surface": 5}]},
-        {"arguments": [{**_HEAD_ARG, "entity_type": 5}]},
+        (_record(arguments=[5]), "argument 5 is not an object"),
+        (_record(arguments=["x"]), "argument 'x' is not an object"),
+        (_record(start=4.0), "offsets must be integers, not 4.0 and 12"),
+        (_record(end=12.5), "offsets must be integers, not 4 and 12.5"),
+        (
+            _record(arguments=[{**_HEAD_ARG, "head": {"start": 0.5, "end": 3}}]),
+            "offsets must be integers, not 0.5 and 3",
+        ),
+        (
+            _record(arguments=[{**_HEAD_ARG, "head": {"start": 0, "end": True}}]),
+            "offsets must be integers, not 0 and True",
+        ),
+        (_record(instance_id=7), "id must be a string, not 7"),
+        (_record(event_type=5), "event_type must be a string, not 5"),
+        (_record(arguments=[{**_HEAD_ARG, "role": 5}]), "role must be a string, not 5"),
+        (_record(arguments=[{**_HEAD_ARG, "surface": 5}]), "surface must be a string, not 5"),
+        (
+            _record(arguments=[{**_HEAD_ARG, "entity_type": 5}]),
+            "entity_type must be a string, not 5",
+        ),
+        (
+            _record(arguments=[{**_HEAD_ARG, "head": {"start": 0, "end": 99}}]),
+            "argument head span out of bounds for instance 'x-1'",
+        ),
+        (_without("trigger"), "'trigger'"),
+        ({**_record(), "trigger": 5}, "'int' object is not subscriptable"),
+        (_without("sentence"), "'sentence'"),
+        ([1, 2], "list indices must be integers or slices, not str"),
     ],
     ids=["int-argument", "str-argument", "float-start", "float-end", "float-head",
          "bool-head", "int-id", "int-event-type", "int-role", "int-surface",
-         "int-entity-type"],
+         "int-entity-type", "head-out-of-bounds", "no-trigger", "int-trigger",
+         "no-sentence", "not-an-object"],
 )
-def test_malformed_record_rejected_naming_its_line(tmp_path, fields):
-    path = _write_corpus(tmp_path, [_record(**fields)])
-    with pytest.raises(ConfigError, match=f"^{re.escape(path)}:1: bad train record"):
+def test_malformed_record_rejected_naming_its_line(tmp_path, record, message):
+    path = _write_corpus(tmp_path, [record])
+    with pytest.raises(ConfigError) as excinfo:
         load_corpus(path, "train")
+    assert str(excinfo.value) == f"{path}:1: bad train record: {message}"
 
 
 def test_same_type_selection_in_corpus_order(train_set):

@@ -25,6 +25,8 @@ from evarg.harness import (
     run,
     write_report,
 )
+from evarg.ontology import load_ontology
+from evarg.parsing import parse_completion
 
 BASE = dict(
     ontology_path="fixtures/ontology.yaml",
@@ -547,6 +549,34 @@ def test_load_report_rejects_a_report_not_covering_each_test_instance_once(
     with pytest.raises(
         ConfigError, match=f"^report file {re.escape(str(bad))} lists test instance "
         f"'test-001' {times} times, not once$"
+    ):
+        load_report(str(bad))
+
+
+def test_load_report_rejects_an_event_type_the_test_corpus_does_not_give(
+    in_repo_root, golden_dir, tmp_path
+):
+    """A retyped instance is rejected even with its parse and score re-derived to match."""
+    report = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
+    entry = report["instances"][0]
+    assert (entry["id"], entry["event_type"]) == ("test-001", "Transport")
+    entry["event_type"] = "Movement"
+    ontology = load_ontology(report["config"]["ontology_path"])
+    parsed = parse_completion(entry["completion"], ontology, "Movement", "code")
+    entry["parsed"] = {
+        "roles": {
+            role: [{"entity_type": m.entity_type, "surface": m.surface} for m in mentions]
+            for role, mentions in parsed.roles.items()
+        },
+        "diagnostics": [{"kind": d.kind.value, "detail": d.detail} for d in parsed.diagnostics],
+    }
+    rescore(report)
+    bad = tmp_path / "retyped.json"
+    bad.write_text(json.dumps(report), encoding="utf-8")
+    with pytest.raises(
+        ConfigError,
+        match="^instance 'test-001': stored event_type 'Movement' is not "
+        "the test corpus's 'Transport'$",
     ):
         load_report(str(bad))
 
