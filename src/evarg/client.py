@@ -11,18 +11,20 @@ reads its key from the environment and records only a prompt hash.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import threading
 import time
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from .files import ConfigError, read_jsonl, string_field
 
 if typing.TYPE_CHECKING:
-    import requests
+    import http.client
 
 
 class BackendError(Exception):
@@ -159,33 +161,137 @@ BACKOFF_BASE_S = 1.0
 BACKOFF_CAP_S = 32.0
 
 
-@dataclass
+def check_endpoint(endpoint: str) -> SplitResult:
+    """``endpoint`` split into its parts; it must be an http:// or https:// URL with a host.
+
+    Anything else raises ``ConfigError``: no request could reach it, so it is
+    a configuration error and not a transport failure to retry. So does a
+    ``user:password@`` in it, which no request would send: the key comes
+    from ``API_KEY_ENV``.
+    """
+    try:
+        url = urlsplit(endpoint)
+        url.port  # a port that is not a number from 0 to 65535 raises ValueError
+    except ValueError:  # also an unclosed "[" around an IPv6 host
+        url = None
+    if url is not None and url.username is not None:
+        # the message leaves the endpoint out: it holds a password
+        raise ConfigError(
+            f"endpoint must not hold a user name or password; the key is read from {API_KEY_ENV}"
+        )
+    if url is None or url.scheme not in ("http", "https") or not url.hostname:
+        raise ConfigError(
+            f"endpoint must be an http:// or https:// URL with a host, not {endpoint!r}"
+        )
+    return url
+
+
+def _proxy(proxy: str, scheme: str) -> tuple[tuple[str, int], dict[str, str]]:
+    """The (host, port) of the proxy at URL ``proxy``, and the headers that log in to it.
+
+    The proxy must speak plain HTTP; a scheme-less URL is taken as http://.
+    ``user:password@`` in the URL becomes a basic ``Proxy-Authorization``.
+    """
+    try:
+        url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        port = url.port or 80
+    except ValueError:
+        url = None
+    if url is None or url.scheme != "http" or not url.hostname:
+        # the message leaves the URL out: it may hold a password
+        raise ConfigError(
+            f"the proxy for {scheme}:// endpoints must be an http:// URL with a host"
+        )
+    headers = {}
+    if url.username is not None:
+        import base64
+
+        login = f"{unquote(url.username)}:{unquote(url.password or '')}".encode("utf-8")
+        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(login).decode("ascii")
+    return (url.hostname, port), headers
+
+
+def _dropped(sock) -> bool:
+    """Whether the server has closed this idle kept-alive socket.
+
+    It then reads as ready, although no response is due.
+    """
+    import select  # not with the module: a replay run has no socket to poll
+
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
 class HttpBackend:
     """OpenAI-style completions endpoint.
 
     POSTs {model, prompt, max_tokens, temperature, stop} to endpoint +
     ``PATH`` with the bearer token in ``API_KEY_ENV`` at call time, and
     retries 429, 5xx and transport errors with backoff. ``complete`` has
-    no use for the digest. ``requests`` is imported when a backend is
-    built without a session and by ``complete``, not with the module, so
-    a replay run never loads the HTTP stack.
+    no use for the digest.
+
+    Each thread that calls ``complete`` gets its own keep-alive connection
+    on its first call; ``close`` closes every thread's. The proxy named by
+    ``HTTP_PROXY``/``HTTPS_PROXY`` and ``NO_PROXY`` is chosen once, here;
+    https is verified against the system's CA store. ``http.client`` is
+    imported when a backend is built, not with the module, so a replay run
+    never loads the HTTP stack.
     """
 
-    endpoint: str
-    session: requests.Session | None = field(default=None, repr=False)
+    def __init__(self, endpoint: str):
+        import http.client
+        import urllib.request
 
-    def __post_init__(self) -> None:
-        if self.session is None:
-            import requests
+        url = check_endpoint(endpoint)
+        self._url = endpoint.rstrip("/") + PATH  # as error messages name it
+        https = url.scheme == "https"
+        host, port = url.hostname, url.port or (443 if https else 80)
+        self._address: tuple[str, int] = (host, port)
+        self._path = url.path.rstrip("/") + PATH
+        self._headers = {"Content-Type": "application/json"}
+        self._tunnel: tuple | None = None
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(f"{host}:{port}"):
+            self._address, proxy_headers = _proxy(proxy, url.scheme)
+            if https:
+                self._tunnel = (host, port, proxy_headers)
+            else:  # a plain-http proxy is sent the absolute URL
+                self._path = f"http://{url.netloc}{self._path}"
+                self._headers.update(proxy_headers)
+        if https:
+            import ssl
 
-            self.session = requests.Session()
+            context = ssl.create_default_context()
+            self._connect = functools.partial(http.client.HTTPSConnection, context=context)
+        else:
+            self._connect = http.client.HTTPConnection
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection to the endpoint, made on its first call."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect(*self._address, timeout=TIMEOUT_S)
+            if self._tunnel is not None:
+                conn.set_tunnel(*self._tunnel)
+            with self._lock:
+                self._connections.append(conn)
+        return conn
 
     def complete(self, req: CompletionRequest, digest: str) -> CompletionResponse:
-        import requests
+        from http.client import HTTPException
 
-        headers = {}
+        headers = dict(self._headers)
         key = os.environ.get(API_KEY_ENV)
         if key:
+            if not (key.isascii() and key.isprintable()):
+                # the message leaves the key out: it would reach stderr
+                raise BackendError(f"{API_KEY_ENV} is not a valid HTTP header value")
             headers["Authorization"] = f"Bearer {key}"
         body = {
             "model": req.model_id,
@@ -194,28 +300,35 @@ class HttpBackend:
             "temperature": req.temperature,
             "stop": list(req.stop_patterns),
         }
-        url = self.endpoint.rstrip("/") + PATH
+        payload = json.dumps(body, allow_nan=False).encode("utf-8")
+        conn = self._connection()
         last_error: Exception | None = None
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 time.sleep(min(BACKOFF_BASE_S * 2 ** (attempt - 1), BACKOFF_CAP_S))
+            if conn.sock is not None and _dropped(conn.sock):
+                conn.close()  # closed by the server while idle: reopened, spending no retry
             started = time.monotonic()
             try:
-                http = self.session.post(url, json=body, headers=headers, timeout=TIMEOUT_S)
-            except requests.RequestException as exc:
+                conn.request("POST", self._path, payload, headers)
+                resp = conn.getresponse()
+                data = resp.read()
+            except (OSError, HTTPException) as exc:
+                conn.close()  # the next attempt opens a new connection
                 last_error = exc
                 continue
             latency = int((time.monotonic() - started) * 1000)
-            if http.status_code in (401, 403):
-                raise BackendError(f"endpoint rejected credential (HTTP {http.status_code})")
-            if http.status_code == 429 or http.status_code >= 500:
-                last_error = BackendError(f"HTTP {http.status_code} from {url}")
+            if resp.status in (401, 403):
+                raise BackendError(f"endpoint rejected credential (HTTP {resp.status})")
+            if resp.status == 429 or resp.status >= 500:
+                last_error = BackendError(f"HTTP {resp.status} from {self._url}")
                 continue
-            if http.status_code != 200:
-                raise BackendError(f"HTTP {http.status_code} from {url}: {http.text[:200]}")
+            if resp.status != 200:
+                text = data.decode("utf-8", "replace")
+                raise BackendError(f"HTTP {resp.status} from {self._url}: {text[:200]}")
             try:
                 # indexing a choice that is not an object raises TypeError
-                choice = http.json()["choices"][0]
+                choice = json.loads(data)["choices"][0]
                 text = choice["text"]
                 if not isinstance(text, str):
                     raise TypeError(f"text is {type(text).__name__}, not str")
@@ -225,10 +338,13 @@ class HttpBackend:
             if finish not in ("stop", "length"):
                 finish = "length"
             return CompletionResponse(text=text, finish_reason=finish, latency_ms=latency)
-        raise BackendError(f"retries exhausted calling {url}: {last_error}")
+        raise BackendError(f"retries exhausted calling {self._url}: {last_error}")
 
     def close(self) -> None:
-        self.session.close()
+        """Close every thread's connection; a thread that calls again opens a new one."""
+        with self._lock:
+            for conn in self._connections:
+                conn.close()
 
 
 class ReplayBackend:

@@ -78,8 +78,13 @@ def load_corpus(path: str | Path, split: str) -> Dataset:
     return Dataset(split=split, instances=tuple(instances.values()))
 
 
-def _offsets(rec: dict) -> tuple[int, int]:
-    """A span record's ``start`` and ``end``; each must be an int, and a bool is not one."""
+def _offsets(rec: dict, what: str) -> tuple[int, int]:
+    """The ``what`` span record's ``start`` and ``end``.
+
+    The record must be an object, and each offset an int; a bool is not one.
+    """
+    if not isinstance(rec, dict):
+        raise TypeError(f"{what} must be an object, not {rec!r}")
     start, end = rec["start"], rec["end"]
     if type(start) is not int or type(end) is not int:
         raise TypeError(f"offsets must be integers, not {start!r} and {end!r}")
@@ -87,9 +92,11 @@ def _offsets(rec: dict) -> tuple[int, int]:
 
 
 def _instance_from_record(rec: dict) -> TrainingInstance:
+    if not isinstance(rec, dict):
+        raise TypeError(f"record must be an object, not {rec!r}")
     instance_id, sentence = string_field(rec, "id"), string_field(rec, "sentence")
     trig = rec["trigger"]
-    start, end = _offsets(trig)
+    start, end = _offsets(trig, "trigger")
     surface = string_field(trig, "surface")
     if not (0 <= start <= end <= len(sentence)):
         raise ValueError(f"trigger span out of bounds for instance {instance_id!r}")
@@ -104,7 +111,7 @@ def _instance_from_record(rec: dict) -> TrainingInstance:
             raise TypeError(f"argument {arg!r} is not an object")
         head = None
         if arg.get("head") is not None:
-            head = Span(*_offsets(arg["head"]))
+            head = Span(*_offsets(arg["head"], "head"))
             if not (0 <= head.start <= head.end <= len(sentence)):
                 raise ValueError(
                     f"argument head span out of bounds for instance {instance_id!r}"

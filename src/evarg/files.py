@@ -37,8 +37,9 @@ def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None]) -> No
     A line that is not JSON, whose strings hold a lone surrogate, or whose
     value ``record`` rejects with a ``ValueError``, ``KeyError``,
     ``TypeError`` or ``OverflowError`` (a number too large for a float),
-    raises ``ConfigError("path:line: bad <what> record: ...")``; a file that cannot
-    be read as UTF-8 raises ``ConfigError("cannot read <what> file path: ...")``.
+    raises ``ConfigError("path:line: bad <what> record: ...")``, a ``KeyError``
+    reading ``missing key '<key>'``; a file that cannot be read as UTF-8
+    raises ``ConfigError("cannot read <what> file path: ...")``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -50,7 +51,10 @@ def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None]) -> No
                     if "\\" in line and _SURROGATE_ESCAPE.search(line):  # the cheap test first
                         _reject_lone_surrogate(line)
                     record(value)
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                except KeyError as exc:
+                    message = f"{path}:{lineno}: bad {what} record: missing key {exc.args[0]!r}"
+                    raise ConfigError(message) from exc
+                except (TypeError, ValueError, OverflowError) as exc:
                     invalid = "invalid JSON: " if isinstance(exc, json.JSONDecodeError) else ""
                     message = f"{path}:{lineno}: bad {what} record: {invalid}{exc}"
                     raise ConfigError(message) from exc

@@ -19,7 +19,6 @@ import typing
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from urllib.parse import urlsplit
 
 from . import client as client_mod
 from .client import (
@@ -29,6 +28,7 @@ from .client import (
     MissingFixtures,
     RecordingBackend,
     ReplayBackend,
+    check_endpoint,
     hash_prefix,
     request_digest,
 )
@@ -127,15 +127,7 @@ class RunConfig:
         else:
             if self.endpoint is None:
                 raise ConfigError("http backend requires endpoint")
-            try:
-                url = urlsplit(self.endpoint)
-            except ValueError:  # an unclosed "[" around an IPv6 host
-                url = None
-            if url is None or url.scheme not in ("http", "https") or not url.hostname:
-                raise ConfigError(
-                    f"endpoint must be an http:// or https:// URL with a host, "
-                    f"not {self.endpoint!r}"
-                )
+            check_endpoint(self.endpoint)
             if self.record and self.fixture_path is None:
                 raise ConfigError("recording requires fixture_path")
 

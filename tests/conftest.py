@@ -1,6 +1,8 @@
 import json
+import socket
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -103,48 +105,111 @@ def make_dataset(split: str, instances) -> Dataset:
     return Dataset(split=split, instances=tuple(instances))
 
 
+# Endpoints no request can be sent to: no scheme, a scheme other than http(s),
+# no host, an unclosed IPv6 bracket, a port out of range.
+BAD_ENDPOINTS = [
+    "localhost:8000",
+    "127.0.0.1:8000",
+    "ftp://localhost:8000",
+    "http://",
+    "http://[::1",
+    "http://localhost:99999",
+]
+
+# A script entry ``(STALL, seconds)`` holds its request, never answering, until the
+# stub closes or ``seconds`` pass.
+STALL = "stall"
+
+
 class _StubHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length) or b"{}")
+    protocol_version = "HTTP/1.1"  # a connection stays open for the client's next request
+
+    def handle(self):
+        try:
+            super().handle()
+        finally:
+            self.server.closed.append(self.client_address[1])
+
+    def _record(self, body):
         self.server.requests.append(
             {
+                "method": self.command,
                 "path": self.path,
                 "auth": self.headers.get("Authorization"),
+                "proxy_auth": self.headers.get("Proxy-Authorization"),
+                "content_type": self.headers.get("Content-Type"),
+                "client": self.client_address[1],  # the port tells connections apart
                 "body": body,
             }
         )
-        if self.server.script:
-            status, payload = self.server.script.pop(0)
-        else:
-            status, payload = self.server.default
-        data = (
-            payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
-        )
+
+    def _send(self, status, data):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
 
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        self._record(json.loads(self.rfile.read(length) or b"{}"))
+        server = self.server
+        status, payload = server.script.pop(0) if server.script else server.default
+        if status == STALL:
+            server.released.wait(payload)
+            self.close_connection = True
+            return
+        self._send(status, payload if isinstance(payload, bytes) else json.dumps(payload).encode())
+        if server.drop_after_response:  # close the socket without a Connection: close header
+            self.connection.shutdown(socket.SHUT_RDWR)
+            self.close_connection = True
+            server.dropped.set()
+
+    def do_CONNECT(self):
+        """Act as a proxy that refuses every tunnel."""
+        self._record(None)
+        self._send(502, b"")
+        self.close_connection = True
+
     def log_message(self, *args):
         pass
 
 
 class StubServer:
-    """Scriptable loopback completions endpoint for backend tests."""
+    """Scriptable loopback completions endpoint for backend tests.
 
-    def __init__(self):
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    Built with ``listening=False``, its port refuses connections until
+    ``listen`` is called. ``tls``, an ``ssl.SSLContext``, makes it serve https.
+    """
+
+    def __init__(self, listening: bool = True, tls=None):
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler, bind_and_activate=False)
+        self.server.server_bind()
+        if tls is not None:
+            self.server.socket = tls.wrap_socket(self.server.socket, server_side=True)
         self.server.requests = []
+        self.server.closed = []  # the client port of each connection that has ended
         self.server.script = []
         self.server.default = (
             200,
             {"choices": [{"text": "ok", "finish_reason": "stop"}]},
         )
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.server.drop_after_response = False
+        self.server.dropped = threading.Event()
+        self.server.released = threading.Event()  # set by ``close``: stalled requests end
+        self.thread = None
+        self.port = self.server.server_address[1]
+        self.url = f"{'https' if tls else 'http'}://127.0.0.1:{self.port}"
+        if listening:
+            self.listen()
+
+    def listen(self):
+        self.server.server_activate()
+        # a short poll interval lets ``close`` return at once
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self.thread.start()
-        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
 
     @property
     def requests(self):
@@ -154,11 +219,30 @@ class StubServer:
     def script(self):
         return self.server.script
 
+    @property
+    def dropped(self):
+        return self.server.dropped
+
     def set_default(self, status, payload):
         self.server.default = (status, payload)
 
+    def drop_after_response(self):
+        """Close each connection after answering on it, without saying so."""
+        self.server.drop_after_response = True
+
+    def wait_closed(self, clients, timeout: float = 5.0) -> bool:
+        """Whether the connections from ``clients`` (ports) all end within ``timeout`` s."""
+        deadline = time.monotonic() + timeout
+        while not set(clients) <= set(self.server.closed):
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.01)
+        return True
+
     def close(self):
-        self.server.shutdown()
+        self.server.released.set()
+        if self.thread is not None:
+            self.server.shutdown()
         self.server.server_close()
 
 

@@ -174,15 +174,19 @@ def _without(key):
             _record(arguments=[{**_HEAD_ARG, "head": {"start": 0, "end": 99}}]),
             "argument head span out of bounds for instance 'x-1'",
         ),
-        (_without("trigger"), "'trigger'"),
-        ({**_record(), "trigger": 5}, "'int' object is not subscriptable"),
-        (_without("sentence"), "'sentence'"),
-        ([1, 2], "list indices must be integers or slices, not str"),
+        (_without("trigger"), "missing key 'trigger'"),
+        ({**_record(), "trigger": 5}, "trigger must be an object, not 5"),
+        (
+            _record(arguments=[{**_HEAD_ARG, "head": [0, 3]}]),
+            "head must be an object, not [0, 3]",
+        ),
+        (_without("sentence"), "missing key 'sentence'"),
+        ([1, 2], "record must be an object, not [1, 2]"),
     ],
     ids=["int-argument", "str-argument", "float-start", "float-end", "float-head",
          "bool-head", "int-id", "int-event-type", "int-role", "int-surface",
          "int-entity-type", "head-out-of-bounds", "no-trigger", "int-trigger",
-         "no-sentence", "not-an-object"],
+         "list-head", "no-sentence", "not-an-object"],
 )
 def test_malformed_record_rejected_naming_its_line(tmp_path, record, message):
     path = _write_corpus(tmp_path, [record])

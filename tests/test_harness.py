@@ -6,7 +6,6 @@ import sys
 import textwrap
 from collections import Counter
 from dataclasses import MISSING, fields, replace
-from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -199,31 +198,22 @@ def test_sibling_tasks_share_the_plans_hierarchy_split(cfg_code, monkeypatch):
 # --- closing the backend ---------------------------------------------------
 
 
-class FakeSession:
-    """Answers every POST with one status and a ``)`` completion; counts ``close``."""
-
-    def __init__(self, status: int):
-        self.status = status
-        self.closed = 0
-
-    def post(self, url, json, headers, timeout):
-        body = {"choices": [{"text": ")", "finish_reason": "stop"}]}
-        return SimpleNamespace(status_code=self.status, text="", json=lambda: body)
-
-    def close(self):
-        self.closed += 1
-
-
 @pytest.mark.parametrize("status, record", [(200, True), (200, False), (401, True), (401, False)])
-def test_run_closes_the_http_session(cfg_code, tmp_path, monkeypatch, status, record):
-    session = FakeSession(status)
-    monkeypatch.setattr(
-        harness, "HttpBackend", lambda endpoint: HttpBackend(endpoint=endpoint, session=session)
-    )
+def test_run_closes_the_http_session(cfg_code, tmp_path, monkeypatch, stub, status, record):
+    """``run`` closes every connection its backend opened, whether a request failed or not."""
+    backends = []
+
+    def build(endpoint):
+        # held here, so that only ``close`` can close the backend's connections
+        backends.append(HttpBackend(endpoint=endpoint))
+        return backends[-1]
+
+    monkeypatch.setattr(harness, "HttpBackend", build)
+    stub.set_default(status, {"choices": [{"text": ")", "finish_reason": "stop"}]})
     cfg = replace(
         cfg_code,
         backend="http",
-        endpoint="http://localhost",
+        endpoint=stub.url,
         record=record,
         fixture_path=str(tmp_path / "recorded.jsonl"),
     )
@@ -232,7 +222,9 @@ def test_run_closes_the_http_session(cfg_code, tmp_path, monkeypatch, status, re
     else:
         with pytest.raises(BackendError):
             run(cfg)
-    assert session.closed == 1
+    assert len(backends) == 1
+    clients = {sent["client"] for sent in stub.requests}
+    assert clients and stub.wait_closed(clients)
 
 
 def test_replay_run_closes_its_backend_when_fixtures_are_missing(cfg_code, tmp_path, monkeypatch):
@@ -696,8 +688,9 @@ def test_compare_rejects_an_edited_report(report_files):
 def test_importing_harness_leaves_numpy_unloaded():
     """numpy is a test-only dependency; no evarg module, the CLI included, may load it.
 
-    Nor may a replay ``validate``, ``emit`` or ``run`` load ``requests``: only
-    an ``HttpBackend`` built without a session imports it.
+    Nor may a replay ``validate``, ``emit`` or ``run`` load the HTTP stack
+    (``http.client`` and ``ssl``): only building an ``HttpBackend`` imports
+    it. No evarg module loads ``requests``.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -716,9 +709,10 @@ def test_importing_harness_leaves_numpy_unloaded():
                 main(["emit", *inputs, "--id", "test-001"]),
                 main(["run", *inputs]),
             ]
-        print(codes, sorted({"numpy", "requests"} & set(sys.modules)))
+        watched = {"numpy", "requests", "http.client", "ssl"}
+        print(codes, sorted(watched & set(sys.modules)))
         evarg.harness.HttpBackend(endpoint="http://127.0.0.1:9").close()
-        print(sorted({"numpy", "requests"} & set(sys.modules)))
+        print(sorted(watched & set(sys.modules)))
         """
     )
     result = subprocess.run(
@@ -730,4 +724,4 @@ def test_importing_harness_leaves_numpy_unloaded():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[0, 0, 0] []", "['requests']"]
+    assert result.stdout.splitlines() == ["[0, 0, 0] []", "['http.client', 'ssl']"]

@@ -1,5 +1,6 @@
-"""Every name a module imports is read somewhere in that module, and no
-module of the package imports another's underscore-prefixed name.
+"""Every name a module imports is read somewhere in that module, no
+module of the package imports another's underscore-prefixed name, and
+the package's runtime dependencies are the third-party modules it imports.
 
 No linter is a dependency, so this walks ``src/evarg``, ``scripts`` and
 ``tests`` with ``ast``. ``bench/`` is left to the benchmark's own checks.
@@ -7,6 +8,10 @@ Tests may import private names: they check the module that defines them.
 """
 
 import ast
+import re
+import sys
+
+import pytest
 
 from conftest import ROOT
 
@@ -70,3 +75,44 @@ def test_no_package_module_imports_another_modules_private_name():
         for line, name in private_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+# a distribution's top-level module, where the two names differ
+MODULE_OF = {"pyyaml": "yaml"}
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the modules ``source`` imports from outside the
+    standard library and the package, wherever the import statement stands."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"evarg"}
+
+
+def declared_dependencies() -> set[str]:
+    """The top-level module of each entry of ``dependencies`` in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    names = {re.match(r"[A-Za-z0-9._-]+", spec).group().lower() for spec in project["dependencies"]}
+    return {MODULE_OF.get(name, name.replace("-", "_")) for name in names}
+
+
+def test_the_check_finds_third_party_imports():
+    source = (
+        "import os, yaml.constructor\nfrom requests import Session\nfrom . import corpus\n"
+        "from evarg import files\nfrom __future__ import annotations\n"
+        "def f():\n    import numpy as np\n"
+    )
+    assert third_party_imports(source) == {"yaml", "requests", "numpy"}
+
+
+def test_runtime_dependencies_are_the_third_party_modules_the_package_imports():
+    imported = set().union(
+        *(third_party_imports(path.read_text(encoding="utf-8"))
+          for path in sorted(ROOT.glob("src/evarg/*.py")))
+    )
+    assert imported == declared_dependencies()
