@@ -332,6 +332,7 @@ class HttpBackend:
                 text = choice["text"]
                 if not isinstance(text, str):
                     raise TypeError(f"text is {type(text).__name__}, not str")
+                text.encode("utf-8")  # a lone surrogate could be neither reported nor recorded
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion response: {exc}") from exc
             finish = choice.get("finish_reason")

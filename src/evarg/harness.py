@@ -154,6 +154,8 @@ def load_amr(path: str) -> dict[str, str]:
         instance_id, amr = string_field(rec, "id"), string_field(rec, "amr")
         if not amr.strip():
             raise ValueError(f"empty amr for {instance_id!r}")
+        if instance_id in table:
+            raise ValueError(f"duplicate id {instance_id!r}")
         table[instance_id] = amr
 
     read_jsonl(path, "amr", add)
@@ -271,7 +273,7 @@ def _parse_and_score(
     Each instance id in ``skipped`` counts as predicting nothing.
     """
     preds = [(i, parse_completion(text, ontology, t, style)) for i, t, text in entries]
-    block = score(preds + [(i, ParsedEvent()) for i in skipped], test).to_dict()
+    block = score(preds + [(i, ParsedEvent()) for i in skipped], test)
     return [_parsed_to_dict(parsed) for _, parsed in preds], block
 
 

@@ -11,15 +11,13 @@ the pooled sums.
 Only equal heads can match, so each head span is an independent group:
 its identified count is the smaller of its gold and predicted counts, and
 its classified count is the size of the role multiset the two sides share.
-Matching counts these per group in one walk over the predictions and
-never pairs an ungrounded head; the test suite checks it against
-exhaustive matching.
+Matching counts these per group and never pairs an ungrounded head;
+the test suite checks it against exhaustive matching.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .corpus import Dataset, Span
 from .ontology import derive_class_name
@@ -36,6 +34,8 @@ _PREPOSITIONS = frozenset(
     to toward towards under until up upon with within without
     """.split()
 )
+
+_COUNTS = ("n_gold", "n_pred", "tp_identified", "tp_classified")
 
 
 def head_span(span: Span, sentence: str) -> Span:
@@ -87,46 +87,21 @@ def ground(pred_surface: str, sentence: str) -> Span | None:
     return None
 
 
-@dataclass
-class TypeCounts:
-    n_gold: int = 0
-    n_pred: int = 0
-    tp_identified: int = 0
-    tp_classified: int = 0
-
-
-@dataclass(frozen=True)
-class Metric:
-    p: float
-    r: float
-    f1: float
-
-
-@dataclass
-class ScoreReport:
-    per_type: dict[str, TypeCounts] = field(default_factory=dict)
-    micro_arg_i: Metric = Metric(0.0, 0.0, 0.0)
-    micro_arg_c: Metric = Metric(0.0, 0.0, 0.0)
-    ungrounded_count: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "per_type": {
-                name: vars(counts) for name, counts in sorted(self.per_type.items())
-            },
-            "micro": {
-                "arg_i": vars(self.micro_arg_i),
-                "arg_c": vars(self.micro_arg_c),
-            },
-            "ungrounded_count": self.ungrounded_count,
-        }
-
-
-def _metric(tp: int, n_pred: int, n_gold: int) -> Metric:
+def _prf(tp: int, n_pred: int, n_gold: int) -> dict[str, float]:
     p = tp / n_pred if n_pred else 0.0
     r = tp / n_gold if n_gold else 0.0
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
-    return Metric(p, r, f1)
+    return {"p": p, "r": r, "f1": 2 * p * r / (p + r) if p + r else 0.0}
+
+
+def _shared(items: list, others: list) -> int:
+    """How many ``items`` pair off one-to-one with equal ``others``."""
+    rest = list(others)
+    n = 0
+    for item in items:
+        if item in rest:
+            rest.remove(item)
+            n += 1
+    return n
 
 
 def _match_instance(
@@ -134,42 +109,22 @@ def _match_instance(
     pred_pairs: list[tuple[str, Span | None]],
 ) -> tuple[int, int]:
     """One-to-one matching on head spans; returns (identified, classified)."""
-    golds = list(gold_pairs)
-    classified = 0
-    leftover: list[Span] = []
-    for pair in pred_pairs:
-        if pair[1] is None:
-            continue
-        if pair in golds:
-            golds.remove(pair)
-            classified += 1
-        else:
-            leftover.append(pair[1])
-    # a gold left over matches a leftover prediction of the same head, whatever its role
-    heads = [head for _, head in golds]
-    identified = classified
-    for head in leftover:
-        if head in heads:
-            heads.remove(head)
-            identified += 1
-    return identified, classified
+    preds = [pair for pair in pred_pairs if pair[1] is not None]
+    identified = _shared([head for _, head in preds], [head for _, head in gold_pairs])
+    return identified, _shared(preds, gold_pairs)
 
 
-def score(preds: list[tuple[str, ParsedEvent]], golds: Dataset) -> ScoreReport:
-    """Score parsed predictions against gold arguments.
+def score(preds: list[tuple[str, ParsedEvent]], golds: Dataset) -> dict:
+    """Score parsed predictions against gold arguments; returns the report's score block.
 
     preds pairs an instance id from golds with its ParsedEvent; a missing
     id raises KeyError. Predictions are deduped per instance by role and
     head span (ungrounded ones by role and surface) before counting.
     """
-    report = ScoreReport()
-
+    per_type: dict[str, dict[str, int]] = {}
+    ungrounded_count = 0
     for instance_id, parsed in preds:
         inst = golds.by_id(instance_id)
-        counts = report.per_type.setdefault(
-            derive_class_name(inst.event_type), TypeCounts()
-        )
-
         gold_pairs: list[tuple[str, Span | None]] = []
         for arg in inst.arguments:
             head = arg.head
@@ -178,34 +133,31 @@ def score(preds: list[tuple[str, ParsedEvent]], golds: Dataset) -> ScoreReport:
                 head = head_span(span, inst.sentence) if span is not None else None
             gold_pairs.append((arg.role, head))
 
-        pred_pairs: list[tuple[str, Span | None]] = []
-        seen: set[tuple] = set()
+        grounded: set[tuple[str, Span]] = set()
+        ungrounded: set[tuple[str, str]] = set()
         for role, mentions in parsed.roles.items():
             for mention in mentions:
                 span = ground(mention.surface, inst.sentence)
                 if span is None:
-                    key = (role, None, mention.surface)
-                    head = None
+                    ungrounded.add((role, mention.surface))
                 else:
-                    head = head_span(span, inst.sentence)
-                    key = (role, head.start, head.end)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if head is None:
-                    report.ungrounded_count += 1
-                pred_pairs.append((role, head))
+                    grounded.add((role, head_span(span, inst.sentence)))
 
-        identified, classified = _match_instance(gold_pairs, pred_pairs)
-        counts.n_gold += len(gold_pairs)
-        counts.n_pred += len(pred_pairs)
-        counts.tp_identified += identified
-        counts.tp_classified += classified
+        identified, classified = _match_instance(gold_pairs, list(grounded))
+        cls = derive_class_name(inst.event_type)
+        counts = per_type.setdefault(cls, dict.fromkeys(_COUNTS, 0))
+        counts["n_gold"] += len(gold_pairs)
+        counts["n_pred"] += len(grounded) + len(ungrounded)
+        counts["tp_identified"] += identified
+        counts["tp_classified"] += classified
+        ungrounded_count += len(ungrounded)
 
-    n_gold = sum(c.n_gold for c in report.per_type.values())
-    n_pred = sum(c.n_pred for c in report.per_type.values())
-    tp_i = sum(c.tp_identified for c in report.per_type.values())
-    tp_c = sum(c.tp_classified for c in report.per_type.values())
-    report.micro_arg_i = _metric(tp_i, n_pred, n_gold)
-    report.micro_arg_c = _metric(tp_c, n_pred, n_gold)
-    return report
+    total = {key: sum(counts[key] for counts in per_type.values()) for key in _COUNTS}
+    return {
+        "per_type": dict(sorted(per_type.items())),
+        "micro": {
+            "arg_i": _prf(total["tp_identified"], total["n_pred"], total["n_gold"]),
+            "arg_c": _prf(total["tp_classified"], total["n_pred"], total["n_gold"]),
+        },
+        "ungrounded_count": ungrounded_count,
+    }

@@ -19,9 +19,8 @@ from evarg.corpus import (  # noqa: E402
     Trigger,
     load_corpus,
 )
+from evarg.harness import _parse_and_score  # noqa: E402
 from evarg.ontology import load_ontology  # noqa: E402
-from evarg.parsing import ParsedEvent, parse_completion  # noqa: E402
-from evarg.scoring import score  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -61,13 +60,35 @@ def rescore(report: dict) -> dict:
     Paths in the report's config are read from the current directory.
     """
     config = report["config"]
-    ontology, style = load_ontology(config["ontology_path"]), config["prompt_style"]
-    preds = [
-        (e["id"], parse_completion(e["completion"], ontology, e["event_type"], style))
-        for e in report["instances"]
-    ] + [(e["id"], ParsedEvent()) for e in report["skipped"]]
-    report["score"] = score(preds, load_corpus(config["test_path"], "test")).to_dict()
+    entries = [(e["id"], e["event_type"], e["completion"]) for e in report["instances"]]
+    _, report["score"] = _parse_and_score(
+        entries,
+        [e["id"] for e in report["skipped"]],
+        load_ontology(config["ontology_path"]),
+        load_corpus(config["test_path"], "test"),
+        config["prompt_style"],
+    )
     return report
+
+
+def exhaustive_match(gold_pairs, pred_pairs):
+    """Lexicographic-best (identified, classified) over all matchings."""
+    best = (0, 0)
+
+    def rec(pi, used, ident, classi):
+        nonlocal best
+        if pi == len(pred_pairs):
+            best = max(best, (ident, classi))
+            return
+        role, head = pred_pairs[pi]
+        rec(pi + 1, used, ident, classi)
+        if head is not None:
+            for gi, (g_role, g_head) in enumerate(gold_pairs):
+                if gi not in used and g_head == head:
+                    rec(pi + 1, used | {gi}, ident + 1, classi + (role == g_role))
+
+    rec(0, frozenset(), 0, 0)
+    return best
 
 
 def drop_the_first_instance(report: dict) -> None:

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import make_dataset, make_instance
+from conftest import exhaustive_match, make_dataset, make_instance
 from evarg.client import truncate_at_stop
 from evarg.corpus import Span, select_same_type, split_hierarchy
 from evarg.emitter import (
@@ -166,25 +166,6 @@ def test_criterion_03_parser_totality_and_monotonicity(capfd, ontology):
 # 4 ------------------------------------------------------------------------
 
 
-def _exhaustive_match(gold_pairs, pred_pairs):
-    best = (0, 0)
-
-    def rec(pi, used, ident, classi):
-        nonlocal best
-        if pi == len(pred_pairs):
-            best = max(best, (ident, classi))
-            return
-        role, head = pred_pairs[pi]
-        rec(pi + 1, used, ident, classi)
-        if head is not None:
-            for gi, (g_role, g_head) in enumerate(gold_pairs):
-                if gi not in used and g_head == head:
-                    rec(pi + 1, used | {gi}, ident + 1, classi + (role == g_role))
-
-    rec(0, frozenset(), 0, 0)
-    return best
-
-
 def test_criterion_04_scorer_matches_exhaustive_oracle(capfd):
     def body():
         rng = random.Random(SEED + 2)
@@ -198,7 +179,7 @@ def test_criterion_04_scorer_matches_exhaustive_oracle(capfd):
                 (rng.choice("abc"), rng.choice(spans + [None]))
                 for _ in range(rng.randint(0, 5))
             ]
-            assert _match_instance(gold_pairs, pred_pairs) == _exhaustive_match(
+            assert _match_instance(gold_pairs, pred_pairs) == exhaustive_match(
                 gold_pairs, pred_pairs
             )
 
@@ -240,7 +221,7 @@ def test_criterion_04_scorer_matches_exhaustive_oracle(capfd):
                 ),
             ),
         ]
-        micro = score(preds, golds).to_dict()["micro"]
+        micro = score(preds, golds)["micro"]
         for metric in (micro["arg_i"], micro["arg_c"]):
             assert abs(metric["p"] - 0.6) < 1e-9
             assert abs(metric["r"] - 0.6) < 1e-9
@@ -273,7 +254,7 @@ def test_criterion_05_metric_orderings(capfd, train_set):
                     EntityMention(None, rng.choice(words))
                 )
             report = score([("i1", ParsedEvent(roles=pred_roles))], golds)
-            assert report.micro_arg_c.f1 <= report.micro_arg_i.f1
+            assert report["micro"]["arg_c"]["f1"] <= report["micro"]["arg_i"]["f1"]
 
         inst = train_set.by_id("train-002")
         golds = make_dataset("g", [inst])
@@ -281,12 +262,12 @@ def test_criterion_05_metric_orderings(capfd, train_set):
         for arg in inst.arguments:
             mirrored.setdefault(arg.role, []).append(EntityMention(None, arg.surface))
         perfect = score([(inst.id, ParsedEvent(roles=mirrored))], golds)
-        assert perfect.micro_arg_i.f1 == 1.0
-        assert perfect.micro_arg_c.f1 == 1.0
+        assert perfect["micro"]["arg_i"]["f1"] == 1.0
+        assert perfect["micro"]["arg_c"]["f1"] == 1.0
 
         empty = score([(inst.id, ParsedEvent())], golds)
-        for metric in (empty.micro_arg_i, empty.micro_arg_c):
-            assert (metric.p, metric.r, metric.f1) == (0.0, 0.0, 0.0)
+        for metric in (empty["micro"]["arg_i"], empty["micro"]["arg_c"]):
+            assert (metric["p"], metric["r"], metric["f1"]) == (0.0, 0.0, 0.0)
 
     _announce(capfd, 5, "Arg-C <= Arg-I everywhere; perfect 1.0; empty 0.0", body)
 

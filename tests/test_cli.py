@@ -113,6 +113,23 @@ def test_run_backend_failure_exit_4(config_file, stub, tmp_path, capsys):
     assert len(stub.requests) == sent + 1
 
 
+@pytest.mark.parametrize("record", [False, True], ids=["plain", "record"])
+def test_run_completion_utf8_cannot_encode_exit_4(config_file, stub, tmp_path, capsys, record):
+    text = 'agent=[PER("K\ud800")])'
+    stub.set_default(200, {"choices": [{"text": text, "finish_reason": "stop"}]})
+    recording = tmp_path / "rec.jsonl"
+    recording.write_text("")
+    out = tmp_path / "o.json"
+    cfg = config_file(
+        backend="http", endpoint=stub.url, record=record, fixture_path=str(recording)
+    )
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed completion response: 'utf-8' codec can't encode")
+    assert recording.read_text() == ""
+    assert not out.exists()
+
+
 def test_run_with_a_key_no_header_can_carry_exit_4_without_printing_it(
     config_file, stub, monkeypatch, capsys
 ):

@@ -431,6 +431,14 @@ def test_bad_amr_files_are_config_errors(cfg_code, tmp_path):
     empty_amr.write_text('{"id": "test-001", "amr": "   "}\n')
     with pytest.raises(ConfigError, match="empty amr"):
         run(replace(cfg_code, amr_path=str(empty_amr)))
+    twice = tmp_path / "twice.jsonl"
+    twice.write_text(
+        '{"id": "test-001", "amr": "(r / return-01)"}\n'
+        '{"id": "test-001", "amr": "(l / leave-11)"}\n'
+    )
+    message = f"^{re.escape(str(twice))}:2: bad amr record: duplicate id 'test-001'$"
+    with pytest.raises(ConfigError, match=message):
+        run(replace(cfg_code, amr_path=str(twice)))
 
 
 def test_run_with_a_test_event_type_the_ontology_lacks_is_config_error(cfg_code, tmp_path):

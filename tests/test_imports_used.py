@@ -1,10 +1,12 @@
 """Every name a module imports is read somewhere in that module, no
-module of the package imports another's underscore-prefixed name, and
-the package's runtime dependencies are the third-party modules it imports.
+module of the package imports another's underscore-prefixed name, every
+top-level name of the package is referenced somewhere, and the package's
+runtime dependencies are the third-party modules it imports.
 
 No linter is a dependency, so this walks ``src/evarg``, ``scripts`` and
-``tests`` with ``ast``. ``bench/`` is left to the benchmark's own checks.
-Tests may import private names: they check the module that defines them.
+``tests`` with ``ast``; ``bench/`` counts only as a place that references
+the package's names. Tests may import private names: they check the
+module that defines them.
 """
 
 import ast
@@ -73,6 +75,70 @@ def test_no_package_module_imports_another_modules_private_name():
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in sorted(ROOT.glob("src/evarg/*.py"))
         for line, name in private_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def top_level_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each function, class and name assigned at the top level of ``source``."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                (node.lineno, name.id)
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+    return found
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names ``source`` reads, reads as an attribute, or imports from a module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_the_check_finds_a_dead_name():
+    source = (
+        "import os\nA, (B, C) = 1, (2, 3)\nD: int = A\nclass E:\n    F = 0\n"
+        "def f():\n    G = os.sep\n    return C\nasync def g(): pass\n"
+    )
+    assert top_level_names(source) == [
+        (2, "A"), (2, "B"), (2, "C"), (3, "D"), (4, "E"), (6, "f"), (9, "g")
+    ]
+    assert referenced_names(source + "from x import g\nE.f = B\n") == {
+        "os", "sep", "int", "A", "C", "g", "f", "E", "B"
+    }
+
+
+# a module's version string, read by nothing in the repository
+NOT_REFERENCED = {"__version__"}
+
+
+def test_every_top_level_name_of_the_package_is_referenced():
+    referenced = set().union(
+        *(
+            referenced_names(path.read_text(encoding="utf-8"))
+            for pattern in (*CHECKED, "bench/*.py")
+            for path in sorted(ROOT.glob(pattern))
+        )
+    )
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted(ROOT.glob("src/evarg/*.py"))
+        for line, name in top_level_names(path.read_text(encoding="utf-8"))
+        if name not in referenced | NOT_REFERENCED
     ]
     assert found == []
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import make_dataset, make_instance
+from conftest import exhaustive_match, make_dataset, make_instance
 from evarg.corpus import GoldArgument, Span, Trigger, TrainingInstance
 from evarg.parsing import EntityMention, ParsedEvent
 from evarg.scoring import _match_instance, ground, head_span, score
@@ -119,17 +119,10 @@ def test_identified_full_classified_half():
         ],
     )
     preds = [("i1", event(victim=["Kelly"], agent=["Houston"]))]
-    report = score(preds, golds)
-    assert (report.micro_arg_i.p, report.micro_arg_i.r, report.micro_arg_i.f1) == (
-        1.0,
-        1.0,
-        1.0,
-    )
-    assert (report.micro_arg_c.p, report.micro_arg_c.r, report.micro_arg_c.f1) == (
-        0.5,
-        0.5,
-        0.5,
-    )
+    micro = score(preds, golds)["micro"]
+    arg_i, arg_c = micro["arg_i"], micro["arg_c"]
+    assert (arg_i["p"], arg_i["r"], arg_i["f1"]) == (1.0, 1.0, 1.0)
+    assert (arg_c["p"], arg_c["r"], arg_c["f1"]) == (0.5, 0.5, 0.5)
 
 
 def test_empty_predictions_against_gold_scores_zero():
@@ -143,8 +136,8 @@ def test_empty_predictions_against_gold_scores_zero():
         ],
     )
     report = score([("i1", event())], golds)
-    for metric in (report.micro_arg_i, report.micro_arg_c):
-        assert (metric.p, metric.r, metric.f1) == (0.0, 0.0, 0.0)
+    for metric in (report["micro"]["arg_i"], report["micro"]["arg_c"]):
+        assert (metric["p"], metric["r"], metric["f1"]) == (0.0, 0.0, 0.0)
 
 
 def test_micro_pools_counts_across_types():
@@ -176,14 +169,14 @@ def test_micro_pools_counts_across_types():
         ("b1", event(agent=["one"], artifact=["two"], vehicle=["seven"])),
     ]
     report = score(preds, golds)
-    a = report.per_type["Attack"]
-    b = report.per_type["Transport"]
-    assert (a.n_gold, a.n_pred, a.tp_identified, a.tp_classified) == (2, 2, 1, 1)
-    assert (b.n_gold, b.n_pred, b.tp_identified, b.tp_classified) == (3, 3, 2, 2)
-    for metric in (report.micro_arg_i, report.micro_arg_c):
-        assert metric.p == pytest.approx(0.6, abs=1e-9)
-        assert metric.r == pytest.approx(0.6, abs=1e-9)
-        assert metric.f1 == pytest.approx(0.6, abs=1e-9)
+    a = report["per_type"]["Attack"]
+    b = report["per_type"]["Transport"]
+    assert (a["n_gold"], a["n_pred"], a["tp_identified"], a["tp_classified"]) == (2, 2, 1, 1)
+    assert (b["n_gold"], b["n_pred"], b["tp_identified"], b["tp_classified"]) == (3, 3, 2, 2)
+    for metric in (report["micro"]["arg_i"], report["micro"]["arg_c"]):
+        assert metric["p"] == pytest.approx(0.6, abs=1e-9)
+        assert metric["r"] == pytest.approx(0.6, abs=1e-9)
+        assert metric["f1"] == pytest.approx(0.6, abs=1e-9)
 
 
 def test_gold_replayed_as_predictions_is_perfect(train_set):
@@ -193,8 +186,8 @@ def test_gold_replayed_as_predictions_is_perfect(train_set):
     for arg in inst.arguments:
         roles.setdefault(arg.role, []).append(arg.surface)
     report = score([(inst.id, event(**roles))], golds)
-    assert report.micro_arg_i.f1 == 1.0
-    assert report.micro_arg_c.f1 == 1.0
+    assert report["micro"]["arg_i"]["f1"] == 1.0
+    assert report["micro"]["arg_c"]["f1"] == 1.0
 
 
 # --- grounding and dedupe inside score -------------------------------------
@@ -211,12 +204,12 @@ def test_ungrounded_prediction_counts_as_false_positive():
         ],
     )
     report = score([("i1", event(agent=["Kelly"], origin=["United States"]))], golds)
-    assert report.ungrounded_count == 1
-    counts = report.per_type["Transport"]
-    assert counts.n_pred == 2
-    assert counts.tp_identified == 1
-    assert report.micro_arg_i.p == 0.5
-    assert report.micro_arg_i.r == 1.0
+    assert report["ungrounded_count"] == 1
+    counts = report["per_type"]["Transport"]
+    assert counts["n_pred"] == 2
+    assert counts["tp_identified"] == 1
+    assert report["micro"]["arg_i"]["p"] == 0.5
+    assert report["micro"]["arg_i"]["r"] == 1.0
 
 
 def test_empty_prediction_is_ungrounded_false_positive():
@@ -231,9 +224,9 @@ def test_empty_prediction_is_ungrounded_false_positive():
     )
     parsed = ParsedEvent(roles={"agent": [EntityMention("PER", "")]})
     report = score([("i1", parsed)], golds)
-    assert report.ungrounded_count == 1
-    assert report.per_type["Transport"].n_pred == 1
-    assert report.micro_arg_i.p == 0.0
+    assert report["ungrounded_count"] == 1
+    assert report["per_type"]["Transport"]["n_pred"] == 1
+    assert report["micro"]["arg_i"]["p"] == 0.0
 
 
 def test_case_insensitive_grounding_still_matches():
@@ -247,8 +240,8 @@ def test_case_insensitive_grounding_still_matches():
         ],
     )
     report = score([("i1", event(agent=["kelly"]))], golds)
-    assert report.micro_arg_c.f1 == 1.0
-    assert report.ungrounded_count == 0
+    assert report["micro"]["arg_c"]["f1"] == 1.0
+    assert report["ungrounded_count"] == 0
 
 
 def test_same_head_predictions_dedupe():
@@ -263,8 +256,8 @@ def test_same_head_predictions_dedupe():
     )
     # both phrases resolve to the head "teacher"; one prediction after dedupe
     report = score([("i1", event(agent=["the Irish teacher", "teacher"]))], golds)
-    assert report.per_type["Transport"].n_pred == 1
-    assert report.micro_arg_c.f1 == 1.0
+    assert report["per_type"]["Transport"]["n_pred"] == 1
+    assert report["micro"]["arg_c"]["f1"] == 1.0
 
 
 def test_duplicate_predictions_change_nothing():
@@ -290,7 +283,7 @@ def test_duplicate_predictions_change_nothing():
         ],
         golds,
     )
-    assert doubled.to_dict() == clean.to_dict()
+    assert doubled == clean
 
 
 def test_gold_explicit_head_is_honored():
@@ -311,8 +304,8 @@ def test_gold_explicit_head_is_honored():
     )
     golds = make_dataset("g", [inst])
     # the annotated head is "Irish", so the heuristic head "teacher" misses
-    assert score([("i1", event(agent=["teacher"]))], golds).micro_arg_i.f1 == 0.0
-    assert score([("i1", event(agent=["Irish"]))], golds).micro_arg_i.f1 == 1.0
+    assert score([("i1", event(agent=["teacher"]))], golds)["micro"]["arg_i"]["f1"] == 0.0
+    assert score([("i1", event(agent=["Irish"]))], golds)["micro"]["arg_i"]["f1"] == 1.0
 
 
 def test_unknown_instance_id_raises():
@@ -322,26 +315,6 @@ def test_unknown_instance_id_raises():
 
 
 # --- matching optimality and order independence ----------------------------
-
-
-def exhaustive_match(gold_pairs, pred_pairs):
-    """Lexicographic-best (identified, classified) over all matchings."""
-    best = (0, 0)
-
-    def rec(pi, used, ident, classi):
-        nonlocal best
-        if pi == len(pred_pairs):
-            best = max(best, (ident, classi))
-            return
-        role, head = pred_pairs[pi]
-        rec(pi + 1, used, ident, classi)
-        if head is not None:
-            for gi, (g_role, g_head) in enumerate(gold_pairs):
-                if gi not in used and g_head == head:
-                    rec(pi + 1, used | {gi}, ident + 1, classi + (role == g_role))
-
-    rec(0, frozenset(), 0, 0)
-    return best
 
 
 def test_greedy_matching_equals_exhaustive_on_small_instances():
@@ -394,8 +367,8 @@ def test_prediction_order_never_changes_the_report():
             "attacker": [EntityMention(None, "ax"), EntityMention(None, "bx")],
         }
     )
-    a = score([("i1", forward)], golds).to_dict()
-    b = score([("i1", backward)], golds).to_dict()
+    a = score([("i1", forward)], golds)
+    b = score([("i1", backward)], golds)
     assert a == b
 
 
@@ -417,7 +390,7 @@ def test_classified_never_exceeds_identified_random():
         for _ in range(rng.randint(0, 4)):
             pred_roles.setdefault(rng.choice(roles), []).append(rng.choice(words))
         report = score([("i1", event(**pred_roles))], golds)
-        assert report.micro_arg_c.f1 <= report.micro_arg_i.f1 + 1e-12
+        assert report["micro"]["arg_c"]["f1"] <= report["micro"]["arg_i"]["f1"] + 1e-12
 
 
 def test_report_dict_shape():
@@ -430,7 +403,7 @@ def test_report_dict_shape():
             )
         ],
     )
-    d = score([("i1", event(agent=["Kelly"]))], golds).to_dict()
+    d = score([("i1", event(agent=["Kelly"]))], golds)
     assert set(d) == {"per_type", "micro", "ungrounded_count"}
     assert set(d["micro"]) == {"arg_i", "arg_c"}
     assert set(d["micro"]["arg_i"]) == {"p", "r", "f1"}
