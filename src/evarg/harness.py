@@ -51,7 +51,7 @@ from .emitter import (
 )
 from .files import ConfigError, read_jsonl, string_field
 from .ontology import Ontology, derive_class_name, load_ontology
-from .parsing import ParsedEvent, parse_completion
+from .parsing import parse_completion
 from .scoring import score
 
 
@@ -251,30 +251,16 @@ def prepare(cfg: RunConfig) -> Plan:
     return Plan(cfg, ontology, train, test, amr, options, split)
 
 
-def _parsed_to_dict(parsed: ParsedEvent) -> dict:
-    return {
-        "roles": {
-            role: [
-                {"entity_type": m.entity_type, "surface": m.surface} for m in mentions
-            ]
-            for role, mentions in parsed.roles.items()
-        },
-        "diagnostics": [
-            {"kind": d.kind.value, "detail": d.detail} for d in parsed.diagnostics
-        ],
-    }
-
-
 def _parse_and_score(
     entries: list[tuple], skipped: list[str], ontology: Ontology, test: Dataset, style: str
 ) -> tuple[list[dict], dict]:
-    """Each ``(id, event_type, completion)`` entry's stored parse, and the score block.
+    """Each ``(id, event_type, completion)`` entry's parse, as stored, and the score block.
 
     Each instance id in ``skipped`` counts as predicting nothing.
     """
     preds = [(i, parse_completion(text, ontology, t, style)) for i, t, text in entries]
-    block = score(preds + [(i, ParsedEvent()) for i in skipped], test)
-    return [_parsed_to_dict(parsed) for _, parsed in preds], block
+    block = score(preds + [(i, {"roles": {}, "diagnostics": []}) for i in skipped], test)
+    return [parsed for _, parsed in preds], block
 
 
 def run(cfg: RunConfig) -> dict:

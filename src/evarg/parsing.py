@@ -2,9 +2,10 @@
 
 ``parse_completion`` reads every prompt style: a recovering recursive-descent
 parser takes the constructor-call body that follows ``<var>_event = <Class>(``,
-and line and slot patterns take the two labelled text layouts. It never
-raises on completion text: garbage degrades into diagnostics, and truncated
-input keeps every fully parsed argument.
+and line and slot patterns take the two labelled text layouts. It returns
+the report's ``parsed`` block, plain dicts and strings. It never raises on
+completion text: garbage degrades into diagnostics, and truncated input
+keeps every fully parsed argument.
 
 Grammar for code completions:
 
@@ -35,7 +36,6 @@ where a list is expected are wrapped into singleton lists without complaint.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -51,31 +51,8 @@ class DiagnosticKind(str, Enum):
     DUPLICATE_ROLE = "duplicate_role"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    kind: DiagnosticKind
-    detail: str
-
-
-@dataclass(frozen=True)
-class EntityMention:
-    """One predicted argument filler.
-
-    entity_type is None for bare string literals and for text-style
-    completions, which carry no constructor types.
-    """
-
-    entity_type: str | None
-    surface: str
-
-
-@dataclass
-class ParsedEvent:
-    roles: dict[str, list[EntityMention]] = field(default_factory=dict)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-    def has(self, kind: DiagnosticKind) -> bool:
-        return any(d.kind is kind for d in self.diagnostics)
+def _diagnostic(kind: DiagnosticKind, detail: str) -> dict:
+    return {"kind": kind.value, "detail": detail}
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -137,8 +114,8 @@ def _tokenize(text: str) -> list[_Token]:
 # --- recursive descent with recovery ---------------------------------------
 
 
-def _truncated(name: str) -> Diagnostic:
-    return Diagnostic(DiagnosticKind.TRUNCATED, f"input ends inside argument {name!r}")
+def _truncated(name: str) -> dict:
+    return _diagnostic(DiagnosticKind.TRUNCATED, f"input ends inside argument {name!r}")
 
 
 class _Truncated(Exception):
@@ -179,7 +156,7 @@ class _Parser:
             raise _Malformed(problem)
         return self.advance()
 
-    def parse_value(self) -> list[EntityMention]:
+    def parse_value(self) -> list[dict]:
         """One value position; always normalized to a mention list."""
         if self.depth > 64:
             raise _Malformed("value nesting too deep")
@@ -189,11 +166,11 @@ class _Parser:
         if tok.kind == "IDENT":
             return [self.parse_ctor()]
         problem = f"unexpected {tok.text!r} where a value was expected"
-        return [EntityMention(None, self._expect("STRING", problem).value)]
+        return [{"entity_type": None, "surface": self._expect("STRING", problem).value}]
 
-    def parse_list(self) -> list[EntityMention]:
+    def parse_list(self) -> list[dict]:
         self.advance()  # LB
-        mentions: list[EntityMention] = []
+        mentions: list[dict] = []
         while True:
             tok = self.peek()
             if tok.kind == "RB":
@@ -207,13 +184,13 @@ class _Parser:
             # nested lists are flattened
             mentions.extend(self.parse_value())
 
-    def parse_ctor(self) -> EntityMention:
+    def parse_ctor(self) -> dict:
         name = self.advance().value
         problem = f"constructor {name!r} takes a single string literal"
         self._expect("LP", f"expected '(' after constructor {name!r}")
         surface = self._expect("STRING", problem).value
         self._expect("RP", problem)
-        return EntityMention(name, surface)
+        return {"entity_type": name, "surface": surface}
 
     def skip_to_separator(self) -> str:
         """Recovery: drop tokens up to an argument-list comma or its ')'."""
@@ -234,7 +211,8 @@ class _Parser:
         return " ".join(skipped)
 
 
-def _parse_code(text: str, event: ParsedEvent, known_roles: set[str], o: Ontology) -> None:
+def _parse_code(text: str, event: dict, known_roles: set[str], o: Ontology) -> None:
+    diagnostics = event["diagnostics"]
     parser = _Parser(text)
     while True:
         tok = parser.peek()
@@ -248,23 +226,19 @@ def _parse_code(text: str, event: ParsedEvent, known_roles: set[str], o: Ontolog
             continue
         if tok.kind != "IDENT":
             detail = parser.skip_to_separator()
-            event.diagnostics.append(
-                Diagnostic(DiagnosticKind.MALFORMED_TAIL, f"skipped {detail!r}")
-            )
+            diagnostics.append(_diagnostic(DiagnosticKind.MALFORMED_TAIL, f"skipped {detail!r}"))
             continue
 
         name = parser.advance().value
         tok = parser.peek()
         if tok.kind == "EOF":
-            event.diagnostics.append(_truncated(name))
+            diagnostics.append(_truncated(name))
             break
         if tok.kind != "EQ":
             # not a kwarg after all; discard through the next separator
             detail = parser.skip_to_separator()
-            event.diagnostics.append(
-                Diagnostic(
-                    DiagnosticKind.MALFORMED_TAIL, f"skipped {name!r} {detail!r}"
-                )
+            diagnostics.append(
+                _diagnostic(DiagnosticKind.MALFORMED_TAIL, f"skipped {name!r} {detail!r}")
             )
             continue
         parser.advance()
@@ -272,14 +246,12 @@ def _parse_code(text: str, event: ParsedEvent, known_roles: set[str], o: Ontolog
         try:
             mentions = parser.parse_value()
         except _Truncated:
-            event.diagnostics.append(_truncated(name))
+            diagnostics.append(_truncated(name))
             break
         except _Malformed as exc:
             parser.skip_to_separator()
-            event.diagnostics.append(
-                Diagnostic(
-                    DiagnosticKind.MALFORMED_TAIL, f"argument {name!r}: {exc}"
-                )
+            diagnostics.append(
+                _diagnostic(DiagnosticKind.MALFORMED_TAIL, f"argument {name!r}: {exc}")
             )
             continue
 
@@ -287,38 +259,31 @@ def _parse_code(text: str, event: ParsedEvent, known_roles: set[str], o: Ontolog
 
 
 def _record_role(
-    event: ParsedEvent,
-    name: str,
-    mentions: list[EntityMention],
-    known_roles: set[str],
-    ontology: Ontology,
+    event: dict, name: str, mentions: list[dict], known_roles: set[str], ontology: Ontology
 ) -> None:
-    if name in event.roles:
-        event.roles[name].extend(mentions)
-        event.diagnostics.append(
-            Diagnostic(DiagnosticKind.DUPLICATE_ROLE, f"role {name!r} repeated; merged")
+    roles, diagnostics = event["roles"], event["diagnostics"]
+    if name in roles:
+        roles[name].extend(mentions)
+        diagnostics.append(
+            _diagnostic(DiagnosticKind.DUPLICATE_ROLE, f"role {name!r} repeated; merged")
         )
     else:
-        event.roles[name] = mentions
+        roles[name] = mentions
         if name not in known_roles:
-            event.diagnostics.append(
-                Diagnostic(DiagnosticKind.UNKNOWN_ROLE, f"role {name!r} not defined")
+            diagnostics.append(
+                _diagnostic(DiagnosticKind.UNKNOWN_ROLE, f"role {name!r} not defined")
             )
     for mention in mentions:
-        if mention.entity_type is not None and mention.entity_type not in ontology.entity_types:
-            event.diagnostics.append(
-                Diagnostic(
-                    DiagnosticKind.UNKNOWN_ENTITY_TYPE,
-                    f"entity type {mention.entity_type!r} not defined",
+        entity_type = mention["entity_type"]
+        if entity_type is not None and entity_type not in ontology.entity_types:
+            diagnostics.append(
+                _diagnostic(
+                    DiagnosticKind.UNKNOWN_ENTITY_TYPE, f"entity type {entity_type!r} not defined"
                 )
             )
-        if mention.surface == "":
-            event.diagnostics.append(
-                Diagnostic(
-                    DiagnosticKind.MALFORMED_TAIL,
-                    f"empty string literal for role {name!r}",
-                )
-            )
+        if mention["surface"] == "":
+            detail = f"empty string literal for role {name!r}"
+            diagnostics.append(_diagnostic(DiagnosticKind.MALFORMED_TAIL, detail))
 
 
 # --- text completions ------------------------------------------------------
@@ -339,27 +304,32 @@ def _literals(text: str) -> tuple[list[str], bool]:
     return values, False
 
 
-def _parse_t1(text: str, event: ParsedEvent, known_roles: set[str], o: Ontology) -> None:
+def _untyped(surfaces: list[str]) -> list[dict]:
+    return [{"entity_type": None, "surface": s} for s in surfaces]
+
+
+def _parse_t1(text: str, event: dict, known_roles: set[str], o: Ontology) -> None:
+    diagnostics = event["diagnostics"]
     # only "\n" ends a line: a filler may hold "\r", U+2028 or U+0085
     for line in text.split("\n"):
         if not line.strip():
             continue
         m = _T1_LINE_RE.match(line)
         if m is None:
-            event.diagnostics.append(
-                Diagnostic(DiagnosticKind.MALFORMED_TAIL, f"skipped line {line.strip()!r}")
+            diagnostics.append(
+                _diagnostic(DiagnosticKind.MALFORMED_TAIL, f"skipped line {line.strip()!r}")
             )
             continue
         name = m.group(1)
         surfaces, cut_off = _literals(m.group(2))
         if cut_off:
-            event.diagnostics.append(_truncated(name))
+            diagnostics.append(_truncated(name))
         if not surfaces:
             continue
-        _record_role(event, name, [EntityMention(None, s) for s in surfaces], known_roles, o)
+        _record_role(event, name, _untyped(surfaces), known_roles, o)
 
 
-def _parse_t2(text: str, event: ParsedEvent, known_roles: set[str], o: Ontology) -> None:
+def _parse_t2(text: str, event: dict, known_roles: set[str], o: Ontology) -> None:
     matched_any = False
     last_end = 0
     for m in _T2_SLOT_RE.finditer(text):
@@ -371,15 +341,15 @@ def _parse_t2(text: str, event: ParsedEvent, known_roles: set[str], o: Ontology)
         surfaces = _literals(filler)[0]
         if not surfaces:
             continue
-        _record_role(event, name, [EntityMention(None, s) for s in surfaces], known_roles, o)
+        _record_role(event, name, _untyped(surfaces), known_roles, o)
     tail = text[last_end:]
     if "[" in tail:
         name_m = _T2_OPEN_RE.search(tail)
         detail = f"input ends inside argument {name_m.group(1)!r}" if name_m else "unclosed slot"
-        event.diagnostics.append(Diagnostic(DiagnosticKind.TRUNCATED, detail))
+        event["diagnostics"].append(_diagnostic(DiagnosticKind.TRUNCATED, detail))
     elif not matched_any and text.strip():
-        event.diagnostics.append(
-            Diagnostic(DiagnosticKind.MALFORMED_TAIL, "no template slots found")
+        event["diagnostics"].append(
+            _diagnostic(DiagnosticKind.MALFORMED_TAIL, "no template slots found")
         )
 
 
@@ -392,16 +362,19 @@ _READERS = {
 
 def parse_completion(
     text: str, ontology: Ontology, event_type: str, style: PromptStyle | str = PromptStyle.CODE
-) -> ParsedEvent:
-    """Parse a stop-truncated completion in ``style`` into roles and diagnostics.
+) -> dict:
+    """Parse a stop-truncated completion in ``style`` into the report's ``parsed`` block.
 
-    ``style`` is a PromptStyle or its value; an unknown value raises
-    ``ValueError``. Total over arbitrary text: a complete argument is always
-    kept, one cut off by the end of input is dropped with a truncated
-    diagnostic, and an unparseable stretch is skipped with a malformed_tail
-    one. Text-style mentions carry no entity type.
+    The block is ``{"roles": {role: [{"entity_type", "surface"}]},
+    "diagnostics": [{"kind", "detail"}]}``, roles and mentions in reading
+    order and each ``kind`` a DiagnosticKind value. ``style`` is a
+    PromptStyle or its value; an unknown value raises ``ValueError``. Total
+    over arbitrary text: a complete argument is always kept, one cut off by
+    the end of input is dropped with a truncated diagnostic, and an
+    unparseable stretch is skipped with a malformed_tail one. Text-style
+    mentions carry no entity type (``None``).
     """
     known_roles = {r.name for r in ontology.resolve_event(event_type).roles}
-    event = ParsedEvent()
+    event: dict = {"roles": {}, "diagnostics": []}
     _READERS[PromptStyle(style)](text, event, known_roles, ontology)
     return event

@@ -21,10 +21,9 @@ import re
 
 from .corpus import Dataset, Span
 from .ontology import derive_class_name
-from .parsing import ParsedEvent
 
 
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+_TOKEN_RE = re.compile(r"(\w+)|[^\w\s]")
 
 _PREPOSITIONS = frozenset(
     """
@@ -41,22 +40,20 @@ _COUNTS = ("n_gold", "n_pred", "tp_identified", "tp_classified")
 def head_span(span: Span, sentence: str) -> Span:
     """The head of ``span``: its last content token before the first comma or preposition.
 
-    The head lies within ``span``; a span with no word token is its own head.
+    The head lies within ``span``; with no word before that boundary it is the
+    span's last word, and a span with no word token is its own head.
     """
-    tokens = [
-        (m.start() + span.start, m.end() + span.start, m.group())
-        for m in _TOKEN_RE.finditer(sentence[span.start : span.end])
-    ]
-    words = [t for t in tokens if t[2][0].isalnum() or t[2][0] == "_"]
+    words: list[tuple[int, int]] = []
+    before = None  # how many words precede the first comma or preposition
+    for m in _TOKEN_RE.finditer(sentence, span.start, span.end):
+        word = m.group(1)
+        if before is None and (word.lower() in _PREPOSITIONS if word else m.group() == ","):
+            before = len(words)
+        if word:
+            words.append(m.span())
     if not words:
         return span
-    boundary = len(tokens)
-    for i, (_, _, text) in enumerate(tokens):
-        if text == "," or text.lower() in _PREPOSITIONS:
-            boundary = i
-            break
-    candidates = [t for t in tokens[:boundary] if t in words] or words
-    start, end, _ = candidates[-1]
+    start, end = words[before - 1] if before else words[-1]
     return Span(start, end)
 
 
@@ -114,10 +111,11 @@ def _match_instance(
     return identified, _shared(preds, gold_pairs)
 
 
-def score(preds: list[tuple[str, ParsedEvent]], golds: Dataset) -> dict:
+def score(preds: list[tuple[str, dict]], golds: Dataset) -> dict:
     """Score parsed predictions against gold arguments; returns the report's score block.
 
-    preds pairs an instance id from golds with its ParsedEvent; a missing
+    preds pairs an instance id from golds with its parse, the ``parsed``
+    block ``parse_completion`` returns; only its ``roles`` are read. A missing
     id raises KeyError. Predictions are deduped per instance by role and
     head span (ungrounded ones by role and surface) before counting.
     """
@@ -135,11 +133,12 @@ def score(preds: list[tuple[str, ParsedEvent]], golds: Dataset) -> dict:
 
         grounded: set[tuple[str, Span]] = set()
         ungrounded: set[tuple[str, str]] = set()
-        for role, mentions in parsed.roles.items():
+        for role, mentions in parsed["roles"].items():
             for mention in mentions:
-                span = ground(mention.surface, inst.sentence)
+                surface = mention["surface"]
+                span = ground(surface, inst.sentence)
                 if span is None:
-                    ungrounded.add((role, mention.surface))
+                    ungrounded.add((role, surface))
                 else:
                     grounded.add((role, head_span(span, inst.sentence)))
 

@@ -126,6 +126,12 @@ def make_dataset(split: str, instances) -> Dataset:
     return Dataset(split=split, instances=tuple(instances))
 
 
+def untyped_parse(roles: dict) -> dict:
+    """The parse ``parse_completion`` returns for untyped fillers, from role -> surfaces."""
+    mentions = {r: [{"entity_type": None, "surface": s} for s in ss] for r, ss in roles.items()}
+    return {"roles": mentions, "diagnostics": []}
+
+
 # Endpoints no request can be sent to: no scheme, a scheme other than http(s),
 # no host, an unclosed IPv6 bracket, a port out of range.
 BAD_ENDPOINTS = [

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import exhaustive_match, make_dataset, make_instance
+from conftest import exhaustive_match, make_dataset, make_instance, untyped_parse
 from evarg.client import truncate_at_stop
 from evarg.corpus import Span, select_same_type, split_hierarchy
 from evarg.emitter import (
@@ -25,7 +25,7 @@ from evarg.emitter import (
     escape_literal,
 )
 from evarg.harness import RunConfig, compare, load_amr, run, write_report
-from evarg.parsing import EntityMention, ParsedEvent, parse_completion
+from evarg.parsing import parse_completion
 from evarg.scoring import _match_instance, score
 from evarg.variability import VectorCluster, variability
 
@@ -61,10 +61,10 @@ def _random_completion(rng, max_roles, max_fillers, max_surface):
             surface = "".join(
                 rng.choice(SURFACE_CHARS) for _ in range(rng.randint(1, max_surface))
             )
-            mentions.append(EntityMention(rng.choice(ENTITY_TYPES), surface))
+            mentions.append({"entity_type": rng.choice(ENTITY_TYPES), "surface": surface})
         expected[role] = mentions
         inner = ", ".join(
-            f'{m.entity_type}("{escape_literal(m.surface)}")' for m in mentions
+            f'{m["entity_type"]}("{escape_literal(m["surface"])}")' for m in mentions
         )
         parts.append(f"{role}=[{inner}]")
     return ", ".join(parts) + ")", expected
@@ -133,8 +133,8 @@ def test_criterion_02_parser_round_trip(capfd, ontology):
                 rng, max_roles=5, max_fillers=3, max_surface=14
             )
             event = parse_completion(text, ontology, "Movement:Transport")
-            assert event.roles == expected
-            assert event.diagnostics == []
+            assert event["roles"] == expected
+            assert event["diagnostics"] == []
 
     _announce(capfd, 2, "200 rendered events round-trip with zero diagnostics", body, bound=5.0)
 
@@ -148,17 +148,17 @@ def test_criterion_03_parser_totality_and_monotonicity(capfd, ontology):
         for _ in range(100_000):
             noise = rng.randbytes(rng.randint(0, 32)).decode("latin-1")
             event = parse_completion(noise, ontology, "Movement:Transport")
-            assert isinstance(event, ParsedEvent)
+            assert set(event) == {"roles", "diagnostics"}
         for _ in range(500):
             text, expected = _random_completion(
                 rng, max_roles=3, max_fillers=2, max_surface=8
             )
             full = parse_completion(text, ontology, "Movement:Transport")
-            assert full.roles == expected
+            assert full["roles"] == expected
             for i in range(len(text)):
                 prefix = parse_completion(text[:i], ontology, "Movement:Transport")
-                for role, mentions in prefix.roles.items():
-                    assert full.roles[role] == mentions
+                for role, mentions in prefix["roles"].items():
+                    assert full["roles"][role] == mentions
 
     _announce(capfd, 3, "parser is total over noise; prefixes are sub-maps", body, bound=60.0)
 
@@ -201,25 +201,8 @@ def test_criterion_04_scorer_matches_exhaustive_oracle(capfd):
             ],
         )
         preds = [
-            (
-                "a1",
-                ParsedEvent(
-                    roles={
-                        "attacker": [EntityMention(None, "alpha")],
-                        "target": [EntityMention(None, "gamma")],
-                    }
-                ),
-            ),
-            (
-                "b1",
-                ParsedEvent(
-                    roles={
-                        "agent": [EntityMention(None, "one")],
-                        "artifact": [EntityMention(None, "two")],
-                        "vehicle": [EntityMention(None, "seven")],
-                    }
-                ),
-            ),
+            ("a1", untyped_parse({"attacker": ["alpha"], "target": ["gamma"]})),
+            ("b1", untyped_parse({"agent": ["one"], "artifact": ["two"], "vehicle": ["seven"]})),
         ]
         micro = score(preds, golds)["micro"]
         for metric in (micro["arg_i"], micro["arg_c"]):
@@ -250,22 +233,20 @@ def test_criterion_05_metric_orderings(capfd, train_set):
             )
             pred_roles = {}
             for _ in range(rng.randint(0, 4)):
-                pred_roles.setdefault(rng.choice(roles), []).append(
-                    EntityMention(None, rng.choice(words))
-                )
-            report = score([("i1", ParsedEvent(roles=pred_roles))], golds)
+                pred_roles.setdefault(rng.choice(roles), []).append(rng.choice(words))
+            report = score([("i1", untyped_parse(pred_roles))], golds)
             assert report["micro"]["arg_c"]["f1"] <= report["micro"]["arg_i"]["f1"]
 
         inst = train_set.by_id("train-002")
         golds = make_dataset("g", [inst])
         mirrored: dict = {}
         for arg in inst.arguments:
-            mirrored.setdefault(arg.role, []).append(EntityMention(None, arg.surface))
-        perfect = score([(inst.id, ParsedEvent(roles=mirrored))], golds)
+            mirrored.setdefault(arg.role, []).append(arg.surface)
+        perfect = score([(inst.id, untyped_parse(mirrored))], golds)
         assert perfect["micro"]["arg_i"]["f1"] == 1.0
         assert perfect["micro"]["arg_c"]["f1"] == 1.0
 
-        empty = score([(inst.id, ParsedEvent())], golds)
+        empty = score([(inst.id, untyped_parse({}))], golds)
         for metric in (empty["micro"]["arg_i"], empty["micro"]["arg_c"]):
             assert (metric["p"], metric["r"], metric["f1"]) == (0.0, 0.0, 0.0)
 

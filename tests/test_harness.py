@@ -25,7 +25,7 @@ from evarg.harness import (
     write_report,
 )
 from evarg.ontology import load_ontology
-from evarg.parsing import parse_completion
+from evarg.parsing import DiagnosticKind, parse_completion
 
 BASE = dict(
     ontology_path="fixtures/ontology.yaml",
@@ -483,6 +483,73 @@ def test_load_report_verifies_stored_parses(cfg_code, golden_dir, tmp_path):
         load_report(str(bad))
 
 
+def _retype_a_diagnostic(report):
+    diagnostic = report["instances"][3]["parsed"]["diagnostics"][0]
+    assert diagnostic["kind"] == "truncated"
+    diagnostic["kind"] = "malformed_tail"
+
+
+def _retype_a_mention(report):
+    mention = report["instances"][0]["parsed"]["roles"]["agent"][0]
+    assert mention["entity_type"] == "PER"
+    mention["entity_type"] = "ORG"
+
+
+def _reword_a_mention(report):
+    mention = report["instances"][0]["parsed"]["roles"]["agent"][0]
+    assert mention["surface"] == "Kim"
+    mention["surface"] = "Bob"
+
+
+@pytest.mark.parametrize(
+    "edit, instance_id",
+    [
+        (_retype_a_diagnostic, "test-004"),
+        (_retype_a_mention, "test-001"),
+        (_reword_a_mention, "test-001"),
+    ],
+    ids=["diagnostic-kind", "entity-type", "surface"],
+)
+def test_load_report_checks_the_stored_parse_itself(
+    in_repo_root, golden_dir, tmp_path, edit, instance_id
+):
+    """The completion is kept; only the stored ``parsed`` block is edited."""
+    report = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
+    edit(report)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(report), encoding="utf-8")
+    with pytest.raises(
+        ConfigError,
+        match=f"^instance '{instance_id}': stored parse does not match its completion$",
+    ):
+        load_report(str(bad))
+
+
+def _t2_completion(inst):
+    """Every gold argument as a filled slot, then an undefined role, a repeat and a cut."""
+    slots = " ".join(f'[{a.role}: "{a.surface}"]' for a in inst.arguments)
+    repeat = f'[{inst.arguments[0].role}: "again"] ' if inst.arguments else ""
+    return f'{slots} [nonrole: "x"] {repeat}to [desti', "length"
+
+
+@pytest.mark.parametrize("style", ["code", "t1", "t2"])
+def test_a_run_stores_parses_that_are_already_json(cfg_code, tmp_path, style):
+    cfg = replace(cfg_code, prompt_style=style)
+    if style == "t2":  # the shipped completions hold no t2 prompt
+        cfg = replace(cfg, fixture_path=str(tmp_path / "t2.jsonl"))
+        synth_fixture(cfg, cfg.fixture_path, _t2_completion)
+    report = run(cfg)
+    kinds = {kind.value for kind in DiagnosticKind}
+    seen = []
+    for entry in report["instances"]:
+        parsed = entry["parsed"]
+        assert parsed == json.loads(json.dumps(parsed))
+        for diagnostic in parsed["diagnostics"]:
+            assert type(diagnostic["kind"]) is str and diagnostic["kind"] in kinds
+            seen.append(diagnostic["kind"])
+    assert len(set(seen)) >= 3
+
+
 def _set_arg_c_f1(report):
     assert report["score"]["micro"]["arg_c"]["f1"] != 0.99
     report["score"]["micro"]["arg_c"]["f1"] = 0.99
@@ -562,14 +629,7 @@ def test_load_report_rejects_an_event_type_the_test_corpus_does_not_give(
     assert (entry["id"], entry["event_type"]) == ("test-001", "Transport")
     entry["event_type"] = "Movement"
     ontology = load_ontology(report["config"]["ontology_path"])
-    parsed = parse_completion(entry["completion"], ontology, "Movement", "code")
-    entry["parsed"] = {
-        "roles": {
-            role: [{"entity_type": m.entity_type, "surface": m.surface} for m in mentions]
-            for role, mentions in parsed.roles.items()
-        },
-        "diagnostics": [{"kind": d.kind.value, "detail": d.detail} for d in parsed.diagnostics],
-    }
+    entry["parsed"] = parse_completion(entry["completion"], ontology, "Movement", "code")
     rescore(report)
     bad = tmp_path / "retyped.json"
     bad.write_text(json.dumps(report), encoding="utf-8")

@@ -3,14 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evarg.emitter import escape_literal
-from evarg.parsing import (
-    DiagnosticKind,
-    EntityMention,
-    ParsedEvent,
-    _literals,
-    _tokenize,
-    parse_completion,
-)
+from evarg.parsing import DiagnosticKind, _literals, _tokenize, parse_completion
 
 ET = "Movement:Transport"
 
@@ -19,41 +12,49 @@ def parse(text, ontology):
     return parse_completion(text, ontology, ET)
 
 
+def mention(entity_type, surface):
+    return {"entity_type": entity_type, "surface": surface}
+
+
+def has(event, kind):
+    return any(d["kind"] == kind for d in event["diagnostics"])
+
+
 # --- clean input -----------------------------------------------------------
 
 
 def test_closing_paren_alone_is_clean(ontology):
     event = parse(")", ontology)
-    assert event.roles == {}
-    assert event.diagnostics == []
+    assert event["roles"] == {}
+    assert event["diagnostics"] == []
 
 
 def test_empty_input_is_clean(ontology):
     event = parse("", ontology)
-    assert event.roles == {}
-    assert event.diagnostics == []
+    assert event["roles"] == {}
+    assert event["diagnostics"] == []
 
 
 def test_multiline_completion(ontology):
     text = '\n    agent=[PER("Kelly")],\n    destination=[GPE("Houston")],\n)'
     event = parse(text, ontology)
-    assert event.roles == {
-        "agent": [EntityMention("PER", "Kelly")],
-        "destination": [EntityMention("GPE", "Houston")],
+    assert event["roles"] == {
+        "agent": [mention("PER", "Kelly")],
+        "destination": [mention("GPE", "Houston")],
     }
-    assert event.diagnostics == []
+    assert event["diagnostics"] == []
 
 
 def test_trailing_text_after_close_paren_ignored(ontology):
     event = parse('agent=[PER("Kim")]) and then some junk ===', ontology)
-    assert event.roles == {"agent": [EntityMention("PER", "Kim")]}
-    assert event.diagnostics == []
+    assert event["roles"] == {"agent": [mention("PER", "Kim")]}
+    assert event["diagnostics"] == []
 
 
 def test_missing_separator_between_kwargs_tolerated(ontology):
     event = parse('agent=[PER("a")] destination=[GPE("b")])', ontology)
-    assert set(event.roles) == {"agent", "destination"}
-    assert event.diagnostics == []
+    assert set(event["roles"]) == {"agent", "destination"}
+    assert event["diagnostics"] == []
 
 
 # --- value normalization ---------------------------------------------------
@@ -61,34 +62,34 @@ def test_missing_separator_between_kwargs_tolerated(ontology):
 
 def test_bare_string_becomes_untyped_singleton(ontology):
     event = parse('agent="Students")', ontology)
-    assert event.roles == {"agent": [EntityMention(None, "Students")]}
+    assert event["roles"] == {"agent": [mention(None, "Students")]}
 
 
 def test_bare_constructor_becomes_singleton(ontology):
     event = parse('agent=PER("Kim"))', ontology)
-    assert event.roles == {"agent": [EntityMention("PER", "Kim")]}
+    assert event["roles"] == {"agent": [mention("PER", "Kim")]}
 
 
 def test_nested_lists_flatten(ontology):
     event = parse('agent=[[PER("a")], [["b"]], PER("c")])', ontology)
-    assert event.roles == {
+    assert event["roles"] == {
         "agent": [
-            EntityMention("PER", "a"),
-            EntityMention(None, "b"),
-            EntityMention("PER", "c"),
+            mention("PER", "a"),
+            mention(None, "b"),
+            mention("PER", "c"),
         ]
     }
-    assert event.diagnostics == []
+    assert event["diagnostics"] == []
 
 
 def test_string_escapes(ontology):
     event = parse('agent=[PER("a\\"b\\\\c\\nd")])', ontology)
-    assert event.roles["agent"] == [EntityMention("PER", 'a"b\\c\nd')]
+    assert event["roles"]["agent"] == [mention("PER", 'a"b\\c\nd')]
 
 
 def test_unrecognized_escape_passes_through(ontology):
     event = parse('agent=[PER("a\\tb")])', ontology)
-    assert event.roles["agent"] == [EntityMention("PER", "a\\tb")]
+    assert event["roles"]["agent"] == [mention("PER", "a\\tb")]
 
 
 # --- truncation ------------------------------------------------------------
@@ -96,11 +97,11 @@ def test_unrecognized_escape_passes_through(ontology):
 
 def test_truncated_final_kwarg_is_dropped(ontology):
     event = parse('artifact=[PER("Welch"), PER("wife")], destinati', ontology)
-    assert event.roles == {
-        "artifact": [EntityMention("PER", "Welch"), EntityMention("PER", "wife")]
+    assert event["roles"] == {
+        "artifact": [mention("PER", "Welch"), mention("PER", "wife")]
     }
-    assert [d.kind for d in event.diagnostics] == [DiagnosticKind.TRUNCATED]
-    assert "destinati" in event.diagnostics[0].detail
+    assert [d["kind"] for d in event["diagnostics"]] == [DiagnosticKind.TRUNCATED]
+    assert "destinati" in event["diagnostics"][0]["detail"]
 
 
 @pytest.mark.parametrize(
@@ -117,14 +118,14 @@ def test_truncated_final_kwarg_is_dropped(ontology):
 )
 def test_truncation_points_inside_a_kwarg(ontology, text):
     event = parse(text, ontology)
-    assert event.roles == {}
-    assert event.has(DiagnosticKind.TRUNCATED)
+    assert event["roles"] == {}
+    assert has(event, DiagnosticKind.TRUNCATED)
 
 
 def test_truncation_keeps_earlier_arguments(ontology):
     event = parse('agent=[PER("a")], vehicle=[VEH("car")], origin=[GPE', ontology)
-    assert set(event.roles) == {"agent", "vehicle"}
-    assert event.has(DiagnosticKind.TRUNCATED)
+    assert set(event["roles"]) == {"agent", "vehicle"}
+    assert has(event, DiagnosticKind.TRUNCATED)
 
 
 # --- recovery --------------------------------------------------------------
@@ -132,34 +133,34 @@ def test_truncation_keeps_earlier_arguments(ontology):
 
 def test_unquoted_constructor_argument_skips_only_that_kwarg(ontology):
     event = parse('artifact=[PER(senator)], destination=[GPE("El Paso")])', ontology)
-    assert event.roles == {"destination": [EntityMention("GPE", "El Paso")]}
-    kinds = [d.kind for d in event.diagnostics]
+    assert event["roles"] == {"destination": [mention("GPE", "El Paso")]}
+    kinds = [d["kind"] for d in event["diagnostics"]]
     assert kinds == [DiagnosticKind.MALFORMED_TAIL]
-    assert "artifact" in event.diagnostics[0].detail
+    assert "artifact" in event["diagnostics"][0]["detail"]
 
 
 def test_leading_junk_recovers_at_comma(ontology):
     event = parse('@@ ==, agent=[PER("a")])', ontology)
-    assert event.roles == {"agent": [EntityMention("PER", "a")]}
-    assert event.has(DiagnosticKind.MALFORMED_TAIL)
+    assert event["roles"] == {"agent": [mention("PER", "a")]}
+    assert has(event, DiagnosticKind.MALFORMED_TAIL)
 
 
 def test_identifier_without_equals_is_skipped(ontology):
     event = parse('foo bar, agent=[PER("a")])', ontology)
-    assert event.roles == {"agent": [EntityMention("PER", "a")]}
-    assert event.has(DiagnosticKind.MALFORMED_TAIL)
+    assert event["roles"] == {"agent": [mention("PER", "a")]}
+    assert has(event, DiagnosticKind.MALFORMED_TAIL)
 
 
 def test_trailing_junk_without_close_paren_flagged(ontology):
     event = parse('agent=[PER("a")], @@@', ontology)
-    assert event.roles == {"agent": [EntityMention("PER", "a")]}
-    assert event.has(DiagnosticKind.MALFORMED_TAIL)
+    assert event["roles"] == {"agent": [mention("PER", "a")]}
+    assert has(event, DiagnosticKind.MALFORMED_TAIL)
 
 
 def test_deep_nesting_is_rejected_not_crashed(ontology):
     event = parse("agent=" + "[" * 200, ontology)
-    assert event.roles == {}
-    assert event.has(DiagnosticKind.MALFORMED_TAIL)
+    assert event["roles"] == {}
+    assert has(event, DiagnosticKind.MALFORMED_TAIL)
 
 
 # --- diagnostics on recorded roles -----------------------------------------
@@ -167,31 +168,31 @@ def test_deep_nesting_is_rejected_not_crashed(ontology):
 
 def test_unknown_role_recorded_and_flagged(ontology):
     event = parse('amount=[PER("x")])', ontology)
-    assert "amount" in event.roles
-    assert event.has(DiagnosticKind.UNKNOWN_ROLE)
+    assert "amount" in event["roles"]
+    assert has(event, DiagnosticKind.UNKNOWN_ROLE)
 
 
 def test_unknown_entity_type_recorded_and_flagged(ontology):
     event = parse('origin=[COUNTRY("United States")])', ontology)
-    assert event.roles["origin"] == [EntityMention("COUNTRY", "United States")]
-    assert event.has(DiagnosticKind.UNKNOWN_ENTITY_TYPE)
+    assert event["roles"]["origin"] == [mention("COUNTRY", "United States")]
+    assert has(event, DiagnosticKind.UNKNOWN_ENTITY_TYPE)
 
 
 def test_duplicate_role_merges_in_order(ontology):
     event = parse('agent=[PER("a")], agent=[PER("b")])', ontology)
-    assert event.roles["agent"] == [
-        EntityMention("PER", "a"),
-        EntityMention("PER", "b"),
+    assert event["roles"]["agent"] == [
+        mention("PER", "a"),
+        mention("PER", "b"),
     ]
-    assert event.has(DiagnosticKind.DUPLICATE_ROLE)
+    assert has(event, DiagnosticKind.DUPLICATE_ROLE)
 
 
 def test_empty_string_literal_kept_but_flagged(ontology):
     event = parse('agent=[PER("")])', ontology)
-    assert event.roles["agent"] == [EntityMention("PER", "")]
+    assert event["roles"]["agent"] == [mention("PER", "")]
     assert any(
-        d.kind is DiagnosticKind.MALFORMED_TAIL and "empty string" in d.detail
-        for d in event.diagnostics
+        d["kind"] == DiagnosticKind.MALFORMED_TAIL and "empty string" in d["detail"]
+        for d in event["diagnostics"]
     )
 
 
@@ -205,8 +206,8 @@ FULL = (
 
 @given(st.integers(min_value=0, max_value=len(FULL)))
 def test_prefix_roles_are_a_submap_of_the_full_parse(ontology, i):
-    full = parse(FULL, ontology).roles
-    prefix = parse(FULL[:i], ontology).roles
+    full = parse(FULL, ontology)["roles"]
+    prefix = parse(FULL[:i], ontology)["roles"]
     for role, mentions in prefix.items():
         assert full[role] == mentions
 
@@ -215,7 +216,7 @@ def test_prefix_roles_are_a_submap_of_the_full_parse(ontology, i):
 @given(st.binary(max_size=120))
 def test_parser_is_total_over_noise(ontology, data):
     event = parse(data.decode("latin-1"), ontology)
-    assert isinstance(event, ParsedEvent)
+    assert set(event) == {"roles", "diagnostics"}
 
 
 _SURFACE = st.text(min_size=1, max_size=12)
@@ -241,10 +242,10 @@ def test_rendered_arguments_round_trip(ontology, kwargs):
         inner = ", ".join(f'{t}("{escape_literal(s)}")' for t, s in mentions)
         parts.append(f"{role}=[{inner}]")
     event = parse(", ".join(parts) + ")", ontology)
-    assert event.roles == {
-        role: [EntityMention(t, s) for t, s in mentions] for role, mentions in kwargs
+    assert event["roles"] == {
+        role: [mention(t, s) for t, s in mentions] for role, mentions in kwargs
     }
-    assert event.diagnostics == []
+    assert event["diagnostics"] == []
 
 
 def _reference_strings(text):
@@ -311,10 +312,10 @@ def _quoted(surfaces):
 def test_t1_rendered_fillers_round_trip(ontology, fillers):
     text = "\n".join(f"{role}: {_quoted(surfaces)}" for role, surfaces in fillers)
     event = parse_completion(text, ontology, ET, "t1")
-    assert event.roles == {
-        role: [EntityMention(None, s) for s in surfaces] for role, surfaces in fillers
+    assert event["roles"] == {
+        role: [mention(None, s) for s in surfaces] for role, surfaces in fillers
     }
-    assert event.diagnostics == []
+    assert event["diagnostics"] == []
 
 
 @settings(max_examples=200)
@@ -322,52 +323,52 @@ def test_t1_rendered_fillers_round_trip(ontology, fillers):
 def test_t2_rendered_fillers_round_trip(ontology, fillers):
     text = " and ".join(f"[{role}: {_quoted(surfaces)}]" for role, surfaces in fillers)
     event = parse_completion(text, ontology, ET, "t2")
-    assert event.roles == {
-        role: [EntityMention(None, s) for s in surfaces] for role, surfaces in fillers
+    assert event["roles"] == {
+        role: [mention(None, s) for s in surfaces] for role, surfaces in fillers
     }
-    assert event.diagnostics == []
+    assert event["diagnostics"] == []
 
 
 def test_t1_basic_lines(ontology):
     text = '  agent: "Kelly"\n  destination: "Houston"\n'
     event = parse_completion(text, ontology, ET, "t1")
-    assert event.roles == {
-        "agent": [EntityMention(None, "Kelly")],
-        "destination": [EntityMention(None, "Houston")],
+    assert event["roles"] == {
+        "agent": [mention(None, "Kelly")],
+        "destination": [mention(None, "Houston")],
     }
-    assert event.diagnostics == []
+    assert event["diagnostics"] == []
 
 
 def test_t1_multiple_fillers_on_one_line(ontology):
     event = parse_completion('artifact: "Welch", "wife"', ontology, ET, "t1")
-    assert event.roles["artifact"] == [
-        EntityMention(None, "Welch"),
-        EntityMention(None, "wife"),
+    assert event["roles"]["artifact"] == [
+        mention(None, "Welch"),
+        mention(None, "wife"),
     ]
 
 
 def test_t1_line_without_label_is_skipped(ontology):
     event = parse_completion('not a label line\nagent: "a"', ontology, ET, "t1")
-    assert event.roles == {"agent": [EntityMention(None, "a")]}
-    assert event.has(DiagnosticKind.MALFORMED_TAIL)
+    assert event["roles"] == {"agent": [mention(None, "a")]}
+    assert has(event, DiagnosticKind.MALFORMED_TAIL)
 
 
 def test_t1_dangling_quote_is_truncation(ontology):
     event = parse_completion('agent: "Kel', ontology, ET, "t1")
-    assert event.roles == {}
-    assert event.has(DiagnosticKind.TRUNCATED)
+    assert event["roles"] == {}
+    assert has(event, DiagnosticKind.TRUNCATED)
 
 
 def test_t1_label_without_fillers_is_absent(ontology):
     event = parse_completion("agent:\n", ontology, ET, "t1")
-    assert event.roles == {}
-    assert event.diagnostics == []
+    assert event["roles"] == {}
+    assert event["diagnostics"] == []
 
 
 def test_t1_unknown_role_flagged(ontology):
     event = parse_completion('amount: "ten"', ontology, ET, "t1")
-    assert "amount" in event.roles
-    assert event.has(DiagnosticKind.UNKNOWN_ROLE)
+    assert "amount" in event["roles"]
+    assert has(event, DiagnosticKind.UNKNOWN_ROLE)
 
 
 def test_t2_filled_and_unfilled_slots(ontology):
@@ -376,41 +377,41 @@ def test_t2_filled_and_unfilled_slots(ontology):
         'from [origin] place to [destination: "Boston"] place.'
     )
     event = parse_completion(text, ontology, ET, "t2")
-    assert event.roles == {
-        "agent": [EntityMention(None, "Kim")],
-        "destination": [EntityMention(None, "Boston")],
+    assert event["roles"] == {
+        "agent": [mention(None, "Kim")],
+        "destination": [mention(None, "Boston")],
     }
-    assert event.diagnostics == []
+    assert event["diagnostics"] == []
 
 
 def test_t2_unclosed_slot_is_truncation(ontology):
     event = parse_completion('[agent: "Kim"] from [desti', ontology, ET, "t2")
-    assert event.roles == {"agent": [EntityMention(None, "Kim")]}
-    assert event.has(DiagnosticKind.TRUNCATED)
-    assert "desti" in event.diagnostics[-1].detail
+    assert event["roles"] == {"agent": [mention(None, "Kim")]}
+    assert has(event, DiagnosticKind.TRUNCATED)
+    assert "desti" in event["diagnostics"][-1]["detail"]
 
 
 def test_t2_literal_holding_an_escaped_line_break_is_kept(ontology):
     event = parse_completion(' [agent: "a\\\nb"] moved [artifact: "c"]', ontology, ET, "t2")
-    assert event.roles == {
-        "agent": [EntityMention(None, "a\\\nb")],
-        "artifact": [EntityMention(None, "c")],
+    assert event["roles"] == {
+        "agent": [mention(None, "a\\\nb")],
+        "artifact": [mention(None, "c")],
     }
-    assert event.diagnostics == []
+    assert event["diagnostics"] == []
     code = parse('agent=[PER("a\\\nb")])', ontology)
-    assert code.roles == {"agent": [EntityMention("PER", "a\\\nb")]}
+    assert code["roles"] == {"agent": [mention("PER", "a\\\nb")]}
 
 
 def test_t2_prose_without_slots_flagged(ontology):
     event = parse_completion("no slots here at all", ontology, ET, "t2")
-    assert event.roles == {}
-    assert event.has(DiagnosticKind.MALFORMED_TAIL)
+    assert event["roles"] == {}
+    assert has(event, DiagnosticKind.MALFORMED_TAIL)
 
 
 def test_t2_blank_is_clean(ontology):
     event = parse_completion("   \n", ontology, ET, "t2")
-    assert event.roles == {}
-    assert event.diagnostics == []
+    assert event["roles"] == {}
+    assert event["diagnostics"] == []
 
 
 def test_style_accepts_enum_or_value_and_rejects_unknown(ontology):
@@ -418,9 +419,9 @@ def test_style_accepts_enum_or_value_and_rejects_unknown(ontology):
 
     for style in (PromptStyle.TEXT_T1, "t1"):
         event = parse_completion('agent: "a"', ontology, ET, style)
-        assert event.roles == {"agent": [EntityMention(None, "a")]}
+        assert event["roles"] == {"agent": [mention(None, "a")]}
     for style in (PromptStyle.CODE, "code"):
         event = parse_completion('agent=[PER("a")])', ontology, ET, style)
-        assert event.roles == {"agent": [EntityMention("PER", "a")]}
+        assert event["roles"] == {"agent": [mention("PER", "a")]}
     with pytest.raises(ValueError):
         parse_completion("", ontology, ET, "t3")

@@ -2,16 +2,13 @@ import random
 
 import pytest
 
-from conftest import exhaustive_match, make_dataset, make_instance
+from conftest import exhaustive_match, make_dataset, make_instance, untyped_parse
 from evarg.corpus import GoldArgument, Span, Trigger, TrainingInstance
-from evarg.parsing import EntityMention, ParsedEvent
 from evarg.scoring import _match_instance, ground, head_span, score
 
 
 def event(**roles):
-    return ParsedEvent(
-        roles={r: [EntityMention(None, s) for s in surfaces] for r, surfaces in roles.items()}
-    )
+    return untyped_parse(roles)
 
 
 # --- grounding -------------------------------------------------------------
@@ -86,6 +83,20 @@ def test_head_stops_at_comma():
 
 def test_head_leading_preposition_falls_back_to_words():
     assert head_text("of note", "Nothing of note happened .") == "note"
+
+
+@pytest.mark.parametrize(
+    "surface, sentence, head",
+    [
+        ("of", "Nothing of note happened .", "of"),  # a lone preposition
+        (", Kim", "Lee , Kim left .", "Kim"),  # a leading comma
+        ("President Of GE", "The President Of GE spoke .", "President"),
+        ("old İstanbul", "We saw old İstanbul today .", "İstanbul"),
+        ("mayor of İstanbul", "The mayor of İstanbul spoke .", "mayor"),
+    ],
+)
+def test_head_edge_cases(surface, sentence, head):
+    assert head_text(surface, sentence) == head
 
 
 def test_head_punctuation_only_span_returned_unchanged():
@@ -222,7 +233,7 @@ def test_empty_prediction_is_ungrounded_false_positive():
             )
         ],
     )
-    parsed = ParsedEvent(roles={"agent": [EntityMention("PER", "")]})
+    parsed = {"roles": {"agent": [{"entity_type": "PER", "surface": ""}]}, "diagnostics": []}
     report = score([("i1", parsed)], golds)
     assert report["ungrounded_count"] == 1
     assert report["per_type"]["Transport"]["n_pred"] == 1
@@ -353,20 +364,8 @@ def test_prediction_order_never_changes_the_report():
             )
         ],
     )
-    forward = ParsedEvent(
-        roles={
-            "attacker": [EntityMention(None, "bx"), EntityMention(None, "ax")],
-            "target": [EntityMention(None, "bx")],
-            "place": [EntityMention(None, "dx")],
-        }
-    )
-    backward = ParsedEvent(
-        roles={
-            "place": [EntityMention(None, "dx")],
-            "target": [EntityMention(None, "bx")],
-            "attacker": [EntityMention(None, "ax"), EntityMention(None, "bx")],
-        }
-    )
+    forward = event(attacker=["bx", "ax"], target=["bx"], place=["dx"])
+    backward = event(place=["dx"], target=["bx"], attacker=["ax", "bx"])
     a = score([("i1", forward)], golds)
     b = score([("i1", backward)], golds)
     assert a == b
