@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 import typing
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -49,7 +48,7 @@ from .emitter import (
     assemble_prompt,
     build_preamble,
 )
-from .files import ConfigError, read_jsonl, string_field
+from .files import ConfigError, json_text, read_jsonl, string_field
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import parse_completion
 from .scoring import score
@@ -333,15 +332,20 @@ def run(cfg: RunConfig) -> dict:
 def write_report(report: dict, path: str | None) -> None:
     """Serialize with stable key order and atomically replace the target.
 
-    Without a ``path`` the same bytes go to stdout.
+    The bytes are ``json.dumps(report, sort_keys=True, indent=2,
+    ensure_ascii=False)`` and a line break; without a ``path`` they go to
+    stdout. The file gets the mode ``open(path, "w")`` gives a new file:
+    ``0o666`` less the umask.
     """
-    payload = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    payload = json_text(report) + "\n"
     if not path:
         sys.stdout.write(payload)
         return
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
+    tmp_path = os.path.join(directory, f".report-{os.urandom(8).hex()}.tmp")
+    # created as open() creates a file, so the umask applies; O_EXCL keeps it ours
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(payload)

@@ -2,7 +2,9 @@
 
 ``parse_completion`` reads every prompt style: a recovering recursive-descent
 parser takes the constructor-call body that follows ``<var>_event = <Class>(``,
-and line and slot patterns take the two labelled text layouts. It returns
+and line and slot patterns take the two labelled text layouts. A well-formed
+code completion, a list of ``role=[Ctor("literal"), ...]`` arguments, is read
+by regexes instead, to the same result and much faster. It returns
 the report's ``parsed`` block, plain dicts and strings. It never raises on
 completion text: garbage degrades into diagnostics, and truncated input
 keeps every fully parsed argument.
@@ -211,7 +213,34 @@ class _Parser:
         return " ".join(skipped)
 
 
+# A well-formed argument list, read without the tokenizer: ``role=[Ctor("literal"), ...]``
+# arguments, then ")". Each argument and each mention is followed by a comma or by the
+# bracket that closes its list. ``\s`` matches exactly the characters ``str.isspace``
+# accepts, which the tokenizer skips, and each lexeme is matched as the tokenizer reads
+# it, so on these inputs both readers see the same tokens.
+_CTOR = rf'{IDENTIFIER}\s*\(\s*"{_LITERAL_BODY}"\s*\)'
+_ARGUMENT = rf"{IDENTIFIER}\s*=\s*\[\s*(?:{_CTOR}\s*(?:,\s*|(?=\])))*\]"
+_WELL_FORMED_RE = re.compile(rf"\s*(?:{_ARGUMENT}\s*(?:,\s*|(?=\))))*\)")
+# within a well-formed list, its argument's name and the text between its brackets
+_ARGUMENT_RE = re.compile(rf'({IDENTIFIER})\s*=\s*\[((?:[^\]"]|"{_LITERAL_BODY}")*)\]')
+_MENTION_RE = re.compile(rf'({IDENTIFIER})\s*\(\s*"({_LITERAL_BODY})"')
+
+
 def _parse_code(text: str, event: dict, known_roles: set[str], o: Ontology) -> None:
+    well_formed = _WELL_FORMED_RE.match(text)
+    if well_formed is None:
+        _recover_code(text, event, known_roles, o)
+        return
+    # between the arguments and mentions of a well-formed list lie only spaces and
+    # commas, which no match starts with, so each search finds the next one in order
+    for name, inside in _ARGUMENT_RE.findall(text, 0, well_formed.end()):
+        pairs = _MENTION_RE.findall(inside)
+        mentions = [{"entity_type": ctor, "surface": _unescape(body)} for ctor, body in pairs]
+        _record_role(event, name, mentions, known_roles, o)
+
+
+def _recover_code(text: str, event: dict, known_roles: set[str], o: Ontology) -> None:
+    """The recovering parser: reads any text, well-formed or not."""
     diagnostics = event["diagnostics"]
     parser = _Parser(text)
     while True:

@@ -1,11 +1,13 @@
 """Input files: every JSON-lines loader reads and reports through ``files.read_jsonl``,
-and every YAML input is parsed by the one loader ``files`` chooses."""
+and every YAML input is parsed by the one loader ``files`` chooses. Reports are
+written as ``files.json_text`` spells JSON."""
 
 import json
+import math
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ROOT
@@ -251,3 +253,44 @@ def test_invalid_yaml_exit_2_with_its_message(tmp_path, in_repo_root, capsys, wh
     command, prefix = YAML_INPUTS[what]
     assert main([arg.format(path=path) for arg in command]) == 2
     assert capsys.readouterr().err.startswith(prefix.format(path=path))
+
+
+# --- writing JSON ------------------------------------------------------------
+
+_JSON_STRINGS = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from('"\\\u2028\u2029\x00\x1f\x7fé中')),
+    max_size=12,
+)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),
+    st.sampled_from([-0.0, 1e-7, 1e300, math.nan, math.inf, -math.inf]),
+    _JSON_STRINGS,
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4) | st.dictionaries(_JSON_STRINGS, children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+def _nested(depth):
+    value = []
+    for level in range(depth):
+        value = {"k": value} if level % 2 else [value, {}]
+    return value
+
+
+@settings(max_examples=200)
+@given(_JSON_TREES)
+@example(_nested(60))
+@example('é\u2028"\\\x00')
+@example({"": [], "a": {}, "\u2028": [[], {}, [{}]]})
+def test_json_text_is_what_json_dumps_writes_for_a_report(value):
+    assert files.json_text(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+

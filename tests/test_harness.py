@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import textwrap
@@ -465,6 +467,54 @@ def test_write_report_failure_leaves_target_and_no_temp(tmp_path):
         write_report({"bad": object()}, str(path))
     assert json.loads(path.read_text()) == {"ok": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+@pytest.mark.parametrize("bad", [(1, 2), {1: "a"}, object()])
+def test_write_report_rejects_a_value_before_making_a_file(tmp_path, bad):
+    with pytest.raises(TypeError):
+        write_report({"bad": bad}, str(tmp_path / "r.json"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_report_leaves_no_cyclic_garbage(tmp_path):
+    # Cyclic garbage lives until the collector runs: a writer that made it
+    # would hold the report's text chunks through the file write.
+    mention = {"entity_type": "PER", "surface": "the young Kim"}
+    report = {
+        "instances": [
+            {
+                "id": f"test-{i:06d}",
+                "completion": 'agent=[PER("the young Kim")],\n)',
+                "example_ids": ["train-000001", "train-000002"],
+                "finish_reason": "stop",
+                "prompt_chars": 2000 + i,
+                "parsed": {"roles": {"agent": [dict(mention)]}, "diagnostics": []},
+            }
+            for i in range(4000)
+        ],
+        "score": {"micro": {"arg_c": {"f1": 0.5, "precision": 0.5, "recall": 0.5}}},
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        write_report(report, str(tmp_path / "r.json"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_write_report_creates_the_file_as_open_does(tmp_path):
+    path = tmp_path / "r.json"
+    previous = os.umask(0o022)
+    try:
+        write_report({"a": 1}, str(path))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        os.umask(0o077)
+        write_report({"a": 2}, str(path))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    finally:
+        os.umask(previous)
+    assert json.loads(path.read_text()) == {"a": 2}
 
 
 def test_load_report_verifies_stored_parses(cfg_code, golden_dir, tmp_path):

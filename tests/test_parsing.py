@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evarg import parsing
 from evarg.emitter import escape_literal
 from evarg.parsing import DiagnosticKind, _literals, _tokenize, parse_completion
 
@@ -285,6 +288,101 @@ def test_every_reader_lexes_strings_as_the_reference_reader_does(text):
     assert lexed == expected
     cut_off = bool(expected) and not expected[-1][2]
     assert _literals(text) == ([value for _, value, complete in expected if complete], cut_off)
+
+
+# --- the regex path for well-formed code completions ------------------------
+
+# characters str.isspace accepts, ASCII and beyond: the tokenizer skips each of them
+_SPACE = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000", max_size=2)
+# literal bodies, escapes and characters the grammar uses included
+_BODY = st.lists(
+    st.sampled_from(
+        ["a", "b c", "é", '\\"', "\\\\", "\\n", "\\x", "\\\n", " ", ")", "]", ",", '=[X(\\"']
+    ),
+    max_size=4,
+).map("".join)
+_ROLES = st.sampled_from(["agent", "artifact", "destination", "amount", "bogus"])
+_CTORS = st.sampled_from(["PER", "GPE", "VEH", "COUNTRY"])
+
+
+@st.composite
+def _code_completions(draw):
+    """A completion from the well-formed grammar, and whether it was kept whole."""
+    out = [draw(_SPACE)]
+
+    def comma():
+        out.extend([",", draw(_SPACE)])
+
+    mention_lists = st.lists(st.tuples(_CTORS, _BODY), max_size=3)
+    arguments = draw(st.lists(st.tuples(_ROLES, mention_lists), max_size=4))
+    for i, (role, mentions) in enumerate(arguments):
+        if i:
+            comma()
+        out.extend([role, draw(_SPACE), "=", draw(_SPACE), "[", draw(_SPACE)])
+        for j, (ctor, body) in enumerate(mentions):
+            if j:
+                comma()
+            out.extend([ctor, draw(_SPACE), "(", draw(_SPACE), f'"{body}"', draw(_SPACE), ")"])
+            out.append(draw(_SPACE))
+        if mentions and draw(st.booleans()):
+            comma()
+        out.extend(["]", draw(_SPACE)])
+    if arguments and draw(st.booleans()):
+        comma()
+    out.append(")")
+    out.append(draw(st.text(alphabet='ab ,)"=[(', max_size=6)))
+    text = "".join(out)
+    change = draw(st.sampled_from(["none", "cut", "delete", "insert"]))
+    if change == "none":
+        return text, True
+    at = draw(st.integers(0, len(text)))
+    if change == "cut":
+        return text[:at], False
+    if change == "delete":
+        return text[:at] + text[at + 1 :], False
+    return text[:at] + draw(st.sampled_from(list(',)(]["=\\ x'))) + text[at:], False
+
+
+def _recovered(text, ontology):
+    event = {"roles": {}, "diagnostics": []}
+    known_roles = {r.name for r in ontology.resolve_event(ET).roles}
+    parsing._recover_code(text, event, known_roles, ontology)
+    return event
+
+
+@settings(max_examples=300)
+@given(_code_completions())
+def test_regex_path_reads_as_the_recovering_parser_does(ontology, completion):
+    text, whole = completion
+    if whole:
+        assert parsing._WELL_FORMED_RE.match(text)
+    got, expected = parse(text, ontology), _recovered(text, ontology)
+    assert list(got["roles"].items()) == list(expected["roles"].items())
+    assert got["diagnostics"] == expected["diagnostics"]
+
+
+class _TokenizerReached(Exception):
+    pass
+
+
+def test_well_formed_golden_completions_never_reach_the_tokenizer(
+    ontology, golden_dir, test_set, monkeypatch
+):
+    def tokenize(text):
+        raise _TokenizerReached
+
+    monkeypatch.setattr(parsing, "_tokenize", tokenize)
+    report = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
+    entries = {e["id"]: e for e in report["instances"]}
+    recovered = {"test-004", "test-010", "test-012"}  # cut, bare string, malformed
+    assert len(entries) == 12 and recovered <= set(entries)
+    for i, entry in entries.items():
+        args = (entry["completion"], ontology, test_set.by_id(i).event_type)
+        if i in recovered:
+            with pytest.raises(_TokenizerReached):
+                parse_completion(*args)
+        else:
+            assert parse_completion(*args) == entry["parsed"]
 
 
 # --- text styles -----------------------------------------------------------
