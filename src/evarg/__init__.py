@@ -2,7 +2,7 @@
 
 The package's names live in its submodules: ``evarg.harness`` (``prepare``
 and ``run``, which write a report, and ``load_report`` and ``compare``, which
-re-check reports and difference two of them), ``evarg.corpus``,
+verify a report by rerunning it and difference two of them), ``evarg.corpus``,
 ``evarg.ontology``, ``evarg.emitter``, ``evarg.client``, ``evarg.parsing``,
 ``evarg.scoring`` and ``evarg.variability``.
 """

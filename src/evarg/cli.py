@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: emit (render one prompt), run (full pipeline), compare
-(F1 differences between two run reports, each re-checked before use),
+(F1 differences between two run reports, each verified before use),
 variability (vector-based example spread), validate (ontology/corpus
 checks). Exit codes: 0 success, 2 bad configuration or input, 3 fixture
 miss under replay, 4 backend failure.

@@ -5,8 +5,8 @@ it returns builds every instance's prompt, request and digest.
 ``run`` drives one configuration over a test corpus and produces a
 report dict that serializes byte-identically across runs when the
 backend is replay. Reports are written atomically (temp file then
-rename); ``load_report`` re-checks one, and ``compare`` reports the F1
-differences between two re-checked reports.
+rename). ``load_report`` verifies one by rerunning its config on its own
+completions; ``compare`` differences the F1 of two verified reports.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import typing
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -41,13 +40,7 @@ from .corpus import (
     select_sibling,
     split_hierarchy,
 )
-from .emitter import (
-    EmitterOptions,
-    PromptBundle,
-    PromptStyle,
-    assemble_prompt,
-    build_preamble,
-)
+from .emitter import EmitterOptions, PromptBundle, PromptStyle, assemble_prompt, build_preamble
 from .files import ConfigError, json_text, read_jsonl, string_field
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import parse_completion
@@ -250,21 +243,17 @@ def prepare(cfg: RunConfig) -> Plan:
     return Plan(cfg, ontology, train, test, amr, options, split)
 
 
-def _parse_and_score(
-    entries: list[tuple], skipped: list[str], ontology: Ontology, test: Dataset, style: str
-) -> tuple[list[dict], dict]:
-    """Each ``(id, event_type, completion)`` entry's parse, as stored, and the score block.
-
-    Each instance id in ``skipped`` counts as predicting nothing.
-    """
-    preds = [(i, parse_completion(text, ontology, t, style)) for i, t, text in entries]
-    block = score(preds + [(i, {"roles": {}, "diagnostics": []}) for i in skipped], test)
-    return [parsed for _, parsed in preds], block
-
-
 def run(cfg: RunConfig) -> dict:
     """Execute one configuration end to end and return the report dict."""
-    plan = prepare(cfg)
+    report = _run(prepare(cfg), _build_backend)
+    if cfg.output_path:
+        write_report(report, cfg.output_path)
+    return report
+
+
+def _run(plan: Plan, build_backend) -> dict:
+    """The report of ``plan``'s run, completed by ``build_backend(plan.cfg)``."""
+    cfg = plan.cfg
     shortfall: dict[str, dict] = {}
     skipped: list[dict] = []
     tasks: list[Task] = []
@@ -280,7 +269,7 @@ def run(cfg: RunConfig) -> dict:
             continue
         tasks.append(task)
 
-    backend = _build_backend(cfg)
+    backend = build_backend(cfg)
 
     def complete_one(task: Task):
         try:
@@ -300,33 +289,30 @@ def run(cfg: RunConfig) -> dict:
     if misses:
         raise MissingFixtures(misses)
 
-    entries = [(t.instance.id, t.instance.event_type, r.text) for t, r in zip(tasks, results)]
-    parses, score_block = _parse_and_score(
-        entries, [entry["id"] for entry in skipped], plan.ontology, plan.test, cfg.prompt_style
-    )
+    style = cfg.prompt_style
     instances = [
         {
-            "id": task.instance.id,
-            "event_type": derive_class_name(task.instance.event_type),
-            "prompt_digest": task.digest,
-            "prompt_chars": len(task.bundle.text),
-            "example_ids": list(task.bundle.example_ids),
-            "completion": response.text,
-            "finish_reason": response.finish_reason,
-            "parsed": parsed,
+            "id": t.instance.id,
+            "event_type": derive_class_name(t.instance.event_type),
+            "prompt_digest": t.digest,
+            "prompt_chars": len(t.bundle.text),
+            "example_ids": list(t.bundle.example_ids),
+            "completion": r.text,
+            "finish_reason": r.finish_reason,
+            "parsed": parse_completion(r.text, plan.ontology, t.instance.event_type, style),
         }
-        for task, response, parsed in zip(tasks, results, parses)
+        for t, r in zip(tasks, results)
     ]
-    report = {
+    # a skipped instance counts as predicting nothing
+    nothing = [(entry["id"], {"roles": {}, "diagnostics": []}) for entry in skipped]
+    preds = [(entry["id"], entry["parsed"]) for entry in instances] + nothing
+    return {
         "config": {k: v for k, v in asdict(cfg).items() if k != "output_path"},
         "instances": instances,
         "skipped": skipped,
         "shortfall": shortfall,
-        "score": score_block,
+        "score": score(preds, plan.test),
     }
-    if cfg.output_path:
-        write_report(report, cfg.output_path)
-    return report
 
 
 def write_report(report: dict, path: str | None) -> None:
@@ -356,58 +342,70 @@ def write_report(report: dict, path: str | None) -> None:
         raise
 
 
-def load_report(path: str) -> dict:
-    """Load a report; re-check its parses, its score and its coverage of ``config["test_path"]``.
+class _StoredCompletions(ReplayBackend):
+    """Serves a report's own completions by their stored prompt digests."""
 
-    Each stored ``event_type`` must be the class name of that instance's
-    type in the test corpus, and the ids of ``instances`` and ``skipped``
-    together must name every test instance exactly once. Relative paths in
-    the config are read from the current directory, so a report is
-    re-checked from the directory its run was started in.
+    def __init__(self, entries: dict[str, tuple[str, str]]):
+        self._entries = entries
+
+
+_ABSENT = object()
+
+
+def _first_difference(stored: typing.Any, rerun: typing.Any, at: str = "") -> str | None:
+    """Where the two first differ, as a key path like ``instances[0].k``; ``1`` is not ``1.0``."""
+    if isinstance(stored, list) and isinstance(rerun, list):
+        stored, rerun = dict(enumerate(stored)), dict(enumerate(rerun))
+        step = "{}[{}]".format
+    elif isinstance(stored, dict) and isinstance(rerun, dict):
+        step = "{}.{}".format if at else lambda _, key: key
+    else:
+        return None if type(stored) is type(rerun) and stored == rerun else at
+    for key in sorted(stored.keys() | rerun.keys()):
+        found = _first_difference(stored.get(key, _ABSENT), rerun.get(key, _ABSENT), step(at, key))
+        if found is not None:
+            return found
+    return None
+
+
+def load_report(path: str) -> dict:
+    """Load a report and verify it: rerun on its own completions, its config gives it back.
+
+    Only each stored ``completion`` and ``finish_reason``, served by its
+    stored ``prompt_digest``, is trusted; no endpoint is contacted.
+    Relative config paths are read from the current directory.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
-        config = report["config"]
-        ontology_path = string_field(config, "ontology_path")
-        test_path = string_field(config, "test_path")
-        style = PromptStyle(config.get("prompt_style", "code")).value
-        entries = [
-            tuple(string_field(e, key) for key in ("id", "event_type", "completion"))
-            for e in report["instances"]
-        ]
-        stored = [e["parsed"] for e in report["instances"]]
-        skipped = [string_field(e, "id") for e in report["skipped"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"report file {path} is malformed: {exc!r}") from exc
-    ontology = load_ontology(ontology_path)
-    test = load_corpus(test_path, "test")
-    try:
-        parses, score_block = _parse_and_score(entries, skipped, ontology, test, style)
-    except KeyError as exc:
-        raise ConfigError(f"instance {exc} is not in the test corpus") from None
-    for (i, _, _), parsed, kept in zip(entries, parses, stored):
-        if parsed != kept:
-            raise ConfigError(f"instance {i!r}: stored parse does not match its completion")
-    if score_block != report.get("score"):
-        raise ConfigError("stored score does not match the stored parses")
-    for i, stored_type, _ in entries:
-        expected = derive_class_name(test.by_id(i).event_type)
-        if stored_type != expected:
-            raise ConfigError(
-                f"instance {i!r}: stored event_type {stored_type!r} is not "
-                f"the test corpus's {expected!r}"
+        cfg = RunConfig(**report["config"])
+        cfg.validate()
+        entries = {
+            string_field(e, "prompt_digest"): (
+                string_field(e, "completion"),
+                string_field(e, "finish_reason"),
             )
-    counts = Counter([e[0] for e in entries] + skipped)
-    wrong = next((i.id for i in test.instances if counts[i.id] != 1), None)
-    if wrong is not None:
-        n = counts[wrong]
-        raise ConfigError(f"report file {path} lists test instance {wrong!r} {n} times, not once")
+            for e in report["instances"]
+        }
+    except (KeyError, TypeError, ValueError, RecursionError, ConfigError) as exc:
+        raise ConfigError(f"report file {path} is malformed: {exc!r}") from exc
+    try:
+        plan = prepare(cfg)
+        rerun = _run(plan, lambda cfg: _StoredCompletions(entries))
+    except ConfigError as exc:
+        raise ConfigError(f"report file {path}: {exc}") from exc
+    except MissingFixtures as exc:
+        first = next(i.id for i in plan.test.instances if plan.task(i).digest in exc.digests)
+        message = f"its config gives test instance {first!r} a prompt that no instance stores"
+        raise ConfigError(f"report file {path}: {message}") from None
+    difference = _first_difference(report, rerun)
+    if difference is not None:
+        raise ConfigError(f"report file {path} differs from its rerun at {difference}")
     return report
 
 
 def compare(first_path: str, second_path: str) -> dict:
-    """First-minus-second micro F1 of two reports, each re-checked by ``load_report``.
+    """First-minus-second micro F1 of two reports, each verified by ``load_report``.
 
     Both reports must cover the same test instance ids; a report compared
     with itself yields exact zero deltas.

@@ -19,8 +19,9 @@ from evarg.corpus import (  # noqa: E402
     Trigger,
     load_corpus,
 )
-from evarg.harness import _parse_and_score  # noqa: E402
 from evarg.ontology import load_ontology  # noqa: E402
+from evarg.parsing import parse_completion  # noqa: E402
+from evarg.scoring import score  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -60,14 +61,13 @@ def rescore(report: dict) -> dict:
     Paths in the report's config are read from the current directory.
     """
     config = report["config"]
-    entries = [(e["id"], e["event_type"], e["completion"]) for e in report["instances"]]
-    _, report["score"] = _parse_and_score(
-        entries,
-        [e["id"] for e in report["skipped"]],
-        load_ontology(config["ontology_path"]),
-        load_corpus(config["test_path"], "test"),
-        config["prompt_style"],
-    )
+    ontology, style = load_ontology(config["ontology_path"]), config["prompt_style"]
+    preds = [
+        (e["id"], parse_completion(e["completion"], ontology, e["event_type"], style))
+        for e in report["instances"]
+    ]
+    preds += [(e["id"], {"roles": {}, "diagnostics": []}) for e in report["skipped"]]
+    report["score"] = score(preds, load_corpus(config["test_path"], "test"))
     return report
 
 

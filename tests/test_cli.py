@@ -1,7 +1,9 @@
 import argparse
+import collections
 import dataclasses
 import json
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -24,7 +26,9 @@ from conftest import (
 )
 from evarg import harness
 from evarg.cli import build_parser, main
+from evarg.client import ReplayBackend
 from evarg.emitter import PromptStyle
+from evarg.files import json_text
 from evarg.harness import SETTING_TYPES, RunConfig, run
 
 BASE = dict(
@@ -425,18 +429,158 @@ def test_compare_incomplete_config_exit_2(report_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "edit, times",
-    [(drop_the_first_instance, 0), (list_the_first_instance_twice, 2)],
+    "edit, problem",
+    [
+        (drop_the_first_instance, ": its config gives test instance 'test-001' a prompt"),
+        (list_the_first_instance_twice, " differs from its rerun at instances[12]\n"),
+    ],
     ids=["dropped-instance", "duplicated-instance"],
 )
-def test_compare_an_edited_report_exit_2(report_file, tmp_path, capsys, edit, times):
+def test_compare_an_edited_report_exit_2(report_file, tmp_path, capsys, edit, problem):
     """An edited report exits 2, even when its score block is recomputed to match."""
     report = json.loads(Path(report_file()).read_text(encoding="utf-8"))
     edit(report)
     rescore(report)
     edited = _write(tmp_path / "edited.json", json.dumps(report))
     assert main(["compare", report_file(), edited]) == 2
-    assert f"lists test instance 'test-001' {times} times, not once" in capsys.readouterr().err
+    assert f"error: report file {edited}{problem}" in capsys.readouterr().err
+
+
+def _set_config(**settings):
+    return lambda report: report["config"].update(settings)
+
+
+def _set_first_instance(**fields):
+    return lambda report: report["instances"][0].update(fields)
+
+
+def _move_the_first_instance_into_skipped(report):
+    entry = report["instances"].pop(0)
+    report["skipped"].append({"id": entry["id"], "prompt_chars": entry["prompt_chars"]})
+    rescore(report)
+
+
+NOT_STORED = ": its config gives test instance 'test-001' a prompt that no instance stores"
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (_set_config(k=5), NOT_STORED),
+        (
+            _set_config(selection_mode="sibling"),
+            ": event type 'Transport' is the training child of 'Movement', not a test type",
+        ),
+        (_set_config(model_id="other-model"), NOT_STORED),
+        (
+            _set_config(train_path="fixtures/no-such-train.jsonl"),
+            ": cannot read train file fixtures/no-such-train.jsonl: ",
+        ),
+        (_set_first_instance(prompt_digest="0" * 64), NOT_STORED),
+        (
+            _set_first_instance(prompt_chars=1),
+            " differs from its rerun at instances[0].prompt_chars",
+        ),
+        (
+            _set_first_instance(example_ids=["train-999"]),
+            " differs from its rerun at instances[0].example_ids[0]",
+        ),
+        (
+            lambda r: r["shortfall"].update(Transport={"requested": 1, "available": 0}),
+            " differs from its rerun at shortfall.Transport",
+        ),
+        (lambda r: r.update(note="hand-written"), " differs from its rerun at note"),
+        (_move_the_first_instance_into_skipped, NOT_STORED),
+    ],
+    ids=[
+        "k",
+        "selection-mode",
+        "model-id",
+        "missing-train-path",
+        "zeroed-digest",
+        "prompt-chars",
+        "example-ids",
+        "invented-shortfall",
+        "extra-top-level-key",
+        "skipped-without-max-prompt-chars",
+    ],
+)
+def test_compare_a_report_that_is_not_its_own_rerun_exit_2(
+    in_repo_root, golden_dir, tmp_path, capsys, edit, problem
+):
+    """Each edit leaves a report that no run of its config writes."""
+    golden = str(golden_dir / "run_report.json")
+    report = json.loads(Path(golden).read_text(encoding="utf-8"))
+    edit(report)
+    edited = _write(tmp_path / "edited.json", json.dumps(report))
+    assert main(["compare", golden, edited]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report file {edited}{problem}"), err
+
+
+def test_compare_verifies_an_http_report_without_contacting_it(
+    in_repo_root, golden_dir, tmp_path, monkeypatch, capsys
+):
+    report = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
+    report["config"].update(backend="http", endpoint="http://127.0.0.1:9")
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an HttpBackend was built")
+
+    monkeypatch.setattr(evarg.client.HttpBackend, "__init__", refuse)
+    path = _write(tmp_path / "http.json", json.dumps(report))
+    assert main(["compare", path, path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"delta": {"arg_i_f1": 0.0, "arg_c_f1": 0.0}}
+
+
+# What a mutation sets a config setting to: other types, non-finite floats, None,
+# containers, the other modes, styles and backends, and paths of other inputs.
+MUTATION_VALUES = [
+    None, True, False, 0, 1, -1, 3, 2**70, 0.0, 0.5, 1.0,
+    float("nan"), float("inf"), float("-inf"), "", "x", [], ["x"], {}, {"k": 1},
+    "same", "sibling", "non_sibling", *(style.value for style in PromptStyle),
+    "replay", "http", "http://127.0.0.1:9",
+    "fixtures/amr.jsonl", "fixtures/train.jsonl", "fixtures/test.jsonl",
+]
+
+
+def _mutate(config: dict, rng: random.Random) -> dict:
+    """``config`` with one to three settings set, deleted or added under an unknown key."""
+    config = dict(config)
+    for _ in range(rng.randint(1, 3)):
+        key = rng.choice([*config, "unknown_setting"])
+        if rng.random() < 0.1:
+            config.pop(key, None)
+        else:
+            config[key] = rng.choice(MUTATION_VALUES)
+    return config
+
+
+def test_compare_a_mutated_config_exits_0_only_for_its_own_rerun(
+    in_repo_root, golden_dir, tmp_path, monkeypatch, capsys
+):
+    """Seeded config mutations of the golden report never end in a traceback.
+
+    Each exits 0 or 2, and a report that verifies is what ``run`` writes for
+    its config when the backend answers as the shipped completions do: a
+    report vouches for its completions, not for the backend that gave them.
+    """
+    golden = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
+    shipped = ReplayBackend(BASE["fixture_path"])
+    monkeypatch.setattr(harness, "_build_backend", lambda cfg: shipped)
+    rng = random.Random(0)
+    codes = collections.Counter()
+    for n in range(400):
+        config = _mutate(golden["config"], rng)
+        path = _write(tmp_path / "mutated.json", json.dumps({**golden, "config": config}))
+        code = main(["compare", path, path])
+        assert code in (0, 2), (n, config)
+        codes[code] += 1
+        if code == 0:
+            verified = json.loads(Path(path).read_text(encoding="utf-8"))
+            assert json_text(run(RunConfig(**config))) == json_text(verified)
+    capsys.readouterr()
+    assert codes[0] and codes[2]
 
 
 def test_readme_quick_start_commands_parse():
