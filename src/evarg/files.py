@@ -9,7 +9,8 @@ U+2029 or U+0085 unescaped, as ``json.dumps(ensure_ascii=False)`` writes.
 
 YAML is parsed by PyYAML's libyaml-backed ``CSafeLoader`` when PyYAML was
 built with libyaml, and by its pure-Python ``SafeLoader`` otherwise; both
-accept the same safe subset.
+accept the same safe subset. Both build a document's nodes by recursion, so
+a document nested deeper than ``MAX_YAML_DEPTH`` is refused before that.
 
 ``json_text`` writes the report format: the text of
 ``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)``.
@@ -26,6 +27,7 @@ from typing import Any, Callable
 import yaml
 
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+MAX_YAML_DEPTH = 100  # the shipped YAML files nest at most 6 levels
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD]")  # only an escape puts a surrogate in a string
 # one escape in a JSON string, a surrogate pair counting as one; group 1 is a lone surrogate
 _ESCAPE = re.compile(r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|u([dD]...)|.)")
@@ -38,7 +40,8 @@ class ConfigError(Exception):
 def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None]) -> None:
     """Call ``record`` on each line's value, in file order.
 
-    A line that is not JSON, whose strings hold a lone surrogate, or whose
+    A line that is not JSON, that nests too deeply to decode
+    (``RecursionError``), whose strings hold a lone surrogate, or whose
     value ``record`` rejects with a ``ValueError``, ``KeyError``,
     ``TypeError`` or ``OverflowError`` (a number too large for a float),
     raises ``ConfigError("path:line: bad <what> record: ...")``, a ``KeyError``
@@ -58,7 +61,7 @@ def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None]) -> No
                 except KeyError as exc:
                     message = f"{path}:{lineno}: bad {what} record: missing key {exc.args[0]!r}"
                     raise ConfigError(message) from exc
-                except (TypeError, ValueError, OverflowError) as exc:
+                except (TypeError, ValueError, OverflowError, RecursionError) as exc:
                     invalid = "invalid JSON: " if isinstance(exc, json.JSONDecodeError) else ""
                     message = f"{path}:{lineno}: bad {what} record: {invalid}{exc}"
                     raise ConfigError(message) from exc
@@ -87,10 +90,24 @@ def string_field(rec: dict, key: str, default: str | None = None) -> str:
 
 
 def read_yaml(path: str | Path, what: str) -> Any:
-    """The YAML document in ``path``; an unreadable or invalid file raises ``ConfigError``."""
+    """The YAML document in ``path``; a bad or too deeply nested file raises ``ConfigError``.
+
+    Parse events come without recursion, so counting the collections open
+    among them finds the depth before anything recurses.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return yaml.load(fh, Loader=YAML_LOADER)
+            text = fh.read()
+        depth = 0
+        for event in yaml.parse(text, Loader=YAML_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_YAML_DEPTH:
+                    message = f"{what} file {path} nests deeper than {MAX_YAML_DEPTH} levels"
+                    raise ConfigError(message)
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+        return yaml.load(text, Loader=YAML_LOADER)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -2,7 +2,8 @@
 
 ``parse_completion`` reads every prompt style: a recovering recursive-descent
 parser takes the constructor-call body that follows ``<var>_event = <Class>(``,
-and line and slot patterns take the two labelled text layouts. A well-formed
+one token at a time and up to the ``)`` that closes it, and line and slot
+patterns take the two labelled text layouts. A well-formed
 code completion, a list of ``role=[Ctor("literal"), ...]`` arguments, is read
 by regexes instead, to the same result and much faster. It returns
 the report's ``parsed`` block, plain dicts and strings. It never raises on
@@ -39,10 +40,10 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .emitter import PromptStyle
-from .ontology import IDENTIFIER, IDENTIFIER_RE, Ontology
+from .ontology import IDENTIFIER, Ontology
 
 
 class DiagnosticKind(str, Enum):
@@ -57,7 +58,7 @@ def _diagnostic(kind: DiagnosticKind, detail: str) -> dict:
     return {"kind": kind.value, "detail": detail}
 
 
-# --- tokenizer -------------------------------------------------------------
+# --- lexemes ---------------------------------------------------------------
 
 
 class _Token(NamedTuple):
@@ -67,13 +68,22 @@ class _Token(NamedTuple):
     complete: bool
 
 
+_EOF = _Token("EOF", "", "", True)
+
 # A string literal: a backslash escapes any one character, a line break included;
 # where the input ends, the closing quote may be missing and a lone backslash left.
 _LITERAL_BODY = r'[^"\\]*(?s:\\.[^"\\]*)*'
-_LITERAL_RE = re.compile(rf'"({_LITERAL_BODY}\\?)("?)')
+_LITERAL = rf'"(?P<body>{_LITERAL_BODY}\\?)(?P<closed>"?)'
+_LITERAL_RE = re.compile(_LITERAL)
+# One lexeme of a code completion: a token, whose kind is the name of its group, with
+# the whitespace after it. ``\s`` is exactly what ``str.isspace`` accepts and JUNK takes
+# any other character, so the only text a search skips is leading whitespace.
+_LEXEME_RE = re.compile(
+    rf"(?:(?P<STRING>{_LITERAL})|(?P<IDENT>{IDENTIFIER})|(?P<LB>\[)|(?P<RB>\])|(?P<LP>\()"
+    r"|(?P<RP>\))|(?P<COMMA>,)|(?P<EQ>=)|(?P<JUNK>\S))\s*"
+)
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n"}
-_PUNCT = {"[": "LB", "]": "RB", "(": "LP", ")": "RP", ",": "COMMA", "=": "EQ"}
 
 
 def _unescape(body: str) -> str:
@@ -83,34 +93,16 @@ def _unescape(body: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m.group(1), m.group()), body)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == '"':
-            m = _LITERAL_RE.match(text, i)
-            tokens.append(_Token("STRING", m.group(), _unescape(m.group(1)), bool(m.group(2))))
-            i = m.end()
-            continue
-        kind = _PUNCT.get(ch)
-        if kind is not None:
-            tokens.append(_Token(kind, ch, ch, True))
-            i += 1
-            continue
-        m = IDENTIFIER_RE.match(text, i)
-        if m is not None:
-            tokens.append(_Token("IDENT", m.group(), m.group(), True))
-            i = m.end()
-            continue
-        tokens.append(_Token("JUNK", ch, ch, True))
-        i += 1
-    tokens.append(_Token("EOF", "", "", True))
-    return tokens
+def _tokens(text: str) -> Iterator[_Token]:
+    """The tokens of ``text`` then EOF, each lexed only when it is taken."""
+    for m in _LEXEME_RE.finditer(text):
+        kind = m.lastgroup
+        raw = m[kind]
+        if kind == "STRING":
+            yield _Token(kind, raw, _unescape(m["body"]), bool(m["closed"]))
+        else:
+            yield _Token(kind, raw, raw, True)
+    yield _EOF
 
 
 # --- recursive descent with recovery ---------------------------------------
@@ -129,20 +121,22 @@ class _Malformed(Exception):
 
 
 class _Parser:
+    """Takes tokens one at a time: nothing past the last token peeked is lexed."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.tokens = _tokens(text)
+        self.token = next(self.tokens)
         # open-delimiter count relative to the argument list, so recovery
         # knows when a ')' actually closes the list rather than a value
         self.depth = 0
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        return self.token
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self.token
         if tok.kind != "EOF":
-            self.pos += 1
+            self.token = next(self.tokens)
             if tok.kind in ("LB", "LP"):
                 self.depth += 1
             elif tok.kind in ("RB", "RP"):
@@ -213,11 +207,10 @@ class _Parser:
         return " ".join(skipped)
 
 
-# A well-formed argument list, read without the tokenizer: ``role=[Ctor("literal"), ...]``
+# A well-formed argument list, read without the parser: ``role=[Ctor("literal"), ...]``
 # arguments, then ")". Each argument and each mention is followed by a comma or by the
-# bracket that closes its list. ``\s`` matches exactly the characters ``str.isspace``
-# accepts, which the tokenizer skips, and each lexeme is matched as the tokenizer reads
-# it, so on these inputs both readers see the same tokens.
+# bracket that closes its list. Built from ``_LEXEME_RE``'s fragments, so both readers
+# see the same lexemes.
 _CTOR = rf'{IDENTIFIER}\s*\(\s*"{_LITERAL_BODY}"\s*\)'
 _ARGUMENT = rf"{IDENTIFIER}\s*=\s*\[\s*(?:{_CTOR}\s*(?:,\s*|(?=\])))*\]"
 _WELL_FORMED_RE = re.compile(rf"\s*(?:{_ARGUMENT}\s*(?:,\s*|(?=\))))*\)")
@@ -327,9 +320,9 @@ def _literals(text: str) -> tuple[list[str], bool]:
     """The string literals in ``text``, unescaped, and whether the last is cut off."""
     values: list[str] = []
     for m in _LITERAL_RE.finditer(text):
-        if not m.group(2):
+        if not m["closed"]:
             return values, True
-        values.append(_unescape(m.group(1)))
+        values.append(_unescape(m["body"]))
     return values, False
 
 

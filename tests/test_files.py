@@ -4,6 +4,10 @@ written as ``files.json_text`` spells JSON."""
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -253,6 +257,61 @@ def test_invalid_yaml_exit_2_with_its_message(tmp_path, in_repo_root, capsys, wh
     command, prefix = YAML_INPUTS[what]
     assert main([arg.format(path=path) for arg in command]) == 2
     assert capsys.readouterr().err.startswith(prefix.format(path=path))
+
+
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, files.YAML_LOADER], ids=["python", "chosen"])
+def test_yaml_nested_to_the_bound_loads_and_deeper_is_refused(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(files, "YAML_LOADER", loader)
+    bound = files.MAX_YAML_DEPTH
+    path = tmp_path / "grid.yaml"
+    path.write_text("[" * bound + "]" * bound, encoding="utf-8")
+    value = files.read_yaml(path, "grid")
+    for _ in range(bound - 1):
+        (value,) = value
+    assert value == []
+    path.write_text("- " * bound + "[]", encoding="utf-8")  # block sequences, then a flow one
+    message = f"grid file {path} nests deeper than {bound} levels"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        files.read_yaml(path, "grid")
+
+
+RUN_FROM_FIXTURES = [
+    "run", "--ontology", "fixtures/ontology.yaml", "--train", "fixtures/train.jsonl",
+    "--test", "fixtures/test.jsonl", "--fixtures", "fixtures/completions.jsonl",
+]
+# input -> the command reading it at {path}; later flags override earlier ones
+NESTING_BOMB_INPUTS = {
+    "ontology": ["validate", "--ontology", "{path}"],
+    "config": ["run", "--config", "{path}"],
+    "grid": ["variability", "--vectors", "fixtures/vectors.jsonl", "--grid", "{path}"],
+    "train": [*RUN_FROM_FIXTURES, "--train", "{path}"],
+    "test": [*RUN_FROM_FIXTURES, "--test", "{path}"],
+    "fixture": [*RUN_FROM_FIXTURES, "--fixtures", "{path}"],
+    "amr": [*RUN_FROM_FIXTURES, "--amr", "{path}"],
+    "vectors": ["variability", "--vectors", "{path}", "--grid", "fixtures/variability_grid.yaml"],
+    "report": ["compare", "{path}", "fixtures/golden/run_report.json"],
+}
+
+
+@pytest.mark.parametrize("what", NESTING_BOMB_INPUTS)
+def test_a_nesting_bomb_in_any_input_exits_2_naming_it(tmp_path, what):
+    """A fresh interpreter, because a parser that recurses too deep in C kills it."""
+    path = tmp_path / f"{what}.bomb"
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    command = [arg.format(path=path) for arg in NESTING_BOMB_INPUTS[what]]
+    result = subprocess.run(
+        [sys.executable, "-m", "evarg", *command],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert str(path) in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 # --- writing JSON ------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from evarg import parsing
 from evarg.emitter import escape_literal
-from evarg.parsing import DiagnosticKind, _literals, _tokenize, parse_completion
+from evarg.parsing import DiagnosticKind, _literals, _tokens, parse_completion
 
 ET = "Movement:Transport"
 
@@ -52,6 +52,29 @@ def test_trailing_text_after_close_paren_ignored(ontology):
     event = parse('agent=[PER("Kim")]) and then some junk ===', ontology)
     assert event["roles"] == {"agent": [mention("PER", "Kim")]}
     assert event["diagnostics"] == []
+
+
+def test_recovering_parser_lexes_nothing_after_the_closing_paren(ontology, monkeypatch):
+    lex = parsing._tokens
+    taken = []
+
+    def tokens(text):
+        for tok in lex(text):
+            taken.append(tok.text)
+            yield tok
+
+    monkeypatch.setattr(parsing, "_tokens", tokens)
+    # a bare string and a stray 7 send it down the recovering path
+    event = parse('agent=[PER("Kim")], artifact="car", 7) vehicle=[VEH("x")] "cut', ontology)
+    assert event["roles"] == {
+        "agent": [mention("PER", "Kim")],
+        "artifact": [mention(None, "car")],
+    }
+    assert [d["kind"] for d in event["diagnostics"]] == ["malformed_tail"]
+    assert taken == [
+        "agent", "=", "[", "PER", "(", '"Kim"', ")", "]", ",",
+        "artifact", "=", '"car"', ",", "7", ")",
+    ]
 
 
 def test_missing_separator_between_kwargs_tolerated(ontology):
@@ -284,7 +307,7 @@ _LITERAL_TEXT = st.lists(
 @given(_LITERAL_TEXT)
 def test_every_reader_lexes_strings_as_the_reference_reader_does(text):
     expected = _reference_strings(text)
-    lexed = [(tok.text, tok.value, tok.complete) for tok in _tokenize(text) if tok.kind == "STRING"]
+    lexed = [(tok.text, tok.value, tok.complete) for tok in _tokens(text) if tok.kind == "STRING"]
     assert lexed == expected
     cut_off = bool(expected) and not expected[-1][2]
     assert _literals(text) == ([value for _, value, complete in expected if complete], cut_off)
@@ -292,7 +315,7 @@ def test_every_reader_lexes_strings_as_the_reference_reader_does(text):
 
 # --- the regex path for well-formed code completions ------------------------
 
-# characters str.isspace accepts, ASCII and beyond: the tokenizer skips each of them
+# characters str.isspace accepts, ASCII and beyond: the lexer skips each of them
 _SPACE = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000", max_size=2)
 # literal bodies, escapes and characters the grammar uses included
 _BODY = st.lists(
@@ -371,7 +394,7 @@ def test_well_formed_golden_completions_never_reach_the_tokenizer(
     def tokenize(text):
         raise _TokenizerReached
 
-    monkeypatch.setattr(parsing, "_tokenize", tokenize)
+    monkeypatch.setattr(parsing, "_tokens", tokenize)
     report = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
     entries = {e["id"]: e for e in report["instances"]}
     recovered = {"test-004", "test-010", "test-012"}  # cut, bare string, malformed
