@@ -88,8 +88,9 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     except KeyError:
         raise ConfigError(f"unknown id {args.id!r}") from None
     bundle = plan.task(inst).bundle
-    if args.out_file:
-        with open(args.out_file, "w", encoding="utf-8") as fh:
+    # the flag, never the merged config: a config file's output_path names its run's report
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8") as fh:
             fh.write(bundle.text)
     else:
         sys.stdout.write(bundle.text)
@@ -144,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_emit = sub.add_parser("emit", help="render one prompt and print or save it")
     _add_run_flags(p_emit)
     p_emit.add_argument("--id", required=True, help="test instance id")
-    p_emit.add_argument("--out-file", help="write prompt bytes here instead of stdout")
     p_emit.set_defaults(func=_cmd_emit)
 
     p_run = sub.add_parser("run", help="run the full pipeline over a test corpus")

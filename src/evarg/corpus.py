@@ -145,9 +145,8 @@ def validate_against_ontology(dataset: Dataset, ontology: Ontology) -> list[str]
         except ConfigError:
             problems.append(f"{inst.id}: unknown event type {inst.event_type!r}")
             continue
-        role_names = {r.name for r in event.roles}
         for arg in inst.arguments:
-            if arg.role not in role_names:
+            if arg.role not in event.role_names:
                 problems.append(
                     f"{inst.id}: role {arg.role!r} not defined for {event.class_name}"
                 )

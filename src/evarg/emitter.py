@@ -9,7 +9,7 @@ exact layouts are frozen by golden fixtures under ``fixtures/golden/``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .corpus import TrainingInstance
@@ -63,14 +63,19 @@ _BASE_EVENT_BLOCK = "class Event:\n    pass"
 
 @dataclass(frozen=True)
 class EmitterOptions:
-    """Per-run prompt toggles; each governs one localized region of the output."""
+    """Per-run prompt toggles; each governs one localized region of the output.
+
+    A run's ``RunConfig`` extends this class. ``prompt_style`` is a PromptStyle or its value.
+    """
 
     mark_trigger: bool = True
     include_description: bool = True
     include_type_annotation: bool = True
     include_hierarchy: bool = True
     include_keywords: bool = False
-    prompt_style: PromptStyle = PromptStyle.CODE
+    prompt_style: str = field(
+        default="code", metadata={"choices": tuple(style.value for style in PromptStyle)}
+    )
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,7 @@ def _task_block(
     ``amr`` is the task sentence's semantic graph; it goes after the
     sentence, with ``AMR: `` before its first line in the text styles.
     """
-    style, cls = opts.prompt_style, event.class_name
+    style, cls = PromptStyle(opts.prompt_style), event.class_name
     sentence = _marked_sentence(inst, opts)
     amr_lines = [] if amr is None else amr.splitlines()
     if style is PromptStyle.CODE:
@@ -214,7 +219,8 @@ def emit_example(inst: TrainingInstance, ontology: Ontology, opts: EmitterOption
     appended only to the final task prompt.
     """
     event = ontology.resolve_event(inst.event_type)
-    return _task_block(inst, event, opts, None) + _answer(inst, event, ontology, opts.prompt_style)
+    style = PromptStyle(opts.prompt_style)
+    return _task_block(inst, event, opts, None) + _answer(inst, event, ontology, style)
 
 
 def _event_definition_order(
@@ -307,7 +313,7 @@ def build_preamble(
     so all instances sharing those share it. It is empty only for a ``t2``
     prompt without examples.
     """
-    style = opts.prompt_style
+    style = PromptStyle(opts.prompt_style)
     blocks: list[str] = []
     if style is not PromptStyle.TEXT_T2:
         event_classes = _event_definition_order(ontology, event_type, examples, opts)
@@ -350,6 +356,6 @@ def assemble_prompt(
         )
     return PromptBundle(
         text=preamble + _task_block(task, event, opts, amr),
-        stop_patterns=_COMPLETION[opts.prompt_style][1],
+        stop_patterns=_COMPLETION[PromptStyle(opts.prompt_style)][1],
         example_ids=tuple(inst.id for inst in examples),
     )

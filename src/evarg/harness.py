@@ -39,8 +39,9 @@ from .corpus import (
     select_same_type,
     select_sibling,
     split_hierarchy,
+    validate_against_ontology,
 )
-from .emitter import EmitterOptions, PromptBundle, PromptStyle, assemble_prompt, build_preamble
+from .emitter import EmitterOptions, PromptBundle, assemble_prompt, build_preamble
 from .files import ConfigError, json_text, read_jsonl, string_field
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import parse_completion
@@ -52,9 +53,9 @@ def _one_of(default: str, choices: typing.Iterable[str]) -> typing.Any:
     return field(default=default, metadata={"choices": tuple(choices)})
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Every run setting, declared once.
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(EmitterOptions):
+    """Every run setting, declared once; the prompt settings are inherited from ``EmitterOptions``.
 
     A field's annotation is its type and ``choices`` metadata lists the
     values it may take; the CLI flags and ``validate`` both read them here.
@@ -63,15 +64,9 @@ class RunConfig:
     ontology_path: str
     train_path: str
     test_path: str
-    prompt_style: str = _one_of("code", (style.value for style in PromptStyle))
     k: int = 1
     selection_mode: str = _one_of("same", ("same", "sibling", "non_sibling"))
     seed: int = 0
-    mark_trigger: bool = True
-    include_description: bool = True
-    include_type_annotation: bool = True
-    include_hierarchy: bool = True
-    include_keywords: bool = False
     amr_path: str | None = None
     backend: str = _one_of("replay", ("replay", "http"))
     record: bool = False
@@ -177,7 +172,6 @@ class Plan:
     train: Dataset
     test: Dataset
     amr: dict[str, str]
-    options: EmitterOptions
     # the parent -> training child split, for the modes that select by hierarchy
     split: dict[str, HierarchySplit]
     # (class name, example ids) -> the preamble, hashed as a request prefix
@@ -196,11 +190,11 @@ class Plan:
         key = (derive_class_name(event_type), tuple(e.id for e in examples))
         prefix = self._preambles.get(key)
         if prefix is None:
-            preamble = build_preamble(self.ontology, event_type, examples, self.options)
+            preamble = build_preamble(self.ontology, event_type, examples, cfg)
         else:
             preamble = prefix.text
         bundle = assemble_prompt(
-            self.ontology, event_type, examples, inst, self.options, preamble,
+            self.ontology, event_type, examples, inst, cfg, preamble,
             amr=self.amr.get(inst.id),
         )
         request = CompletionRequest(
@@ -221,6 +215,11 @@ def prepare(cfg: RunConfig) -> Plan:
     ontology = load_ontology(cfg.ontology_path)
     train = load_corpus(cfg.train_path, "train")
     test = load_corpus(cfg.test_path, "test")
+    # the test gold is what gets scored, so it must fit the ontology as `evarg validate` checks
+    problems = validate_against_ontology(test, ontology)
+    if problems:
+        listing = "\n  ".join(problems)
+        raise ConfigError(f"test corpus {cfg.test_path} does not fit the ontology:\n  {listing}")
 
     split = {}
     if cfg.selection_mode in ("sibling", "non_sibling"):
@@ -232,15 +231,7 @@ def prepare(cfg: RunConfig) -> Plan:
             )
 
     amr = load_amr(cfg.amr_path) if cfg.amr_path else {}
-    options = EmitterOptions(
-        mark_trigger=cfg.mark_trigger,
-        include_description=cfg.include_description,
-        include_type_annotation=cfg.include_type_annotation,
-        include_hierarchy=cfg.include_hierarchy,
-        include_keywords=cfg.include_keywords,
-        prompt_style=PromptStyle(cfg.prompt_style),
-    )
-    return Plan(cfg, ontology, train, test, amr, options, split)
+    return Plan(cfg, ontology, train, test, amr, split)
 
 
 def run(cfg: RunConfig) -> dict:

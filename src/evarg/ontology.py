@@ -7,6 +7,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ IDENTIFIER_RE = re.compile(IDENTIFIER)
 PLACEHOLDER_RE = re.compile(rf"\{{({IDENTIFIER})\}}")
 
 
+@functools.cache
 def derive_class_name(type_name: str) -> str:
     """Class identifier for a source type string.
 
@@ -56,6 +58,11 @@ class EventTypeDef:
     roles: tuple[RoleSpec, ...]
     description_template: str
     keywords: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def role_names(self) -> frozenset[str]:
+        """The names of this type's roles; computed once per type."""
+        return frozenset(role.name for role in self.roles)
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,7 @@ _ARGUMENT_RE = re.compile(rf'({IDENTIFIER})\s*=\s*\[((?:[^\]"]|"{_LITERAL_BODY}"
 _MENTION_RE = re.compile(rf'({IDENTIFIER})\s*\(\s*"({_LITERAL_BODY})"')
 
 
-def _parse_code(text: str, event: dict, known_roles: set[str], o: Ontology) -> None:
+def _parse_code(text: str, event: dict, known_roles: frozenset[str], o: Ontology) -> None:
     well_formed = _WELL_FORMED_RE.match(text)
     if well_formed is None:
         _recover_code(text, event, known_roles, o)
@@ -232,7 +232,7 @@ def _parse_code(text: str, event: dict, known_roles: set[str], o: Ontology) -> N
         _record_role(event, name, mentions, known_roles, o)
 
 
-def _recover_code(text: str, event: dict, known_roles: set[str], o: Ontology) -> None:
+def _recover_code(text: str, event: dict, known_roles: frozenset[str], o: Ontology) -> None:
     """The recovering parser: reads any text, well-formed or not."""
     diagnostics = event["diagnostics"]
     parser = _Parser(text)
@@ -281,7 +281,7 @@ def _recover_code(text: str, event: dict, known_roles: set[str], o: Ontology) ->
 
 
 def _record_role(
-    event: dict, name: str, mentions: list[dict], known_roles: set[str], ontology: Ontology
+    event: dict, name: str, mentions: list[dict], known_roles: frozenset[str], ontology: Ontology
 ) -> None:
     roles, diagnostics = event["roles"], event["diagnostics"]
     if name in roles:
@@ -330,7 +330,7 @@ def _untyped(surfaces: list[str]) -> list[dict]:
     return [{"entity_type": None, "surface": s} for s in surfaces]
 
 
-def _parse_t1(text: str, event: dict, known_roles: set[str], o: Ontology) -> None:
+def _parse_t1(text: str, event: dict, known_roles: frozenset[str], o: Ontology) -> None:
     diagnostics = event["diagnostics"]
     # only "\n" ends a line: a filler may hold "\r", U+2028 or U+0085
     for line in text.split("\n"):
@@ -351,7 +351,7 @@ def _parse_t1(text: str, event: dict, known_roles: set[str], o: Ontology) -> Non
         _record_role(event, name, _untyped(surfaces), known_roles, o)
 
 
-def _parse_t2(text: str, event: dict, known_roles: set[str], o: Ontology) -> None:
+def _parse_t2(text: str, event: dict, known_roles: frozenset[str], o: Ontology) -> None:
     matched_any = False
     last_end = 0
     for m in _T2_SLOT_RE.finditer(text):
@@ -396,7 +396,7 @@ def parse_completion(
     unparseable stretch is skipped with a malformed_tail one. Text-style
     mentions carry no entity type (``None``).
     """
-    known_roles = {r.name for r in ontology.resolve_event(event_type).roles}
+    known_roles = ontology.resolve_event(event_type).role_names
     event: dict = {"roles": {}, "diagnostics": []}
     _READERS[PromptStyle(style)](text, event, known_roles, ontology)
     return event

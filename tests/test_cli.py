@@ -329,11 +329,24 @@ def test_rejected_flag_value_is_argparse_error(config_file):
 
 def test_emit_writes_golden_prompt_bytes(config_file, tmp_path, golden_dir):
     out = tmp_path / "prompt.txt"
-    code = main(
-        ["emit", "--config", config_file(), "--id", "test-001", "--out-file", str(out)]
-    )
+    code = main(["emit", "--config", config_file(), "--id", "test-001", "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (golden_dir / "prompt_default.txt").read_bytes()
+
+
+def test_emit_never_writes_the_config_files_output_path(
+    config_file, tmp_path, capsys, golden_dir
+):
+    """A config file's ``output_path`` names its run's report; ``--out`` names the prompt's."""
+    report = tmp_path / "report.json"
+    report.write_bytes(b"the run's report\n")
+    config = config_file(output_path=str(report))
+    prompt = tmp_path / "prompt.txt"
+    assert main(["emit", "--config", config, "--id", "test-001", "--out", str(prompt)]) == 0
+    assert prompt.read_bytes() == (golden_dir / "prompt_default.txt").read_bytes()
+    assert main(["emit", "--config", config, "--id", "test-001"]) == 0
+    assert capsys.readouterr().out == (golden_dir / "prompt_default.txt").read_text() + "\n"
+    assert report.read_bytes() == b"the run's report\n"
 
 
 def test_emit_prints_prompt_with_final_newline(config_file, capsys, golden_dir):
@@ -763,6 +776,35 @@ def test_validate_flags_problems_on_stderr(in_repo_root, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "pilot" in err
+
+
+def test_a_test_corpus_that_validate_rejects_exits_2_in_run_emit_and_compare(
+    in_repo_root, tmp_path, capsys, golden_dir
+):
+    """The test gold is what a run scores, so it must pass ``evarg validate``."""
+    records = [json.loads(line) for line in (ROOT / "fixtures/test.jsonl").open(encoding="utf-8")]
+    arguments = records[0]["arguments"]
+    surface = arguments[0]["surface"]
+    arguments.append({"role": "bogus_role", "surface": surface, "entity_type": "NOPE"})
+    bad = _write(tmp_path / "test.jsonl", "".join(json.dumps(r) + "\n" for r in records))
+    problems = [
+        "test-001: role 'bogus_role' not defined for Transport",
+        "test-001: unknown entity type 'NOPE'",
+    ]
+    ontology = "fixtures/ontology.yaml"
+    assert main(["validate", "--ontology", ontology, "--corpus", bad, "--split", "test"]) == 2
+    assert capsys.readouterr().err.splitlines() == problems
+    rejected = f"test corpus {bad} does not fit the ontology:\n  " + "\n  ".join(problems)
+    flags = ["--config", _write(tmp_path / "cfg.yaml", yaml.safe_dump({**BASE, "test_path": bad}))]
+    for command in (["run", *flags], ["emit", *flags, "--id", "test-001"]):
+        assert main(command) == 2
+        assert capsys.readouterr().err == f"error: {rejected}\n"
+    golden = str(golden_dir / "run_report.json")
+    report = json.loads(Path(golden).read_text(encoding="utf-8"))
+    report["config"]["test_path"] = bad
+    path = _write(tmp_path / "report.json", json.dumps(report))
+    assert main(["compare", golden, path]) == 2
+    assert capsys.readouterr().err == f"error: report file {path}: {rejected}\n"
 
 
 def test_validate_ontology_only(in_repo_root, capsys):

@@ -2,10 +2,13 @@
 and every YAML input is parsed by the one loader ``files`` chooses. Reports are
 written as ``files.json_text`` spells JSON."""
 
+import collections
 import json
 import math
 import os
+import random
 import re
+import shutil
 import subprocess
 import sys
 
@@ -312,6 +315,68 @@ def test_a_nesting_bomb_in_any_input_exits_2_naming_it(tmp_path, what):
     assert result.returncode == 2, result.stderr
     assert str(path) in result.stderr
     assert "Traceback" not in result.stderr
+
+
+VARIABILITY_FROM_FIXTURES = [
+    "variability", "--vectors", "fixtures/vectors.jsonl",
+    "--grid", "fixtures/variability_grid.yaml",
+]
+# fixture file -> the command reading it, run in a directory holding a copy of fixtures/
+MUTATED_INPUTS = {
+    "ontology.yaml": RUN_FROM_FIXTURES,
+    "train.jsonl": RUN_FROM_FIXTURES,
+    "test.jsonl": RUN_FROM_FIXTURES,
+    "completions.jsonl": RUN_FROM_FIXTURES,
+    "amr.jsonl": [*RUN_FROM_FIXTURES, "--amr", "fixtures/amr.jsonl"],
+    "vectors.jsonl": VARIABILITY_FROM_FIXTURES,
+    "variability_grid.yaml": VARIABILITY_FROM_FIXTURES,
+    "golden/run_report.json": ["compare", *["fixtures/golden/run_report.json"] * 2],
+}
+INSERTED = [b"NaN", b'"\\ud800"', b"1e999", b"[]"]
+
+
+def _mutate_bytes(data: bytes, rng: random.Random) -> bytes:
+    """``data`` truncated, with a bit flipped, a token inserted, a line duplicated,
+    a byte deleted or its lines shuffled."""
+    at = rng.randrange(len(data))
+    lines = data.splitlines(keepends=True)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return data[:at]
+    if kind == 1:
+        return data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1:]
+    if kind == 2:
+        return data[:at] + rng.choice(INSERTED) + data[at:]
+    if kind == 3:
+        line = rng.randrange(len(lines))
+        return b"".join(lines[:line + 1] + lines[line:])
+    if kind == 4:
+        return data[:at] + data[at + 1:]
+    rng.shuffle(lines)
+    return b"".join(lines)
+
+
+def test_a_seeded_mutation_of_any_input_never_ends_in_a_traceback(
+    fixtures_dir, tmp_path, monkeypatch, capsys
+):
+    """Each mutated input file gives one of the documented exit codes and raises nothing."""
+    shutil.copytree(fixtures_dir, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(7)
+    codes = collections.Counter()
+    for n in range(300):
+        name = rng.choice(list(MUTATED_INPUTS))
+        path = tmp_path / "fixtures" / name
+        original = path.read_bytes()
+        path.write_bytes(_mutate_bytes(original, rng))
+        try:
+            code = main(MUTATED_INPUTS[name])
+        finally:
+            path.write_bytes(original)
+        assert code in (0, 2, 3, 4), (n, name)
+        codes[code] += 1
+        capsys.readouterr()
+    assert codes[0] and codes[2]
 
 
 # --- writing JSON ------------------------------------------------------------

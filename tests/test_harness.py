@@ -15,8 +15,8 @@ import yaml
 from conftest import ROOT, drop_the_first_instance, list_the_first_instance_twice, rescore
 from evarg import client, corpus, harness
 from evarg.client import BackendError, CompletionRequest, HttpBackend, ReplayBackend, request_digest
-from evarg.corpus import split_hierarchy
-from evarg.emitter import EmitterOptions
+from evarg.corpus import select_same_type, split_hierarchy
+from evarg.emitter import EmitterOptions, PromptStyle, assemble_prompt
 from evarg.harness import (
     ConfigError,
     MissingFixtures,
@@ -397,17 +397,20 @@ def test_readme_configuration_table_lists_every_setting_and_default():
 
 
 def test_a_default_config_prompts_and_requests_with_the_layer_defaults(in_repo_root):
-    """``bench/workload.py`` writes its replay fixture from prompts built with
-    ``EmitterOptions()`` and requests with ``CompletionRequest``'s defaults; were a
-    ``RunConfig`` default to drift from those, every benchmark replay would miss."""
+    """``bench/workload.py`` writes its replay fixture from prompts assembled with
+    ``EmitterOptions(prompt_style=PromptStyle.CODE)`` and requests with
+    ``CompletionRequest``'s defaults; were a ``RunConfig`` default to drift from
+    those, every benchmark replay would miss."""
     paths = ("ontology_path", "train_path", "test_path", "fixture_path")
     plan = prepare(RunConfig(**{key: BASE[key] for key in paths}))
-    assert plan.options == EmitterOptions()
+    opts = EmitterOptions(prompt_style=PromptStyle.CODE)
     for inst in plan.test.instances:
         task = plan.task(inst)
-        prompt, stop = task.bundle.text, task.bundle.stop_patterns
-        assert task.request == CompletionRequest(prompt=prompt, stop_patterns=stop)
-        assert task.digest == request_digest(task.request)
+        examples = select_same_type(plan.train, inst.event_type, 1)
+        bundle = assemble_prompt(plan.ontology, inst.event_type, examples, inst, opts)
+        assert bundle == task.bundle
+        request = CompletionRequest(prompt=bundle.text, stop_patterns=bundle.stop_patterns)
+        assert request_digest(request) == task.digest
 
 
 def test_missing_input_files_are_config_errors(cfg_code):
