@@ -58,7 +58,7 @@ class CompletionRequest:
 @dataclass(frozen=True)
 class CompletionResponse:
     text: str
-    finish_reason: str  # stop | length | error
+    finish_reason: str  # stop | length, or what a replayed fixture recorded
     latency_ms: int = 0
 
 
@@ -357,6 +357,8 @@ class ReplayBackend:
 
         def add(rec: dict) -> None:
             response, digest = rec["response"], string_field(rec, "digest")
+            if not isinstance(response, dict):
+                raise TypeError(f"response must be an object, not {response!r}")
             text, finish = string_field(response, "text"), string_field(response, "finish_reason")
             # a digest recorded twice is served its last answer
             self._entries[digest] = (text, finish)

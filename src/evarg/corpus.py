@@ -92,8 +92,6 @@ def _offsets(rec: dict, what: str) -> tuple[int, int]:
 
 
 def _instance_from_record(rec: dict) -> TrainingInstance:
-    if not isinstance(rec, dict):
-        raise TypeError(f"record must be an object, not {rec!r}")
     instance_id, sentence = string_field(rec, "id"), string_field(rec, "sentence")
     trig = rec["trigger"]
     start, end = _offsets(trig, "trigger")

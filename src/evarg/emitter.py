@@ -24,7 +24,7 @@ from .ontology import (
 )
 
 
-class PromptStyle(Enum):
+class PromptStyle(str, Enum):
     CODE = "code"
     TEXT_T1 = "t1"
     TEXT_T2 = "t2"
@@ -76,6 +76,9 @@ class EmitterOptions:
     prompt_style: str = field(
         default="code", metadata={"choices": tuple(style.value for style in PromptStyle)}
     )
+
+    def __post_init__(self) -> None:
+        PromptStyle(self.prompt_style)  # an unknown style raises ValueError
 
 
 @dataclass(frozen=True)
@@ -163,24 +166,24 @@ def _task_block(
     ``amr`` is the task sentence's semantic graph; it goes after the
     sentence, with ``AMR: `` before its first line in the text styles.
     """
-    style, cls = PromptStyle(opts.prompt_style), event.class_name
+    style, cls = opts.prompt_style, event.class_name
     sentence = _marked_sentence(inst, opts)
     amr_lines = [] if amr is None else amr.splitlines()
-    if style is PromptStyle.CODE:
+    if style == PromptStyle.CODE:
         lines = ['"""', TASK_INSTRUCTION.format(class_name=cls), sentence, *amr_lines, '"""']
     else:
-        instruction = T2_INSTRUCTION if style is PromptStyle.TEXT_T2 else TASK_INSTRUCTION
+        instruction = T2_INSTRUCTION if style == PromptStyle.TEXT_T2 else TASK_INSTRUCTION
         lines = [instruction.format(class_name=cls), "Sentence: " + sentence]
         if amr_lines:
             lines += ["AMR: " + amr_lines[0], *amr_lines[1:]]
-        if style is PromptStyle.TEXT_T2:
+        if style == PromptStyle.TEXT_T2:
             lines.append("Template: " + _slots(event.description_template))
     lines.append(_COMPLETION[style][0].format(var=instance_variable(cls), cls=cls))
     return "\n".join(lines)
 
 
 def _answer(
-    inst: TrainingInstance, event: EventTypeDef, ontology: Ontology, style: PromptStyle
+    inst: TrainingInstance, event: EventTypeDef, ontology: Ontology, style: str
 ) -> str:
     """The gold arguments as ``style`` writes them after the task block, in role order."""
     literals: dict[str, list[str]] = {role.name: [] for role in event.roles}
@@ -190,19 +193,19 @@ def _answer(
                 f"instance {inst.id!r}: role {arg.role!r} not defined for {event.class_name}"
             )
         literal = f'"{escape_literal(arg.surface)}"'
-        if style is PromptStyle.CODE:
+        if style == PromptStyle.CODE:
             if arg.entity_type not in ontology.entity_types:
                 raise ConfigError(
                     f"instance {inst.id!r}: unresolvable entity type {arg.entity_type!r}"
                 )
             literal = f"{arg.entity_type}({literal})"
         literals[arg.role].append(literal)
-    sep = ", " if style is PromptStyle.CODE else "; "
+    sep = ", " if style == PromptStyle.CODE else "; "
     filled = {role: sep.join(found) for role, found in literals.items() if found}
-    if style is PromptStyle.CODE:
+    if style == PromptStyle.CODE:
         calls = "".join(f"\n    {role}=[{f}]," for role, f in filled.items())
         return calls + ("\n)" if filled else ")")
-    if style is PromptStyle.TEXT_T1:
+    if style == PromptStyle.TEXT_T1:
         return "".join(f"\n{role}: {f}" for role, f in filled.items())
 
     def fill(match: re.Match[str]) -> str:
@@ -219,8 +222,7 @@ def emit_example(inst: TrainingInstance, ontology: Ontology, opts: EmitterOption
     appended only to the final task prompt.
     """
     event = ontology.resolve_event(inst.event_type)
-    style = PromptStyle(opts.prompt_style)
-    return _task_block(inst, event, opts, None) + _answer(inst, event, ontology, style)
+    return _task_block(inst, event, opts, None) + _answer(inst, event, ontology, opts.prompt_style)
 
 
 def _event_definition_order(
@@ -313,12 +315,12 @@ def build_preamble(
     so all instances sharing those share it. It is empty only for a ``t2``
     prompt without examples.
     """
-    style = PromptStyle(opts.prompt_style)
+    style = opts.prompt_style
     blocks: list[str] = []
-    if style is not PromptStyle.TEXT_T2:
+    if style != PromptStyle.TEXT_T2:
         event_classes = _event_definition_order(ontology, event_type, examples, opts)
         entities = _reachable_entities(ontology, event_classes)
-        if style is PromptStyle.CODE:
+        if style == PromptStyle.CODE:
             blocks = [_BASE_ENTITY_BLOCK, _BASE_EVENT_BLOCK]
             blocks.extend(emit_entity_class(ontology, name) for name in entities)
             blocks.extend(emit_event_class(ontology, cls, opts) for cls in event_classes)
@@ -356,6 +358,6 @@ def assemble_prompt(
         )
     return PromptBundle(
         text=preamble + _task_block(task, event, opts, amr),
-        stop_patterns=_COMPLETION[PromptStyle(opts.prompt_style)][1],
+        stop_patterns=_COMPLETION[opts.prompt_style][1],
         example_ids=tuple(inst.id for inst in examples),
     )

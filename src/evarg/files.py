@@ -3,7 +3,7 @@
 ``ConfigError`` is the one bad-input error: every loader and validator
 raises it, so one ``except`` clause catches any bad input.
 
-A JSON-lines file is UTF-8 with one JSON value per line; blank lines are
+A JSON-lines file is UTF-8 with one JSON object per line; blank lines are
 skipped. Only a line break ends a record, so a string may hold U+2028,
 U+2029 or U+0085 unescaped, as ``json.dumps(ensure_ascii=False)`` writes.
 
@@ -37,12 +37,12 @@ class ConfigError(Exception):
     """Invalid or inconsistent run configuration or input."""
 
 
-def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None]) -> None:
-    """Call ``record`` on each line's value, in file order.
+def read_jsonl(path: str | Path, what: str, record: Callable[[dict], None]) -> None:
+    """Call ``record`` on each line's object, in file order.
 
-    A line that is not JSON, that nests too deeply to decode
+    A line that is not a JSON object, that nests too deeply to decode
     (``RecursionError``), whose strings hold a lone surrogate, or whose
-    value ``record`` rejects with a ``ValueError``, ``KeyError``,
+    object ``record`` rejects with a ``ValueError``, ``KeyError``,
     ``TypeError`` or ``OverflowError`` (a number too large for a float),
     raises ``ConfigError("path:line: bad <what> record: ...")``, a ``KeyError``
     reading ``missing key '<key>'``; a file that cannot be read as UTF-8
@@ -57,6 +57,8 @@ def read_jsonl(path: str | Path, what: str, record: Callable[[Any], None]) -> No
                     value = json.loads(line)
                     if "\\" in line and _SURROGATE_ESCAPE.search(line):  # the cheap test first
                         _reject_lone_surrogate(line)
+                    if type(value) is not dict:
+                        raise TypeError(f"record must be an object, not {value!r}")
                     record(value)
                 except KeyError as exc:
                     message = f"{path}:{lineno}: bad {what} record: missing key {exc.args[0]!r}"
@@ -110,7 +112,7 @@ def read_yaml(path: str | Path, what: str) -> Any:
         return yaml.load(text, Loader=YAML_LOADER)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # a value like 2001-13-01 raises ValueError
         raise ConfigError(f"{what} file {path} is not valid YAML: {exc}") from exc
 
 

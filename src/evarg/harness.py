@@ -1,7 +1,7 @@
 """End-to-end runs: select examples, build prompts, complete, parse, score.
 
-``prepare`` validates a configuration and loads its inputs once; the plan
-it returns builds every instance's prompt, request and digest.
+``prepare`` loads a configuration's inputs once; the plan it returns
+builds every instance's prompt, request and digest.
 ``run`` drives one configuration over a test corpus and produces a
 report dict that serializes byte-identically across runs when the
 backend is replay. Reports are written atomically (temp file then
@@ -12,6 +12,7 @@ completions; ``compare`` differences the F1 of two verified reports.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import typing
@@ -58,7 +59,8 @@ class RunConfig(EmitterOptions):
     """Every run setting, declared once; the prompt settings are inherited from ``EmitterOptions``.
 
     A field's annotation is its type and ``choices`` metadata lists the
-    values it may take; the CLI flags and ``validate`` both read them here.
+    values it may take; the CLI flags and the checks in ``__post_init__``
+    read them here. A bad config raises ``ConfigError`` when it is built.
     """
 
     ontology_path: str
@@ -80,18 +82,17 @@ class RunConfig(EmitterOptions):
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        # YAML reads ``temperature: 0`` as an int; store the float that
-        # ``--temperature 0`` gives, so both send the same request
-        for name, kind in SETTING_TYPES.items():
-            if kind is float and type(getattr(self, name)) is int:
-                object.__setattr__(self, name, float(getattr(self, name)))
-
-    def validate(self) -> None:
         for f in fields(self):
             value, kind = getattr(self, f.name), SETTING_TYPES[f.name]
-            if value is None and f.default is None:
-                continue
-            if type(value) is not kind:
+            if kind is float and type(value) is int:
+                # YAML reads ``temperature: 0`` as an int; store the float that
+                # ``--temperature 0`` gives, so both send the same request
+                try:
+                    value = float(value)
+                except OverflowError:  # too large for a float, as ``--temperature 1e999`` is
+                    value = math.inf if value > 0 else -math.inf
+                object.__setattr__(self, f.name, value)
+            if type(value) is not kind and (value is not None or f.default is not None):
                 raise ConfigError(f"{f.name} must be of type {kind.__name__}, not {value!r}")
             choices = f.metadata.get("choices")
             if choices and value not in choices:
@@ -161,7 +162,7 @@ class Task:
 
 @dataclass(frozen=True)
 class Plan:
-    """A validated config with everything its prompts are built from.
+    """A config with everything its prompts are built from.
 
     Instances of one event type given the same examples share a preamble;
     the plan builds and hashes each such preamble once.
@@ -210,8 +211,7 @@ class Plan:
 
 
 def prepare(cfg: RunConfig) -> Plan:
-    """Validate ``cfg`` and load once what ``run`` and ``evarg emit`` build prompts from."""
-    cfg.validate()
+    """Load once what ``run`` and ``evarg emit`` build prompts from."""
     ontology = load_ontology(cfg.ontology_path)
     train = load_corpus(cfg.train_path, "train")
     test = load_corpus(cfg.test_path, "test")
@@ -370,7 +370,6 @@ def load_report(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
         cfg = RunConfig(**report["config"])
-        cfg.validate()
         entries = {
             string_field(e, "prompt_digest"): (
                 string_field(e, "completion"),

@@ -109,11 +109,7 @@ def siblings(ontology: Ontology, event_type: str) -> set[str]:
     if node.parent is None:
         logger.warning("siblings(%s): type has no parent", node.class_name)
         return set()
-    return {
-        e.class_name
-        for e in ontology.event_types.values()
-        if e.parent == node.parent and e.class_name != node.class_name
-    }
+    return set(ontology.children(node.parent)) - {node.class_name}
 
 
 def load_ontology(path: str | Path) -> Ontology:

@@ -251,6 +251,16 @@ def test_replay_corrupt_line_reports_position(tmp_path):
             ReplayBackend(str(path))
 
 
+@pytest.mark.parametrize("response", [[1], "x"], ids=["list", "str"])
+def test_replay_response_that_is_not_an_object_is_named(tmp_path, response):
+    path = tmp_path / "f.jsonl"
+    path.write_text(json.dumps({"digest": "d", "response": response}) + "\n")
+    with pytest.raises(ConfigError) as err:
+        ReplayBackend(str(path))
+    message = f"bad fixture record: response must be an object, not {response!r}"
+    assert str(err.value) == f"{path}:1: {message}"
+
+
 def test_shipped_fixture_loads(fixtures_dir):
     backend = ReplayBackend(str(fixtures_dir / "completions.jsonl"))
     assert len(backend) == 24

@@ -329,6 +329,8 @@ def test_t2_zero_shot_preamble_is_empty(ontology, kim):
             " to [destination] place.",
         ),
     ],
+    # a style is named as the member, PromptStyle.TEXT_T1, not as its value
+    ids=lambda value: f"PromptStyle.{value.name}" if isinstance(value, PromptStyle) else None,
 )
 def test_text_example_without_arguments(ontology, kim, style, block):
     inst = make_instance("e-0", "Kim returned .", "returned", "Movement:Transport")
@@ -363,3 +365,8 @@ def test_t1_definitions_of_every_example_type_precede_the_examples(
 def test_empty_amr_rejected(ontology, kim):
     with pytest.raises(ConfigError, match="empty AMR"):
         _bundle(ontology, kim, [], amr="   ")
+
+
+def test_an_unknown_style_is_rejected_when_the_options_are_built():
+    with pytest.raises(ValueError, match="'prose' is not a valid PromptStyle"):
+        EmitterOptions(prompt_style="prose")

@@ -252,7 +252,9 @@ YAML_INPUTS = {
 
 @pytest.mark.parametrize("what", YAML_INPUTS)
 @pytest.mark.parametrize(
-    "text", ["k: 1\nseed: \x07\n", "k: 1\n  seed: 0\n"], ids=["control-character", "indentation"]
+    "text",
+    ["k: 1\nseed: \x07\n", "k: 1\n  seed: 0\n", "k: 1\nseed: 2001-13-01\n", "k: 1" + "0" * 4300],
+    ids=["control-character", "indentation", "impossible-date", "int-of-4301-digits"],
 )
 def test_invalid_yaml_exit_2_with_its_message(tmp_path, in_repo_root, capsys, what, text):
     path = tmp_path / f"{what}.yaml"
@@ -317,6 +319,20 @@ def test_a_nesting_bomb_in_any_input_exits_2_naming_it(tmp_path, what):
     assert "Traceback" not in result.stderr
 
 
+# input -> what its error message calls a record of it
+JSON_LINES_INPUTS = {"train": "train", "test": "test", "fixture": "fixture", "amr": "amr",
+                     "vectors": "vector"}
+
+
+@pytest.mark.parametrize("what", JSON_LINES_INPUTS)
+def test_a_line_that_is_not_an_object_exits_2_naming_it(tmp_path, in_repo_root, capsys, what):
+    path = tmp_path / f"{what}.jsonl"
+    path.write_text("[1, 2]\n", encoding="utf-8")
+    assert main([arg.format(path=path) for arg in NESTING_BOMB_INPUTS[what]]) == 2
+    message = f"bad {JSON_LINES_INPUTS[what]} record: record must be an object, not [1, 2]"
+    assert capsys.readouterr().err == f"error: {path}:1: {message}\n"
+
+
 VARIABILITY_FROM_FIXTURES = [
     "variability", "--vectors", "fixtures/vectors.jsonl",
     "--grid", "fixtures/variability_grid.yaml",
@@ -331,6 +347,7 @@ MUTATED_INPUTS = {
     "vectors.jsonl": VARIABILITY_FROM_FIXTURES,
     "variability_grid.yaml": VARIABILITY_FROM_FIXTURES,
     "golden/run_report.json": ["compare", *["fixtures/golden/run_report.json"] * 2],
+    "run.yaml": ["run", "--config", "fixtures/run.yaml"],
 }
 INSERTED = [b"NaN", b'"\\ud800"', b"1e999", b"[]"]
 
@@ -361,6 +378,7 @@ def test_a_seeded_mutation_of_any_input_never_ends_in_a_traceback(
 ):
     """Each mutated input file gives one of the documented exit codes and raises nothing."""
     shutil.copytree(fixtures_dir, tmp_path / "fixtures")
+    (tmp_path / "fixtures" / "run.yaml").write_text(_readme_run_yaml(), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     rng = random.Random(7)
     codes = collections.Counter()

@@ -372,9 +372,19 @@ def test_recording_resumes_a_partial_fixture(cfg_code, tmp_path, stub):
     ],
 )
 def test_invalid_configs_rejected(overrides):
-    cfg = RunConfig(**{**BASE, **overrides})
     with pytest.raises(ConfigError):
-        cfg.validate()
+        RunConfig(**{**BASE, **overrides})
+
+
+def test_a_config_is_checked_when_replace_builds_it(cfg_code):
+    with pytest.raises(ConfigError, match="^k must be >= 0$"):
+        replace(cfg_code, k=-1)
+
+
+@pytest.mark.parametrize("temperature", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_an_int_temperature_too_large_for_a_float_is_rejected(temperature):
+    with pytest.raises(ConfigError, match="^temperature must be finite and >= 0, not -?inf$"):
+        RunConfig(**BASE, temperature=temperature)
 
 
 def test_readme_configuration_table_lists_every_setting_and_default():
@@ -396,21 +406,24 @@ def test_readme_configuration_table_lists_every_setting_and_default():
     assert listed == {f.name: f.default for f in fields(RunConfig)}
 
 
-def test_a_default_config_prompts_and_requests_with_the_layer_defaults(in_repo_root):
+@pytest.mark.parametrize("style", PromptStyle, ids=lambda style: style.value)
+def test_a_default_config_prompts_and_requests_with_the_layer_defaults(in_repo_root, style):
     """``bench/workload.py`` writes its replay fixture from prompts assembled with
-    ``EmitterOptions(prompt_style=PromptStyle.CODE)`` and requests with
+    ``EmitterOptions(prompt_style=PromptStyle(...))`` and requests with
     ``CompletionRequest``'s defaults; were a ``RunConfig`` default to drift from
-    those, every benchmark replay would miss."""
+    those, or a style member to prompt otherwise than its value, every benchmark
+    replay would miss."""
+    assert style == style.value and hash(style) == hash(style.value)
     paths = ("ontology_path", "train_path", "test_path", "fixture_path")
-    plan = prepare(RunConfig(**{key: BASE[key] for key in paths}))
-    opts = EmitterOptions(prompt_style=PromptStyle.CODE)
+    plan = prepare(RunConfig(**{key: BASE[key] for key in paths}, prompt_style=style.value))
     for inst in plan.test.instances:
         task = plan.task(inst)
         examples = select_same_type(plan.train, inst.event_type, 1)
-        bundle = assemble_prompt(plan.ontology, inst.event_type, examples, inst, opts)
-        assert bundle == task.bundle
-        request = CompletionRequest(prompt=bundle.text, stop_patterns=bundle.stop_patterns)
-        assert request_digest(request) == task.digest
+        for opts in (EmitterOptions(prompt_style=style), EmitterOptions(prompt_style=style.value)):
+            bundle = assemble_prompt(plan.ontology, inst.event_type, examples, inst, opts)
+            assert bundle == task.bundle
+            request = CompletionRequest(prompt=bundle.text, stop_patterns=bundle.stop_patterns)
+            assert request_digest(request) == task.digest
 
 
 def test_missing_input_files_are_config_errors(cfg_code):
