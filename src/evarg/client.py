@@ -21,7 +21,7 @@ import typing
 from dataclasses import dataclass
 from urllib.parse import SplitResult, unquote, urlsplit
 
-from .files import ConfigError, read_jsonl, string_field
+from .files import ConfigError, read_jsonl, short_repr, string_field
 
 if typing.TYPE_CHECKING:
     import http.client
@@ -358,7 +358,7 @@ class ReplayBackend:
         def add(rec: dict) -> None:
             response, digest = rec["response"], string_field(rec, "digest")
             if not isinstance(response, dict):
-                raise TypeError(f"response must be an object, not {response!r}")
+                raise TypeError(f"response must be an object, not {short_repr(response)}")
             text, finish = string_field(response, "text"), string_field(response, "finish_reason")
             # a digest recorded twice is served its last answer
             self._entries[digest] = (text, finish)

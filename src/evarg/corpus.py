@@ -11,9 +11,9 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
-from .files import ConfigError, read_jsonl, string_field
+from .files import ConfigError, not_a_string, read_jsonl, short_repr
 from .ontology import Ontology, ancestors, derive_class_name, siblings
 
 
@@ -78,24 +78,36 @@ def load_corpus(path: str | Path, split: str) -> Dataset:
     return Dataset(split=split, instances=tuple(instances.values()))
 
 
-def _offsets(rec: dict, what: str) -> tuple[int, int]:
+_new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
+
+
+def _offsets(rec: Any, what: str) -> tuple[int, int]:
     """The ``what`` span record's ``start`` and ``end``.
 
     The record must be an object, and each offset an int; a bool is not one.
     """
-    if not isinstance(rec, dict):
-        raise TypeError(f"{what} must be an object, not {rec!r}")
+    if type(rec) is not dict:
+        raise TypeError(f"{what} must be an object, not {short_repr(rec)}")
     start, end = rec["start"], rec["end"]
     if type(start) is not int or type(end) is not int:
-        raise TypeError(f"offsets must be integers, not {start!r} and {end!r}")
+        raise TypeError(f"offsets must be integers, not {short_repr(start)} and {short_repr(end)}")
     return start, end
 
 
 def _instance_from_record(rec: dict) -> TrainingInstance:
-    instance_id, sentence = string_field(rec, "id"), string_field(rec, "sentence")
+    """The instance ``rec`` holds, each field checked as it is read: the first fault
+    in reading order raises ``KeyError``, ``TypeError`` or ``ValueError``."""
+    instance_id = rec["id"]
+    if type(instance_id) is not str:
+        raise not_a_string("id", instance_id)
+    sentence = rec["sentence"]
+    if type(sentence) is not str:
+        raise not_a_string("sentence", sentence)
     trig = rec["trigger"]
     start, end = _offsets(trig, "trigger")
-    surface = string_field(trig, "surface")
+    surface = trig["surface"]
+    if type(surface) is not str:
+        raise not_a_string("surface", surface)
     if not (0 <= start <= end <= len(sentence)):
         raise ValueError(f"trigger span out of bounds for instance {instance_id!r}")
     if sentence[start:end] != surface:
@@ -105,30 +117,30 @@ def _instance_from_record(rec: dict) -> TrainingInstance:
         )
     arguments: list[GoldArgument] = []
     for arg in rec.get("arguments", []):
-        if not isinstance(arg, dict):
-            raise TypeError(f"argument {arg!r} is not an object")
-        head = None
-        if arg.get("head") is not None:
-            head = Span(*_offsets(arg["head"], "head"))
+        if type(arg) is not dict:
+            raise TypeError(f"argument {short_repr(arg)} is not an object")
+        head = arg.get("head")
+        if head is not None:
+            head = _new(Span, _offsets(head, "head"))
             if not (0 <= head.start <= head.end <= len(sentence)):
                 raise ValueError(
                     f"argument head span out of bounds for instance {instance_id!r}"
                 )
-        arguments.append(
-            GoldArgument(
-                string_field(arg, "role"),
-                string_field(arg, "surface"),
-                string_field(arg, "entity_type", ""),
-                head,
-            )
-        )
-    return TrainingInstance(
-        instance_id,
-        sentence,
-        Trigger(start, end, surface),
-        string_field(rec, "event_type"),
-        tuple(arguments),
-    )
+        role = arg["role"]
+        if type(role) is not str:
+            raise not_a_string("role", role)
+        text = arg["surface"]
+        if type(text) is not str:
+            raise not_a_string("surface", text)
+        entity_type = arg.get("entity_type", "")
+        if type(entity_type) is not str:
+            raise not_a_string("entity_type", entity_type)
+        arguments.append(_new(GoldArgument, (role, text, entity_type, head)))
+    event_type = rec["event_type"]
+    if type(event_type) is not str:
+        raise not_a_string("event_type", event_type)
+    trigger = _new(Trigger, (start, end, surface))
+    return _new(TrainingInstance, (instance_id, sentence, trigger, event_type, tuple(arguments)))
 
 
 def validate_against_ontology(dataset: Dataset, ontology: Ontology) -> list[str]:

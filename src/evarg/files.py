@@ -3,9 +3,13 @@
 ``ConfigError`` is the one bad-input error: every loader and validator
 raises it, so one ``except`` clause catches any bad input.
 
-A JSON-lines file is UTF-8 with one JSON object per line; blank lines are
-skipped. Only a line break ends a record, so a string may hold U+2028,
-U+2029 or U+0085 unescaped, as ``json.dumps(ensure_ascii=False)`` writes.
+A JSON-lines file is UTF-8 with one JSON object per line; a line of JSON
+whitespace (space, tab, CR, LF) alone is skipped. Only a line break ends a
+record, so a string may hold U+2028, U+2029 or U+0085 unescaped, as
+``json.dumps(ensure_ascii=False)`` writes. A line is decoded by json's C
+scanner from its first character; a line whose value does not fill it up to
+the line break is decoded again by ``json.loads``, so padding, a BOM or an
+error gets ``json.loads``'s value or message. Errors quote by ``short_repr``.
 
 YAML is parsed by PyYAML's libyaml-backed ``CSafeLoader`` when PyYAML was
 built with libyaml, and by its pure-Python ``SafeLoader`` otherwise; both
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable
@@ -27,6 +32,10 @@ from typing import Any, Callable
 import yaml
 
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_SCAN_ONCE = json.JSONDecoder().scan_once  # json.loads's C scanner, without its two regex passes
+MAX_QUOTED = 200  # the longest repr an error message quotes whole
+_ABBREVIATED = reprlib.Repr()
+_ABBREVIATED.maxlevel = 1  # a container inside the value prints as [...] or {...}
 MAX_YAML_DEPTH = 100  # the shipped YAML files nest at most 6 levels
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD]")  # only an escape puts a surrogate in a string
 # one escape in a JSON string, a surrogate pair counting as one; group 1 is a lone surrogate
@@ -51,14 +60,19 @@ def read_jsonl(path: str | Path, what: str, record: Callable[[dict], None]) -> N
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
+                if not line.strip(" \t\r\n"):
                     continue
                 try:
-                    value = json.loads(line)
+                    try:
+                        value, end = _SCAN_ONCE(line, 0)
+                    except StopIteration:  # no value at the first character
+                        end = 0
+                    if line[end:] not in ("", "\n"):
+                        value = json.loads(line)
                     if "\\" in line and _SURROGATE_ESCAPE.search(line):  # the cheap test first
                         _reject_lone_surrogate(line)
                     if type(value) is not dict:
-                        raise TypeError(f"record must be an object, not {value!r}")
+                        raise TypeError(f"record must be an object, not {short_repr(value)}")
                     record(value)
                 except KeyError as exc:
                     message = f"{path}:{lineno}: bad {what} record: missing key {exc.args[0]!r}"
@@ -83,11 +97,22 @@ def _reject_lone_surrogate(line: str) -> None:
         raise ValueError(f"escape {lone.group()} at column {column}: surrogates not allowed")
 
 
-def string_field(rec: dict, key: str, default: str | None = None) -> str:
-    """``rec[key]``, or ``default`` for a missing key when one is given; it must be a string."""
-    value = rec[key] if default is None else rec.get(key, default)
+def short_repr(value: Any) -> str:
+    """``repr(value)``, or reprlib's abbreviation of it when longer than ``MAX_QUOTED``."""
+    text = repr(value)
+    return text if len(text) <= MAX_QUOTED else _ABBREVIATED.repr(value)
+
+
+def not_a_string(key: str, value: Any) -> TypeError:
+    """The error for a field ``key`` whose ``value`` is not a string."""
+    return TypeError(f"{key} must be a string, not {short_repr(value)}")
+
+
+def string_field(rec: dict, key: str) -> str:
+    """``rec[key]``, which must be a string."""
+    value = rec[key]
     if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string, not {value!r}")
+        raise not_a_string(key, value)
     return value
 
 

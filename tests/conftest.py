@@ -15,10 +15,12 @@ sys.path.insert(0, str(ROOT / "src"))
 from evarg.corpus import (  # noqa: E402
     Dataset,
     GoldArgument,
+    Span,
     TrainingInstance,
     Trigger,
     load_corpus,
 )
+from evarg.files import read_jsonl, short_repr  # noqa: E402
 from evarg.ontology import load_ontology  # noqa: E402
 from evarg.parsing import parse_completion  # noqa: E402
 from evarg.scoring import score  # noqa: E402
@@ -53,6 +55,78 @@ def train_set(fixtures_dir):
 @pytest.fixture(scope="session")
 def test_set(fixtures_dir):
     return load_corpus(str(fixtures_dir / "test.jsonl"), "test")
+
+
+def reference_load_corpus(path, split: str) -> Dataset:
+    """``load_corpus`` with one checking call per field: the reference for its one-pass reader.
+
+    For any file the two return equal datasets or raise the same first error.
+    """
+    instances = {}
+
+    def string_field(rec, key, default=None):
+        value = rec[key] if default is None else rec.get(key, default)
+        if not isinstance(value, str):
+            raise TypeError(f"{key} must be a string, not {short_repr(value)}")
+        return value
+
+    def offsets(rec, what):
+        if not isinstance(rec, dict):
+            raise TypeError(f"{what} must be an object, not {short_repr(rec)}")
+        start, end = rec["start"], rec["end"]
+        if type(start) is not int or type(end) is not int:
+            raise TypeError(
+                f"offsets must be integers, not {short_repr(start)} and {short_repr(end)}"
+            )
+        return start, end
+
+    def instance(rec):
+        instance_id, sentence = string_field(rec, "id"), string_field(rec, "sentence")
+        trig = rec["trigger"]
+        start, end = offsets(trig, "trigger")
+        surface = string_field(trig, "surface")
+        if not (0 <= start <= end <= len(sentence)):
+            raise ValueError(f"trigger span out of bounds for instance {instance_id!r}")
+        if sentence[start:end] != surface:
+            raise ValueError(
+                f"trigger surface mismatch for instance {instance_id!r}: "
+                f"{sentence[start:end]!r} != {surface!r}"
+            )
+        arguments = []
+        for arg in rec.get("arguments", []):
+            if not isinstance(arg, dict):
+                raise TypeError(f"argument {short_repr(arg)} is not an object")
+            head = None
+            if arg.get("head") is not None:
+                head = Span(*offsets(arg["head"], "head"))
+                if not (0 <= head.start <= head.end <= len(sentence)):
+                    raise ValueError(
+                        f"argument head span out of bounds for instance {instance_id!r}"
+                    )
+            arguments.append(
+                GoldArgument(
+                    string_field(arg, "role"),
+                    string_field(arg, "surface"),
+                    string_field(arg, "entity_type", ""),
+                    head,
+                )
+            )
+        return TrainingInstance(
+            instance_id,
+            sentence,
+            Trigger(start, end, surface),
+            string_field(rec, "event_type"),
+            tuple(arguments),
+        )
+
+    def add(rec):
+        inst = instance(rec)
+        if inst.id in instances:
+            raise ValueError(f"duplicate instance id {inst.id!r}")
+        instances[inst.id] = inst
+
+    read_jsonl(path, split, add)
+    return Dataset(split=split, instances=tuple(instances.values()))
 
 
 def rescore(report: dict) -> dict:

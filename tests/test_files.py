@@ -17,7 +17,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ROOT
+from conftest import ROOT, reference_load_corpus
 from evarg import files
 from evarg.cli import main
 from evarg.client import CompletionRequest, RecordingBackend, ReplayBackend
@@ -83,6 +83,69 @@ def test_line_that_is_not_json_names_its_position(tmp_path, loader):
     with pytest.raises(ConfigError) as err:
         read(str(path))
     assert str(err.value).startswith(f"{path}:2: bad {what} record: invalid JSON: ")
+
+
+def _loads_outcome(line):
+    """``json.loads(line)``, or its error as ``read_jsonl`` words it."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON: {exc}"
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+
+
+# line -> the record ``read_jsonl`` reads from it, or the error it names; None: as json.loads
+SCANNED_LINES = {
+    "trailing-blanks": ('{"a": 1} \t \n', None),
+    "no-final-newline": ('{"a": 1}', None),
+    "bom": ('\ufeff{"a": 1}\n', None),
+    "leading-blanks": (' \t{"a": 1}\n', None),
+    "nan-and-infinity": ('{"a": NaN, "b": Infinity, "c": -Infinity}\n', None),
+    "5000-digit-integer": ('{"a": ' + "7" * 5000 + "}\n", None),
+    "deep-nesting": ('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}\n", None),
+    "u2028-in-a-string": ('{"a": "x\u2028y"}\n', None),
+    "lone-surrogate": (
+        '{"a": "\\ud800"}\n', "escape \\ud800 at column 8: surrogates not allowed"
+    ),
+    "extra-data": ('{"a": 1} {"b": 2}\n', None),
+}
+
+
+@pytest.mark.parametrize("case", SCANNED_LINES)
+def test_a_line_reads_as_json_loads_reads_it(tmp_path, case):
+    line, expected = SCANNED_LINES[case]
+    expected = _loads_outcome(line) if expected is None else expected
+    path = tmp_path / "input.jsonl"
+    path.write_text(line, encoding="utf-8")
+    records = []
+    try:
+        files.read_jsonl(path, "x", records.append)
+    except ConfigError as exc:
+        assert str(exc) == f"{path}:1: bad x record: {expected}"
+    else:
+        assert isinstance(expected, dict)
+        assert json.dumps(records) == json.dumps([expected])  # NaN is not equal to itself
+
+
+def test_a_5000_digit_integer_exits_2_naming_its_line(tmp_path, in_repo_root, capsys):
+    path = tmp_path / "train.jsonl"
+    path.write_text(SCANNED_LINES["5000-digit-integer"][0], encoding="utf-8")
+    assert main([*RUN_FROM_FIXTURES, "--train", str(path)]) == 2
+    message = "bad train record: Exceeds the limit (4300 digits) for integer string conversion"
+    assert capsys.readouterr().err.startswith(f"error: {path}:1: {message}")
+
+
+@pytest.mark.parametrize("blank", ["\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000", "\x0b"])
+def test_only_json_whitespace_makes_a_line_blank(tmp_path, blank):
+    """A line of JSON whitespace is skipped; any other character alone on a line is an error."""
+    path = tmp_path / "input.jsonl"
+    path.write_text(' \t\n{"a": 1}\n\n' + blank + "\n", encoding="utf-8")
+    records = []
+    with pytest.raises(ConfigError) as err:
+        files.read_jsonl(path, "x", records.append)
+    assert str(err.value).startswith(f"{path}:4: bad x record: invalid JSON: ")
+    assert records == [{"a": 1}]
 
 
 def _with_escape(record, escape):
@@ -333,6 +396,57 @@ def test_a_line_that_is_not_an_object_exits_2_naming_it(tmp_path, in_repo_root, 
     assert capsys.readouterr().err == f"error: {path}:1: {message}\n"
 
 
+HUGE = [0] * 300_000  # its repr is 900,000 characters
+_CORPUS_RECORD = LOADERS["corpus"][0]
+_HEAD_ARGUMENT = {"role": "agent", "surface": "Kim", "entity_type": "PER"}
+# case -> (input, its one line, the start of the error message after "bad <what> record: ")
+HUGE_VALUES = {
+    "record": ("fixture", HUGE, "record must be an object, not [0, 0, 0, 0, 0, 0, ...]"),
+    "response": ("fixture", {"digest": "d", "response": HUGE}, "response must be an object"),
+    "string-field": ("amr", {"id": HUGE, "amr": "x"}, "id must be a string"),
+    "trigger": ("train", {**_CORPUS_RECORD, "trigger": HUGE}, "trigger must be an object"),
+    "offsets": (
+        "train",
+        {**_CORPUS_RECORD, "trigger": {"start": HUGE, "end": 1, "surface": "x"}},
+        "offsets must be integers",
+    ),
+    "argument": ("train", {**_CORPUS_RECORD, "arguments": [HUGE]}, "argument [0, 0,"),
+    "head": (
+        "train",
+        {**_CORPUS_RECORD, "arguments": [{**_HEAD_ARGUMENT, "head": HUGE}]},
+        "head must be an object",
+    ),
+    "sentence": ("test", {**_CORPUS_RECORD, "sentence": HUGE}, "sentence must be a string"),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_VALUES)
+def test_a_huge_value_in_an_error_is_quoted_short(tmp_path, in_repo_root, capsys, case):
+    what, record, message = HUGE_VALUES[case]
+    path = tmp_path / f"{what}.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main([arg.format(path=path) for arg in NESTING_BOMB_INPUTS[what]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:1: bad {JSON_LINES_INPUTS[what]} record: {message}")
+    assert err.count("\n") == 1 and len(err) < len(str(path)) + 300
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[1, 2], {"b": 1, "a": [2]}, "x" * (files.MAX_QUOTED - 2), 10 ** (files.MAX_QUOTED - 1)],
+    ids=["list", "dict-in-its-order", "longest-string", "longest-integer"],
+)
+def test_a_value_with_a_short_repr_is_quoted_whole(value):
+    assert files.short_repr(value) == repr(value)
+    assert len(repr(value)) <= files.MAX_QUOTED
+
+
+def test_a_repr_one_character_too_long_is_abbreviated():
+    value = "x" * (files.MAX_QUOTED - 1)
+    assert len(repr(value)) == files.MAX_QUOTED + 1
+    assert files.short_repr(value) == "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
+
+
 VARIABILITY_FROM_FIXTURES = [
     "variability", "--vectors", "fixtures/vectors.jsonl",
     "--grid", "fixtures/variability_grid.yaml",
@@ -395,6 +509,58 @@ def test_a_seeded_mutation_of_any_input_never_ends_in_a_traceback(
         codes[code] += 1
         capsys.readouterr()
     assert codes[0] and codes[2]
+
+
+ODD_VALUES = [None, False, True, 0, -1, 2, 1.5, "", "x", [], [1], {}, {"start": 0, "end": 1}]
+
+
+def _mutate_value(data: bytes, rng: random.Random) -> bytes:
+    """``data``, JSON lines, with one to three values on one line each replaced by an odd
+    value or deleted; an object may gain a ``head`` key."""
+    lines = data.decode("utf-8").splitlines(keepends=True)
+    at = rng.randrange(len(lines))
+    record = json.loads(lines[at])
+    for _ in range(rng.randint(1, 3)):
+        node = record
+        while True:
+            keys = [*node, "head"] if isinstance(node, dict) else range(len(node))
+            key = rng.choice(keys)
+            child = node[key] if key != "head" else None
+            if isinstance(child, (dict, list)) and child and rng.random() < 0.75:
+                node = child
+            elif isinstance(node, dict) and key in node and rng.random() < 0.2:
+                del node[key]
+                break
+            else:
+                node[key] = rng.choice(ODD_VALUES)
+                break
+    lines[at] = json.dumps(record) + "\n"
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("mutate", [_mutate_bytes, _mutate_value], ids=["bytes", "values"])
+@pytest.mark.parametrize("name", ["train.jsonl", "test.jsonl"])
+def test_load_corpus_reads_any_file_as_the_field_by_field_reader_does(
+    fixtures_dir, tmp_path, name, mutate
+):
+    """The shipped corpus and 300 seeded mutations of it: equal datasets or equal errors."""
+    original = (fixtures_dir / name).read_bytes()
+    path = tmp_path / name
+    rng = random.Random(11)
+    outcomes = collections.Counter()
+    for n in range(301):
+        path.write_bytes(original if n == 0 else mutate(original, rng))
+        try:
+            expected = reference_load_corpus(path, "train")
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as err:
+                load_corpus(path, "train")
+            assert str(err.value) == str(exc), n
+            outcomes["error"] += 1
+        else:
+            assert load_corpus(path, "train") == expected, n
+            outcomes["dataset"] += 1
+    assert outcomes["error"] and outcomes["dataset"] > 1
 
 
 # --- writing JSON ------------------------------------------------------------
