@@ -71,7 +71,7 @@ def load_corpus(path: str | Path, split: str) -> Dataset:
     def add(rec: dict) -> None:
         inst = _instance_from_record(rec)
         if inst.id in instances:
-            raise ValueError(f"duplicate instance id {inst.id!r}")
+            raise ValueError(f"duplicate instance id {short_repr(inst.id)}")
         instances[inst.id] = inst
 
     read_jsonl(path, split, add)
@@ -109,11 +109,11 @@ def _instance_from_record(rec: dict) -> TrainingInstance:
     if type(surface) is not str:
         raise not_a_string("surface", surface)
     if not (0 <= start <= end <= len(sentence)):
-        raise ValueError(f"trigger span out of bounds for instance {instance_id!r}")
+        raise ValueError(f"trigger span out of bounds for instance {short_repr(instance_id)}")
     if sentence[start:end] != surface:
         raise ValueError(
-            f"trigger surface mismatch for instance {instance_id!r}: "
-            f"{sentence[start:end]!r} != {surface!r}"
+            f"trigger surface mismatch for instance {short_repr(instance_id)}: "
+            f"{short_repr(sentence[start:end])} != {short_repr(surface)}"
         )
     arguments: list[GoldArgument] = []
     for arg in rec.get("arguments", []):
@@ -124,7 +124,7 @@ def _instance_from_record(rec: dict) -> TrainingInstance:
             head = _new(Span, _offsets(head, "head"))
             if not (0 <= head.start <= head.end <= len(sentence)):
                 raise ValueError(
-                    f"argument head span out of bounds for instance {instance_id!r}"
+                    f"argument head span out of bounds for instance {short_repr(instance_id)}"
                 )
         role = arg["role"]
         if type(role) is not str:

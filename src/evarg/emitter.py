@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .corpus import TrainingInstance
-from .files import ConfigError
+from .files import ConfigError, short_repr
 from .ontology import (
     PLACEHOLDER_RE,
     EventTypeDef,
@@ -152,7 +152,7 @@ def _marked_sentence(inst: TrainingInstance, opts: EmitterOptions) -> str:
     sentence = inst.sentence
     start, end = inst.trigger.start, inst.trigger.end
     if not (0 <= start <= end <= len(sentence)):
-        raise ConfigError(f"trigger span out of bounds for instance {inst.id!r}")
+        raise ConfigError(f"trigger span out of bounds for instance {short_repr(inst.id)}")
     if not opts.mark_trigger:
         return sentence
     return sentence[:start] + "**" + sentence[start:end] + "**" + sentence[end:]
@@ -190,13 +190,15 @@ def _answer(
     for arg in inst.arguments:
         if arg.role not in literals:
             raise ConfigError(
-                f"instance {inst.id!r}: role {arg.role!r} not defined for {event.class_name}"
+                f"instance {short_repr(inst.id)}: role {short_repr(arg.role)} "
+                f"not defined for {event.class_name}"
             )
         literal = f'"{escape_literal(arg.surface)}"'
         if style == PromptStyle.CODE:
             if arg.entity_type not in ontology.entity_types:
                 raise ConfigError(
-                    f"instance {inst.id!r}: unresolvable entity type {arg.entity_type!r}"
+                    f"instance {short_repr(inst.id)}: "
+                    f"unresolvable entity type {short_repr(arg.entity_type)}"
                 )
             literal = f"{arg.entity_type}({literal})"
         literals[arg.role].append(literal)
@@ -348,13 +350,14 @@ def assemble_prompt(
     task sentence's semantic graph, must not be blank.
     """
     if amr is not None and not amr.strip():
-        raise ConfigError(f"instance {task.id!r}: empty AMR")
+        raise ConfigError(f"instance {short_repr(task.id)}: empty AMR")
     if preamble is None:
         preamble = build_preamble(ontology, event_type, examples, opts)
     event = ontology.resolve_event(event_type)
     if derive_class_name(task.event_type) != event.class_name:
         raise ConfigError(
-            f"instance {task.id!r} has type {task.event_type!r}, expected {event_type!r}"
+            f"instance {short_repr(task.id)} has type {short_repr(task.event_type)}, "
+            f"expected {short_repr(event_type)}"
         )
     return PromptBundle(
         text=preamble + _task_block(task, event, opts, amr),

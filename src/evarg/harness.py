@@ -7,10 +7,15 @@ report dict that serializes byte-identically across runs when the
 backend is replay. Reports are written atomically (temp file then
 rename). ``load_report`` verifies one by rerunning its config on its own
 completions; ``compare`` differences the F1 of two verified reports.
+``run`` and ``load_report`` pause CPython's cyclic collector while they
+work and then restore its state: a run's objects form no reference cycles,
+so its collections would free nothing, only walk the corpus it keeps.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 import os
@@ -43,7 +48,7 @@ from .corpus import (
     validate_against_ontology,
 )
 from .emitter import EmitterOptions, PromptBundle, assemble_prompt, build_preamble
-from .files import ConfigError, json_text, read_jsonl, string_field
+from .files import ConfigError, json_text, read_jsonl, short_repr, string_field
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import parse_completion
 from .scoring import score
@@ -141,9 +146,9 @@ def load_amr(path: str) -> dict[str, str]:
     def add(rec: dict) -> None:
         instance_id, amr = string_field(rec, "id"), string_field(rec, "amr")
         if not amr.strip():
-            raise ValueError(f"empty amr for {instance_id!r}")
+            raise ValueError(f"empty amr for {short_repr(instance_id)}")
         if instance_id in table:
-            raise ValueError(f"duplicate id {instance_id!r}")
+            raise ValueError(f"duplicate id {short_repr(instance_id)}")
         table[instance_id] = amr
 
     read_jsonl(path, "amr", add)
@@ -234,6 +239,27 @@ def prepare(cfg: RunConfig) -> Plan:
     return Plan(cfg, ontology, train, test, amr, split)
 
 
+def _collector_paused(func):
+    """``func`` with the cyclic collector off until it returns, then as it was found.
+
+    The collector resumes after ``func``'s frame is gone, so the corpora
+    and plan it held are freed by reference counting, never walked.
+    """
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def run(cfg: RunConfig) -> dict:
     """Execute one configuration end to end and return the report dict."""
     report = _run(prepare(cfg), _build_backend)
@@ -359,6 +385,7 @@ def _first_difference(stored: typing.Any, rerun: typing.Any, at: str = "") -> st
     return None
 
 
+@_collector_paused
 def load_report(path: str) -> dict:
     """Load a report and verify it: rerun on its own completions, its config gives it back.
 
@@ -386,7 +413,9 @@ def load_report(path: str) -> dict:
         raise ConfigError(f"report file {path}: {exc}") from exc
     except MissingFixtures as exc:
         first = next(i.id for i in plan.test.instances if plan.task(i).digest in exc.digests)
-        message = f"its config gives test instance {first!r} a prompt that no instance stores"
+        message = (
+            f"its config gives test instance {short_repr(first)} a prompt that no instance stores"
+        )
         raise ConfigError(f"report file {path}: {message}") from None
     difference = _first_difference(report, rerun)
     if difference is not None:

@@ -86,11 +86,11 @@ def reference_load_corpus(path, split: str) -> Dataset:
         start, end = offsets(trig, "trigger")
         surface = string_field(trig, "surface")
         if not (0 <= start <= end <= len(sentence)):
-            raise ValueError(f"trigger span out of bounds for instance {instance_id!r}")
+            raise ValueError(f"trigger span out of bounds for instance {short_repr(instance_id)}")
         if sentence[start:end] != surface:
             raise ValueError(
-                f"trigger surface mismatch for instance {instance_id!r}: "
-                f"{sentence[start:end]!r} != {surface!r}"
+                f"trigger surface mismatch for instance {short_repr(instance_id)}: "
+                f"{short_repr(sentence[start:end])} != {short_repr(surface)}"
             )
         arguments = []
         for arg in rec.get("arguments", []):
@@ -101,7 +101,7 @@ def reference_load_corpus(path, split: str) -> Dataset:
                 head = Span(*offsets(arg["head"], "head"))
                 if not (0 <= head.start <= head.end <= len(sentence)):
                     raise ValueError(
-                        f"argument head span out of bounds for instance {instance_id!r}"
+                        f"argument head span out of bounds for instance {short_repr(instance_id)}"
                     )
             arguments.append(
                 GoldArgument(
@@ -122,7 +122,7 @@ def reference_load_corpus(path, split: str) -> Dataset:
     def add(rec):
         inst = instance(rec)
         if inst.id in instances:
-            raise ValueError(f"duplicate instance id {inst.id!r}")
+            raise ValueError(f"duplicate instance id {short_repr(inst.id)}")
         instances[inst.id] = inst
 
     read_jsonl(path, split, add)

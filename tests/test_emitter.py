@@ -12,7 +12,7 @@ from evarg.emitter import (
     emit_example,
     escape_literal,
 )
-from evarg.files import ConfigError
+from evarg.files import ConfigError, short_repr
 
 
 @pytest.fixture
@@ -365,6 +365,32 @@ def test_t1_definitions_of_every_example_type_precede_the_examples(
 def test_empty_amr_rejected(ontology, kim):
     with pytest.raises(ConfigError, match="empty AMR"):
         _bundle(ontology, kim, [], amr="   ")
+
+
+HUGE_ID = "i" * 300_000
+
+
+@pytest.mark.parametrize(
+    "case", ["trigger-bounds", "role", "entity-type", "empty-amr", "type-mismatch"]
+)
+def test_an_instance_message_quotes_a_huge_id_short(ontology, kim, kelly, case):
+    task, examples, amr = kim._replace(id=HUGE_ID), [kelly], None
+    argument = kelly.arguments[0]
+    if case == "trigger-bounds":
+        task = task._replace(trigger=task.trigger._replace(end=len(task.sentence) + 1))
+    elif case == "role":
+        examples = [kelly._replace(id=HUGE_ID, arguments=(argument._replace(role=HUGE_ID),))]
+    elif case == "entity-type":
+        typed = argument._replace(entity_type=HUGE_ID)
+        examples = [kelly._replace(id=HUGE_ID, arguments=(typed,))]
+    elif case == "empty-amr":
+        amr = " "
+    else:
+        task = task._replace(event_type="Conflict:Attack")
+    with pytest.raises(ConfigError) as err:
+        assemble_prompt(ontology, kim.event_type, examples, task, EmitterOptions(), amr=amr)
+    message = str(err.value)
+    assert f"instance {short_repr(HUGE_ID)}" in message and len(message) < 1000
 
 
 def test_an_unknown_style_is_rejected_when_the_options_are_built():

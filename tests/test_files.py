@@ -397,37 +397,50 @@ def test_a_line_that_is_not_an_object_exits_2_naming_it(tmp_path, in_repo_root, 
 
 
 HUGE = [0] * 300_000  # its repr is 900,000 characters
+HUGE_TEXT = "x" * 300_000
 _CORPUS_RECORD = LOADERS["corpus"][0]
 _HEAD_ARGUMENT = {"role": "agent", "surface": "Kim", "entity_type": "PER"}
-# case -> (input, its one line, the start of the error message after "bad <what> record: ")
+# case -> (input, its lines, the start of the last line's error message after
+# "bad <what> record: ")
 HUGE_VALUES = {
-    "record": ("fixture", HUGE, "record must be an object, not [0, 0, 0, 0, 0, 0, ...]"),
-    "response": ("fixture", {"digest": "d", "response": HUGE}, "response must be an object"),
-    "string-field": ("amr", {"id": HUGE, "amr": "x"}, "id must be a string"),
-    "trigger": ("train", {**_CORPUS_RECORD, "trigger": HUGE}, "trigger must be an object"),
+    "record": ("fixture", [HUGE], "record must be an object, not [0, 0, 0, 0, 0, 0, ...]"),
+    "response": ("fixture", [{"digest": "d", "response": HUGE}], "response must be an object"),
+    "string-field": ("amr", [{"id": HUGE, "amr": "x"}], "id must be a string"),
+    "trigger": ("train", [{**_CORPUS_RECORD, "trigger": HUGE}], "trigger must be an object"),
     "offsets": (
         "train",
-        {**_CORPUS_RECORD, "trigger": {"start": HUGE, "end": 1, "surface": "x"}},
+        [{**_CORPUS_RECORD, "trigger": {"start": HUGE, "end": 1, "surface": "x"}}],
         "offsets must be integers",
     ),
-    "argument": ("train", {**_CORPUS_RECORD, "arguments": [HUGE]}, "argument [0, 0,"),
+    "argument": ("train", [{**_CORPUS_RECORD, "arguments": [HUGE]}], "argument [0, 0,"),
     "head": (
         "train",
-        {**_CORPUS_RECORD, "arguments": [{**_HEAD_ARGUMENT, "head": HUGE}]},
+        [{**_CORPUS_RECORD, "arguments": [{**_HEAD_ARGUMENT, "head": HUGE}]}],
         "head must be an object",
     ),
-    "sentence": ("test", {**_CORPUS_RECORD, "sentence": HUGE}, "sentence must be a string"),
+    "sentence": ("test", [{**_CORPUS_RECORD, "sentence": HUGE}], "sentence must be a string"),
+    "trigger-surface": (
+        "train",
+        [{**_CORPUS_RECORD, "trigger": {**_CORPUS_RECORD["trigger"], "surface": HUGE_TEXT}}],
+        "trigger surface mismatch for instance 'x-1': 'returned' != 'xxxxxxxxxxxx...",
+    ),
+    "duplicate-instance-id": (
+        "train", [{**_CORPUS_RECORD, "id": HUGE_TEXT}] * 2, "duplicate instance id 'xxx"
+    ),
+    "empty-amr": ("amr", [{"id": HUGE_TEXT, "amr": " "}], "empty amr for 'xxx"),
+    "duplicate-amr-id": ("amr", [{"id": HUGE_TEXT, "amr": "x"}] * 2, "duplicate id 'xxx"),
 }
 
 
 @pytest.mark.parametrize("case", HUGE_VALUES)
 def test_a_huge_value_in_an_error_is_quoted_short(tmp_path, in_repo_root, capsys, case):
-    what, record, message = HUGE_VALUES[case]
+    what, records, message = HUGE_VALUES[case]
     path = tmp_path / f"{what}.jsonl"
-    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     assert main([arg.format(path=path) for arg in NESTING_BOMB_INPUTS[what]]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}:1: bad {JSON_LINES_INPUTS[what]} record: {message}")
+    where = f"{path}:{len(records)}"  # the last line
+    assert err.startswith(f"error: {where}: bad {JSON_LINES_INPUTS[what]} record: {message}")
     assert err.count("\n") == 1 and len(err) < len(str(path)) + 300
 
 

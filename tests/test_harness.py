@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import MISSING, fields, replace
 
 import pytest
@@ -534,6 +535,37 @@ def test_write_report_leaves_no_cyclic_garbage(tmp_path):
         gc.enable()
 
 
+def test_a_run_and_its_verification_leave_no_cyclic_garbage(cfg_code, golden_dir, tmp_path):
+    # ``run`` and ``load_report`` pause the collector: garbage they made in
+    # cycles would outlive them until its next pass
+    gc.collect()
+    gc.disable()
+    try:
+        run(replace(cfg_code, output_path=str(tmp_path / "r.json")))
+        load_report(str(golden_dir / "run_report.json"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_record_run_leaves_no_cyclic_garbage(cfg_code, tmp_path, stub):
+    stub.set_default(200, {"choices": [{"text": ")", "finish_reason": "stop"}]})
+    cfg = replace(
+        cfg_code,
+        backend="http",
+        endpoint=stub.url,
+        record=True,
+        fixture_path=str(tmp_path / "recorded.jsonl"),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(run(cfg)["instances"]) == 12
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_write_report_creates_the_file_as_open_does(tmp_path):
     path = tmp_path / "r.json"
     previous = os.umask(0o022)
@@ -793,6 +825,112 @@ def test_load_report_rejects_a_config_without_test_path(in_repo_root, golden_dir
     bad.write_text(json.dumps(report), encoding="utf-8")
     with pytest.raises(ConfigError, match=f"^report file {re.escape(str(bad))} .*'test_path'"):
         load_report(str(bad))
+
+
+def test_load_report_quotes_a_huge_instance_id_short(in_repo_root, golden_dir, tmp_path):
+    huge = "x" * 300_000
+    test = tmp_path / "test.jsonl"
+    with open("fixtures/test.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    # a new id and sentence give the first instance a prompt the report does not store
+    records[0].update(id=huge, sentence=records[0]["sentence"] + " !")
+    test.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    report = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
+    report["config"]["test_path"] = str(test)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_report(str(path))
+    message = f"report file {path}: its config gives test instance 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
+    assert str(err.value) == message + " a prompt that no instance stores"
+
+
+# --- the cyclic collector --------------------------------------------------
+
+
+def _entry_point_call(entry, outcome, cfg, golden_dir, tmp_path):
+    """``run`` or ``load_report`` called so that it returns or fails as ``outcome`` says.
+
+    Returns the call and a context that checks how it ends.
+    """
+    unfit = tmp_path / "unfit.jsonl"
+    lines = (ROOT / "fixtures/test.jsonl").read_text(encoding="utf-8")
+    unfit.write_text(lines.replace('"Movement:Transport"', '"Movement:Teleport"', 1))
+    unfit_error = pytest.raises(ConfigError, match="does not fit the ontology")
+    if entry == "run":
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        cfg, ends = {
+            "returns": (cfg, nullcontext()),
+            "config-error": (replace(cfg, test_path=str(unfit)), unfit_error),
+            "missing-fixtures": (
+                replace(cfg, fixture_path=str(empty)),
+                pytest.raises(MissingFixtures),
+            ),
+        }[outcome]
+        return lambda: run(cfg), ends
+    report = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
+    ends = nullcontext()
+    if outcome == "config-error":
+        report["config"]["test_path"] = str(unfit)
+        ends = unfit_error
+    elif outcome == "missing-fixtures":  # the rerun's MissingFixtures becomes a ConfigError
+        drop_the_first_instance(report)
+        ends = pytest.raises(ConfigError, match="a prompt that no instance stores")
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    return lambda: load_report(str(path)), ends
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", ["returns", "config-error", "missing-fixtures"])
+@pytest.mark.parametrize("entry", ["run", "load_report"])
+def test_run_and_load_report_leave_the_collector_as_they_found_it(
+    cfg_code, golden_dir, tmp_path, entry, outcome, enabled
+):
+    call, ends = _entry_point_call(entry, outcome, cfg_code, golden_dir, tmp_path)
+    gc.enable() if enabled else gc.disable()
+    try:
+        with ends:
+            call()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_no_collection_starts_while_run_or_load_report_works(cfg_code, tmp_path):
+    # 2,000 train records: loading them alone sets off collections
+    train = tmp_path / "train.jsonl"
+    with open("fixtures/train.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    with open(train, "w", encoding="utf-8") as fh:
+        for n in range(100):
+            for rec in records:
+                fh.write(json.dumps({**rec, "id": f"{rec['id']}-{n}"}) + "\n")
+    cfg = replace(
+        cfg_code,
+        train_path=str(train),
+        fixture_path=str(tmp_path / "fixture.jsonl"),
+        output_path=str(tmp_path / "report.json"),
+    )
+    synth_fixture(cfg, cfg.fixture_path, lambda inst: (")", "stop"))
+    starts = []
+
+    def on_collection(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(on_collection)
+    try:
+        corpus.load_corpus(cfg.train_path, "train")  # outside the pause
+        unpaused = len(starts)
+        starts.clear()
+        run(cfg)
+        load_report(cfg.output_path)
+    finally:
+        gc.callbacks.remove(on_collection)
+    assert unpaused > 0
+    assert starts == []
 
 
 # --- compare ---------------------------------------------------------------
