@@ -20,6 +20,7 @@ from .harness import (
     SETTING_TYPES,
     MissingFixtures,
     RunConfig,
+    collector_paused,
     compare,
     prepare,
     run,
@@ -81,6 +82,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"incomplete configuration: {exc}") from exc
 
 
+@collector_paused
 def _cmd_emit(args: argparse.Namespace) -> int:
     plan = prepare(_build_config(args))
     try:
@@ -121,6 +123,7 @@ def _cmd_variability(args: argparse.Namespace) -> int:
     return 0
 
 
+@collector_paused
 def _cmd_validate(args: argparse.Namespace) -> int:
     ontology = load_ontology(args.ontology)
     problems: list[str] = []

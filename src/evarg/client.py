@@ -65,6 +65,32 @@ class CompletionResponse:
 def _around_prompt(req: CompletionRequest) -> tuple[str, str]:
     """The digest payload's JSON before and after the prompt string's contents.
 
+    Encoded once per distinct settings: equal numbers that JSON spells
+    apart (``0``, ``0.0`` and ``-0.0``; ``1`` and ``True``) differ in
+    ``repr``, which is part of the key.
+    """
+    max_new_tokens, temperature = req.max_new_tokens, req.temperature
+    return _settings_around(
+        req.model_id,
+        max_new_tokens,
+        temperature,
+        tuple(req.stop_patterns),
+        repr(max_new_tokens),
+        repr(temperature),
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _settings_around(
+    model_id: str,
+    max_new_tokens: int,
+    temperature: float,
+    stop_patterns: tuple[str, ...],
+    max_new_tokens_repr: str,
+    temperature_repr: str,
+) -> tuple[str, str]:
+    """``_around_prompt`` for these settings; the two reprs only key the cache.
+
     The payload holds the prompt and every decoding setting. Its keys are
     sorted, so the prompt follows ``max_new_tokens`` and ``model_id``; an
     escaped value holds no unescaped quote, so the first ``"prompt": "``
@@ -72,10 +98,10 @@ def _around_prompt(req: CompletionRequest) -> tuple[str, str]:
     """
     payload = {
         "prompt": "",
-        "model_id": req.model_id,
-        "max_new_tokens": req.max_new_tokens,
-        "temperature": req.temperature,
-        "stop_patterns": list(req.stop_patterns),
+        "model_id": model_id,
+        "max_new_tokens": max_new_tokens,
+        "temperature": temperature,
+        "stop_patterns": list(stop_patterns),
     }
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     head, key, tail = blob.partition('"prompt": "')

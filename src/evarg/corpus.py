@@ -13,7 +13,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, NamedTuple
 
-from .files import ConfigError, not_a_string, read_jsonl, short_repr
+from .files import ConfigError, not_a_string, read_jsonl, short_repr, short_text
 from .ontology import Ontology, ancestors, derive_class_name, siblings
 
 
@@ -150,20 +150,19 @@ def validate_against_ontology(dataset: Dataset, ontology: Ontology) -> list[str]
     """
     problems: list[str] = []
     for inst in dataset.instances:
+        name = short_text(inst.id)
         try:
             event = ontology.resolve_event(inst.event_type)
         except ConfigError:
-            problems.append(f"{inst.id}: unknown event type {inst.event_type!r}")
+            problems.append(f"{name}: unknown event type {short_repr(inst.event_type)}")
             continue
         for arg in inst.arguments:
             if arg.role not in event.role_names:
                 problems.append(
-                    f"{inst.id}: role {arg.role!r} not defined for {event.class_name}"
+                    f"{name}: role {short_repr(arg.role)} not defined for {event.class_name}"
                 )
             if arg.entity_type and arg.entity_type not in ontology.entity_types:
-                problems.append(
-                    f"{inst.id}: unknown entity type {arg.entity_type!r}"
-                )
+                problems.append(f"{name}: unknown entity type {short_repr(arg.entity_type)}")
     return problems
 
 

@@ -103,6 +103,11 @@ def short_repr(value: Any) -> str:
     return text if len(text) <= MAX_QUOTED else _ABBREVIATED.repr(value)
 
 
+def short_text(text: str) -> str:
+    """``text`` unquoted, or only its ends around ``...`` when longer than ``MAX_QUOTED``."""
+    return text if len(text) <= MAX_QUOTED else f"{text[:12]}...{text[-12:]}"
+
+
 def not_a_string(key: str, value: Any) -> TypeError:
     """The error for a field ``key`` whose ``value`` is not a string."""
     return TypeError(f"{key} must be a string, not {short_repr(value)}")

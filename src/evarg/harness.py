@@ -239,7 +239,7 @@ def prepare(cfg: RunConfig) -> Plan:
     return Plan(cfg, ontology, train, test, amr, split)
 
 
-def _collector_paused(func):
+def collector_paused(func):
     """``func`` with the cyclic collector off until it returns, then as it was found.
 
     The collector resumes after ``func``'s frame is gone, so the corpora
@@ -259,7 +259,7 @@ def _collector_paused(func):
     return paused
 
 
-@_collector_paused
+@collector_paused
 def run(cfg: RunConfig) -> dict:
     """Execute one configuration end to end and return the report dict."""
     report = _run(prepare(cfg), _build_backend)
@@ -385,7 +385,7 @@ def _first_difference(stored: typing.Any, rerun: typing.Any, at: str = "") -> st
     return None
 
 
-@_collector_paused
+@collector_paused
 def load_report(path: str) -> dict:
     """Load a report and verify it: rerun on its own completions, its config gives it back.
 

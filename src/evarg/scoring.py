@@ -8,6 +8,12 @@ regardless of role; Arg-C counts the matched pairs whose roles also
 agree. Counts pool per event type and micro metrics are computed from
 the pooled sums.
 
+A plain span, ASCII words (``[A-Za-z0-9_]+``) joined by single spaces as
+most argument surfaces are, is read by one split: with no preposition
+among its words, its head is its last word. Any other span goes through
+the token loop; the test suite checks the two against each other on
+random spans.
+
 Only equal heads can match, so each head span is an independent group:
 its identified count is the smaller of its gold and predicted counts, and
 its classified count is the size of the role multiset the two sides share.
@@ -24,6 +30,7 @@ from .ontology import derive_class_name
 
 
 _TOKEN_RE = re.compile(r"(\w+)|[^\w\s]")
+_PLAIN_RE = re.compile(r"[A-Za-z0-9_]+(?: [A-Za-z0-9_]+)*")  # words joined by single spaces
 
 _PREPOSITIONS = frozenset(
     """
@@ -43,6 +50,10 @@ def head_span(span: Span, sentence: str) -> Span:
     The head lies within ``span``; with no word before that boundary it is the
     span's last word, and a span with no word token is its own head.
     """
+    if _PLAIN_RE.fullmatch(sentence, span.start, span.end):
+        plain = sentence[span.start : span.end].lower().split(" ")
+        if _PREPOSITIONS.isdisjoint(plain):
+            return Span(span.end - len(plain[-1]), span.end)
     words: list[tuple[int, int]] = []
     before = None  # how many words precede the first comma or preposition
     for m in _TOKEN_RE.finditer(sentence, span.start, span.end):
@@ -69,6 +80,9 @@ def ground(pred_surface: str, sentence: str) -> Span | None:
     if idx >= 0:
         return Span(idx, idx + len(pred_surface))
     target, lowered = pred_surface.lower(), sentence.lower()
+    idx = lowered.find(target)
+    if idx < 0:
+        return None
     # some characters, such as "İ", lowercase to two: map offsets back
     at: dict[int, int] = {}
     offset = 0
@@ -76,7 +90,6 @@ def ground(pred_surface: str, sentence: str) -> Span | None:
         at[offset] = i
         offset += len(ch.lower())
     at[offset] = len(sentence)
-    idx = lowered.find(target)
     while idx >= 0:
         if idx in at and idx + len(target) in at:
             return Span(at[idx], at[idx + len(target)])

@@ -1,4 +1,5 @@
 import json
+import re
 import socket
 import sys
 import threading
@@ -23,7 +24,7 @@ from evarg.corpus import (  # noqa: E402
 from evarg.files import read_jsonl, short_repr  # noqa: E402
 from evarg.ontology import load_ontology  # noqa: E402
 from evarg.parsing import parse_completion  # noqa: E402
-from evarg.scoring import score  # noqa: E402
+from evarg.scoring import _PREPOSITIONS, score  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -127,6 +128,25 @@ def reference_load_corpus(path, split: str) -> Dataset:
 
     read_jsonl(path, split, add)
     return Dataset(split=split, instances=tuple(instances.values()))
+
+
+_TOKEN_RE = re.compile(r"(\w+)|[^\w\s]")
+
+
+def reference_head_span(span: Span, sentence: str) -> Span:
+    """``head_span`` as one token loop over every span: the reference for its plain-span path."""
+    words = []
+    before = None  # how many words precede the first comma or preposition
+    for m in _TOKEN_RE.finditer(sentence, span.start, span.end):
+        word = m.group(1)
+        if before is None and (word.lower() in _PREPOSITIONS if word else m.group() == ","):
+            before = len(words)
+        if word:
+            words.append(m.span())
+    if not words:
+        return span
+    start, end = words[before - 1] if before else words[-1]
+    return Span(start, end)
 
 
 def rescore(report: dict) -> dict:

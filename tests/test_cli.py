@@ -24,7 +24,7 @@ from conftest import (
     list_the_first_instance_twice,
     rescore,
 )
-from evarg import harness
+from evarg import files, harness
 from evarg.cli import build_parser, main
 from evarg.client import ReplayBackend
 from evarg.emitter import PromptStyle
@@ -805,6 +805,61 @@ def test_a_test_corpus_that_validate_rejects_exits_2_in_run_emit_and_compare(
     path = _write(tmp_path / "report.json", json.dumps(report))
     assert main(["compare", golden, path]) == 2
     assert capsys.readouterr().err == f"error: report file {path}: {rejected}\n"
+
+
+def _test_record(**changes):
+    """The first shipped test record with ``changes``.
+
+    ``role`` and ``entity_type`` change its first argument.
+    """
+    record = json.loads((ROOT / "fixtures/test.jsonl").open(encoding="utf-8").readline())
+    argument = record["arguments"][0]
+    for key in ("role", "entity_type"):
+        if key in changes:
+            argument[key] = changes.pop(key)
+    return {**record, **changes}
+
+
+VALIDATE_TEST = ["validate", "--ontology", BASE["ontology_path"], "--split", "test", "--corpus"]
+# field -> the problem a value of it that does not fit the ontology gives, "{}" marking the value
+UNFIT = {
+    "event_type": "test-001: unknown event type {}",
+    "role": "test-001: role {} not defined for Transport",
+    "entity_type": "test-001: unknown entity type {}",
+    "id": "{}: unknown entity type 'NOPE'",
+}
+
+
+@pytest.mark.parametrize("field", UNFIT)
+def test_a_problem_with_the_ontology_quotes_a_huge_value_short(
+    in_repo_root, tmp_path, capsys, field
+):
+    changes = {field: "x" * 300_000}
+    if field == "id":
+        changes["entity_type"] = "NOPE"
+    bad = _write(tmp_path / "test.jsonl", json.dumps(_test_record(**changes)) + "\n")
+    short = "xxxxxxxxxxxx...xxxxxxxxxxxx" if field == "id" else "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
+    problem = UNFIT[field].format(short)
+    assert main([*VALIDATE_TEST, bad]) == 2
+    assert capsys.readouterr().err == problem + "\n"
+    config = _write(tmp_path / "cfg.yaml", yaml.safe_dump({**BASE, "test_path": bad}))
+    assert main(["run", "--config", config]) == 2
+    rejected = f"test corpus {bad} does not fit the ontology:\n  {problem}"
+    assert capsys.readouterr().err == f"error: {rejected}\n"
+
+
+@pytest.mark.parametrize("field", UNFIT)
+def test_a_problem_with_the_ontology_quotes_a_short_value_whole(
+    in_repo_root, tmp_path, capsys, field
+):
+    value = "x" * (files.MAX_QUOTED - 2)  # its repr is as long as a value quoted whole
+    changes = {field: value}
+    if field == "id":
+        changes["entity_type"] = "NOPE"
+    bad = _write(tmp_path / "test.jsonl", json.dumps(_test_record(**changes)) + "\n")
+    shown = value if field == "id" else repr(value)
+    assert main([*VALIDATE_TEST, bad]) == 2
+    assert capsys.readouterr().err == UNFIT[field].format(shown) + "\n"
 
 
 def test_validate_ontology_only(in_repo_root, capsys):

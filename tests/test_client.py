@@ -98,6 +98,10 @@ PROMPT_TEXT = st.text(
     preamble="", rest="Answer:", model_id="m", max_new_tokens=1, temperature=0.0,
     stop_patterns=["\n\n"],
 )
+@example(  # settings that JSON spells apart from equal ones: 0.0 and -0.0, 1 and True
+    preamble="p", rest="r", model_id="m", max_new_tokens=True, temperature=0, stop_patterns=[],
+)
+@example(preamble="p", rest="r", model_id="m", max_new_tokens=1, temperature=-0.0, stop_patterns=[])
 def test_prefix_state_digest_equals_whole_payload_digest(
     preamble, rest, model_id, max_new_tokens, temperature, stop_patterns
 ):
@@ -118,6 +122,21 @@ def test_prefix_state_digest_equals_whole_payload_digest(
     assert request_digest(other, prefix) == _whole_payload_digest(other)
     unrelated = replace(req, prompt="\x01" + req.prompt)
     assert request_digest(unrelated, prefix) == _whole_payload_digest(unrelated)
+    for twin in _spelt_apart(req):
+        assert request_digest(twin, prefix) == _whole_payload_digest(twin) != whole
+
+
+# equal values of a setting that JSON spells apart
+SPELLINGS = {"temperature": (0, 0.0, -0.0), "max_new_tokens": (1, True)}
+
+
+def _spelt_apart(req):
+    """``req`` with one setting replaced by an equal value that JSON spells differently."""
+    for name, spellings in SPELLINGS.items():
+        value = getattr(req, name)
+        for other in spellings:
+            if other == value and repr(other) != repr(value):
+                yield replace(req, **{name: other})
 
 
 def test_request_validation():

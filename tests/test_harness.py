@@ -184,6 +184,34 @@ def test_replay_run_builds_each_preamble_once_and_hashes_each_request_once(
     assert calls == {"preamble": len(keys), "digest": 12}
 
 
+def test_a_run_encodes_its_request_settings_once(cfg_code, tmp_path, monkeypatch):
+    test = tmp_path / "test.jsonl"
+    records = (ROOT / "fixtures/test.jsonl").read_text(encoding="utf-8").splitlines()
+    with open(test, "w", encoding="utf-8") as fh:
+        for n in range(200):
+            rec = json.loads(records[n % len(records)])
+            fh.write(json.dumps({**rec, "id": f"{rec['id']}-{n}"}) + "\n")
+    cfg = replace(cfg_code, test_path=str(test), fixture_path=str(tmp_path / "fixture.jsonl"))
+    synth_fixture(cfg, cfg.fixture_path, lambda inst: (")", "stop"))
+    encoded, digests = [], []
+    dumps, digest = json.dumps, harness.request_digest
+
+    def counted_dumps(value, *args, **kwargs):
+        if isinstance(value, dict) and "stop_patterns" in value:
+            encoded.append(value)
+        return dumps(value, *args, **kwargs)
+
+    def counted_digest(*args):
+        digests.append(args)
+        return digest(*args)
+
+    client._settings_around.cache_clear()  # synth_fixture encoded these settings already
+    monkeypatch.setattr(json, "dumps", counted_dumps)
+    monkeypatch.setattr(harness, "request_digest", counted_digest)
+    assert len(run(cfg)["instances"]) == len(digests) == 200
+    assert len(encoded) == 1
+
+
 def test_sibling_tasks_share_the_plans_hierarchy_split(cfg_code, monkeypatch):
     calls = []
 
@@ -898,7 +926,48 @@ def test_run_and_load_report_leave_the_collector_as_they_found_it(
         gc.enable()
 
 
+def _unfit_test_corpus(tmp_path):
+    """A copy of the shipped test corpus whose first event type the ontology lacks."""
+    unfit = tmp_path / "unfit.jsonl"
+    lines = (ROOT / "fixtures/test.jsonl").read_text(encoding="utf-8")
+    unfit.write_text(lines.replace('"Movement:Transport"', '"Movement:Teleport"', 1))
+    return str(unfit)
+
+
+def _command(name, tmp_path, **settings):
+    """The ``evarg emit`` or ``evarg validate`` command line for ``BASE`` with ``settings``."""
+    settings = {**BASE, "prompt_style": "code", **settings}
+    if name == "validate":
+        corpus = ["--corpus", settings["test_path"], "--split", "test"]
+        return ["validate", "--ontology", settings["ontology_path"], *corpus]
+    config = tmp_path / "emit.yaml"
+    config.write_text(yaml.safe_dump(settings), encoding="utf-8")
+    return ["emit", "--config", str(config), "--id", "test-001"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("fits", [True, False], ids=["returns", "unfit-test-corpus"])
+@pytest.mark.parametrize("name", ["emit", "validate"])
+def test_emit_and_validate_leave_the_collector_as_they_found_it(
+    in_repo_root, tmp_path, capsys, name, fits, enabled
+):
+    from evarg.cli import main
+
+    test_path = BASE["test_path"] if fits else _unfit_test_corpus(tmp_path)
+    command = _command(name, tmp_path, test_path=test_path)
+    gc.enable() if enabled else gc.disable()
+    try:
+        assert main(command) == (0 if fits else 2)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert ("does not fit" in capsys.readouterr().err) is (name == "emit" and not fits)
+
+
 def test_no_collection_starts_while_run_or_load_report_works(cfg_code, tmp_path):
+    # nor while ``evarg emit`` or ``evarg validate`` works
+    from evarg.cli import main
+
     # 2,000 train records: loading them alone sets off collections
     train = tmp_path / "train.jsonl"
     with open("fixtures/train.jsonl", encoding="utf-8") as fh:
@@ -914,23 +983,35 @@ def test_no_collection_starts_while_run_or_load_report_works(cfg_code, tmp_path)
         output_path=str(tmp_path / "report.json"),
     )
     synth_fixture(cfg, cfg.fixture_path, lambda inst: (")", "stop"))
+    emit = _command("emit", tmp_path, train_path=cfg.train_path, fixture_path=cfg.fixture_path)
+    validate = _command("validate", tmp_path, test_path=cfg.train_path)
+    steps = {
+        "load_corpus": lambda: corpus.load_corpus(cfg.train_path, "train"),  # outside the pause
+        "run": lambda: run(cfg),
+        "load_report": lambda: load_report(cfg.output_path),
+        "emit": lambda: main(emit),
+        "validate": lambda: main(validate),
+    }
     starts = []
 
     def on_collection(phase, info):
         if phase == "start":
             starts.append(info["generation"])
 
+    counts = []
     gc.callbacks.append(on_collection)
     try:
-        corpus.load_corpus(cfg.train_path, "train")  # outside the pause
-        unpaused = len(starts)
-        starts.clear()
-        run(cfg)
-        load_report(cfg.output_path)
+        for step in steps.values():
+            gc.collect()  # the pass owed since the last step resumed the collector
+            starts.clear()
+            step()
+            # counted before any allocation, which would start the pass this step owes
+            counts.append(len(starts))
     finally:
         gc.callbacks.remove(on_collection)
-    assert unpaused > 0
-    assert starts == []
+    during = dict(zip(steps, counts))
+    assert during.pop("load_corpus") > 0
+    assert during == dict.fromkeys(during, 0)
 
 
 # --- compare ---------------------------------------------------------------

@@ -1,8 +1,15 @@
 import random
+import re
 
 import pytest
 
-from conftest import exhaustive_match, make_dataset, make_instance, untyped_parse
+from conftest import (
+    exhaustive_match,
+    make_dataset,
+    make_instance,
+    reference_head_span,
+    untyped_parse,
+)
 from evarg.corpus import GoldArgument, Span, Trigger, TrainingInstance
 from evarg.scoring import _match_instance, ground, head_span, score
 
@@ -111,6 +118,44 @@ def test_head_offsets_are_absolute():
     h = head_span(span, s)
     assert span.start <= h.start <= h.end <= span.end
     assert s[h.start : h.end] == "teacher"
+
+
+# Plain words (ASCII letters, digits, "_"), prepositions in any case, and
+# non-ASCII letters whose lowercase differs: "İ" lowercases to two characters,
+# the Kelvin sign to an ASCII "k", and "ſ" uppercases to "S".
+CONTENT_WORDS = ("the", "young", "Kim", "teacher", "GE", "x1", "_id", "2024", "a_b")
+PREPOSITION_WORDS = ("of", "Of", "OF", "in", "IN", "into", "Into", "ToWaRdS", "by", "upon")
+OTHER_WORDS = ("İn", "İstanbul", "ſince", "\u212aim", "caf\u00e9", "\u00c9T\u00c9", "ınto")
+GAPS = (" ",) * 8 + ("  ", "\t", " , ", ",", " \t ", "-", "\u00a0")
+
+
+def _random_phrase(rng):
+    """Plain words joined by single spaces, as the benchmark's surfaces are, or any
+    words after random gaps, the first gap cut by one character."""
+    n = rng.randint(1, 6)
+    if rng.random() < 0.5:
+        return " ".join(
+            rng.choice(PREPOSITION_WORDS if rng.random() < 0.15 else CONTENT_WORDS)
+            for _ in range(n)
+        )
+    words = [rng.choice(CONTENT_WORDS + PREPOSITION_WORDS + OTHER_WORDS) for _ in range(n)]
+    return "".join(rng.choice(GAPS) + word for word in words)[1:]
+
+
+def test_head_span_equals_the_token_loop_on_random_spans():
+    rng = random.Random(20261020)
+    plain = 0
+    for _ in range(100_000):
+        sentence = "Then " + _random_phrase(rng) + " ."
+        if rng.random() < 0.5:  # the whole phrase
+            start, end = 5, len(sentence) - 2
+        else:
+            start = rng.randrange(len(sentence) + 1)
+            end = rng.randint(start, len(sentence))
+        span = Span(start, end)
+        plain += bool(re.fullmatch(r"\w+( \w+)*", sentence[start:end], re.ASCII))
+        assert head_span(span, sentence) == reference_head_span(span, sentence), (span, sentence)
+    assert plain > 30_000
 
 
 # --- fixed scoring examples ------------------------------------------------
