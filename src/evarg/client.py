@@ -19,6 +19,7 @@ import threading
 import time
 import typing
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from .files import ConfigError, read_jsonl, short_repr, string_field
@@ -113,8 +114,10 @@ def _escaped(text: str) -> bytes:
 
     JSON escaping and UTF-8 both work one code point at a time, so an
     escaped prompt is its escaped prefix followed by its escaped rest.
+    ``json.dumps(text, ensure_ascii=False)`` of a str is ``encode_basestring(text)``,
+    less the encoder it builds per call.
     """
-    return json.dumps(text, ensure_ascii=False)[1:-1].encode("utf-8")
+    return encode_basestring(text)[1:-1].encode("utf-8")
 
 
 class HashedPrefix(typing.NamedTuple):

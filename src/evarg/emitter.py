@@ -83,9 +83,21 @@ class EmitterOptions:
 
 @dataclass(frozen=True)
 class PromptBundle:
-    text: str
+    """A prompt kept as its two parts, the preamble and the task block.
+
+    Instances of one type given the same examples can share one preamble
+    object, so a prompt's full text exists only while ``text`` is in use.
+    """
+
+    preamble: str
+    task: str
     stop_patterns: tuple[str, ...]
     example_ids: tuple[str, ...]
+
+    @property
+    def text(self) -> str:
+        """The full prompt: the preamble, then the task block."""
+        return self.preamble + self.task
 
 
 def escape_literal(surface: str) -> str:
@@ -346,8 +358,9 @@ def assemble_prompt(
 
     Code style defines classes; ``t1`` uses labelled text blocks and
     ``t2`` fills a template. ``preamble`` is ``build_preamble``'s result
-    for the same arguments, when the caller already has it. ``amr``, the
-    task sentence's semantic graph, must not be blank.
+    for the same arguments, when the caller already has it; the bundle
+    keeps that object. ``amr``, the task sentence's semantic graph, must
+    not be blank.
     """
     if amr is not None and not amr.strip():
         raise ConfigError(f"instance {short_repr(task.id)}: empty AMR")
@@ -360,7 +373,8 @@ def assemble_prompt(
             f"expected {short_repr(event_type)}"
         )
     return PromptBundle(
-        text=preamble + _task_block(task, event, opts, amr),
+        preamble=preamble,
+        task=_task_block(task, event, opts, amr),
         stop_patterns=_COMPLETION[opts.prompt_style][1],
         example_ids=tuple(inst.id for inst in examples),
     )

@@ -17,7 +17,8 @@ accept the same safe subset. Both build a document's nodes by recursion, so
 a document nested deeper than ``MAX_YAML_DEPTH`` is refused before that.
 
 ``json_text`` writes the report format: the text of
-``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)``.
+``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)``;
+``write_json`` passes the same text to a writer a piece at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ MAX_QUOTED = 200  # the longest repr an error message quotes whole
 _ABBREVIATED = reprlib.Repr()
 _ABBREVIATED.maxlevel = 1  # a container inside the value prints as [...] or {...}
 MAX_YAML_DEPTH = 100  # the shipped YAML files nest at most 6 levels
+JSON_BATCH = 4096  # chunks per piece ``write_json`` writes; a run report's piece is ~110 kB
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD]")  # only an escape puts a surrogate in a string
 # one escape in a JSON string, a surrogate pair counting as one; group 1 is a lone surrogate
 _ESCAPE = re.compile(r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|u([dD]...)|.)")
@@ -155,8 +157,19 @@ def json_text(value: Any) -> str:
     runs its pure-Python encoder, which takes more than twice as long.
     """
     chunks: list[str] = []
-    _append_json(value, chunks, "\n")
+    _append_json(value, chunks, "\n", None)
     return "".join(chunks)
+
+
+def write_json(value: Any, write: Callable[[str], Any]) -> None:
+    """Pass ``json_text(value)`` to ``write`` in pieces of about ``JSON_BATCH`` chunks.
+
+    Only one piece of the text is held at a time. A value ``json_text``
+    rejects raises the same ``TypeError``, after the pieces before it were written.
+    """
+    chunks: list[str] = []
+    _append_json(value, chunks, "\n", write)
+    write("".join(chunks))
 
 
 _INFINITY = float("inf")
@@ -164,10 +177,14 @@ _INFINITY = float("inf")
 
 # Module level, not a closure: a closure that calls itself is a reference
 # cycle, which keeps ``chunks`` alive until the cycle collector runs.
-def _append_json(value: Any, chunks: list[str], newline: str) -> None:
+def _append_json(
+    value: Any, chunks: list[str], newline: str, write: Callable[[str], Any] | None
+) -> None:
     """Append the JSON text of ``value`` to ``chunks``; ``newline`` begins a line at its depth.
 
-    A str inside a container is written with its key or separator, in one chunk.
+    A str inside a container is written with its key or separator, in one
+    chunk. With a ``write``, when ``JSON_BATCH`` or more chunks are pending
+    after a value, they are passed to it joined and ``chunks`` is emptied.
     """
     if isinstance(value, dict):
         if not value:
@@ -184,7 +201,7 @@ def _append_json(value: Any, chunks: list[str], newline: str) -> None:
                 chunks.append(f"{separator}{encode_basestring(key)}: {encode_basestring(item)}")
             else:
                 chunks.append(f"{separator}{encode_basestring(key)}: ")
-                _append_json(item, chunks, inner)
+                _append_json(item, chunks, inner, write)
             separator = comma
         chunks.append(newline + "}")
     elif isinstance(value, list):
@@ -199,7 +216,7 @@ def _append_json(value: Any, chunks: list[str], newline: str) -> None:
                 chunks.append(separator + encode_basestring(item))
             else:
                 chunks.append(separator)
-                _append_json(item, chunks, inner)
+                _append_json(item, chunks, inner, write)
             separator = comma
         chunks.append(newline + "]")
     elif isinstance(value, str):
@@ -223,3 +240,6 @@ def _append_json(value: Any, chunks: list[str], newline: str) -> None:
             chunks.append(float.__repr__(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if write is not None and len(chunks) >= JSON_BATCH:
+        write("".join(chunks))
+        chunks.clear()

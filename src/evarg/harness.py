@@ -1,12 +1,18 @@
 """End-to-end runs: select examples, build prompts, complete, parse, score.
 
 ``prepare`` loads a configuration's inputs once; the plan it returns
-builds every instance's prompt, request and digest.
-``run`` drives one configuration over a test corpus and produces a
-report dict that serializes byte-identically across runs when the
-backend is replay. Reports are written atomically (temp file then
-rename). ``load_report`` verifies one by rerunning its config on its own
-completions; ``compare`` differences the F1 of two verified reports.
+builds every instance's task: its prompt as a preamble, shared by the
+instances of one type given the same examples, and its own task block,
+and its request's digest. A task rebuilds its full prompt and request
+only when it is sent, so a run holds one full prompt per request in
+flight, not one per instance. ``run`` builds every task before it builds
+a backend, so an input no prompt can be built from fails the run before
+any request is sent. It drives one configuration over a test corpus and
+produces a report dict that serializes byte-identically across runs
+when the backend is replay. Reports are written atomically, a piece at
+a time into a temp file that then replaces the target. ``load_report``
+verifies one by rerunning its config on its own completions;
+``compare`` differences the F1 of two verified reports.
 ``run`` and ``load_report`` pause CPython's cyclic collector while they
 work and then restore its state: a run's objects form no reference cycles,
 so its collections would free nothing, only walk the corpus it keeps.
@@ -48,7 +54,7 @@ from .corpus import (
     validate_against_ontology,
 )
 from .emitter import EmitterOptions, PromptBundle, assemble_prompt, build_preamble
-from .files import ConfigError, json_text, read_jsonl, short_repr, string_field
+from .files import ConfigError, json_text, read_jsonl, short_repr, string_field, write_json
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import parse_completion
 from .scoring import score
@@ -155,14 +161,33 @@ def load_amr(path: str) -> dict[str, str]:
     return table
 
 
+def _request(bundle: PromptBundle, cfg: RunConfig) -> CompletionRequest:
+    """The request that sends ``bundle``'s prompt with ``cfg``'s decoding settings."""
+    return CompletionRequest(
+        prompt=bundle.text,
+        max_new_tokens=cfg.max_new_tokens,
+        temperature=cfg.temperature,
+        stop_patterns=bundle.stop_patterns,
+        model_id=cfg.model_id,
+    )
+
+
 @dataclass(frozen=True)
 class Task:
-    """One test instance with the prompt and request a run sends for it."""
+    """One test instance with its prompt's two parts and its request's digest.
+
+    The full prompt is not kept: ``request`` builds it again each time it
+    is read, so a run holds it only while it hashes or sends it.
+    """
 
     instance: TrainingInstance
     bundle: PromptBundle
-    request: CompletionRequest
     digest: str
+    cfg: RunConfig = field(repr=False)
+
+    @property
+    def request(self) -> CompletionRequest:
+        return _request(self.bundle, self.cfg)
 
 
 @dataclass(frozen=True)
@@ -203,16 +228,10 @@ class Plan:
             self.ontology, event_type, examples, inst, cfg, preamble,
             amr=self.amr.get(inst.id),
         )
-        request = CompletionRequest(
-            prompt=bundle.text,
-            max_new_tokens=cfg.max_new_tokens,
-            temperature=cfg.temperature,
-            stop_patterns=bundle.stop_patterns,
-            model_id=cfg.model_id,
-        )
+        request = _request(bundle, cfg)
         if prefix is None:
             prefix = self._preambles[key] = hash_prefix(request, preamble)
-        return Task(inst, bundle, request, request_digest(request, prefix))
+        return Task(inst, bundle, request_digest(request, prefix), cfg)
 
 
 def prepare(cfg: RunConfig) -> Plan:
@@ -276,13 +295,15 @@ def _run(plan: Plan, build_backend) -> dict:
     tasks: list[Task] = []
     for inst in plan.test.instances:
         task = plan.task(inst)
-        available = len(task.bundle.example_ids)
+        bundle = task.bundle
+        available = len(bundle.example_ids)
         if available < cfg.k:
             cls = derive_class_name(inst.event_type)
             note = shortfall.setdefault(cls, {"requested": cfg.k, "available": available})
             note["available"] = max(note["available"], available)
-        if cfg.max_prompt_chars is not None and len(task.bundle.text) > cfg.max_prompt_chars:
-            skipped.append({"id": inst.id, "prompt_chars": len(task.bundle.text)})
+        chars = len(bundle.preamble) + len(bundle.task)
+        if cfg.max_prompt_chars is not None and chars > cfg.max_prompt_chars:
+            skipped.append({"id": inst.id, "prompt_chars": chars})
             continue
         tasks.append(task)
 
@@ -312,7 +333,7 @@ def _run(plan: Plan, build_backend) -> dict:
             "id": t.instance.id,
             "event_type": derive_class_name(t.instance.event_type),
             "prompt_digest": t.digest,
-            "prompt_chars": len(t.bundle.text),
+            "prompt_chars": len(t.bundle.preamble) + len(t.bundle.task),
             "example_ids": list(t.bundle.example_ids),
             "completion": r.text,
             "finish_reason": r.finish_reason,
@@ -337,12 +358,15 @@ def write_report(report: dict, path: str | None) -> None:
 
     The bytes are ``json.dumps(report, sort_keys=True, indent=2,
     ensure_ascii=False)`` and a line break; without a ``path`` they go to
-    stdout. The file gets the mode ``open(path, "w")`` gives a new file:
-    ``0o666`` less the umask.
+    stdout. A file is written a piece at a time by ``write_json`` into a
+    temp file in the target's directory, which then replaces the target;
+    a report that cannot be written (``TypeError`` for a value that is not
+    JSON) leaves the target as it was and no temp file. The file gets the
+    mode ``open(path, "w")`` gives a new file: ``0o666`` less the umask.
     """
-    payload = json_text(report) + "\n"
     if not path:
-        sys.stdout.write(payload)
+        sys.stdout.write(json_text(report))
+        sys.stdout.write("\n")
         return
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -351,7 +375,8 @@ def write_report(report: dict, path: str | None) -> None:
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            write_json(report, fh.write)
+            fh.write("\n")
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

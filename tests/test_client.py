@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import random
 import shutil
 import ssl
 import subprocess
@@ -137,6 +138,25 @@ def _spelt_apart(req):
         for other in spellings:
             if other == value and repr(other) != repr(value):
                 yield replace(req, **{name: other})
+
+
+# characters JSON escapes, that UTF-8 spells in several bytes or cannot spell (lone
+# surrogates), and plain ones
+_ESCAPE_ALPHABET = '"\\/\x00\x08\x1f\x7f\n\r\t\u2028\u2029é中\U0001f600\ud800\udfffab '
+
+
+def test_escaped_text_is_what_json_dumps_writes_inside_the_quotes():
+    rng = random.Random(7)
+    for _ in range(2000):
+        text = "".join(rng.choice(_ESCAPE_ALPHABET) for _ in range(rng.randrange(12)))
+        expected = json.dumps(text, ensure_ascii=False)[1:-1]
+        try:
+            expected_bytes = expected.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
+            with pytest.raises(UnicodeEncodeError):
+                evarg.client._escaped(text)
+        else:
+            assert evarg.client._escaped(text) == expected_bytes
 
 
 def test_request_validation():

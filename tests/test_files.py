@@ -615,3 +615,16 @@ def _nested(depth):
 def test_json_text_is_what_json_dumps_writes_for_a_report(value):
     assert files.json_text(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
 
+
+
+@settings(max_examples=200)
+@given(_JSON_TREES, st.integers(min_value=1, max_value=8))
+@example(_nested(60), 1)
+def test_write_json_pieces_join_to_json_text(value, batch):
+    pieces = []
+    default, files.JSON_BATCH = files.JSON_BATCH, batch
+    try:
+        files.write_json(value, pieces.append)
+    finally:
+        files.JSON_BATCH = default
+    assert "".join(pieces) == files.json_text(value)

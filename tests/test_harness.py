@@ -8,13 +8,13 @@ import sys
 import textwrap
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 
 import pytest
 import yaml
 
 from conftest import ROOT, drop_the_first_instance, list_the_first_instance_twice, rescore
-from evarg import client, corpus, harness
+from evarg import client, corpus, files, harness
 from evarg.client import BackendError, CompletionRequest, HttpBackend, ReplayBackend, request_digest
 from evarg.corpus import select_same_type, split_hierarchy
 from evarg.emitter import EmitterOptions, PromptStyle, assemble_prompt
@@ -210,6 +210,62 @@ def test_a_run_encodes_its_request_settings_once(cfg_code, tmp_path, monkeypatch
     monkeypatch.setattr(harness, "request_digest", counted_digest)
     assert len(run(cfg)["instances"]) == len(digests) == 200
     assert len(encoded) == 1
+
+
+def _strings(value):
+    """Every str reachable from ``value`` through dataclass fields, tuples, lists and dicts."""
+    if isinstance(value, str):
+        yield value
+    elif is_dataclass(value):
+        for f in fields(value):
+            yield from _strings(getattr(value, f.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _strings(item)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _strings(key)
+            yield from _strings(item)
+
+
+def test_tasks_of_one_group_share_one_preamble_and_keep_no_full_prompt(cfg_code):
+    plan = prepare(cfg_code)
+    first, second = (plan.task(plan.test.by_id(i)) for i in ("test-001", "test-002"))
+    assert first.instance.event_type == second.instance.event_type
+    assert first.bundle.example_ids == second.bundle.example_ids
+    assert first.bundle.preamble is second.bundle.preamble
+    for task in (first, second):
+        prompt = task.bundle.text
+        assert task.request.prompt == prompt
+        assert task.bundle.preamble and task.bundle.task
+        assert max(len(text) for text in _strings(task)) < len(prompt)
+
+
+def test_a_record_run_builds_every_task_before_it_sends_a_request(cfg_code, tmp_path, stub):
+    """test-004, not the first test instance, draws train-006 as its one example. Training
+    records are not checked against the ontology, so a role Transfer_Money lacks there
+    fails only when the example is emitted: a run that built its tasks as it sent them
+    would have sent test-001's request and created the fixture file by then."""
+    train = tmp_path / "train.jsonl"
+    lines = (ROOT / "fixtures/train.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    (index,) = [n for n, line in enumerate(lines) if '"id": "train-006"' in line]
+    assert '"role": "giver"' in lines[index]
+    lines[index] = lines[index].replace('"role": "giver"', '"role": "briber"')
+    train.write_text("".join(lines), encoding="utf-8")
+    fixture = tmp_path / "recorded.jsonl"
+    cfg = replace(
+        cfg_code,
+        train_path=str(train),
+        backend="http",
+        endpoint=stub.url,
+        record=True,
+        fixture_path=str(fixture),
+    )
+    assert [i.id for i in prepare(cfg).test.instances].index("test-004") > 0
+    with pytest.raises(ConfigError, match="role 'briber' not defined for Transfer_Money"):
+        run(cfg)
+    assert stub.requests == []
+    assert not fixture.exists()
 
 
 def test_sibling_tasks_share_the_plans_hierarchy_split(cfg_code, monkeypatch):
@@ -526,6 +582,52 @@ def test_write_report_failure_leaves_target_and_no_temp(tmp_path):
     with pytest.raises(TypeError):
         write_report({"bad": object()}, str(path))
     assert json.loads(path.read_text()) == {"ok": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+def _report_of(n):
+    """A report of ``n`` instances holding non-ASCII text, escapes and line separators."""
+    return {
+        "instances": [
+            {
+                "id": f"test-{i:06d}",
+                "completion": f'agent=[PER("Zoë \\"{i}\\"\u2028中")],\n)\t\x01',
+                "example_ids": ["train-é", "train-\U0001f600"],
+                "prompt_chars": 2000 + i,
+                "parsed": {
+                    "roles": {"agent": [{"entity_type": "PER", "surface": "Zoë\u2029"}]},
+                    "diagnostics": [],
+                },
+            }
+            for i in range(n)
+        ],
+        "score": {"micro": {"arg_c": {"f1": 0.5}}},
+    }
+
+
+def test_write_report_streams_the_bytes_of_the_joined_text(tmp_path):
+    report = _report_of(2000)
+    pieces = []
+    files.write_json(report, pieces.append)
+    assert len(pieces) >= 3
+    path = tmp_path / "r.json"
+    write_report(report, str(path))
+    assert path.read_bytes() == (files.json_text(report) + "\n").encode("utf-8")
+
+
+def test_a_report_that_fails_after_its_first_piece_leaves_the_target(tmp_path):
+    report = _report_of(2000)
+    report["instances"][-1]["bad"] = object()
+    pieces = []
+    with pytest.raises(TypeError):
+        files.write_json(report, pieces.append)
+    assert pieces  # the bad value comes after a written piece
+    path = tmp_path / "r.json"
+    write_report({"ok": 1}, str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        write_report(report, str(path))
+    assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
