@@ -3,10 +3,13 @@
 Every backend serves ``complete(req, digest)``, ``digest`` being
 ``request_digest(req)``: a sha256 over the prompt and every decoding
 setting, which keys the fixture files' JSON lines of digest, request
-summary, and response. The module-level ``complete`` wrapper re-applies
-stop-pattern truncation client-side, so replayed fixtures and live calls
-agree byte for byte. Credentials never enter fixtures: the HTTP backend
-reads its key from the environment and records only a prompt hash.
+summary, and response. Prompts that share a prefix share its hashed
+``HashedPrefix`` state, so a digest need hash only a prompt's own rest;
+a replay backend serves by digest alone and is handed no request. The
+module-level ``complete`` wrapper re-applies stop-pattern truncation
+client-side, so replayed fixtures and live calls agree byte for byte.
+Credentials never enter fixtures: the HTTP backend reads its key from
+the environment and records only a prompt hash.
 """
 
 from __future__ import annotations
@@ -63,24 +66,6 @@ class CompletionResponse:
     latency_ms: int = 0
 
 
-def _around_prompt(req: CompletionRequest) -> tuple[str, str]:
-    """The digest payload's JSON before and after the prompt string's contents.
-
-    Encoded once per distinct settings: equal numbers that JSON spells
-    apart (``0``, ``0.0`` and ``-0.0``; ``1`` and ``True``) differ in
-    ``repr``, which is part of the key.
-    """
-    max_new_tokens, temperature = req.max_new_tokens, req.temperature
-    return _settings_around(
-        req.model_id,
-        max_new_tokens,
-        temperature,
-        tuple(req.stop_patterns),
-        repr(max_new_tokens),
-        repr(temperature),
-    )
-
-
 @functools.lru_cache(maxsize=32)
 def _settings_around(
     model_id: str,
@@ -90,8 +75,10 @@ def _settings_around(
     max_new_tokens_repr: str,
     temperature_repr: str,
 ) -> tuple[str, str]:
-    """``_around_prompt`` for these settings; the two reprs only key the cache.
+    """The digest payload's JSON before and after the prompt string's contents.
 
+    The two reprs only key the cache: equal numbers that JSON spells apart
+    (``0``, ``0.0`` and ``-0.0``; ``1`` and ``True``) differ in ``repr``.
     The payload holds the prompt and every decoding setting. Its keys are
     sorted, so the prompt follows ``max_new_tokens`` and ``model_id``; an
     escaped value holds no unescaped quote, so the first ``"prompt": "``
@@ -128,26 +115,59 @@ class HashedPrefix(typing.NamedTuple):
     text: str
     state: typing.Any  # a hashlib sha256 object; copied per request
 
+    def extended(self, text: str) -> HashedPrefix:
+        """This prefix followed by ``text``."""
+        state = self.state.copy()
+        state.update(_escaped(text))
+        return HashedPrefix(self.head, self.tail, self.text + text, state)
+
+
+def settings_prefix(
+    model_id: str, max_new_tokens: int, temperature: float, stop_patterns: tuple[str, ...]
+) -> HashedPrefix:
+    """The prefix every request with these settings starts with: the payload up to its prompt.
+
+    Encoded once per distinct settings.
+    """
+    head, tail = _settings_around(
+        model_id,
+        max_new_tokens,
+        temperature,
+        tuple(stop_patterns),
+        repr(max_new_tokens),
+        repr(temperature),
+    )
+    return HashedPrefix(head, tail, "", hashlib.sha256(head.encode("utf-8")))
+
+
+def _settings_of(req: CompletionRequest) -> HashedPrefix:
+    return settings_prefix(req.model_id, req.max_new_tokens, req.temperature, req.stop_patterns)
+
 
 def hash_prefix(req: CompletionRequest, text: str) -> HashedPrefix:
     """Hash once what the digests of requests like ``req`` starting with ``text`` share."""
-    head, tail = _around_prompt(req)
-    return HashedPrefix(head, tail, text, hashlib.sha256(head.encode("utf-8") + _escaped(text)))
+    return _settings_of(req).extended(text)
 
 
-def request_digest(req: CompletionRequest, prefix: HashedPrefix | None = None) -> str:
+def request_digest(req: CompletionRequest | str, prefix: HashedPrefix | None = None) -> str:
     """Hex digest covering the prompt and all decoding settings.
 
-    ``prefix`` saves hashing its text again; one that does not fit the
-    request's prompt or settings is ignored.
+    ``req`` is a request, or the rest of a prompt that starts with
+    ``prefix.text`` and has ``prefix``'s settings; only such a rest is
+    hashed. With a request, ``prefix`` saves hashing its text again; one
+    that does not fit the request's prompt or settings is ignored.
     """
-    head, tail = _around_prompt(req)
-    fits = prefix is not None and (prefix.head, prefix.tail) == (head, tail)
-    if fits and req.prompt.startswith(prefix.text):
-        h, rest = prefix.state.copy(), req.prompt[len(prefix.text):]
+    if isinstance(req, str):
+        rest = req
     else:
-        h, rest = hashlib.sha256(head.encode("utf-8")), req.prompt
-    h.update(_escaped(rest) + tail.encode("utf-8"))
+        own = _settings_of(req)
+        fits = prefix is not None and (prefix.head, prefix.tail) == (own.head, own.tail)
+        if fits and req.prompt.startswith(prefix.text):
+            rest = req.prompt[len(prefix.text):]
+        else:
+            prefix, rest = own, req.prompt
+    h = prefix.state.copy()
+    h.update(_escaped(rest) + prefix.tail.encode("utf-8"))
     return h.hexdigest()
 
 
@@ -170,16 +190,27 @@ def truncate_at_stop(text: str, stop_patterns: tuple[str, ...]) -> tuple[str, bo
     return text[:cut], True
 
 
-def complete(backend, req: CompletionRequest, digest: str) -> CompletionResponse:
+def complete(
+    backend,
+    req: CompletionRequest | None,
+    digest: str,
+    stop_patterns: tuple[str, ...] | None = None,
+) -> CompletionResponse:
     """Obtain a completion and enforce stop truncation client-side.
 
     ``digest`` is ``request_digest(req)``, hashed once by the caller and
-    handed on so a fixture lookup need not hash the request again.
+    handed on so a fixture lookup need not hash the request again. A
+    ``ReplayBackend`` serves by the digest alone, so its caller may pass
+    no request, only the request's ``stop_patterns``. A completion that
+    no pattern cuts is returned as the backend gave it.
     """
+    if stop_patterns is None:
+        stop_patterns = req.stop_patterns
     resp = backend.complete(req, digest)
-    text, hit = truncate_at_stop(resp.text, req.stop_patterns)
-    finish = "stop" if hit else resp.finish_reason
-    return CompletionResponse(text=text, finish_reason=finish, latency_ms=resp.latency_ms)
+    text, hit = truncate_at_stop(resp.text, stop_patterns)
+    if not hit:
+        return resp
+    return CompletionResponse(text=text, finish_reason="stop", latency_ms=resp.latency_ms)
 
 
 PATH = "/v1/completions"
@@ -210,7 +241,7 @@ def check_endpoint(endpoint: str) -> SplitResult:
         )
     if url is None or url.scheme not in ("http", "https") or not url.hostname:
         raise ConfigError(
-            f"endpoint must be an http:// or https:// URL with a host, not {endpoint!r}"
+            f"endpoint must be an http:// or https:// URL with a host, not {short_repr(endpoint)}"
         )
     return url
 
@@ -378,7 +409,10 @@ class HttpBackend:
 
 
 class ReplayBackend:
-    """Serves recorded responses by request digest; fully deterministic."""
+    """Serves recorded responses by request digest; fully deterministic.
+
+    ``complete`` has no use for the request, which may be ``None``.
+    """
 
     def __init__(self, fixture_path: str):
         self.fixture_path = fixture_path
@@ -397,7 +431,7 @@ class ReplayBackend:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def complete(self, req: CompletionRequest, digest: str) -> CompletionResponse:
+    def complete(self, req: CompletionRequest | None, digest: str) -> CompletionResponse:
         try:
             text, finish = self._entries[digest]
         except KeyError:

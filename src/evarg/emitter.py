@@ -40,11 +40,18 @@ TEXT_STOP_PATTERNS: tuple[str, ...] = ("\n\n",)
 # t1 heads a list of arguments with this line: a definition's roles, an answer's fillers.
 _T1_ARGUMENTS = "Arguments:"
 
-# style -> (the completion prefix its task block ends with, its stop patterns)
-_COMPLETION: dict[PromptStyle, tuple[str, tuple[str, ...]]] = {
-    PromptStyle.CODE: ("{var} = {cls}(", CODE_STOP_PATTERNS),
-    PromptStyle.TEXT_T1: (_T1_ARGUMENTS, TEXT_STOP_PATTERNS),
-    PromptStyle.TEXT_T2: ("Answer:", TEXT_STOP_PATTERNS),
+# style -> the stop patterns of its prompts; a style's value looks up its entry too
+STOP_PATTERNS: dict[PromptStyle, tuple[str, ...]] = {
+    PromptStyle.CODE: CODE_STOP_PATTERNS,
+    PromptStyle.TEXT_T1: TEXT_STOP_PATTERNS,
+    PromptStyle.TEXT_T2: TEXT_STOP_PATTERNS,
+}
+
+# style -> the completion prefix its task block ends with
+_COMPLETION_PREFIX: dict[PromptStyle, str] = {
+    PromptStyle.CODE: "{var} = {cls}(",
+    PromptStyle.TEXT_T1: _T1_ARGUMENTS,
+    PromptStyle.TEXT_T2: "Answer:",
 }
 
 TASK_INSTRUCTION = (
@@ -82,22 +89,59 @@ class EmitterOptions:
 
 
 @dataclass(frozen=True)
-class PromptBundle:
-    """A prompt kept as its two parts, the preamble and the task block.
+class PromptFrame:
+    """What the prompts for one event type given the same examples share.
 
-    Instances of one type given the same examples can share one preamble
-    object, so a prompt's full text exists only while ``text`` is in use.
+    A prompt is ``preamble``, then its task block: ``head``, the task's
+    sentence, its AMR lines after ``amr_lead`` when it has any, then
+    ``tail``, which ends with the style's completion prefix.
     """
 
+    class_name: str
     preamble: str
-    task: str
+    head: str
+    amr_lead: str
+    tail: str
+    mark_trigger: bool
     stop_patterns: tuple[str, ...]
     example_ids: tuple[str, ...]
+
+    def task_block(self, inst: TrainingInstance, amr: str | None) -> str:
+        """``inst``'s task block; ``amr`` is its sentence's semantic graph."""
+        sentence = _marked_sentence(inst, self.mark_trigger)
+        amr_lines = [] if amr is None else amr.splitlines()
+        if not amr_lines:
+            return self.head + sentence + self.tail
+        return self.head + sentence + self.amr_lead + "\n".join(amr_lines) + self.tail
+
+
+@dataclass(frozen=True)
+class PromptBundle:
+    """A prompt kept as its frame, shared by its group, and its own task block.
+
+    Instances of one type given the same examples can share one frame, so
+    a prompt's full text exists only while ``text`` is in use.
+    """
+
+    frame: PromptFrame
+    task: str
+
+    @property
+    def preamble(self) -> str:
+        return self.frame.preamble
+
+    @property
+    def stop_patterns(self) -> tuple[str, ...]:
+        return self.frame.stop_patterns
+
+    @property
+    def example_ids(self) -> tuple[str, ...]:
+        return self.frame.example_ids
 
     @property
     def text(self) -> str:
         """The full prompt: the preamble, then the task block."""
-        return self.preamble + self.task
+        return self.frame.preamble + self.task
 
 
 def escape_literal(surface: str) -> str:
@@ -160,38 +204,33 @@ def emit_event_class(ontology: Ontology, event_type: str, opts: EmitterOptions) 
     return "\n".join(lines)
 
 
-def _marked_sentence(inst: TrainingInstance, opts: EmitterOptions) -> str:
+def _marked_sentence(inst: TrainingInstance, mark_trigger: bool) -> str:
     sentence = inst.sentence
     start, end = inst.trigger.start, inst.trigger.end
     if not (0 <= start <= end <= len(sentence)):
         raise ConfigError(f"trigger span out of bounds for instance {short_repr(inst.id)}")
-    if not opts.mark_trigger:
+    if not mark_trigger:
         return sentence
     return sentence[:start] + "**" + sentence[start:end] + "**" + sentence[end:]
 
 
-def _task_block(
-    inst: TrainingInstance, event: EventTypeDef, opts: EmitterOptions, amr: str | None
-) -> str:
-    """The task as the style poses it, ending with the style's completion prefix.
+def _task_frame(event: EventTypeDef, opts: EmitterOptions) -> tuple[str, str, str]:
+    """The task block as the style poses it, around its sentence and the sentence's AMR.
 
-    ``amr`` is the task sentence's semantic graph; it goes after the
-    sentence, with ``AMR: `` before its first line in the text styles.
+    The block is the first part, the sentence, the second part and the AMR
+    lines when there are any, then the third part, which ends with the
+    style's completion prefix. The AMR goes after the sentence, with
+    ``AMR: `` before its first line in the text styles.
     """
     style, cls = opts.prompt_style, event.class_name
-    sentence = _marked_sentence(inst, opts)
-    amr_lines = [] if amr is None else amr.splitlines()
+    completion = _COMPLETION_PREFIX[style].format(var=instance_variable(cls), cls=cls)
     if style == PromptStyle.CODE:
-        lines = ['"""', TASK_INSTRUCTION.format(class_name=cls), sentence, *amr_lines, '"""']
-    else:
-        instruction = T2_INSTRUCTION if style == PromptStyle.TEXT_T2 else TASK_INSTRUCTION
-        lines = [instruction.format(class_name=cls), "Sentence: " + sentence]
-        if amr_lines:
-            lines += ["AMR: " + amr_lines[0], *amr_lines[1:]]
-        if style == PromptStyle.TEXT_T2:
-            lines.append("Template: " + _slots(event.description_template))
-    lines.append(_COMPLETION[style][0].format(var=instance_variable(cls), cls=cls))
-    return "\n".join(lines)
+        return f'"""\n{TASK_INSTRUCTION.format(class_name=cls)}\n', "\n", f'\n"""\n{completion}'
+    instruction = T2_INSTRUCTION if style == PromptStyle.TEXT_T2 else TASK_INSTRUCTION
+    head = f"{instruction.format(class_name=cls)}\nSentence: "
+    if style == PromptStyle.TEXT_T2:
+        completion = f"Template: {_slots(event.description_template)}\n{completion}"
+    return head, "\nAMR: ", f"\n{completion}"
 
 
 def _answer(
@@ -236,7 +275,9 @@ def emit_example(inst: TrainingInstance, ontology: Ontology, opts: EmitterOption
     appended only to the final task prompt.
     """
     event = ontology.resolve_event(inst.event_type)
-    return _task_block(inst, event, opts, None) + _answer(inst, event, ontology, opts.prompt_style)
+    head, _, tail = _task_frame(event, opts)
+    sentence = _marked_sentence(inst, opts.mark_trigger)
+    return head + sentence + tail + _answer(inst, event, ontology, opts.prompt_style)
 
 
 def _event_definition_order(
@@ -345,36 +386,58 @@ def build_preamble(
     return "".join(block + "\n\n" for block in blocks)
 
 
+def prompt_frame(
+    ontology: Ontology,
+    event_type: str,
+    examples: list[TrainingInstance],
+    opts: EmitterOptions,
+    preamble: str | None = None,
+) -> PromptFrame:
+    """What every prompt for a task of ``event_type`` given ``examples`` shares.
+
+    ``preamble`` is ``build_preamble``'s result for the same arguments,
+    when the caller already has it; the frame keeps that object.
+    """
+    if preamble is None:
+        preamble = build_preamble(ontology, event_type, examples, opts)
+    event = ontology.resolve_event(event_type)
+    head, amr_lead, tail = _task_frame(event, opts)
+    return PromptFrame(
+        class_name=event.class_name,
+        preamble=preamble,
+        head=head,
+        amr_lead=amr_lead,
+        tail=tail,
+        mark_trigger=opts.mark_trigger,
+        stop_patterns=STOP_PATTERNS[opts.prompt_style],
+        example_ids=tuple(inst.id for inst in examples),
+    )
+
+
 def assemble_prompt(
     ontology: Ontology,
     event_type: str,
     examples: list[TrainingInstance],
     task: TrainingInstance,
     opts: EmitterOptions,
-    preamble: str | None = None,
+    frame: PromptFrame | None = None,
     amr: str | None = None,
 ) -> PromptBundle:
     """Full prompt: ontology definitions, k examples, then the task prompt.
 
     Code style defines classes; ``t1`` uses labelled text blocks and
-    ``t2`` fills a template. ``preamble`` is ``build_preamble``'s result
-    for the same arguments, when the caller already has it; the bundle
-    keeps that object. ``amr``, the task sentence's semantic graph, must
-    not be blank.
+    ``t2`` fills a template. ``frame`` is ``prompt_frame``'s result for
+    the same arguments, when the caller already has it; the bundle keeps
+    that object. ``amr``, the task sentence's semantic graph, must not be
+    blank.
     """
     if amr is not None and not amr.strip():
         raise ConfigError(f"instance {short_repr(task.id)}: empty AMR")
-    if preamble is None:
-        preamble = build_preamble(ontology, event_type, examples, opts)
-    event = ontology.resolve_event(event_type)
-    if derive_class_name(task.event_type) != event.class_name:
+    if frame is None:
+        frame = prompt_frame(ontology, event_type, examples, opts)
+    if derive_class_name(task.event_type) != frame.class_name:
         raise ConfigError(
             f"instance {short_repr(task.id)} has type {short_repr(task.event_type)}, "
             f"expected {short_repr(event_type)}"
         )
-    return PromptBundle(
-        preamble=preamble,
-        task=_task_block(task, event, opts, amr),
-        stop_patterns=_COMPLETION[opts.prompt_style][1],
-        example_ids=tuple(inst.id for inst in examples),
-    )
+    return PromptBundle(frame, frame.task_block(task, amr))

@@ -1,12 +1,17 @@
 """End-to-end runs: select examples, build prompts, complete, parse, score.
 
-``prepare`` loads a configuration's inputs once; the plan it returns
-builds every instance's task: its prompt as a preamble, shared by the
-instances of one type given the same examples, and its own task block,
-and its request's digest. A task rebuilds its full prompt and request
-only when it is sent, so a run holds one full prompt per request in
-flight, not one per instance. ``run`` builds every task before it builds
-a backend, so an input no prompt can be built from fails the run before
+``prepare`` loads a configuration's inputs once and encodes the run's
+decoding settings once. The plan it returns builds every instance's
+task from its group, the instances of one type given the same examples:
+the group's frame holds their shared preamble, the task block around
+the sentence and the stop patterns, and the preamble is hashed once as
+a digest prefix. A task holds only its own task block and its request's
+digest, hashed from the group's prefix state over that block alone. A
+replay run serves each task by its digest and builds no request and no
+full prompt; an http run builds a task's request and full prompt only
+when it sends it, so a run holds one full prompt per request in flight,
+not one per instance. ``run`` builds every task before it builds a
+backend, so an input no prompt can be built from fails the run before
 any request is sent. It drives one configuration over a test corpus and
 produces a report dict that serializes byte-identically across runs
 when the backend is replay. Reports are written atomically, a piece at
@@ -39,8 +44,8 @@ from .client import (
     RecordingBackend,
     ReplayBackend,
     check_endpoint,
-    hash_prefix,
     request_digest,
+    settings_prefix,
 )
 from .corpus import (
     Dataset,
@@ -53,7 +58,15 @@ from .corpus import (
     split_hierarchy,
     validate_against_ontology,
 )
-from .emitter import EmitterOptions, PromptBundle, assemble_prompt, build_preamble
+from .emitter import (
+    STOP_PATTERNS,
+    EmitterOptions,
+    PromptBundle,
+    PromptFrame,
+    assemble_prompt,
+    build_preamble,
+    prompt_frame,
+)
 from .files import ConfigError, json_text, read_jsonl, short_repr, string_field, write_json
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import parse_completion
@@ -104,10 +117,14 @@ class RunConfig(EmitterOptions):
                     value = math.inf if value > 0 else -math.inf
                 object.__setattr__(self, f.name, value)
             if type(value) is not kind and (value is not None or f.default is not None):
-                raise ConfigError(f"{f.name} must be of type {kind.__name__}, not {value!r}")
+                raise ConfigError(
+                    f"{f.name} must be of type {kind.__name__}, not {short_repr(value)}"
+                )
             choices = f.metadata.get("choices")
             if choices and value not in choices:
-                raise ConfigError(f"{f.name} must be one of {list(choices)}, not {value!r}")
+                raise ConfigError(
+                    f"{f.name} must be one of {list(choices)}, not {short_repr(value)}"
+                )
         if self.k < 0:
             raise ConfigError("k must be >= 0")
         if self.max_new_tokens <= 0:
@@ -176,8 +193,8 @@ def _request(bundle: PromptBundle, cfg: RunConfig) -> CompletionRequest:
 class Task:
     """One test instance with its prompt's two parts and its request's digest.
 
-    The full prompt is not kept: ``request`` builds it again each time it
-    is read, so a run holds it only while it hashes or sends it.
+    The full prompt is not kept: ``request`` builds it each time it is
+    read, so a run holds it only while it sends it.
     """
 
     instance: TrainingInstance
@@ -194,8 +211,11 @@ class Task:
 class Plan:
     """A config with everything its prompts are built from.
 
-    Instances of one event type given the same examples share a preamble;
-    the plan builds and hashes each such preamble once.
+    Instances of one event type given the same examples form a group,
+    which shares a prompt frame: the preamble, the task block around its
+    sentence and the stop patterns. The plan builds each group's frame
+    once, and hashes its preamble once, from the run's settings encoded
+    once; an instance's digest then hashes only its task block.
     """
 
     cfg: RunConfig
@@ -205,8 +225,10 @@ class Plan:
     amr: dict[str, str]
     # the parent -> training child split, for the modes that select by hierarchy
     split: dict[str, HierarchySplit]
-    # (class name, example ids) -> the preamble, hashed as a request prefix
-    _preambles: dict[tuple, HashedPrefix] = field(
+    # the run's decoding settings and stop patterns: the empty prefix of its every request
+    settings: HashedPrefix
+    # (class name, example ids) -> the group's frame, and its preamble hashed as a prefix
+    _groups: dict[tuple, tuple[PromptFrame, HashedPrefix]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -219,19 +241,17 @@ class Plan:
         else:
             examples = select_non_sibling(train, self.ontology, event_type, cfg.k, cfg.seed)
         key = (derive_class_name(event_type), tuple(e.id for e in examples))
-        prefix = self._preambles.get(key)
-        if prefix is None:
+        group = self._groups.get(key)
+        if group is None:
             preamble = build_preamble(self.ontology, event_type, examples, cfg)
-        else:
-            preamble = prefix.text
+            frame = prompt_frame(self.ontology, event_type, examples, cfg, preamble)
+            group = self._groups[key] = (frame, self.settings.extended(preamble))
+        frame, prefix = group
         bundle = assemble_prompt(
-            self.ontology, event_type, examples, inst, cfg, preamble,
+            self.ontology, event_type, examples, inst, cfg, frame,
             amr=self.amr.get(inst.id),
         )
-        request = _request(bundle, cfg)
-        if prefix is None:
-            prefix = self._preambles[key] = hash_prefix(request, preamble)
-        return Task(inst, bundle, request_digest(request, prefix), cfg)
+        return Task(inst, bundle, request_digest(bundle.task, prefix), cfg)
 
 
 def prepare(cfg: RunConfig) -> Plan:
@@ -255,7 +275,9 @@ def prepare(cfg: RunConfig) -> Plan:
             )
 
     amr = load_amr(cfg.amr_path) if cfg.amr_path else {}
-    return Plan(cfg, ontology, train, test, amr, split)
+    stop_patterns = STOP_PATTERNS[cfg.prompt_style]
+    settings = settings_prefix(cfg.model_id, cfg.max_new_tokens, cfg.temperature, stop_patterns)
+    return Plan(cfg, ontology, train, test, amr, split, settings)
 
 
 def collector_paused(func):
@@ -308,17 +330,20 @@ def _run(plan: Plan, build_backend) -> dict:
         tasks.append(task)
 
     backend = build_backend(cfg)
+    replay = cfg.backend == "replay"
 
     def complete_one(task: Task):
+        # a replay backend serves by digest: it is sent no request
+        request = None if replay else task.request
         try:
-            return client_mod.complete(backend, task.request, task.digest)
+            return client_mod.complete(backend, request, task.digest, task.bundle.stop_patterns)
         except MissingFixtures as exc:
             return exc
 
     try:
         with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
             # a replay lookup holds the GIL throughout: threads would only add overhead
-            mapper = map if cfg.backend == "replay" else pool.map
+            mapper = map if replay else pool.map
             results = list(mapper(complete_one, tasks))
     finally:
         backend.close()
@@ -459,7 +484,9 @@ def compare(first_path: str, second_path: str) -> dict:
     only = min(ids[0] ^ ids[1], default=None)
     if only is not None:
         holder, other = (first_path, second_path) if only in ids[0] else (second_path, first_path)
-        raise ConfigError(f"reports cover different ids: {only!r} is in {holder}, not {other}")
+        raise ConfigError(
+            f"reports cover different ids: {short_repr(only)} is in {holder}, not {other}"
+        )
     a, b = first["score"]["micro"], second["score"]["micro"]
     return {
         "delta": {

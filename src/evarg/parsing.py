@@ -5,7 +5,9 @@ parser takes the constructor-call body that follows ``<var>_event = <Class>(``,
 one token at a time and up to the ``)`` that closes it, and line and slot
 patterns take the two labelled text layouts. A well-formed
 code completion, a list of ``role=[Ctor("literal"), ...]`` arguments, is read
-by regexes instead, to the same result and much faster. It returns
+by regexes instead, to the same result and much faster; of any other, the
+regexes read the well-formed arguments it starts with, each followed by its
+comma, and the recovering parser reads only the rest. It returns
 the report's ``parsed`` block, plain dicts and strings. It never raises on
 completion text: garbage degrades into diagnostics, and truncated input
 keeps every fully parsed argument.
@@ -214,6 +216,10 @@ class _Parser:
 _CTOR = rf'{IDENTIFIER}\s*\(\s*"{_LITERAL_BODY}"\s*\)'
 _ARGUMENT = rf"{IDENTIFIER}\s*=\s*\[\s*(?:{_CTOR}\s*(?:,\s*|(?=\])))*\]"
 _WELL_FORMED_RE = re.compile(rf"\s*(?:{_ARGUMENT}\s*(?:,\s*|(?=\))))*\)")
+# the well-formed arguments that lead any list, each with the comma after it: the
+# recovering parser reads them as the regexes do, and reads on from their end as
+# it would from the start of a list
+_LEADING_RE = re.compile(rf"\s*(?:{_ARGUMENT}\s*,\s*)*")
 # within a well-formed list, its argument's name and the text between its brackets
 _ARGUMENT_RE = re.compile(rf'({IDENTIFIER})\s*=\s*\[((?:[^\]"]|"{_LITERAL_BODY}")*)\]')
 _MENTION_RE = re.compile(rf'({IDENTIFIER})\s*\(\s*"({_LITERAL_BODY})"')
@@ -221,15 +227,16 @@ _MENTION_RE = re.compile(rf'({IDENTIFIER})\s*\(\s*"({_LITERAL_BODY})"')
 
 def _parse_code(text: str, event: dict, known_roles: frozenset[str], o: Ontology) -> None:
     well_formed = _WELL_FORMED_RE.match(text)
-    if well_formed is None:
-        _recover_code(text, event, known_roles, o)
-        return
+    # any other list is read by the regexes to the end of its leading arguments
+    read = well_formed or _LEADING_RE.match(text)
     # between the arguments and mentions of a well-formed list lie only spaces and
     # commas, which no match starts with, so each search finds the next one in order
-    for name, inside in _ARGUMENT_RE.findall(text, 0, well_formed.end()):
+    for name, inside in _ARGUMENT_RE.findall(text, 0, read.end()):
         pairs = _MENTION_RE.findall(inside)
         mentions = [{"entity_type": ctor, "surface": _unescape(body)} for ctor, body in pairs]
         _record_role(event, name, mentions, known_roles, o)
+    if well_formed is None:
+        _recover_code(text[read.end():], event, known_roles, o)
 
 
 def _recover_code(text: str, event: dict, known_roles: frozenset[str], o: Ontology) -> None:
@@ -375,6 +382,7 @@ def _parse_t2(text: str, event: dict, known_roles: frozenset[str], o: Ontology) 
         )
 
 
+# a style's value looks up its reader too: a PromptStyle hashes and compares as its value
 _READERS = {
     PromptStyle.CODE: _parse_code,
     PromptStyle.TEXT_T1: _parse_t1,
@@ -398,5 +406,6 @@ def parse_completion(
     """
     known_roles = ontology.resolve_event(event_type).role_names
     event: dict = {"roles": {}, "diagnostics": []}
-    _READERS[PromptStyle(style)](text, event, known_roles, ontology)
+    reader = _READERS.get(style) or _READERS[PromptStyle(style)]
+    reader(text, event, known_roles, ontology)
     return event

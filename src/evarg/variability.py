@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .files import ConfigError, read_jsonl, read_yaml, string_field
+from .files import ConfigError, read_jsonl, read_yaml, short_repr, string_field
 
 
 @dataclass(frozen=True)
@@ -22,11 +22,11 @@ class VectorCluster:
 
     def __post_init__(self) -> None:
         if not self.vectors:
-            raise ConfigError(f"empty vector cluster for {self.event_type!r}")
+            raise ConfigError(f"empty vector cluster for {short_repr(self.event_type)}")
         dims = {len(v) for v in self.vectors}
         if len(dims) != 1:
             raise ConfigError(
-                f"dimension mismatch in cluster {self.event_type!r}: {sorted(dims)}"
+                f"dimension mismatch in cluster {short_repr(self.event_type)}: {sorted(dims)}"
             )
 
 
@@ -61,10 +61,10 @@ def pearson(xs: list[float], ys: list[float]) -> float | None:
 def _finite(value) -> float:
     """``value``, an int or float but not a bool, as a finite float (or ``OverflowError``)."""
     if type(value) not in (int, float):
-        raise TypeError(f"{value!r} is not a number")
+        raise TypeError(f"{short_repr(value)} is not a number")
     number = float(value)
     if not math.isfinite(number):
-        raise ValueError(f"{value!r} is not finite")
+        raise ValueError(f"{short_repr(value)} is not finite")
     return number
 
 
@@ -75,7 +75,7 @@ def load_vectors(path: str) -> dict[str, tuple[float, ...]]:
     def add(rec: dict) -> None:
         example_id, raw = string_field(rec, "example_id"), rec["values"]
         if not isinstance(raw, list):
-            raise TypeError(f"values must be a list of numbers, not {raw!r}")
+            raise TypeError(f"values must be a list of numbers, not {short_repr(raw)}")
         values = tuple(map(_finite, raw))
         if not values:
             raise ValueError("empty vector")
@@ -83,7 +83,7 @@ def load_vectors(path: str) -> dict[str, tuple[float, ...]]:
         if len(values) != dim:
             raise ValueError(f"dimension {len(values)} != {dim}")
         if example_id in vectors:
-            raise ValueError(f"duplicate id {example_id!r}")
+            raise ValueError(f"duplicate id {short_repr(example_id)}")
         vectors[example_id] = values
 
     read_jsonl(path, "vector", add)
@@ -92,10 +92,12 @@ def load_vectors(path: str) -> dict[str, tuple[float, ...]]:
 
 def _cluster(event_type: str, ids: list, vectors: dict[str, tuple[float, ...]]) -> VectorCluster:
     if not isinstance(ids, list):  # a string would be read one character at a time
-        raise TypeError(f"ids for {event_type!r} are not a list: {ids!r}")
+        raise TypeError(f"ids for {short_repr(event_type)} are not a list: {short_repr(ids)}")
     missing = [i for i in ids if i not in vectors]
     if missing:
-        raise ConfigError(f"vector file lacks ids {missing} for {event_type!r}")
+        raise ConfigError(
+            f"vector file lacks ids {short_repr(missing)} for {short_repr(event_type)}"
+        )
     return VectorCluster(event_type, tuple(vectors[i] for i in ids))
 
 
@@ -108,7 +110,7 @@ def _per_k(table: dict, value) -> dict:
     per_k = {}
     for key, entry in table.items():
         if not (type(key) is int or (isinstance(key, str) and key.isascii() and key.isdigit())):
-            raise ValueError(f"k must be an integer, not {key!r}")
+            raise ValueError(f"k must be an integer, not {short_repr(key)}")
         if int(key) in per_k:
             raise ValueError(f"two keys name k {int(key)}")
         per_k[int(key)] = value(entry)

@@ -221,6 +221,25 @@ def test_invalid_config_values_exit_2(config_file, capsys, command, override):
     assert err.startswith("error:") and next(iter(override)) in err
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"k": "x" * 300_000}, "k must be of type int"),
+        ({"prompt_style": "x" * 300_000}, "prompt_style must be one of"),
+        (
+            {"backend": "http", "endpoint": "x" * 300_000},
+            "endpoint must be an http:// or https:// URL with a host",
+        ),
+    ],
+    ids=["type", "choice", "endpoint"],
+)
+def test_a_huge_config_value_is_quoted_short(config_file, capsys, override, message):
+    assert main(["run", "--config", config_file(**override)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.endswith(", not 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n")
+
+
 @pytest.mark.parametrize("command", [["run"], ["emit", "--id", "test-001"]])
 @pytest.mark.parametrize(
     "old, new",
@@ -430,6 +449,19 @@ def test_compare_mismatched_configs_exit_2(report_file, tmp_path, capsys):
         assert main(["compare", first, second]) == 2
         err = capsys.readouterr().err
         assert err == f"error: reports cover different ids: 'test-001' is in {full}, not {short}\n"
+
+
+def test_compare_quotes_a_huge_id_short(report_file, tmp_path, capsys):
+    """The first id only one report holds is quoted abbreviated when its repr is long."""
+    lines = (ROOT / "fixtures/test.jsonl").read_text(encoding="utf-8").splitlines(True)
+    assert '"test-001"' in lines[0]
+    lines[0] = lines[0].replace('"test-001"', json.dumps("a" * 300_000))  # sorts first
+    renamed = _write(tmp_path / "renamed.jsonl", "".join(lines))
+    full, huge = report_file("full.json"), report_file("huge.json", test_path=renamed)
+    assert main(["compare", huge, full]) == 2
+    quoted = "'aaaaaaaaaaaa...aaaaaaaaaaaaa'"
+    message = f"error: reports cover different ids: {quoted} is in {huge}, not {full}\n"
+    assert capsys.readouterr().err == message
 
 
 def test_compare_incomplete_config_exit_2(report_file, tmp_path, capsys):

@@ -429,6 +429,19 @@ HUGE_VALUES = {
     ),
     "empty-amr": ("amr", [{"id": HUGE_TEXT, "amr": " "}], "empty amr for 'xxx"),
     "duplicate-amr-id": ("amr", [{"id": HUGE_TEXT, "amr": "x"}] * 2, "duplicate id 'xxx"),
+    "vector-values": (
+        "vectors",
+        [{"example_id": "e", "values": HUGE_TEXT}],
+        "values must be a list of numbers, not 'xxxxxxxxxxxx...xxxxxxxxxxxxx'",
+    ),
+    "vector-value": (
+        "vectors",
+        [{"example_id": "e", "values": [HUGE_TEXT]}],
+        "'xxxxxxxxxxxx...xxxxxxxxxxxxx' is not a number",
+    ),
+    "duplicate-vector-id": (
+        "vectors", [{"example_id": HUGE_TEXT, "values": [1.0]}] * 2, "duplicate id 'xxx"
+    ),
 }
 
 
@@ -442,6 +455,37 @@ def test_a_huge_value_in_an_error_is_quoted_short(tmp_path, in_repo_root, capsys
     where = f"{path}:{len(records)}"  # the last line
     assert err.startswith(f"error: {where}: bad {JSON_LINES_INPUTS[what]} record: {message}")
     assert err.count("\n") == 1 and len(err) < len(str(path)) + 300
+
+
+# case -> a grid file's clusters and arg_c_f1 tables, and the start of its error message
+# after "grid file <path> is malformed: "
+HUGE_GRIDS = {
+    "ids": ({1: {"Transport": HUGE_TEXT}}, {1: 0.5}, "TypeError(\"ids for 'Transport' are not"),
+    "event-type": ({1: {HUGE_TEXT: "x"}}, {1: 0.5}, "TypeError(\"ids for 'xxxxxxxxxxxx...xx"),
+    "score": ({1: {"Transport": ["train-001"]}}, {1: HUGE_TEXT}, "TypeError(\"'xxxxxxxxxxxx...xx"),
+    "k": ({HUGE_TEXT: {}}, {1: 0.5}, "ValueError(\"k must be an integer, not 'xxxxxxxxxxxx...xx"),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_GRIDS)
+def test_a_huge_value_in_a_grid_error_is_quoted_short(tmp_path, in_repo_root, capsys, case):
+    clusters, arg_c_f1, message = HUGE_GRIDS[case]
+    path = tmp_path / "grid.yaml"
+    path.write_text(yaml.safe_dump({"clusters": clusters, "arg_c_f1": arg_c_f1}))
+    assert main([arg.format(path=path) for arg in NESTING_BOMB_INPUTS["grid"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: grid file {path} is malformed: {message}")
+    assert err.count("\n") == 1 and len(err) < len(str(path)) + 300
+
+
+def test_a_grid_naming_a_huge_missing_id_is_quoted_short(tmp_path, in_repo_root, capsys):
+    path = tmp_path / "grid.yaml"
+    grid = {"clusters": {1: {"Transport": [HUGE_TEXT]}}, "arg_c_f1": {1: 0.5}}
+    path.write_text(yaml.safe_dump(grid))
+    assert main([arg.format(path=path) for arg in NESTING_BOMB_INPUTS["grid"]]) == 2
+    err = capsys.readouterr().err
+    quoted = "['xxxxxxxxxxxx...xxxxxxxxxxxxx']"
+    assert err == f"error: vector file lacks ids {quoted} for 'Transport'\n"
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from conftest import ROOT, drop_the_first_instance, list_the_first_instance_twic
 from evarg import client, corpus, files, harness
 from evarg.client import BackendError, CompletionRequest, HttpBackend, ReplayBackend, request_digest
 from evarg.corpus import select_same_type, split_hierarchy
-from evarg.emitter import EmitterOptions, PromptStyle, assemble_prompt
+from evarg.emitter import EmitterOptions, PromptBundle, PromptStyle, assemble_prompt
 from evarg.harness import (
     ConfigError,
     MissingFixtures,
@@ -266,6 +266,38 @@ def test_a_record_run_builds_every_task_before_it_sends_a_request(cfg_code, tmp_
         run(cfg)
     assert stub.requests == []
     assert not fixture.exists()
+
+
+def test_a_replay_run_builds_no_request_and_no_full_prompt(cfg_code, tmp_path, stub, monkeypatch):
+    """A replay backend serves by digest alone; a recording run builds each request it
+    may send once, whether it sends it or finds it recorded."""
+    built = []
+    check = CompletionRequest.__post_init__
+
+    def counted(request):
+        built.append(request)
+        check(request)
+
+    def unread(bundle):
+        raise AssertionError("a full prompt was built")
+
+    monkeypatch.setattr(CompletionRequest, "__post_init__", counted)
+    with monkeypatch.context() as patch:
+        patch.setattr(PromptBundle, "text", property(unread))
+        assert len(run(cfg_code)["instances"]) == 12
+    assert built == []
+
+    stub.set_default(200, {"choices": [{"text": ")", "finish_reason": "stop"}]})
+    recorded = tmp_path / "recorded.jsonl"
+    cfg = replace(
+        cfg_code, backend="http", endpoint=stub.url, record=True, fixture_path=str(recorded)
+    )
+    for sent in (12, 0):  # every request sent and recorded, then every one found recorded
+        stub.requests.clear()
+        assert len(run(cfg)["instances"]) == 12
+        assert len(stub.requests) == sent
+        assert len(built) <= 12
+        built.clear()
 
 
 def test_sibling_tasks_share_the_plans_hierarchy_split(cfg_code, monkeypatch):

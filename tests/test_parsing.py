@@ -1,4 +1,6 @@
+import functools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -71,10 +73,8 @@ def test_recovering_parser_lexes_nothing_after_the_closing_paren(ontology, monke
         "artifact": [mention(None, "car")],
     }
     assert [d["kind"] for d in event["diagnostics"]] == ["malformed_tail"]
-    assert taken == [
-        "agent", "=", "[", "PER", "(", '"Kim"', ")", "]", ",",
-        "artifact", "=", '"car"', ",", "7", ")",
-    ]
+    # the leading well-formed argument is read by the regexes, never lexed
+    assert taken == ["artifact", "=", '"car"', ",", "7", ")"]
 
 
 def test_missing_separator_between_kwargs_tolerated(ontology):
@@ -316,16 +316,17 @@ def test_every_reader_lexes_strings_as_the_reference_reader_does(text):
 # --- the regex path for well-formed code completions ------------------------
 
 # characters str.isspace accepts, ASCII and beyond: the lexer skips each of them
-_SPACE = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000", max_size=2)
-# literal bodies, escapes and characters the grammar uses included
-_BODY = st.lists(
-    st.sampled_from(
-        ["a", "b c", "é", '\\"', "\\\\", "\\n", "\\x", "\\\n", " ", ")", "]", ",", '=[X(\\"']
-    ),
-    max_size=4,
-).map("".join)
-_ROLES = st.sampled_from(["agent", "artifact", "destination", "amount", "bogus"])
-_CTORS = st.sampled_from(["PER", "GPE", "VEH", "COUNTRY"])
+_SPACE_CHARS = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"
+_SPACE = st.text(alphabet=_SPACE_CHARS, max_size=2)
+# pieces of literal bodies: escapes and characters the grammar uses included
+_BODY_PIECES = [
+    "a", "b c", "é", '\\"', "\\\\", "\\n", "\\x", "\\\n", " ", ")", "]", ",", '=[X(\\"',
+]
+_BODY = st.lists(st.sampled_from(_BODY_PIECES), max_size=4).map("".join)
+_ROLE_NAMES = ["agent", "artifact", "destination", "amount", "bogus"]
+_ROLES = st.sampled_from(_ROLE_NAMES)
+_CTOR_NAMES = ["PER", "GPE", "VEH", "COUNTRY"]
+_CTORS = st.sampled_from(_CTOR_NAMES)
 
 
 @st.composite
@@ -382,6 +383,73 @@ def test_regex_path_reads_as_the_recovering_parser_does(ontology, completion):
     got, expected = parse(text, ontology), _recovered(text, ontology)
     assert list(got["roles"].items()) == list(expected["roles"].items())
     assert got["diagnostics"] == expected["diagnostics"]
+
+
+# every text ``_SPACE`` draws
+_SPACES = ["", *_SPACE_CHARS, *(a + b for a in _SPACE_CHARS for b in _SPACE_CHARS)]
+
+
+def _seeded_code_completion(rng):
+    """A completion drawn as ``_code_completions`` draws one, then cut, or with one
+    character deleted or inserted."""
+    space = functools.partial(rng.choice, _SPACES)
+    out = [space()]
+    for i in range(rng.randrange(5)):
+        if i:
+            out += [",", space()]
+        role = rng.choice(_ROLE_NAMES)
+        out += [role, space(), "=", space(), "[", space()]
+        for j in range(rng.randrange(4)):
+            if j:
+                out += [",", space()]
+            body = "".join(rng.choices(_BODY_PIECES, k=rng.randrange(5)))
+            ctor = rng.choice(_CTOR_NAMES)
+            out += [ctor, space(), "(", space(), f'"{body}"', space(), ")"]
+            out.append(space())
+        if rng.random() < 0.3:
+            out += [",", space()]
+        out += ["]", space()]
+    out += [")", *rng.choices('ab ,)"=[(', k=rng.randrange(7))]
+    text = "".join(out)
+    at = rng.randrange(len(text) + 1)
+    change = rng.choice(["cut", "delete", "insert"])
+    if change == "cut":
+        return text[:at]
+    if change == "delete":
+        return text[:at] + text[at + 1 :]
+    return text[:at] + rng.choice(',)(]["=\\ x') + text[at:]
+
+
+def test_a_damaged_completion_reads_as_the_recovering_parser_reads_it(ontology):
+    """100,000 seeded completions, most of which the regexes read only in part."""
+    rng = random.Random(30)
+    for _ in range(100_000):
+        text = _seeded_code_completion(rng)
+        got, expected = parse(text, ontology), _recovered(text, ontology)
+        assert list(got["roles"].items()) == list(expected["roles"].items()), text
+        assert got["diagnostics"] == expected["diagnostics"], text
+
+
+def test_a_cut_completion_hands_the_tokenizer_only_its_tail(ontology, monkeypatch):
+    lex, lexed = parsing._tokens, []
+
+    def tokens(text):
+        lexed.append(text)
+        return lex(text)
+
+    monkeypatch.setattr(parsing, "_tokens", tokens)
+    head = 'agent=[PER("Kim"), PER("Lee")],\n    artifact=[VEH("car, [or] \\"van\\"")], '
+    tail = 'destination=[GPE("Par'
+    event = parse(head + tail, ontology)
+    assert lexed == [tail]
+    assert event["roles"] == {
+        "agent": [mention("PER", "Kim"), mention("PER", "Lee")],
+        "artifact": [mention("VEH", 'car, [or] "van"')],
+    }
+    assert [d["kind"] for d in event["diagnostics"]] == ["truncated"]
+    lexed.clear()
+    assert _recovered(head + tail, ontology) == event
+    assert lexed == [head + tail]
 
 
 class _TokenizerReached(Exception):
