@@ -431,6 +431,10 @@ class ReplayBackend:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, digest: str) -> bool:
+        """Whether ``digest`` is answered here: ``complete`` then needs no request for it."""
+        return digest in self._entries
+
     def complete(self, req: CompletionRequest | None, digest: str) -> CompletionResponse:
         try:
             text, finish = self._entries[digest]
@@ -445,7 +449,8 @@ class ReplayBackend:
 class RecordingBackend(ReplayBackend):
     """Serves the fixture file's answers; asks a live backend for the rest and appends them.
 
-    Threads that miss one digest at once are all served the first answer appended.
+    ``complete`` needs a request only for a digest the file lacks. Threads
+    that miss one digest at once are all served the first answer appended.
     """
 
     def __init__(self, inner, fixture_path: str):
@@ -457,7 +462,7 @@ class RecordingBackend(ReplayBackend):
         self.inner = inner
         self._lock = threading.Lock()
 
-    def complete(self, req: CompletionRequest, digest: str) -> CompletionResponse:
+    def complete(self, req: CompletionRequest | None, digest: str) -> CompletionResponse:
         latency = 0
         if digest not in self._entries:
             resp = self.inner.complete(req, digest)

@@ -45,8 +45,18 @@ class TrainingInstance(NamedTuple):
 
 @dataclass(frozen=True)
 class Dataset:
+    """A corpus's instances in file order.
+
+    A dataset loaded whole has ``counts`` ``None``. One cut at ``k`` per
+    class by ``load_corpus(..., per_class=k)`` holds only each class's
+    first ``k`` instances, in file order, and ``counts`` holds every class
+    of the file with how many instances it had there, in the order the
+    classes first appear.
+    """
+
     split: str  # train | dev | test
     instances: tuple[TrainingInstance, ...]
+    counts: tuple[tuple[str, int], ...] | None = None
 
     @cached_property
     def _ids(self) -> dict[str, TrainingInstance]:
@@ -60,22 +70,42 @@ class Dataset:
             groups.setdefault(derive_class_name(inst.event_type), []).append(inst)
         return {cls: tuple(insts) for cls, insts in groups.items()}
 
+    @cached_property
+    def class_counts(self) -> dict[str, int]:
+        """Class name -> how many instances it had in the file; classes without any are absent."""
+        if self.counts is not None:
+            return dict(self.counts)
+        return {cls: len(insts) for cls, insts in self.by_class.items()}
+
     def by_id(self, instance_id: str) -> TrainingInstance:
         return self._ids[instance_id]
 
 
-def load_corpus(path: str | Path, split: str) -> Dataset:
-    """Load a corpus file, validating spans and id uniqueness."""
-    instances: dict[str, TrainingInstance] = {}
+def load_corpus(path: str | Path, split: str, per_class: int | None = None) -> Dataset:
+    """Load a corpus file, validating spans and id uniqueness.
+
+    With ``per_class``, every record is still read, checked and counted and
+    every id checked unique across the file, but only each class's first
+    ``per_class`` instances are kept; see ``Dataset``.
+    """
+    # id -> its instance; None for one past its class's cut, kept for the duplicate check
+    instances: dict[str, TrainingInstance | None] = {}
+    counts: dict[str, int] = {}
 
     def add(rec: dict) -> None:
         inst = _instance_from_record(rec)
         if inst.id in instances:
             raise ValueError(f"duplicate instance id {short_repr(inst.id)}")
-        instances[inst.id] = inst
+        keep = True
+        if per_class is not None:
+            cls = derive_class_name(inst.event_type)
+            counts[cls] = counts.get(cls, 0) + 1
+            keep = counts[cls] <= per_class
+        instances[inst.id] = inst if keep else None
 
     read_jsonl(path, split, add)
-    return Dataset(split=split, instances=tuple(instances.values()))
+    kept = tuple(inst for inst in instances.values() if inst is not None)
+    return Dataset(split, kept, None if per_class is None else tuple(counts.items()))
 
 
 _new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
@@ -184,19 +214,19 @@ class HierarchySplit:
 
 
 def split_hierarchy(ontology: Ontology, dataset: Dataset) -> dict[str, HierarchySplit]:
-    """Per parent type, pick the child with the most training instances.
+    """Per parent type, pick the child with the most training instances in the file.
 
     The highest-count child becomes the training type (ties broken by
     lexicographically smaller class name); all other children become test
     types. Parents whose children carry no data at all are omitted.
     """
-    by_class = dataset.by_class
+    counts = dataset.class_counts
     out: dict[str, HierarchySplit] = {}
     for ev in ontology.event_types.values():
         children = ontology.children(ev.class_name)
-        if not any(c in by_class for c in children):
+        if not any(c in counts for c in children):
             continue
-        train_child = min(children, key=lambda c: (-len(by_class.get(c, ())), c))
+        train_child = min(children, key=lambda c: (-counts.get(c, 0), c))
         test_children = tuple(c for c in children if c != train_child)
         out[ev.class_name] = HierarchySplit(
             train_child=train_child, test_children=test_children
@@ -240,7 +270,7 @@ def select_non_sibling(
     excluded.update(siblings(ontology, event.class_name))
     excluded.update(ancestors(ontology, event.class_name))
     candidates = sorted(
-        cls for cls in ontology.event_types if cls not in excluded and cls in dataset.by_class
+        cls for cls in ontology.event_types if cls not in excluded and cls in dataset.class_counts
     )
     if not candidates:
         raise ConfigError(

@@ -1,15 +1,18 @@
 """End-to-end runs: select examples, build prompts, complete, parse, score.
 
 ``prepare`` loads a configuration's inputs once and encodes the run's
-decoding settings once. The plan it returns builds every instance's
-task from its group, the instances of one type given the same examples:
-the group's frame holds their shared preamble, the task block around
-the sentence and the stop patterns, and the preamble is hashed once as
-a digest prefix. A task holds only its own task block and its request's
+decoding settings once. Of the training file it keeps only what
+selection can read: each class's first ``k`` instances and every class's
+count. The plan it returns builds every instance's task from its group,
+the instances of one class: their examples are selected once, the
+group's frame holds their shared preamble, the task block around the
+sentence and the stop patterns, and the preamble is hashed once as a
+digest prefix. A task holds only its own task block and its request's
 digest, hashed from the group's prefix state over that block alone. A
-replay run serves each task by its digest and builds no request and no
-full prompt; an http run builds a task's request and full prompt only
-when it sends it, so a run holds one full prompt per request in flight,
+replay backend serves each task by its digest, so a run on it builds
+no request and no full prompt; an http run builds a task's request and
+full prompt only when it sends it, a recording run only for a digest
+its file lacks, so a run holds one full prompt per request in flight,
 not one per instance. ``run`` builds every task before it builds a
 backend, so an input no prompt can be built from fails the run before
 any request is sent. It drives one configuration over a test corpus and
@@ -211,8 +214,10 @@ class Task:
 class Plan:
     """A config with everything its prompts are built from.
 
-    Instances of one event type given the same examples form a group,
-    which shares a prompt frame: the preamble, the task block around its
+    The instances of one class form a group. Selection depends only on
+    the class, as ``k``, the seed and the split are fixed for the run, so
+    the plan selects a group's examples on its first instance; the group
+    shares a prompt frame: the preamble, the task block around its
     sentence and the stop patterns. The plan builds each group's frame
     once, and hashes its preamble once, from the run's settings encoded
     once; an instance's digest then hashes only its task block.
@@ -227,37 +232,42 @@ class Plan:
     split: dict[str, HierarchySplit]
     # the run's decoding settings and stop patterns: the empty prefix of its every request
     settings: HashedPrefix
-    # (class name, example ids) -> the group's frame, and its preamble hashed as a prefix
-    _groups: dict[tuple, tuple[PromptFrame, HashedPrefix]] = field(
+    # class name -> the group's examples, its frame, and its preamble hashed as a prefix
+    _groups: dict[str, tuple[list[TrainingInstance], PromptFrame, HashedPrefix]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def task(self, inst: TrainingInstance) -> Task:
-        cfg, train, event_type = self.cfg, self.train, inst.event_type
+        cls = derive_class_name(inst.event_type)
+        group = self._groups.get(cls)
+        if group is None:
+            group = self._groups[cls] = self._group(inst.event_type)
+        examples, frame, prefix = group
+        bundle = assemble_prompt(
+            self.ontology, inst.event_type, examples, inst, self.cfg, frame,
+            amr=self.amr.get(inst.id),
+        )
+        return Task(inst, bundle, request_digest(bundle.task, prefix), self.cfg)
+
+    def _group(self, event_type: str) -> tuple[list[TrainingInstance], PromptFrame, HashedPrefix]:
+        """The examples, frame and hashed preamble of ``event_type``'s group."""
+        cfg, train = self.cfg, self.train
         if cfg.selection_mode == "same":
             examples = select_same_type(train, event_type, cfg.k)
         elif cfg.selection_mode == "sibling":
             examples = select_sibling(train, self.ontology, event_type, cfg.k, self.split)
         else:
             examples = select_non_sibling(train, self.ontology, event_type, cfg.k, cfg.seed)
-        key = (derive_class_name(event_type), tuple(e.id for e in examples))
-        group = self._groups.get(key)
-        if group is None:
-            preamble = build_preamble(self.ontology, event_type, examples, cfg)
-            frame = prompt_frame(self.ontology, event_type, examples, cfg, preamble)
-            group = self._groups[key] = (frame, self.settings.extended(preamble))
-        frame, prefix = group
-        bundle = assemble_prompt(
-            self.ontology, event_type, examples, inst, cfg, frame,
-            amr=self.amr.get(inst.id),
-        )
-        return Task(inst, bundle, request_digest(bundle.task, prefix), cfg)
+        preamble = build_preamble(self.ontology, event_type, examples, cfg)
+        frame = prompt_frame(self.ontology, event_type, examples, cfg, preamble)
+        return examples, frame, self.settings.extended(preamble)
 
 
 def prepare(cfg: RunConfig) -> Plan:
     """Load once what ``run`` and ``evarg emit`` build prompts from."""
     ontology = load_ontology(cfg.ontology_path)
-    train = load_corpus(cfg.train_path, "train")
+    # every selection mode reads at most a class's first k instances and every class's count
+    train = load_corpus(cfg.train_path, "train", per_class=cfg.k)
     test = load_corpus(cfg.test_path, "test")
     # the test gold is what gets scored, so it must fit the ontology as `evarg validate` checks
     problems = validate_against_ontology(test, ontology)
@@ -330,11 +340,13 @@ def _run(plan: Plan, build_backend) -> dict:
         tasks.append(task)
 
     backend = build_backend(cfg)
-    replay = cfg.backend == "replay"
+    # a replay backend serves by digest alone; a recording one needs a request
+    # only for a digest its file lacks
+    replay = isinstance(backend, ReplayBackend) and not isinstance(backend, RecordingBackend)
+    recorded = backend if isinstance(backend, RecordingBackend) else ()
 
     def complete_one(task: Task):
-        # a replay backend serves by digest: it is sent no request
-        request = None if replay else task.request
+        request = None if replay or task.digest in recorded else task.request
         try:
             return client_mod.complete(backend, request, task.digest, task.bundle.stop_patterns)
         except MissingFixtures as exc:

@@ -257,6 +257,30 @@ def test_bad_training_example_exit_2_naming_it(config_file, tmp_path, capsys, co
 
 
 @pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"id": "train-002"}, "duplicate instance id 'train-002'"),
+        ({"id": "train-021", "trigger": 5}, "trigger must be an object, not 5"),
+    ],
+    ids=["duplicate-id", "malformed"],
+)
+def test_a_bad_training_record_past_the_examples_a_run_keeps_exit_2(
+    config_file, tmp_path, capsys, change, message
+):
+    """The fixture file's class Transport has 5 records, train-002 its second; at k=1 a
+    run keeps only the first, yet every record is still read and checked."""
+    lines = (ROOT / "fixtures/train.jsonl").read_text().splitlines(keepends=True)
+    transport = json.loads(lines[1])
+    assert (transport["id"], transport["event_type"]) == ("train-002", "Movement:Transport")
+    train = tmp_path / "train.jsonl"
+    train.write_text("".join(lines) + json.dumps({**transport, **change}) + "\n")
+    assert main(["run", "--config", config_file(train_path=str(train))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {train}:{len(lines) + 1}: bad train record: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "bad_line",
     [
         "not json\n",

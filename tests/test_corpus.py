@@ -113,6 +113,47 @@ def test_built_indexes_stay_out_of_equality_and_hash(train_set):
     assert hash(fresh) == hash(train_set)
 
 
+def _class_records(classes):
+    """One record per class name in ``classes``, in order, ids ``r0``, ``r1``, ..."""
+    return [
+        _record(instance_id=f"r{n}", event_type=cls) for n, cls in enumerate(classes)
+    ]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_a_cut_load_keeps_each_class_first_k_and_counts_every_record(tmp_path, k):
+    # a raw type and its class name are one class, as by_class files them
+    classes = ["Movement:Transport", "Attack", "Transport", "Attack", "Movement:Transport"]
+    path = _write_corpus(tmp_path, _class_records(classes))
+    whole = load_corpus(path, "train")
+    cut = load_corpus(path, "train", per_class=k)
+    assert whole.counts is None
+    assert cut.counts == (("Transport", 3), ("Attack", 2))
+    assert cut.class_counts == whole.class_counts == {"Transport": 3, "Attack": 2}
+    assert cut.by_class == {c: i[:k] for c, i in whole.by_class.items() if k}
+    # the classes alternate, so the first k of each are the file's first 2k records
+    assert [i.id for i in cut.instances] == [f"r{n}" for n in range(5)][: 2 * k]
+
+
+def test_a_cut_dataset_stays_hashable_and_its_counts_count_in_equality(tmp_path):
+    path = _write_corpus(tmp_path, _class_records(["Attack", "Attack", "Transport"]))
+    cut = load_corpus(path, "train", per_class=1)
+    cut.by_id("r0")
+    assert cut.by_class and cut.class_counts
+    fresh = Dataset(cut.split, cut.instances, cut.counts)
+    assert fresh == cut
+    assert hash(fresh) == hash(cut)
+    assert Dataset(cut.split, cut.instances) != cut
+
+
+def test_selection_at_k_0_sees_every_class_with_data(ontology, train_set, fixtures_dir):
+    cut = load_corpus(fixtures_dir / "train.jsonl", "train", per_class=0)
+    assert cut.instances == () and cut.by_class == {}
+    assert split_hierarchy(ontology, cut) == split_hierarchy(ontology, train_set)
+    for seed in range(5):
+        assert select_non_sibling(cut, ontology, "Transfer_Ownership", 0, seed) == []
+
+
 def test_trigger_surface_mismatch_rejected(tmp_path):
     path = _write_corpus(tmp_path, [_record(surface="return")])
     with pytest.raises(ConfigError, match="mismatch"):

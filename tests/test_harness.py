@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import os
 import re
@@ -28,7 +29,7 @@ from evarg.harness import (
     run,
     write_report,
 )
-from evarg.ontology import load_ontology
+from evarg.ontology import derive_class_name, load_ontology
 from evarg.parsing import DiagnosticKind, parse_completion
 
 BASE = dict(
@@ -268,9 +269,8 @@ def test_a_record_run_builds_every_task_before_it_sends_a_request(cfg_code, tmp_
     assert not fixture.exists()
 
 
-def test_a_replay_run_builds_no_request_and_no_full_prompt(cfg_code, tmp_path, stub, monkeypatch):
-    """A replay backend serves by digest alone; a recording run builds each request it
-    may send once, whether it sends it or finds it recorded."""
+def _count_requests(monkeypatch) -> list:
+    """The list every ``CompletionRequest`` built from now on is appended to."""
     built = []
     check = CompletionRequest.__post_init__
 
@@ -278,12 +278,20 @@ def test_a_replay_run_builds_no_request_and_no_full_prompt(cfg_code, tmp_path, s
         built.append(request)
         check(request)
 
-    def unread(bundle):
-        raise AssertionError("a full prompt was built")
-
     monkeypatch.setattr(CompletionRequest, "__post_init__", counted)
+    return built
+
+
+def _unread(bundle):
+    raise AssertionError("a full prompt was built")
+
+
+def test_a_replay_run_builds_no_request_and_no_full_prompt(cfg_code, tmp_path, stub, monkeypatch):
+    """A replay backend serves by digest alone; a recording run builds a request only
+    for a digest its file lacks, which it sends."""
+    built = _count_requests(monkeypatch)
     with monkeypatch.context() as patch:
-        patch.setattr(PromptBundle, "text", property(unread))
+        patch.setattr(PromptBundle, "text", property(_unread))
         assert len(run(cfg_code)["instances"]) == 12
     assert built == []
 
@@ -296,8 +304,46 @@ def test_a_replay_run_builds_no_request_and_no_full_prompt(cfg_code, tmp_path, s
         stub.requests.clear()
         assert len(run(cfg)["instances"]) == 12
         assert len(stub.requests) == sent
-        assert len(built) <= 12
+        assert len(built) == sent
         built.clear()
+
+
+@pytest.mark.parametrize("recorded", [0, 6, 12])
+def test_a_recording_run_builds_a_request_only_for_a_digest_its_file_lacks(
+    cfg_code, tmp_path, stub, monkeypatch, recorded
+):
+    """The file holds the answers to the first ``recorded`` of the 12 test prompts."""
+    stub.set_default(200, {"choices": [{"text": ")", "finish_reason": "stop"}]})
+    fixture = tmp_path / "recorded.jsonl"
+    cfg = replace(
+        cfg_code, backend="http", endpoint=stub.url, record=True, fixture_path=str(fixture)
+    )
+    run(cfg)
+    lines = fixture.read_text(encoding="utf-8").splitlines(keepends=True)
+    fixture.write_text("".join(lines[:recorded]), encoding="utf-8")
+    stub.requests.clear()
+    built = _count_requests(monkeypatch)
+    assert len(run(cfg)["instances"]) == 12
+    assert len(stub.requests) == len(built) == 12 - recorded
+
+
+def test_verifying_an_http_recorded_report_builds_no_request(cfg_code, tmp_path, stub, monkeypatch):
+    stub.set_default(200, {"choices": [{"text": ")", "finish_reason": "stop"}]})
+    out = tmp_path / "report.json"
+    cfg = replace(
+        cfg_code,
+        backend="http",
+        endpoint=stub.url,
+        record=True,
+        fixture_path=str(tmp_path / "recorded.jsonl"),
+        output_path=str(out),
+    )
+    report = run(cfg)
+    stub.requests.clear()
+    built = _count_requests(monkeypatch)
+    monkeypatch.setattr(PromptBundle, "text", property(_unread))
+    assert load_report(str(out)) == json.loads(json.dumps(report))
+    assert built == [] and stub.requests == []
 
 
 def test_sibling_tasks_share_the_plans_hierarchy_split(cfg_code, monkeypatch):
@@ -313,6 +359,159 @@ def test_sibling_tasks_share_the_plans_hierarchy_split(cfg_code, monkeypatch):
     for instance_id in ("test-006", "test-007"):
         plan.task(plan.test.by_id(instance_id))
     assert len(calls) == 1
+
+
+# --- the training examples a run keeps --------------------------------------
+
+
+def _fixture_records(split: str) -> list[dict]:
+    return [json.loads(line) for line in (ROOT / f"fixtures/{split}.jsonl").open(encoding="utf-8")]
+
+
+def _write_train(path, copies: dict[str, int]) -> None:
+    """The fixture training records, each of class ``c`` written ``copies.get(c, 1)`` times
+    under new ids: every record once, then those with copies left again, round by round."""
+    records = _fixture_records("train")
+    with open(path, "w", encoding="utf-8") as fh:
+        for n in range(max(copies.values(), default=1)):
+            for rec in records:
+                if n < copies.get(derive_class_name(rec["event_type"]), 1):
+                    fh.write(json.dumps({**rec, "id": f"{rec['id']}-{n}"}) + "\n")
+
+
+def _write_test(path, classes=None) -> None:
+    """The fixture test records, only those of ``classes`` when it is given."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in _fixture_records("test"):
+            if classes is None or derive_class_name(rec["event_type"]) in classes:
+                fh.write(json.dumps(rec) + "\n")
+
+
+# Of the fixture training file's children, Transfer_Money (4 records) and Attack (4)
+# are the training children, so these two are the test children of a sibling run.
+SIBLING_TEST_CLASSES = ("Transfer_Ownership", "Demonstrate")
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_prepare_keeps_each_class_first_k_training_instances_and_every_count(
+    cfg_code, tmp_path, k
+):
+    train = tmp_path / "train.jsonl"
+    _write_train(train, {"Transfer_Ownership": 3, "Attack": 2})
+    whole = corpus.load_corpus(train, "train")
+    kept = prepare(replace(cfg_code, train_path=str(train), k=k)).train
+    first = {inst.id for insts in whole.by_class.values() for inst in insts[:k]}
+    assert kept.instances == tuple(inst for inst in whole.instances if inst.id in first)
+    assert kept.class_counts == {cls: len(insts) for cls, insts in whole.by_class.items()}
+    assert kept.class_counts["Transfer_Ownership"] == 9
+
+
+@pytest.mark.parametrize("mode", ["same", "sibling", "non_sibling"])
+def test_a_run_selects_each_class_examples_once(cfg_code, tmp_path, monkeypatch, mode):
+    test = tmp_path / "test.jsonl"
+    _write_test(test, SIBLING_TEST_CLASSES if mode == "sibling" else None)
+    fixture = tmp_path / "fixture.jsonl"
+    cfg = replace(
+        cfg_code, test_path=str(test), fixture_path=str(fixture), selection_mode=mode, k=2
+    )
+    synth_fixture(cfg, fixture, lambda inst: (")", "stop"))
+    calls = []
+    for name in ("select_same_type", "select_sibling", "select_non_sibling"):
+        select = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name, lambda *args, select=select: calls.append(args) or select(*args)
+        )
+    report = run(cfg)
+    classes = {entry["event_type"] for entry in report["instances"]}
+    assert len(calls) == len(classes) < len(report["instances"])
+
+
+def test_a_run_fails_at_the_first_instance_whose_examples_cannot_be_selected(
+    cfg_code, tmp_path
+):
+    """Transfer_Ownership's instances run; Attack, the training child of Conflict, is the
+    first class that has no examples to give."""
+    test = tmp_path / "test.jsonl"
+    _write_test(test, ("Transfer_Ownership", "Attack"))
+    cfg = replace(cfg_code, test_path=str(test), selection_mode="sibling")
+    first = [derive_class_name(i.event_type) for i in prepare(cfg).test.instances]
+    assert first[0] == "Transfer_Ownership"
+    with pytest.raises(ConfigError, match="'Attack' is the training child of 'Conflict'"):
+        run(cfg)
+
+
+def test_the_split_counts_the_records_a_run_does_not_keep(cfg_code, tmp_path, ontology):
+    """Both Transaction children have more than k=2 records: Transfer_Ownership has 9,
+    Transfer_Money 4; each keeps 2, and the tie that would leave breaks the other way."""
+    train = tmp_path / "train.jsonl"
+    _write_train(train, {"Transfer_Ownership": 3, "Demonstrate": 3})
+    plan = prepare(replace(cfg_code, train_path=str(train), selection_mode="sibling", k=2))
+    assert plan.split["Transaction"].train_child == "Transfer_Ownership"
+    assert plan.split["Conflict"].train_child == "Demonstrate"
+    assert plan.split == split_hierarchy(ontology, corpus.load_corpus(train, "train"))
+
+
+def test_non_sibling_picks_the_same_type_at_k_0_as_at_k_2(cfg_code, monkeypatch):
+    chosen = []
+    select = corpus.select_same_type
+    monkeypatch.setattr(
+        corpus, "select_same_type", lambda *args: chosen.append(args[1]) or select(*args)
+    )
+    picks = []
+    for k in (0, 2):
+        plan = prepare(replace(cfg_code, selection_mode="non_sibling", k=k))
+        for inst in plan.test.instances:
+            plan.task(inst)
+        picks.append(chosen[:])
+        chosen.clear()
+    assert picks[0] == picks[1] and len(picks[0]) == 6
+
+
+def test_a_plan_given_the_whole_training_file_runs_the_same(cfg_code, tmp_path, monkeypatch):
+    """For every mode, k and seed, a run on the kept examples gives the report, or the
+    error, that a plan given the whole training file gives."""
+    train, fixture = tmp_path / "train.jsonl", tmp_path / "fixture.jsonl"
+    _write_train(train, {"Transfer_Ownership": 3, "Demonstrate": 2, "Arrest_Jail": 4})
+    fixture.write_text("")
+    def whole(path, split, per_class=None):
+        return corpus.load_corpus(path, split)
+
+
+    def outcome(cfg):
+        try:
+            return run(cfg)
+        except ConfigError as exc:
+            return str(exc)
+
+    ran = Counter()
+    for mode, classes in [
+        ("same", None),
+        ("sibling", None),
+        ("sibling", ("Transfer_Money", "Demonstrate")),
+        ("non_sibling", None),
+    ]:
+        test = tmp_path / f"test-{mode}-{classes is None}.jsonl"
+        _write_test(test, classes)
+        for k, seed in itertools.product((0, 1, 2, 3), (0, 1)):
+            cfg = replace(
+                cfg_code,
+                train_path=str(train),
+                test_path=str(test),
+                fixture_path=str(fixture),
+                selection_mode=mode,
+                k=k,
+                seed=seed,
+            )
+            try:
+                synth_fixture(cfg, fixture, lambda inst: (f"{inst.id})", "stop"))
+            except ConfigError:
+                pass
+            kept = outcome(cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "load_corpus", whole)
+                assert outcome(cfg) == kept
+            ran[mode] += isinstance(kept, dict)
+    assert ran == {"same": 8, "sibling": 8, "non_sibling": 8}
 
 
 # --- closing the backend ---------------------------------------------------
