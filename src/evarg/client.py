@@ -1,15 +1,17 @@
 """Completion backends: HTTP completions endpoint and record/replay fixtures.
 
-Every backend serves ``complete(req, digest)``, ``digest`` being
-``request_digest(req)``: a sha256 over the prompt and every decoding
-setting, which keys the fixture files' JSON lines of digest, request
-summary, and response. Prompts that share a prefix share its hashed
-``HashedPrefix`` state, so a digest need hash only a prompt's own rest;
-a replay backend serves by digest alone and is handed no request. The
-module-level ``complete`` wrapper re-applies stop-pattern truncation
-client-side, so replayed fixtures and live calls agree byte for byte.
-Credentials never enter fixtures: the HTTP backend reads its key from
-the environment and records only a prompt hash.
+A request's digest, ``request_digest``, a sha256 over the prompt and
+every decoding setting, keys the fixture files' JSON lines of digest,
+request summary, and response; ``settings_prefix`` hashes the settings
+once, as a ``HashedPrefix`` state that prompts sharing a prefix extend.
+Every backend has one lookup that needs no request, ``stored(digest)``:
+a replay backend gives its recorded answer or, as it cannot send, raises
+``MissingFixtures``; a recording backend gives its file's answer or
+``None``; the HTTP backend stores nothing. Only a miss is sent, through
+``complete``, which cuts the answer at the stop patterns by the same
+``truncate_at_stop`` as a stored one, so replayed fixtures and live
+calls agree byte for byte. Credentials never enter fixtures: the HTTP
+backend reads its key from the environment and records only a prompt hash.
 """
 
 from __future__ import annotations
@@ -66,36 +68,6 @@ class CompletionResponse:
     latency_ms: int = 0
 
 
-@functools.lru_cache(maxsize=32)
-def _settings_around(
-    model_id: str,
-    max_new_tokens: int,
-    temperature: float,
-    stop_patterns: tuple[str, ...],
-    max_new_tokens_repr: str,
-    temperature_repr: str,
-) -> tuple[str, str]:
-    """The digest payload's JSON before and after the prompt string's contents.
-
-    The two reprs only key the cache: equal numbers that JSON spells apart
-    (``0``, ``0.0`` and ``-0.0``; ``1`` and ``True``) differ in ``repr``.
-    The payload holds the prompt and every decoding setting. Its keys are
-    sorted, so the prompt follows ``max_new_tokens`` and ``model_id``; an
-    escaped value holds no unescaped quote, so the first ``"prompt": "``
-    is the key.
-    """
-    payload = {
-        "prompt": "",
-        "model_id": model_id,
-        "max_new_tokens": max_new_tokens,
-        "temperature": temperature,
-        "stop_patterns": list(stop_patterns),
-    }
-    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-    head, key, tail = blob.partition('"prompt": "')
-    return head + key, tail
-
-
 def _escaped(text: str) -> bytes:
     """``text`` as it stands inside the payload's JSON, UTF-8 encoded.
 
@@ -110,16 +82,14 @@ def _escaped(text: str) -> bytes:
 class HashedPrefix(typing.NamedTuple):
     """A digest's sha256 state, fed up to the end of a shared prompt prefix."""
 
-    head: str  # the payload before the prompt, which pins the settings it serves
     tail: str  # the payload after the prompt
-    text: str
     state: typing.Any  # a hashlib sha256 object; copied per request
 
     def extended(self, text: str) -> HashedPrefix:
         """This prefix followed by ``text``."""
         state = self.state.copy()
         state.update(_escaped(text))
-        return HashedPrefix(self.head, self.tail, self.text + text, state)
+        return HashedPrefix(self.tail, state)
 
 
 def settings_prefix(
@@ -127,47 +97,37 @@ def settings_prefix(
 ) -> HashedPrefix:
     """The prefix every request with these settings starts with: the payload up to its prompt.
 
-    Encoded once per distinct settings.
+    The payload holds the prompt and every decoding setting. Its keys are
+    sorted, so the prompt follows ``max_new_tokens`` and ``model_id``; an
+    escaped value holds no unescaped quote, so the first ``"prompt": "``
+    is the key.
     """
-    head, tail = _settings_around(
-        model_id,
-        max_new_tokens,
-        temperature,
-        tuple(stop_patterns),
-        repr(max_new_tokens),
-        repr(temperature),
-    )
-    return HashedPrefix(head, tail, "", hashlib.sha256(head.encode("utf-8")))
-
-
-def _settings_of(req: CompletionRequest) -> HashedPrefix:
-    return settings_prefix(req.model_id, req.max_new_tokens, req.temperature, req.stop_patterns)
-
-
-def hash_prefix(req: CompletionRequest, text: str) -> HashedPrefix:
-    """Hash once what the digests of requests like ``req`` starting with ``text`` share."""
-    return _settings_of(req).extended(text)
+    payload = {
+        "prompt": "",
+        "model_id": model_id,
+        "max_new_tokens": max_new_tokens,
+        "temperature": temperature,
+        "stop_patterns": list(stop_patterns),
+    }
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+    head, key, tail = blob.partition('"prompt": "')
+    return HashedPrefix(tail, hashlib.sha256((head + key).encode("utf-8")))
 
 
 def request_digest(req: CompletionRequest | str, prefix: HashedPrefix | None = None) -> str:
     """Hex digest covering the prompt and all decoding settings.
 
-    ``req`` is a request, or the rest of a prompt that starts with
-    ``prefix.text`` and has ``prefix``'s settings; only such a rest is
-    hashed. With a request, ``prefix`` saves hashing its text again; one
-    that does not fit the request's prompt or settings is ignored.
+    ``req`` is a request, whose settings are encoded here, or, with
+    ``prefix``, the rest of a prompt that starts with the text ``prefix``
+    was extended by and has its settings; only that rest is hashed.
     """
-    if isinstance(req, str):
-        rest = req
-    else:
-        own = _settings_of(req)
-        fits = prefix is not None and (prefix.head, prefix.tail) == (own.head, own.tail)
-        if fits and req.prompt.startswith(prefix.text):
-            rest = req.prompt[len(prefix.text):]
-        else:
-            prefix, rest = own, req.prompt
+    if prefix is None:
+        prefix = settings_prefix(
+            req.model_id, req.max_new_tokens, req.temperature, req.stop_patterns
+        )
+        req = req.prompt
     h = prefix.state.copy()
-    h.update(_escaped(rest) + prefix.tail.encode("utf-8"))
+    h.update(_escaped(req) + prefix.tail.encode("utf-8"))
     return h.hexdigest()
 
 
@@ -190,24 +150,15 @@ def truncate_at_stop(text: str, stop_patterns: tuple[str, ...]) -> tuple[str, bo
     return text[:cut], True
 
 
-def complete(
-    backend,
-    req: CompletionRequest | None,
-    digest: str,
-    stop_patterns: tuple[str, ...] | None = None,
-) -> CompletionResponse:
+def complete(backend, req: CompletionRequest, digest: str) -> CompletionResponse:
     """Obtain a completion and enforce stop truncation client-side.
 
     ``digest`` is ``request_digest(req)``, hashed once by the caller and
     handed on so a fixture lookup need not hash the request again. A
-    ``ReplayBackend`` serves by the digest alone, so its caller may pass
-    no request, only the request's ``stop_patterns``. A completion that
-    no pattern cuts is returned as the backend gave it.
+    completion that no pattern cuts is returned as the backend gave it.
     """
-    if stop_patterns is None:
-        stop_patterns = req.stop_patterns
     resp = backend.complete(req, digest)
-    text, hit = truncate_at_stop(resp.text, stop_patterns)
+    text, hit = truncate_at_stop(resp.text, req.stop_patterns)
     if not hit:
         return resp
     return CompletionResponse(text=text, finish_reason="stop", latency_ms=resp.latency_ms)
@@ -343,6 +294,9 @@ class HttpBackend:
                 self._connections.append(conn)
         return conn
 
+    def stored(self, digest: str) -> None:
+        """An endpoint stores no answer: each is sent."""
+
     def complete(self, req: CompletionRequest, digest: str) -> CompletionResponse:
         from http.client import HTTPException
 
@@ -408,49 +362,54 @@ class HttpBackend:
                 conn.close()
 
 
-class ReplayBackend:
-    """Serves recorded responses by request digest; fully deterministic.
+def read_fixtures(fixture_path: str) -> dict[str, tuple[str, str]]:
+    """A fixture file's answers, ``(text, finish_reason)`` by digest, read and checked whole."""
+    entries: dict[str, tuple[str, str]] = {}
 
-    ``complete`` has no use for the request, which may be ``None``.
+    def add(rec: dict) -> None:
+        response, digest = rec["response"], string_field(rec, "digest")
+        if not isinstance(response, dict):
+            raise TypeError(f"response must be an object, not {short_repr(response)}")
+        text, finish = string_field(response, "text"), string_field(response, "finish_reason")
+        # a digest recorded twice is served its last answer
+        entries[digest] = (text, finish)
+
+    read_jsonl(fixture_path, "fixture", add)
+    return entries
+
+
+class ReplayBackend:
+    """Serves recorded answers by request digest; fully deterministic. It cannot send.
+
+    The answers are those stored at ``fixture_path``: ``entries`` when the
+    caller has read them already, as ``load_report`` has a report's own.
     """
 
-    def __init__(self, fixture_path: str):
-        self.fixture_path = fixture_path
-        self._entries: dict[str, tuple[str, str]] = {}
-
-        def add(rec: dict) -> None:
-            response, digest = rec["response"], string_field(rec, "digest")
-            if not isinstance(response, dict):
-                raise TypeError(f"response must be an object, not {short_repr(response)}")
-            text, finish = string_field(response, "text"), string_field(response, "finish_reason")
-            # a digest recorded twice is served its last answer
-            self._entries[digest] = (text, finish)
-
-        read_jsonl(fixture_path, "fixture", add)
+    def __init__(self, fixture_path: str, *, entries: dict[str, tuple[str, str]] | None = None):
+        self._entries = read_fixtures(fixture_path) if entries is None else entries
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, digest: str) -> bool:
-        """Whether ``digest`` is answered here: ``complete`` then needs no request for it."""
-        return digest in self._entries
-
-    def complete(self, req: CompletionRequest | None, digest: str) -> CompletionResponse:
+    def stored(self, digest: str) -> tuple[str, str]:
+        """The answer recorded for ``digest``; ``MissingFixtures`` if none, as none can be sent."""
         try:
-            text, finish = self._entries[digest]
+            return self._entries[digest]
         except KeyError:
             raise MissingFixtures([digest]) from None
-        return CompletionResponse(text=text, finish_reason=finish, latency_ms=0)
+
+    def complete(self, req: CompletionRequest, digest: str) -> CompletionResponse:
+        return CompletionResponse(*self.stored(digest))
 
     def close(self) -> None:
         """Nothing to release: the fixture file is read whole and closed."""
 
 
-class RecordingBackend(ReplayBackend):
-    """Serves the fixture file's answers; asks a live backend for the rest and appends them.
+class RecordingBackend:
+    """A fixture file's answers, and a live backend that is sent the rest, each answer appended.
 
-    ``complete`` needs a request only for a digest the file lacks. Threads
-    that miss one digest at once are all served the first answer appended.
+    A digest is appended once: threads that miss one digest at once are
+    all served the first answer appended.
     """
 
     def __init__(self, inner, fixture_path: str):
@@ -458,11 +417,16 @@ class RecordingBackend(ReplayBackend):
             open(fixture_path, "a", encoding="utf-8").close()
         except OSError as exc:
             raise ConfigError(f"cannot create fixture file {fixture_path}: {exc}") from exc
-        super().__init__(fixture_path)
+        self.fixture_path = fixture_path
+        self._entries = read_fixtures(fixture_path)
         self.inner = inner
         self._lock = threading.Lock()
 
-    def complete(self, req: CompletionRequest | None, digest: str) -> CompletionResponse:
+    def stored(self, digest: str) -> tuple[str, str] | None:
+        """The answer recorded for ``digest``; ``None`` if it must be sent."""
+        return self._entries.get(digest)
+
+    def complete(self, req: CompletionRequest, digest: str) -> CompletionResponse:
         latency = 0
         if digest not in self._entries:
             resp = self.inner.complete(req, digest)

@@ -8,19 +8,20 @@ the instances of one class: their examples are selected once, the
 group's frame holds their shared preamble, the task block around the
 sentence and the stop patterns, and the preamble is hashed once as a
 digest prefix. A task holds only its own task block and its request's
-digest, hashed from the group's prefix state over that block alone. A
-replay backend serves each task by its digest, so a run on it builds
-no request and no full prompt; an http run builds a task's request and
-full prompt only when it sends it, a recording run only for a digest
-its file lacks, so a run holds one full prompt per request in flight,
-not one per instance. ``run`` builds every task before it builds a
-backend, so an input no prompt can be built from fails the run before
-any request is sent. It drives one configuration over a test corpus and
-produces a report dict that serializes byte-identically across runs
-when the backend is replay. Reports are written atomically, a piece at
-a time into a temp file that then replaces the target. ``load_report``
-verifies one by rerunning its config on its own completions;
-``compare`` differences the F1 of two verified reports.
+digest, hashed from the group's prefix state over that block alone.
+``run`` builds every task before it builds a backend, so an input no
+prompt can be built from fails the run before any request is sent. It
+then looks each task's digest up once, in task order, in the answers
+the backend stores: a replay fixture, a recording's file, or a report's
+own completions. Only the misses go further. A backend that cannot send
+fails the run with one ``MissingFixtures`` that lists them, and no
+request is built; otherwise a missing digest's request and full prompt
+are built only as it is sent, once. The report serializes
+byte-identically across runs when the backend is replay. Reports are
+written atomically, a piece at a time into a temp file that then
+replaces the target. ``load_report`` verifies one by rerunning its
+config on its own completions; ``compare`` differences the F1 of two
+verified reports.
 ``run`` and ``load_report`` pause CPython's cyclic collector while they
 work and then restore its state: a run's objects form no reference cycles,
 so its collections would free nothing, only walk the corpus it keeps.
@@ -49,6 +50,7 @@ from .client import (
     check_endpoint,
     request_digest,
     settings_prefix,
+    truncate_at_stop,
 )
 from .corpus import (
     Dataset,
@@ -181,17 +183,6 @@ def load_amr(path: str) -> dict[str, str]:
     return table
 
 
-def _request(bundle: PromptBundle, cfg: RunConfig) -> CompletionRequest:
-    """The request that sends ``bundle``'s prompt with ``cfg``'s decoding settings."""
-    return CompletionRequest(
-        prompt=bundle.text,
-        max_new_tokens=cfg.max_new_tokens,
-        temperature=cfg.temperature,
-        stop_patterns=bundle.stop_patterns,
-        model_id=cfg.model_id,
-    )
-
-
 @dataclass(frozen=True)
 class Task:
     """One test instance with its prompt's two parts and its request's digest.
@@ -207,7 +198,15 @@ class Task:
 
     @property
     def request(self) -> CompletionRequest:
-        return _request(self.bundle, self.cfg)
+        """The request that sends this prompt with the run's decoding settings."""
+        cfg = self.cfg
+        return CompletionRequest(
+            prompt=self.bundle.text,
+            max_new_tokens=cfg.max_new_tokens,
+            temperature=cfg.temperature,
+            stop_patterns=self.bundle.stop_patterns,
+            model_id=cfg.model_id,
+        )
 
 
 @dataclass(frozen=True)
@@ -340,44 +339,42 @@ def _run(plan: Plan, build_backend) -> dict:
         tasks.append(task)
 
     backend = build_backend(cfg)
-    # a replay backend serves by digest alone; a recording one needs a request
-    # only for a digest its file lacks
-    replay = isinstance(backend, ReplayBackend) and not isinstance(backend, RecordingBackend)
-    recorded = backend if isinstance(backend, RecordingBackend) else ()
-
-    def complete_one(task: Task):
-        request = None if replay or task.digest in recorded else task.request
-        try:
-            return client_mod.complete(backend, request, task.digest, task.bundle.stop_patterns)
-        except MissingFixtures as exc:
-            return exc
-
+    # each task is looked up once, in task order; a backend that cannot send
+    # raises for a miss, and a run's such misses are raised as one
+    answers, misses = [], []
     try:
+        for task in tasks:
+            try:
+                answers.append(backend.stored(task.digest))
+            except MissingFixtures as exc:
+                misses += exc.digests
+        if misses:
+            raise MissingFixtures(misses)
+        unsent = {task.digest: task for task, answer in zip(tasks, answers) if answer is None}
+        # the other misses are sent once per digest, each request built only as it is sent
         with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-            # a replay lookup holds the GIL throughout: threads would only add overhead
-            mapper = map if replay else pool.map
-            results = list(mapper(complete_one, tasks))
+            sent = dict(zip(unsent, pool.map(functools.partial(_send, backend), unsent.values())))
     finally:
         backend.close()
 
-    misses = [d for r in results if isinstance(r, MissingFixtures) for d in r.digests]
-    if misses:
-        raise MissingFixtures(misses)
-
     style = cfg.prompt_style
-    instances = [
-        {
-            "id": t.instance.id,
-            "event_type": derive_class_name(t.instance.event_type),
-            "prompt_digest": t.digest,
-            "prompt_chars": len(t.bundle.preamble) + len(t.bundle.task),
-            "example_ids": list(t.bundle.example_ids),
-            "completion": r.text,
-            "finish_reason": r.finish_reason,
-            "parsed": parse_completion(r.text, plan.ontology, t.instance.event_type, style),
-        }
-        for t, r in zip(tasks, results)
-    ]
+    instances = []
+    for t, answer in zip(tasks, answers):
+        # a stored answer is cut as ``client.complete`` cut a sent one; a second cut changes nothing
+        text, finish = answer or sent[t.digest]
+        text, cut = truncate_at_stop(text, t.bundle.stop_patterns)
+        instances.append(
+            {
+                "id": t.instance.id,
+                "event_type": derive_class_name(t.instance.event_type),
+                "prompt_digest": t.digest,
+                "prompt_chars": len(t.bundle.preamble) + len(t.bundle.task),
+                "example_ids": list(t.bundle.example_ids),
+                "completion": text,
+                "finish_reason": "stop" if cut else finish,
+                "parsed": parse_completion(text, plan.ontology, t.instance.event_type, style),
+            }
+        )
     # a skipped instance counts as predicting nothing
     nothing = [(entry["id"], {"roles": {}, "diagnostics": []}) for entry in skipped]
     preds = [(entry["id"], entry["parsed"]) for entry in instances] + nothing
@@ -388,6 +385,12 @@ def _run(plan: Plan, build_backend) -> dict:
         "shortfall": shortfall,
         "score": score(preds, plan.test),
     }
+
+
+def _send(backend, task: Task) -> tuple[str, str]:
+    """``task``'s completion and finish reason from ``backend``, its request built now."""
+    resp = client_mod.complete(backend, task.request, task.digest)
+    return resp.text, resp.finish_reason
 
 
 def write_report(report: dict, path: str | None) -> None:
@@ -419,13 +422,6 @@ def write_report(report: dict, path: str | None) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
-
-
-class _StoredCompletions(ReplayBackend):
-    """Serves a report's own completions by their stored prompt digests."""
-
-    def __init__(self, entries: dict[str, tuple[str, str]]):
-        self._entries = entries
 
 
 _ABSENT = object()
@@ -470,7 +466,7 @@ def load_report(path: str) -> dict:
         raise ConfigError(f"report file {path} is malformed: {exc!r}") from exc
     try:
         plan = prepare(cfg)
-        rerun = _run(plan, lambda cfg: _StoredCompletions(entries))
+        rerun = _run(plan, lambda cfg: ReplayBackend(path, entries=entries))
     except ConfigError as exc:
         raise ConfigError(f"report file {path}: {exc}") from exc
     except MissingFixtures as exc:

@@ -26,8 +26,8 @@ from conftest import (
 )
 from evarg import files, harness
 from evarg.cli import build_parser, main
-from evarg.client import ReplayBackend
-from evarg.emitter import PromptStyle
+from evarg.client import CompletionRequest, ReplayBackend
+from evarg.emitter import PromptBundle, PromptStyle
 from evarg.files import json_text
 from evarg.harness import SETTING_TYPES, RunConfig, run
 
@@ -94,6 +94,37 @@ def test_run_missing_fixture_entries_exit_3(config_file, tmp_path, capsys):
     code = main(["run", "--config", config_file(fixture_path=str(empty))])
     assert code == 3
     assert "missing from fixtures" in capsys.readouterr().err
+
+
+def _unread(bundle):
+    raise AssertionError("a full prompt was built")
+
+
+def test_a_run_that_cannot_send_builds_no_request_also_when_it_misses(
+    config_file, golden_dir, tmp_path, monkeypatch, capsys
+):
+    """No shipped completion answers a prompt at k 0, and a report whose config is edited to
+    k 0 stores none of the prompts that config gives; neither run can send, so it builds no
+    request and no full prompt, and names the misses as it did."""
+    plan = harness.prepare(RunConfig(**{**BASE, "k": 0}))
+    digests = [plan.task(inst).digest for inst in plan.test.instances]
+    assert len(set(digests)) == 12
+    golden = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
+    edited = {**golden, "config": {**golden["config"], "k": 0}}
+    report = _write(tmp_path / "k0.json", json.dumps(edited))
+    built = []
+    monkeypatch.setattr(CompletionRequest, "__post_init__", built.append)
+    monkeypatch.setattr(PromptBundle, "text", property(_unread))
+
+    assert main(["run", "--config", config_file(k=0)]) == 3
+    listing = "".join(f"  {digest}\n" for digest in digests)
+    assert capsys.readouterr().err == f"error: 12 request(s) missing from fixtures:\n{listing}"
+    assert main(["compare", report, report]) == 2
+    assert capsys.readouterr().err == (
+        f"error: report file {report}: its config gives test instance 'test-001' a prompt"
+        " that no instance stores\n"
+    )
+    assert built == []
 
 
 def test_run_backend_failure_exit_4(config_file, stub, tmp_path, capsys):

@@ -33,8 +33,8 @@ from evarg.client import (
     RecordingBackend,
     ReplayBackend,
     complete,
-    hash_prefix,
     request_digest,
+    settings_prefix,
     truncate_at_stop,
 )
 from evarg.files import ConfigError
@@ -113,18 +113,19 @@ def test_prefix_state_digest_equals_whole_payload_digest(
         stop_patterns=tuple(stop_patterns),
         model_id=model_id,
     )
-    prefix = hash_prefix(req, preamble)
+    prefix = _settings_prefix_of(req).extended(preamble)
     whole = _whole_payload_digest(req)
-    assert request_digest(req, prefix) == request_digest(req) == whole
-    # the prefix's state is what the digest is computed from ...
-    assert request_digest(req, prefix._replace(state=hashlib.sha256())) != whole
-    # ... and a prefix that does not fit the request is ignored
-    other = replace(req, model_id=model_id + "x")
-    assert request_digest(other, prefix) == _whole_payload_digest(other)
-    unrelated = replace(req, prompt="\x01" + req.prompt)
-    assert request_digest(unrelated, prefix) == _whole_payload_digest(unrelated)
+    assert request_digest(rest, prefix) == request_digest(req) == whole
+    # the prefix's state is what the digest is computed from
+    assert request_digest(rest, prefix._replace(state=hashlib.sha256())) != whole
     for twin in _spelt_apart(req):
-        assert request_digest(twin, prefix) == _whole_payload_digest(twin) != whole
+        twin_prefix = _settings_prefix_of(twin).extended(preamble)
+        assert request_digest(rest, twin_prefix) == request_digest(twin)
+        assert request_digest(twin) == _whole_payload_digest(twin) != whole
+
+
+def _settings_prefix_of(req):
+    return settings_prefix(req.model_id, req.max_new_tokens, req.temperature, req.stop_patterns)
 
 
 # equal values of a setting that JSON spells apart

@@ -206,7 +206,6 @@ def test_a_run_encodes_its_request_settings_once(cfg_code, tmp_path, monkeypatch
         digests.append(args)
         return digest(*args)
 
-    client._settings_around.cache_clear()  # synth_fixture encoded these settings already
     monkeypatch.setattr(json, "dumps", counted_dumps)
     monkeypatch.setattr(harness, "request_digest", counted_digest)
     assert len(run(cfg)["instances"]) == len(digests) == 200
@@ -325,6 +324,38 @@ def test_a_recording_run_builds_a_request_only_for_a_digest_its_file_lacks(
     built = _count_requests(monkeypatch)
     assert len(run(cfg)["instances"]) == 12
     assert len(stub.requests) == len(built) == 12 - recorded
+
+
+def test_a_recording_run_sends_a_repeated_missing_prompt_once(
+    cfg_code, tmp_path, stub, monkeypatch
+):
+    """test-001 is listed twice, next to itself and under two ids: one sentence, trigger and
+    type give one prompt, so one digest, which the run sends and appends once."""
+    lines = (ROOT / "fixtures/test.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    twin = {**json.loads(lines[0]), "id": "test-001-twin"}
+    test = tmp_path / "test.jsonl"
+    test.write_text(lines[0] + json.dumps(twin) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    stub.set_default(200, {"choices": [{"text": ")", "finish_reason": "stop"}]})
+    fixture = tmp_path / "recorded.jsonl"
+    cfg = replace(
+        cfg_code,
+        test_path=str(test),
+        backend="http",
+        endpoint=stub.url,
+        record=True,
+        fixture_path=str(fixture),
+    )
+    plan = prepare(cfg)
+    digests = [plan.task(inst).digest for inst in plan.test.instances]
+    assert digests[0] == digests[1] and len(digests) == len(set(digests)) + 1 == 13
+    built = _count_requests(monkeypatch)
+    report = run(cfg)
+    assert len(stub.requests) == len(built) == len(set(digests))
+    recorded = [json.loads(line)["digest"] for line in fixture.read_text().splitlines()]
+    assert sorted(recorded) == sorted(set(digests))
+    first, second = report["instances"][:2]
+    assert (first["id"], second["id"]) == ("test-001", "test-001-twin")
+    assert first["completion"] == second["completion"]
 
 
 def test_verifying_an_http_recorded_report_builds_no_request(cfg_code, tmp_path, stub, monkeypatch):
