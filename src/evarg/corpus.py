@@ -51,7 +51,8 @@ class Dataset:
     class by ``load_corpus(..., per_class=k)`` holds only each class's
     first ``k`` instances, in file order, and ``counts`` holds every class
     of the file with how many instances it had there, in the order the
-    classes first appear.
+    classes first appear. The records past the cut were checked as strictly
+    as the kept ones, but no instance was built for them.
     """
 
     split: str  # train | dev | test
@@ -86,22 +87,33 @@ def load_corpus(path: str | Path, split: str, per_class: int | None = None) -> D
 
     With ``per_class``, every record is still read, checked and counted and
     every id checked unique across the file, but only each class's first
-    ``per_class`` instances are kept; see ``Dataset``.
+    ``per_class`` instances are built and kept; a record past its class's cut
+    goes through the same checks, in the same order, and builds nothing. See
+    ``Dataset``.
     """
     # id -> its instance; None for one past its class's cut, kept for the duplicate check
     instances: dict[str, TrainingInstance | None] = {}
     counts: dict[str, int] = {}
+    classes: dict[str, str] = {}  # event type -> its class name, derived once per load
 
     def add(rec: dict) -> None:
-        inst = _instance_from_record(rec)
-        if inst.id in instances:
-            raise ValueError(f"duplicate instance id {short_repr(inst.id)}")
-        keep = True
+        # the class is read before the checks; a record without a str event_type
+        # takes the kept path, whose checks reject it in their usual order
+        cls = None
         if per_class is not None:
-            cls = derive_class_name(inst.event_type)
+            event_type = rec.get("event_type")
+            if type(event_type) is str:
+                cls = classes.get(event_type)
+                if cls is None:
+                    cls = classes[event_type] = derive_class_name(event_type)
+        keep = cls is None or counts.get(cls, 0) < per_class
+        inst = _instance_from_record(rec, keep)
+        instance_id = inst.id if keep else inst
+        if instance_id in instances:
+            raise ValueError(f"duplicate instance id {short_repr(instance_id)}")
+        if cls is not None:
             counts[cls] = counts.get(cls, 0) + 1
-            keep = counts[cls] <= per_class
-        instances[inst.id] = inst if keep else None
+        instances[instance_id] = inst if keep else None
 
     read_jsonl(path, split, add)
     kept = tuple(inst for inst in instances.values() if inst is not None)
@@ -124,9 +136,13 @@ def _offsets(rec: Any, what: str) -> tuple[int, int]:
     return start, end
 
 
-def _instance_from_record(rec: dict) -> TrainingInstance:
+def _instance_from_record(rec: dict, keep: bool = True) -> TrainingInstance | str:
     """The instance ``rec`` holds, each field checked as it is read: the first fault
-    in reading order raises ``KeyError``, ``TypeError`` or ``ValueError``."""
+    in reading order raises ``KeyError``, ``TypeError`` or ``ValueError``.
+
+    Without ``keep`` the same checks run in the same order, but nothing is
+    built: the result is the record's id.
+    """
     instance_id = rec["id"]
     if type(instance_id) is not str:
         raise not_a_string("id", instance_id)
@@ -145,17 +161,21 @@ def _instance_from_record(rec: dict) -> TrainingInstance:
             f"trigger surface mismatch for instance {short_repr(instance_id)}: "
             f"{short_repr(sentence[start:end])} != {short_repr(surface)}"
         )
+    records = rec.get("arguments", [])
+    if type(records) is not list:
+        raise TypeError(f"arguments must be a list, not {short_repr(records)}")
     arguments: list[GoldArgument] = []
-    for arg in rec.get("arguments", []):
+    for arg in records:
         if type(arg) is not dict:
             raise TypeError(f"argument {short_repr(arg)} is not an object")
         head = arg.get("head")
         if head is not None:
-            head = _new(Span, _offsets(head, "head"))
-            if not (0 <= head.start <= head.end <= len(sentence)):
+            head_start, head_end = _offsets(head, "head")
+            if not (0 <= head_start <= head_end <= len(sentence)):
                 raise ValueError(
                     f"argument head span out of bounds for instance {short_repr(instance_id)}"
                 )
+            head = _new(Span, (head_start, head_end)) if keep else None
         role = arg["role"]
         if type(role) is not str:
             raise not_a_string("role", role)
@@ -165,10 +185,13 @@ def _instance_from_record(rec: dict) -> TrainingInstance:
         entity_type = arg.get("entity_type", "")
         if type(entity_type) is not str:
             raise not_a_string("entity_type", entity_type)
-        arguments.append(_new(GoldArgument, (role, text, entity_type, head)))
+        if keep:
+            arguments.append(_new(GoldArgument, (role, text, entity_type, head)))
     event_type = rec["event_type"]
     if type(event_type) is not str:
         raise not_a_string("event_type", event_type)
+    if not keep:
+        return instance_id
     trigger = _new(Trigger, (start, end, surface))
     return _new(TrainingInstance, (instance_id, sentence, trigger, event_type, tuple(arguments)))
 

@@ -391,15 +391,9 @@ def prompt_frame(
     event_type: str,
     examples: list[TrainingInstance],
     opts: EmitterOptions,
-    preamble: str | None = None,
 ) -> PromptFrame:
-    """What every prompt for a task of ``event_type`` given ``examples`` shares.
-
-    ``preamble`` is ``build_preamble``'s result for the same arguments,
-    when the caller already has it; the frame keeps that object.
-    """
-    if preamble is None:
-        preamble = build_preamble(ontology, event_type, examples, opts)
+    """What every prompt for a task of ``event_type`` given ``examples`` shares."""
+    preamble = build_preamble(ontology, event_type, examples, opts)
     event = ontology.resolve_event(event_type)
     head, amr_lead, tail = _task_frame(event, opts)
     return PromptFrame(

@@ -62,7 +62,8 @@ def read_jsonl(path: str | Path, what: str, record: Callable[[dict], None]) -> N
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip(" \t\r\n"):
+                # strip copies the line, so only a line that starts blank is stripped
+                if line[0] in " \t\r\n" and not line.strip(" \t\r\n"):
                     continue
                 try:
                     try:

@@ -69,7 +69,6 @@ from .emitter import (
     PromptBundle,
     PromptFrame,
     assemble_prompt,
-    build_preamble,
     prompt_frame,
 )
 from .files import ConfigError, json_text, read_jsonl, short_repr, string_field, write_json
@@ -257,9 +256,8 @@ class Plan:
             examples = select_sibling(train, self.ontology, event_type, cfg.k, self.split)
         else:
             examples = select_non_sibling(train, self.ontology, event_type, cfg.k, cfg.seed)
-        preamble = build_preamble(self.ontology, event_type, examples, cfg)
-        frame = prompt_frame(self.ontology, event_type, examples, cfg, preamble)
-        return examples, frame, self.settings.extended(preamble)
+        frame = prompt_frame(self.ontology, event_type, examples, cfg)
+        return examples, frame, self.settings.extended(frame.preamble)
 
 
 def prepare(cfg: RunConfig) -> Plan:

@@ -12,7 +12,12 @@ A plain span, ASCII words (``[A-Za-z0-9_]+``) joined by single spaces as
 most argument surfaces are, is read by one split: with no preposition
 among its words, its head is its last word. Any other span goes through
 the token loop; the test suite checks the two against each other on
-random spans.
+random spans. ``score`` takes a surface to its head in one pass: one
+``find``, and on an exact match a plain surface is split itself, as it
+holds the sentence slice's characters; the head is a plain ``(start, end)``
+pair, equal to the ``Span`` ``head_span`` gives. Any other surface goes
+through ``ground`` and ``head_span``; the test suite checks the pass
+against them on random surfaces.
 
 Only equal heads can match, so each head span is an independent group:
 its identified count is the smaller of its gold and predicted counts, and
@@ -97,6 +102,23 @@ def ground(pred_surface: str, sentence: str) -> Span | None:
     return None
 
 
+def grounded_head(surface: str, sentence: str) -> tuple[int, int] | None:
+    """``head_span(ground(surface, sentence), sentence)``, or None where ``ground`` is.
+
+    A plain surface found exactly is split itself, with no span built.
+    """
+    idx = sentence.find(surface) if surface else -1
+    if idx < 0:
+        span = ground(surface, sentence)
+        return None if span is None else head_span(span, sentence)
+    end = idx + len(surface)
+    if _PLAIN_RE.fullmatch(surface):
+        plain = surface.lower().split(" ")
+        if _PREPOSITIONS.isdisjoint(plain):
+            return end - len(plain[-1]), end
+    return head_span(Span(idx, end), sentence)
+
+
 def _prf(tp: int, n_pred: int, n_gold: int) -> dict[str, float]:
     p = tp / n_pred if n_pred else 0.0
     r = tp / n_gold if n_gold else 0.0
@@ -115,8 +137,8 @@ def _shared(items: list, others: list) -> int:
 
 
 def _match_instance(
-    gold_pairs: list[tuple[str, Span | None]],
-    pred_pairs: list[tuple[str, Span | None]],
+    gold_pairs: list[tuple[str, tuple[int, int] | None]],
+    pred_pairs: list[tuple[str, tuple[int, int] | None]],
 ) -> tuple[int, int]:
     """One-to-one matching on head spans; returns (identified, classified)."""
     preds = [pair for pair in pred_pairs if pair[1] is not None]
@@ -136,24 +158,24 @@ def score(preds: list[tuple[str, dict]], golds: Dataset) -> dict:
     ungrounded_count = 0
     for instance_id, parsed in preds:
         inst = golds.by_id(instance_id)
-        gold_pairs: list[tuple[str, Span | None]] = []
+        sentence = inst.sentence
+        gold_pairs: list[tuple[str, tuple[int, int] | None]] = []
         for arg in inst.arguments:
             head = arg.head
             if head is None:
-                span = ground(arg.surface, inst.sentence)
-                head = head_span(span, inst.sentence) if span is not None else None
+                head = grounded_head(arg.surface, sentence)
             gold_pairs.append((arg.role, head))
 
-        grounded: set[tuple[str, Span]] = set()
+        grounded: set[tuple[str, tuple[int, int]]] = set()
         ungrounded: set[tuple[str, str]] = set()
         for role, mentions in parsed["roles"].items():
             for mention in mentions:
                 surface = mention["surface"]
-                span = ground(surface, inst.sentence)
-                if span is None:
+                head = grounded_head(surface, sentence)
+                if head is None:
                     ungrounded.add((role, surface))
                 else:
-                    grounded.add((role, head_span(span, inst.sentence)))
+                    grounded.add((role, head))
 
         identified, classified = _match_instance(gold_pairs, list(grounded))
         cls = derive_class_name(inst.event_type)

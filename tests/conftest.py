@@ -94,7 +94,10 @@ def reference_load_corpus(path, split: str) -> Dataset:
                 f"{short_repr(sentence[start:end])} != {short_repr(surface)}"
             )
         arguments = []
-        for arg in rec.get("arguments", []):
+        records = rec.get("arguments", [])
+        if not isinstance(records, list):
+            raise TypeError(f"arguments must be a list, not {short_repr(records)}")
+        for arg in records:
             if not isinstance(arg, dict):
                 raise TypeError(f"argument {short_repr(arg)} is not an object")
             head = None

@@ -949,6 +949,17 @@ def test_a_problem_with_the_ontology_quotes_a_short_value_whole(
     assert capsys.readouterr().err == UNFIT[field].format(shown) + "\n"
 
 
+def test_validate_rejects_arguments_that_are_not_a_list_naming_the_line(
+    in_repo_root, tmp_path, capsys
+):
+    records = (ROOT / "fixtures/train.jsonl").read_text(encoding="utf-8").splitlines()[:2]
+    second = {**json.loads(records[1]), "arguments": {}}
+    bad = _write(tmp_path / "train.jsonl", f"{records[0]}\n{json.dumps(second)}\n")
+    assert main(["validate", "--ontology", BASE["ontology_path"], "--corpus", bad]) == 2
+    message = f"{bad}:2: bad train record: arguments must be a list, not {{}}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_validate_ontology_only(in_repo_root, capsys):
     assert main(["validate", "--ontology", "fixtures/ontology.yaml"]) == 0
     assert capsys.readouterr().out == "ok\n"

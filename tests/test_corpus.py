@@ -1,8 +1,11 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 
 from conftest import make_dataset, make_instance
+from evarg import corpus
 from evarg.corpus import (
     Dataset,
     GoldArgument,
@@ -17,6 +20,7 @@ from evarg.corpus import (
     validate_against_ontology,
 )
 from evarg.files import ConfigError
+from evarg.ontology import derive_class_name
 
 
 def _write_corpus(tmp_path, records):
@@ -146,6 +150,166 @@ def test_a_cut_dataset_stays_hashable_and_its_counts_count_in_equality(tmp_path)
     assert Dataset(cut.split, cut.instances) != cut
 
 
+# raw event types; each pair names one class, as by_class files them
+EVENT_TYPES = ("Movement:Transport", "Transport", "Conflict:Attack", "Attack",
+               "Justice:Arrest-Jail", "Arrest_Jail", "Life:Die")
+WORDS = ("Kim", "Joe", "Boston", "the", "old", "car", "left", "went", "paid", "of", "in", ",")
+
+
+def _synthetic_records(rng, n):
+    """``n`` valid records of random classes, each with one to three arguments."""
+    records = []
+    for i in range(n):
+        words = [rng.choice(WORDS) for _ in range(rng.randint(3, 9))]
+        sentence = " ".join(words)
+        starts = [sum(len(w) + 1 for w in words[:j]) for j in range(len(words))]
+        at = rng.randrange(len(words))
+        trigger = {"start": starts[at], "end": starts[at] + len(words[at]), "surface": words[at]}
+        arguments = []
+        for _ in range(rng.randint(1, 3)):
+            j = rng.randrange(len(words))
+            arg = {"role": rng.choice(("agent", "place")), "surface": words[j]}
+            if rng.random() < 0.5:
+                arg["entity_type"] = rng.choice(("PER", "GPE"))
+            if rng.random() < 0.5:
+                arg["head"] = {"start": starts[j], "end": starts[j] + len(words[j])}
+            arguments.append(arg)
+        records.append({"id": f"r{i}", "sentence": sentence, "trigger": trigger,
+                        "event_type": rng.choice(EVENT_TYPES), "arguments": arguments})
+    return records
+
+
+def _bad_json(records, i, rng):
+    return json.dumps(records[i])[: -rng.randint(1, 5)]
+
+
+def _missing_key(records, i, rng):
+    rec = records[i]
+    owner, key = rng.choice([
+        (rec, "id"), (rec, "sentence"), (rec, "trigger"), (rec, "event_type"),
+        (rec["trigger"], "start"), (rec["trigger"], "surface"),
+        (rec["arguments"][-1], "role"), (rec["arguments"][-1], "surface"),
+    ])
+    del owner[key]
+    return json.dumps(rec)
+
+
+def _wrong_type(records, i, rng):
+    rec, arg = records[i], records[i]["arguments"][-1]
+    owner, key = rng.choice([
+        (rec, "id"), (rec, "sentence"), (rec, "event_type"), (rec["trigger"], "surface"),
+        (rec["trigger"], "end"), (arg, "role"), (arg, "surface"), (arg, "entity_type"),
+        (arg, "head"), (rec["arguments"], 0),
+    ])
+    owner[key] = rng.choice((5, 1.5, True, "x", [], [1]) if key == "head" else (5, 1.5, None, []))
+    return json.dumps(rec)
+
+
+def _trigger_mismatch(records, i, rng):
+    rec = records[i]
+    rec["trigger"]["surface"] += rng.choice(("x", " ", "s"))
+    return json.dumps(rec)
+
+
+def _head_out_of_bounds(records, i, rng):
+    rec = records[i]
+    end = len(rec["sentence"]) + rng.randint(1, 3)
+    rec["arguments"][-1]["head"] = rng.choice(({"start": 0, "end": end}, {"start": -1, "end": 2}))
+    return json.dumps(rec)
+
+
+def _duplicate_id(records, i, rng):
+    rec = records[i]
+    rec["id"] = rng.choice([r["id"] for n, r in enumerate(records) if n != i])
+    return json.dumps(rec)
+
+
+def _non_list_arguments(records, i, rng):
+    rec = records[i]
+    rec["arguments"] = rng.choice(("", "ab", {}, {"role": "agent"}, None, 3))
+    return json.dumps(rec)
+
+
+FAULTS = [_bad_json, _missing_key, _wrong_type, _trigger_mismatch, _head_out_of_bounds,
+          _duplicate_id, _non_list_arguments]
+
+
+def _first_k_of_each_class(instances, k):
+    seen = Counter()
+    kept = []
+    for inst in instances:
+        cls = derive_class_name(inst.event_type)
+        seen[cls] += 1
+        if seen[cls] <= k:
+            kept.append(inst)
+    return tuple(kept), tuple(seen.items())
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_a_cut_load_equals_a_whole_load_faults_included(tmp_path, k):
+    """Seeded files with one fault of each kind before or past its class's cut, or none:
+    a cut load raises a whole load's error, or keeps its first k per class and its counts."""
+    path = tmp_path / "train.jsonl"
+    rng = random.Random(33 + k)
+    outcomes = Counter()
+    for n in range(420):
+        records = _synthetic_records(rng, 16)
+        ranks = Counter()
+        before, past = [], []
+        for i, rec in enumerate(records):
+            cls = derive_class_name(rec["event_type"])
+            (before if ranks[cls] < k else past).append(i)
+            ranks[cls] += 1
+        lines = [json.dumps(rec) for rec in records]
+        fault, where = FAULTS[n % 7], ("before", "past", "none")[n // 7 % 3]
+        if where == "none":
+            fault = None
+        else:
+            candidates = before if where == "before" else past
+            if not candidates:
+                continue
+            at = rng.choice(candidates)
+            lines[at] = fault(records, at, rng)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        try:
+            whole = load_corpus(path, "train")
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as err:
+                load_corpus(path, "train", per_class=k)
+            assert str(err.value) == str(exc), n
+            outcomes[fault.__name__, where, "error"] += 1
+        else:
+            cut = load_corpus(path, "train", per_class=k)
+            assert (cut.instances, cut.counts) == _first_k_of_each_class(whole.instances, k), n
+            outcomes[getattr(fault, "__name__", None), where, "dataset"] += 1
+    wheres = ("past",) if k == 0 else ("before", "past")
+    for fault in FAULTS:
+        for where in wheres:
+            assert outcomes[fault.__name__, where, "error"], (fault.__name__, where)
+    assert outcomes[None, "none", "dataset"]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_a_cut_load_builds_only_what_it_keeps(tmp_path, monkeypatch, k):
+    path = _write_corpus(tmp_path, _synthetic_records(random.Random(k), 60))
+    built = Counter()
+
+    def counted(cls, fields):
+        built[cls.__name__] += 1
+        return tuple.__new__(cls, fields)
+
+    monkeypatch.setattr(corpus, "_new", counted)
+    cut = load_corpus(path, "train", per_class=k)
+    arguments = [arg for inst in cut.instances for arg in inst.arguments]
+    assert sum(count for _, count in cut.counts) == 60
+    assert built == Counter(
+        TrainingInstance=len(cut.instances),
+        Trigger=len(cut.instances),
+        GoldArgument=len(arguments),
+        Span=sum(arg.head is not None for arg in arguments),
+    )
+
+
 def test_selection_at_k_0_sees_every_class_with_data(ontology, train_set, fixtures_dir):
     cut = load_corpus(fixtures_dir / "train.jsonl", "train", per_class=0)
     assert cut.instances == () and cut.by_class == {}
@@ -234,6 +398,27 @@ def test_malformed_record_rejected_naming_its_line(tmp_path, record, message):
     with pytest.raises(ConfigError) as excinfo:
         load_corpus(path, "train")
     assert str(excinfo.value) == f"{path}:1: bad train record: {message}"
+
+
+@pytest.mark.parametrize(
+    "arguments, shown",
+    [("", "''"), ({}, "{}"), ("ab", "'ab'"), ({"role": "agent"}, "{'role': 'agent'}"),
+     (None, "None"), (3, "3")],
+    ids=["empty-str", "empty-object", "str", "object", "null", "int"],
+)
+@pytest.mark.parametrize("per_class", [None, 0])
+def test_arguments_that_are_not_a_list_rejected(tmp_path, arguments, shown, per_class):
+    record = {**_record(), "arguments": arguments}
+    path = _write_corpus(tmp_path, [record])
+    with pytest.raises(ConfigError) as excinfo:
+        load_corpus(path, "train", per_class=per_class)
+    message = f"{path}:1: bad train record: arguments must be a list, not {shown}"
+    assert str(excinfo.value) == message
+
+
+def test_a_record_without_arguments_has_none(tmp_path):
+    path = _write_corpus(tmp_path, [_without("arguments")])
+    assert load_corpus(path, "train").instances[0].arguments == ()
 
 
 def test_same_type_selection_in_corpus_order(train_set):

@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 from conftest import ROOT, drop_the_first_instance, list_the_first_instance_twice, rescore
-from evarg import client, corpus, files, harness
+from evarg import client, corpus, emitter, files, harness
 from evarg.client import BackendError, CompletionRequest, HttpBackend, ReplayBackend, request_digest
 from evarg.corpus import select_same_type, split_hierarchy
 from evarg.emitter import EmitterOptions, PromptBundle, PromptStyle, assemble_prompt
@@ -176,7 +176,7 @@ def test_replay_run_builds_each_preamble_once_and_hashes_each_request_once(
 
         return wrapper
 
-    monkeypatch.setattr(harness, "build_preamble", counted("preamble", harness.build_preamble))
+    monkeypatch.setattr(emitter, "build_preamble", counted("preamble", emitter.build_preamble))
     monkeypatch.setattr(harness, "request_digest", counted("digest", harness.request_digest))
     monkeypatch.setattr(client, "request_digest", counted("digest", client.request_digest))
     report = run(cfg_code)

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,7 @@ from conftest import (
     untyped_parse,
 )
 from evarg.corpus import GoldArgument, Span, Trigger, TrainingInstance
-from evarg.scoring import _match_instance, ground, head_span, score
+from evarg.scoring import _PREPOSITIONS, _match_instance, ground, grounded_head, head_span, score
 
 
 def event(**roles):
@@ -156,6 +157,70 @@ def test_head_span_equals_the_token_loop_on_random_spans():
         plain += bool(re.fullmatch(r"\w+( \w+)*", sentence[start:end], re.ASCII))
         assert head_span(span, sentence) == reference_head_span(span, sentence), (span, sentence)
     assert plain > 30_000
+
+
+def _random_surface(rng, sentence):
+    """A surface for ``sentence``: a slice of it, the slice recased, a phrase of its
+    own, or empty; and which of these it is."""
+    kind = rng.choice(("slice", "slice", "slice", "recased", "phrase", "empty"))
+    if kind == "empty":
+        return "", kind
+    if kind == "phrase":
+        return _random_phrase(rng), kind
+    start = rng.randrange(len(sentence))
+    if rng.random() < 0.5:  # from a word's start to a word's end
+        start = sentence.rfind(" ", 0, start) + 1
+        end = sentence.find(" ", start + 1)
+        for _ in range(rng.randint(0, 2)):
+            end = sentence.find(" ", end + 1) if end >= 0 else -1
+        end = len(sentence) if end < 0 else end
+    else:
+        end = rng.randint(start + 1, len(sentence))
+    surface = sentence[start:end]
+    if kind == "recased":
+        surface = rng.choice((str.upper, str.lower, str.swapcase, str.title))(surface)
+    return surface, kind
+
+
+def test_grounded_head_equals_ground_then_head_span_on_random_surfaces():
+    rng = random.Random(20261033)
+    seen = Counter()
+    for _ in range(100_000):
+        phrase = _random_phrase(rng)
+        # a sentence may hold its phrase twice, so a surface can occur more than once
+        sentence = rng.choice(("", "Then ", "İn ")) + phrase + rng.choice(
+            (" .", " , " + phrase + " .", " of " + phrase.upper() + " .")
+        )
+        surface, kind = _random_surface(rng, sentence)
+        span = ground(surface, sentence)
+        expected = None if span is None else head_span(span, sentence)
+        head = grounded_head(surface, sentence)
+        assert head == expected, (surface, sentence)
+        if span is not None:
+            assert head == reference_head_span(span, sentence), (surface, sentence)
+        if head is None:
+            seen["ungrounded"] += 1
+        elif sentence.find(surface) < 0:
+            seen["case-insensitive"] += 1
+        elif type(head) is tuple:
+            seen["plain exact"] += 1
+        seen[kind] += 1
+        seen["repeated"] += sentence.count(surface) > 1
+        seen["İ"] += "İ" in surface
+        seen["comma"] += "," in surface
+        seen["preposition"] += not _PREPOSITIONS.isdisjoint(surface.lower().split())
+    assert min(seen.values()) > 2_000, seen
+
+
+def test_grounded_head_of_fixed_surfaces():
+    sentence = "The mayor of İstanbul met the mayor , Kim ."
+    assert grounded_head("the mayor", sentence) == (30, 35)
+    assert grounded_head("THE MAYOR", sentence) == (4, 9)
+    assert grounded_head("mayor of İstanbul", sentence) == (4, 9)
+    assert grounded_head("MAYOR OF İSTANBUL", sentence) == (4, 9)
+    assert grounded_head("the mayor , Kim", sentence) == (30, 35)
+    assert grounded_head("", sentence) is None
+    assert grounded_head("Joe", sentence) is None
 
 
 # --- fixed scoring examples ------------------------------------------------
