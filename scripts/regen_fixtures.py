@@ -24,8 +24,8 @@ os.chdir(REPO_ROOT)
 
 from evarg.corpus import load_corpus, validate_against_ontology  # noqa: E402
 from evarg.harness import RunConfig, prepare, run, write_report  # noqa: E402
-from evarg.ontology import derive_class_name, load_ontology  # noqa: E402
-from evarg.variability import load_grid, load_vectors, variability_report  # noqa: E402
+from evarg.ontology import load_ontology  # noqa: E402
+from evarg.variability import load_points, load_vectors, variability_report  # noqa: E402
 
 FIXTURES = Path("fixtures")
 GOLDEN = FIXTURES / "golden"
@@ -216,8 +216,6 @@ AMR = {
                  ':time (d / date-entity :weekday (t / tuesday)))'),
 }
 
-VARIABILITY_ARG_C = {1: 0.30, 2: 0.42, 3: 0.48}
-
 # The run every golden prompt and the frozen replay runs start from.
 BASE = RunConfig(
     ontology_path="fixtures/ontology.yaml",
@@ -299,21 +297,6 @@ def main() -> None:
         ),
     )
 
-    by_type: dict[str, list[str]] = {}
-    for row in TRAIN:
-        by_type.setdefault(derive_class_name(row[1]), []).append(row[0])
-    grid = {
-        "clusters": {
-            k: {etype: ids[:k] for etype, ids in sorted(by_type.items())}
-            for k in sorted(VARIABILITY_ARG_C)
-        },
-        "arg_c_f1": dict(sorted(VARIABILITY_ARG_C.items())),
-    }
-    with open(FIXTURES / "variability_grid.yaml", "w", encoding="utf-8") as fh:
-        json.dump(grid, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {FIXTURES / 'variability_grid.yaml'}")
-
     ontology = load_ontology("fixtures/ontology.yaml")
     train = load_corpus("fixtures/train.jsonl", "train")
     test = load_corpus("fixtures/test.jsonl", "test")
@@ -358,7 +341,7 @@ def main() -> None:
     print(f"wrote {GOLDEN / 'run_report.json'}")
 
     vectors = load_vectors("fixtures/vectors.jsonl")
-    var_report = variability_report(*load_grid("fixtures/variability_grid.yaml", vectors))
+    var_report = variability_report(load_points([str(GOLDEN / "run_report.json")], vectors))
     write_report(var_report, str(GOLDEN / "variability_report.json"))
     print(f"wrote {GOLDEN / 'variability_report.json'}")
 

@@ -2,9 +2,10 @@
 
 Subcommands: emit (render one prompt), run (full pipeline), compare
 (F1 differences between two run reports, each verified before use),
-variability (vector-based example spread), validate (ontology/corpus
-checks). Exit codes: 0 success, 2 bad configuration or input, 3 fixture
-miss under replay, 4 backend failure.
+variability (example spread per k against Arg-C F1, read from verified
+run reports), validate (ontology/corpus checks). Exit codes: 0 success,
+2 bad configuration or input, 3 fixture miss under replay, 4 backend
+failure.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .harness import (
     write_report,
 )
 from .ontology import load_ontology
-from .variability import load_grid, load_vectors, variability_report
+from .variability import load_points, load_vectors, variability_report
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
@@ -118,7 +119,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_variability(args: argparse.Namespace) -> int:
-    report = variability_report(*load_grid(args.grid, load_vectors(args.vectors)))
+    report = variability_report(load_points(args.reports, load_vectors(args.vectors)))
     write_report(report, args.out)
     return 0
 
@@ -160,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out")
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_var = sub.add_parser("variability", help="example-cluster spread per k")
+    p_var = sub.add_parser("variability", help="example-cluster spread per k against Arg-C F1")
     p_var.add_argument("--vectors", required=True)
-    p_var.add_argument("--grid", required=True)
+    p_var.add_argument("reports", nargs="+", metavar="REPORT", help="run report, one per k")
     p_var.add_argument("--out")
     p_var.set_defaults(func=_cmd_variability)
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .files import ConfigError, read_yaml
+from .files import ConfigError, read_yaml, short_repr, short_text
 
 logger = logging.getLogger(__name__)
 
@@ -78,7 +78,7 @@ class Ontology:
         try:
             return self.event_types[cls]
         except KeyError:
-            raise ConfigError(f"unknown event type: {name!r}") from None
+            raise ConfigError(f"unknown event type: {short_repr(name)}") from None
 
     def children(self, parent: str) -> list[str]:
         """Class names of the direct children of ``parent``, in file order."""
@@ -121,7 +121,7 @@ def load_ontology(path: str | Path) -> Ontology:
         raise ConfigError("ontology document must be a mapping")
     unknown = set(doc) - {"entities", "events"}
     if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown, key=str)}")
+        raise ConfigError(f"unknown top-level keys: {short_repr(sorted(unknown, key=str))}")
 
     problems: list[str] = []
     entity_types = _parse_entities(doc.get("entities", []), problems)
@@ -141,13 +141,13 @@ def _parse_entities(raw: object, problems: list[str]) -> dict[str, EntityTypeDef
         name = item.get("name")
         description = item.get("description")
         if not isinstance(name, str) or not IDENTIFIER_RE.fullmatch(name):
-            problems.append(f"entity name {name!r} is not a valid identifier")
+            problems.append(f"entity name {short_repr(name)} is not a valid identifier")
             continue
         if name in out:
-            problems.append(f"duplicate entity type {name!r}")
+            problems.append(f"duplicate entity type {short_repr(name)}")
             continue
         if not isinstance(description, str) or not description.strip():
-            problems.append(f"entity {name!r} has an empty description")
+            problems.append(f"entity {short_repr(name)} has an empty description")
             continue
         out[name] = EntityTypeDef(name=name, description=description)
     return out
@@ -171,13 +171,13 @@ def _parse_events(
         if not isinstance(name, str) or not name.strip():
             problems.append(f"events[{i}] has no usable name")
             continue
-        cls = derive_class_name(name)
+        cls, event = derive_class_name(name), f"event {short_repr(name)}"
         if not IDENTIFIER_RE.fullmatch(cls):
-            problems.append(f"event {name!r} derives invalid class name {cls!r}")
+            problems.append(f"{event} derives invalid class name {short_repr(cls)}")
             continue
         if cls in by_class:
             problems.append(
-                f"event {name!r} collides with {by_class[cls]!r} on class name {cls!r}"
+                f"{event} collides with {short_repr(by_class[cls])} on class name {short_repr(cls)}"
             )
             continue
         by_class[cls] = name
@@ -186,26 +186,24 @@ def _parse_events(
     out: dict[str, EventTypeDef] = {}
     for item in records:
         name = item["name"]
-        cls = derive_class_name(name)
+        cls, event = derive_class_name(name), f"event {short_repr(name)}"
         parent_ref = item.get("parent")
         parent: str | None = None
         if parent_ref is not None:
             if not isinstance(parent_ref, str):
-                problems.append(f"event {name!r}: parent must be a string")
+                problems.append(f"{event}: parent must be a string")
             else:
                 pcls = derive_class_name(parent_ref)
                 if pcls not in by_class:
-                    problems.append(
-                        f"event {name!r}: parent {parent_ref!r} is not defined"
-                    )
+                    problems.append(f"{event}: parent {short_repr(parent_ref)} is not defined")
                 elif pcls == cls:
-                    problems.append(f"event {name!r} is its own parent")
+                    problems.append(f"{event} is its own parent")
                 else:
                     parent = pcls
 
         template = item.get("template")
         if not isinstance(template, str) or not template.strip():
-            problems.append(f"event {name!r} has an empty template")
+            problems.append(f"{event} has an empty template")
             template = ""
 
         keywords_raw = item.get("keywords", [])
@@ -214,16 +212,14 @@ def _parse_events(
             if not isinstance(keywords_raw, list) or not all(
                 isinstance(k, str) and k.strip() for k in keywords_raw
             ):
-                problems.append(f"event {name!r}: keywords must be non-empty strings")
+                problems.append(f"{event}: keywords must be non-empty strings")
             else:
                 keywords = tuple(keywords_raw)
 
         roles = _parse_roles(item.get("roles", []), name, entity_types, problems)
         for ph in PLACEHOLDER_RE.findall(template):
             if ph not in {r.name for r in roles}:
-                problems.append(
-                    f"event {name!r}: template placeholder {{{ph}}} names no role"
-                )
+                problems.append(f"{event}: template placeholder {{{short_text(ph)}}} names no role")
 
         out[cls] = EventTypeDef(
             class_name=cls,
@@ -245,31 +241,31 @@ def _parse_roles(
 ) -> tuple[RoleSpec, ...]:
     if raw is None:
         return ()
+    event = f"event {short_repr(event_name)}"
     if not isinstance(raw, list):
-        raise ConfigError(f"event {event_name!r}: roles must be a list")
+        raise ConfigError(f"{event}: roles must be a list")
     roles: list[RoleSpec] = []
     seen: set[str] = set()
     for item in raw:
         if not isinstance(item, dict):
-            raise ConfigError(f"event {event_name!r}: each role must be a mapping")
+            raise ConfigError(f"{event}: each role must be a mapping")
         rname = item.get("name")
         if not isinstance(rname, str) or not IDENTIFIER_RE.fullmatch(rname):
-            problems.append(f"event {event_name!r}: role name {rname!r} is invalid")
+            problems.append(f"{event}: role name {short_repr(rname)} is invalid")
             continue
         if rname in seen:
-            problems.append(f"event {event_name!r}: duplicate role {rname!r}")
+            problems.append(f"{event}: duplicate role {short_repr(rname)}")
             continue
         seen.add(rname)
+        role = f"{event}: role {short_repr(rname)}"
         types = item.get("types")
         if not isinstance(types, list) or not types:
-            problems.append(f"event {event_name!r}: role {rname!r} lists no types")
+            problems.append(f"{role} lists no types")
             continue
         ok = True
         for t in types:
             if not isinstance(t, str) or t not in entity_types:
-                problems.append(
-                    f"event {event_name!r}: role {rname!r} uses unknown entity type {t!r}"
-                )
+                problems.append(f"{role} uses unknown entity type {short_repr(t)}")
                 ok = False
         if not ok:
             continue
@@ -277,7 +273,7 @@ def _parse_roles(
         if desc is None:
             desc = ""
         if not isinstance(desc, str):
-            problems.append(f"event {event_name!r}: role {rname!r} description must be text")
+            problems.append(f"{role} description must be text")
             continue
         roles.append(
             RoleSpec(name=rname, allowed_entity_types=tuple(types), role_description=desc)
@@ -291,7 +287,7 @@ def _check_acyclic(events: dict[str, EventTypeDef], problems: list[str]) -> None
         node = events[cls]
         while node.parent is not None:
             if node.parent in seen:
-                problems.append(f"event hierarchy cycle through {node.parent!r}")
+                problems.append(f"event hierarchy cycle through {short_repr(node.parent)}")
                 return
             seen.add(node.parent)
             node = events[node.parent]

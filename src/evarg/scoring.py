@@ -8,16 +8,15 @@ regardless of role; Arg-C counts the matched pairs whose roles also
 agree. Counts pool per event type and micro metrics are computed from
 the pooled sums.
 
-A plain span, ASCII words (``[A-Za-z0-9_]+``) joined by single spaces as
-most argument surfaces are, is read by one split: with no preposition
-among its words, its head is its last word. Any other span goes through
-the token loop; the test suite checks the two against each other on
-random spans. ``score`` takes a surface to its head in one pass: one
-``find``, and on an exact match a plain surface is split itself, as it
-holds the sentence slice's characters; the head is a plain ``(start, end)``
-pair, equal to the ``Span`` ``head_span`` gives. Any other surface goes
-through ``ground`` and ``head_span``; the test suite checks the pass
-against them on random surfaces.
+``head_span`` reads a span by one token loop. ``score`` takes a surface
+to its head in one pass, ``grounded_head``: one ``find``, and on an exact
+match a plain surface, ASCII words (``[A-Za-z0-9_]+``) joined by single
+spaces as most argument surfaces are, is read by one split: with no
+preposition among its words, its head is its last word. The head is a
+plain ``(start, end)`` pair, equal to the ``Span`` ``head_span`` gives.
+Any other surface goes through ``ground`` and ``head_span``; the test
+suite checks the pass against them on random surfaces, and ``head_span``
+against a reference token loop on random spans.
 
 Only equal heads can match, so each head span is an independent group:
 its identified count is the smaller of its gold and predicted counts, and
@@ -55,10 +54,6 @@ def head_span(span: Span, sentence: str) -> Span:
     The head lies within ``span``; with no word before that boundary it is the
     span's last word, and a span with no word token is its own head.
     """
-    if _PLAIN_RE.fullmatch(sentence, span.start, span.end):
-        plain = sentence[span.start : span.end].lower().split(" ")
-        if _PREPOSITIONS.isdisjoint(plain):
-            return Span(span.end - len(plain[-1]), span.end)
     words: list[tuple[int, int]] = []
     before = None  # how many words precede the first comma or preposition
     for m in _TOKEN_RE.finditer(sentence, span.start, span.end):

@@ -3,8 +3,10 @@
 Variability of a cluster of example sentence vectors is the mean
 Euclidean distance from the cluster mean. Vectors come precomputed from
 a newline-delimited JSON file (one record per example); producing them
-is out of scope here. A YAML grid file names, per k, the example ids
-shown for each event type and the Arg-C F1 that k scored.
+is out of scope here. The clusters and scores come from run reports, each
+verified by ``load_report``: a report's clusters are the distinct sets of
+example ids its instances were shown, per event type, and its point is
+its ``config.k`` and its micro Arg-C F1.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .files import ConfigError, read_jsonl, read_yaml, short_repr, string_field
+from .files import ConfigError, read_jsonl, short_repr, string_field
+from .harness import load_report
 
 
 @dataclass(frozen=True)
@@ -90,9 +93,9 @@ def load_vectors(path: str) -> dict[str, tuple[float, ...]]:
     return vectors
 
 
-def _cluster(event_type: str, ids: list, vectors: dict[str, tuple[float, ...]]) -> VectorCluster:
-    if not isinstance(ids, list):  # a string would be read one character at a time
-        raise TypeError(f"ids for {short_repr(event_type)} are not a list: {short_repr(ids)}")
+def _cluster(
+    event_type: str, ids: tuple[str, ...], vectors: dict[str, tuple[float, ...]]
+) -> VectorCluster:
     missing = [i for i in ids if i not in vectors]
     if missing:
         raise ConfigError(
@@ -101,60 +104,48 @@ def _cluster(event_type: str, ids: list, vectors: dict[str, tuple[float, ...]]) 
     return VectorCluster(event_type, tuple(vectors[i] for i in ids))
 
 
-def _per_k(table: dict, value) -> dict:
-    """``{k: value(entry)}`` for a grid table keyed by k.
+def load_points(
+    paths: list[str], vectors: dict[str, tuple[float, ...]]
+) -> dict[int, tuple[list[VectorCluster], float]]:
+    """``{k: (clusters, micro Arg-C F1)}`` of the reports at ``paths``, each verified.
 
-    A k key is an int or a string of digits; a bool or a float is refused
-    rather than truncated, and so is a second key naming the same k.
+    The reports must agree on every config key but ``k``, and no two may
+    share a ``k``; every example id they show must have a vector in ``vectors``.
     """
-    per_k = {}
-    for key, entry in table.items():
-        if not (type(key) is int or (isinstance(key, str) and key.isascii() and key.isdigit())):
-            raise ValueError(f"k must be an integer, not {short_repr(key)}")
-        if int(key) in per_k:
-            raise ValueError(f"two keys name k {int(key)}")
-        per_k[int(key)] = value(entry)
-    return per_k
+    points: dict[int, tuple[list[VectorCluster], float]] = {}
+    path_of: dict[int, str] = {}
+    first: dict | None = None  # the config of the report at paths[0]
+    for path in paths:
+        report = load_report(path)
+        config = report["config"]
+        first = first or config
+        for key in sorted(config.keys() - {"k"}):
+            if config[key] != first[key]:
+                raise ConfigError(
+                    f"reports {paths[0]} and {path} differ in {key}: "
+                    f"{short_repr(first[key])} vs {short_repr(config[key])}"
+                )
+        k = config["k"]
+        if k in path_of:
+            raise ConfigError(f"reports {path_of[k]} and {path} both have k {short_repr(k)}")
+        path_of[k] = path
+        shown = {(e["event_type"], tuple(sorted(e["example_ids"]))) for e in report["instances"]}
+        clusters = [_cluster(t, ids, vectors) for t, ids in sorted(shown) if ids]
+        points[k] = clusters, report["score"]["micro"]["arg_c"]["f1"]
+    return points
 
 
-def load_grid(
-    path: str, vectors: dict[str, tuple[float, ...]]
-) -> tuple[dict[int, list[VectorCluster]], dict[int, float]]:
-    """Read a grid file into ``variability_report``'s two arguments.
-
-    The file maps ``clusters`` to {k: {event type: [example id]}} and
-    ``arg_c_f1`` to {k: finite F1}; every id must have a vector in ``vectors``.
-    """
-    grid = read_yaml(path, "grid")
-    try:
-        clusters_per_k = _per_k(
-            grid["clusters"],
-            lambda by_type: [_cluster(t, ids, vectors) for t, ids in sorted(by_type.items())],
-        )
-        arg_c_per_k = _per_k(grid["arg_c_f1"], _finite)
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise ConfigError(f"grid file {path} is malformed: {exc!r}") from exc
-    return clusters_per_k, arg_c_per_k
-
-
-def variability_report(
-    clusters_per_k: dict[int, list[VectorCluster]],
-    arg_c_per_k: dict[int, float],
-) -> dict:
+def variability_report(points: dict[int, tuple[list[VectorCluster], float]]) -> dict:
     """Mean variability per k plus its Pearson correlation with Arg-C F1."""
-    if set(clusters_per_k) != set(arg_c_per_k):
-        raise ConfigError(
-            f"k grids differ: {sorted(clusters_per_k)} vs {sorted(arg_c_per_k)}"
-        )
     per_k = {}
     means: list[float] = []
     scores: list[float] = []
-    for k in sorted(clusters_per_k):
-        clusters = clusters_per_k[k]
+    for k in sorted(points):
+        clusters, arg_c_f1 = points[k]
         if not clusters:
-            raise ConfigError(f"no clusters for k={k}")
+            raise ConfigError(f"no clusters for k={short_repr(k)}: its report shows no examples")
         mean = sum(variability(c) for c in clusters) / len(clusters)
-        per_k[str(k)] = {"mean_variability": mean, "arg_c_f1": arg_c_per_k[k]}
+        per_k[str(k)] = {"mean_variability": mean, "arg_c_f1": arg_c_f1}
         means.append(mean)
-        scores.append(arg_c_per_k[k])
+        scores.append(arg_c_f1)
     return {"per_k": per_k, "correlation": pearson(means, scores)}

@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 sys.path.insert(0, str(ROOT / "src"))
 
+from evarg import emitter  # noqa: E402
 from evarg.corpus import (  # noqa: E402
     Dataset,
     GoldArgument,
@@ -22,6 +23,7 @@ from evarg.corpus import (  # noqa: E402
     load_corpus,
 )
 from evarg.files import read_jsonl, short_repr  # noqa: E402
+from evarg.harness import RunConfig, prepare, run, write_report  # noqa: E402
 from evarg.ontology import load_ontology  # noqa: E402
 from evarg.parsing import parse_completion  # noqa: E402
 from evarg.scoring import _PREPOSITIONS, score  # noqa: E402
@@ -137,7 +139,7 @@ _TOKEN_RE = re.compile(r"(\w+)|[^\w\s]")
 
 
 def reference_head_span(span: Span, sentence: str) -> Span:
-    """``head_span`` as one token loop over every span: the reference for its plain-span path."""
+    """``head_span`` as one token loop over every span: the reference for its head rule."""
     words = []
     before = None  # how many words precede the first comma or preposition
     for m in _TOKEN_RE.finditer(sentence, span.start, span.end):
@@ -186,6 +188,39 @@ def exhaustive_match(gold_pairs, pred_pairs):
 
     rec(0, frozenset(), 0, 0)
     return best
+
+
+def k_reports(directory: Path, ks=(1, 2, 3), kept=None, **settings) -> list[str]:
+    """Paths of replay reports of the shipped corpora, one per k in ``ks``, in ``directory``.
+
+    The runs share one completions file, written here: each test instance's
+    answer is its first ``kept`` gold arguments (``k`` of them by default)
+    as ``emitter`` renders them. ``settings`` override the runs' other settings.
+    """
+    fixture = directory / "completions.jsonl"
+    settings = {
+        "ontology_path": str(ROOT / "fixtures/ontology.yaml"),
+        "train_path": str(ROOT / "fixtures/train.jsonl"),
+        "test_path": str(ROOT / "fixtures/test.jsonl"),
+        "fixture_path": str(fixture),
+        **settings,
+    }
+    configs = [RunConfig(k=k, **settings) for k in ks]
+    with open(fixture, "w", encoding="utf-8") as fh:
+        for cfg in configs:
+            plan = prepare(cfg)
+            for inst in plan.test.instances:
+                gold = inst._replace(arguments=inst.arguments[: cfg.k if kept is None else kept])
+                event = plan.ontology.resolve_event(inst.event_type)
+                text = emitter._answer(gold, event, plan.ontology, cfg.prompt_style)
+                response = {"text": text, "finish_reason": "stop"}
+                fh.write(json.dumps({"digest": plan.task(inst).digest, "response": response}))
+                fh.write("\n")
+    paths = []
+    for cfg in configs:
+        paths.append(str(directory / f"report-k{cfg.k}.json"))
+        write_report(run(cfg), paths[-1])
+    return paths
 
 
 def drop_the_first_instance(report: dict) -> None:

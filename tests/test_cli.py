@@ -21,6 +21,7 @@ from conftest import (
     BAD_ENDPOINTS,
     ROOT,
     drop_the_first_instance,
+    k_reports,
     list_the_first_instance_twice,
     rescore,
 )
@@ -28,8 +29,9 @@ from evarg import files, harness
 from evarg.cli import build_parser, main
 from evarg.client import CompletionRequest, ReplayBackend
 from evarg.emitter import PromptBundle, PromptStyle
-from evarg.files import json_text
+from evarg.files import json_text, short_repr
 from evarg.harness import SETTING_TYPES, RunConfig, run
+from evarg.variability import VectorCluster, load_vectors, pearson, variability
 
 BASE = dict(
     ontology_path="fixtures/ontology.yaml",
@@ -408,6 +410,15 @@ def test_emit_writes_golden_prompt_bytes(config_file, tmp_path, golden_dir):
     assert out.read_bytes() == (golden_dir / "prompt_default.txt").read_bytes()
 
 
+def test_emit_t1_with_keywords_and_no_description(config_file, capsys):
+    flags = ["--style", "t1", "--include-keywords", "--no-include-description"]
+    assert main(["emit", "--config", config_file(), "--id", "test-001", *flags]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index("Transport event (subtype of Movement).")
+    assert lines[header + 1] == "Keywords: transport, move, travel"
+    assert lines[header + 3] == "- agent: list of GPE, ORG or PER"
+
+
 def test_emit_never_writes_the_config_files_output_path(
     config_file, tmp_path, capsys, golden_dir
 ):
@@ -701,15 +712,12 @@ def test_readme_quick_start_commands_parse():
 
 # --- variability -----------------------------------------------------------
 
+VECTORS = "fixtures/vectors.jsonl"
+GOLDEN_REPORT = "fixtures/golden/run_report.json"
+
 
 def test_variability_matches_golden(in_repo_root, capsys, golden_dir):
-    code = main(
-        [
-            "variability",
-            "--vectors", "fixtures/vectors.jsonl",
-            "--grid", "fixtures/variability_grid.yaml",
-        ]
-    )
+    code = main(["variability", "--vectors", VECTORS, GOLDEN_REPORT])
     assert code == 0
     expected = (golden_dir / "variability_report.json").read_text()
     assert capsys.readouterr().out == expected
@@ -717,88 +725,135 @@ def test_variability_matches_golden(in_repo_root, capsys, golden_dir):
 
 def test_variability_writes_golden_bytes(in_repo_root, tmp_path, golden_dir):
     out = tmp_path / "variability.json"
-    code = main(
-        [
-            "variability",
-            "--vectors", "fixtures/vectors.jsonl",
-            "--grid", "fixtures/variability_grid.yaml",
-            "--out", str(out),
-        ]
-    )
+    code = main(["variability", "--vectors", VECTORS, GOLDEN_REPORT, "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (golden_dir / "variability_report.json").read_bytes()
 
 
+def _expected_variability(paths: list[str]) -> dict:
+    """The command's result, computed from each report's ``config.k``, ``example_ids``
+    and ``score.micro.arg_c.f1``."""
+    vectors = load_vectors(VECTORS)
+    per_k, means, scores = {}, [], []
+    for report in sorted(
+        (json.loads(Path(p).read_text(encoding="utf-8")) for p in paths),
+        key=lambda r: r["config"]["k"],
+    ):
+        shown = sorted(
+            {(e["event_type"], tuple(sorted(e["example_ids"]))) for e in report["instances"]}
+        )
+        spreads = [variability(VectorCluster(t, tuple(map(vectors.get, ids)))) for t, ids in shown]
+        mean, f1 = sum(spreads) / len(spreads), report["score"]["micro"]["arg_c"]["f1"]
+        per_k[str(report["config"]["k"])] = {"mean_variability": mean, "arg_c_f1": f1}
+        means.append(mean)
+        scores.append(f1)
+    return {"per_k": per_k, "correlation": pearson(means, scores)}
+
+
+def test_variability_of_verified_reports_at_three_k(in_repo_root, tmp_path, capsys):
+    paths = k_reports(tmp_path)
+    code = main(["variability", "--vectors", VECTORS, *reversed(paths)])
+    assert code == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got == _expected_variability(paths)
+    points = [got["per_k"][k] for k in "123"]
+    means = [point["mean_variability"] for point in points]
+    assert means == pytest.approx([0.0, 0.9964, 1.0669], abs=1e-4)
+    assert [point["arg_c_f1"] for point in points] == pytest.approx([0.511, 0.833, 0.971], abs=1e-3)
+    assert got["correlation"] == pytest.approx(0.9723, abs=1e-4)
+
+
 def test_variability_missing_vector_id_exit_2(in_repo_root, tmp_path, capsys):
-    grid = tmp_path / "grid.yaml"
-    grid.write_text(
-        yaml.safe_dump(
-            {
-                "clusters": {1: {"Transport": ["train-001", "train-999"]}},
-                "arg_c_f1": {1: 0.5},
-            }
-        )
-    )
-    code = main(
-        ["variability", "--vectors", "fixtures/vectors.jsonl", "--grid", str(grid)]
-    )
+    vectors = tmp_path / "vectors.jsonl"
+    lines = (ROOT / VECTORS).read_text(encoding="utf-8").splitlines(keepends=True)
+    vectors.write_text("".join(line for line in lines if '"train-002"' not in line))
+    code = main(["variability", "--vectors", str(vectors), *k_reports(tmp_path)])
     assert code == 2
-    assert "train-999" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: vector file lacks ids ['train-002'] for 'Transport'\n"
 
 
-def test_variability_mismatched_grid_exit_2(in_repo_root, tmp_path, capsys):
-    grid = tmp_path / "grid.yaml"
-    grid.write_text(
-        yaml.safe_dump(
-            {
-                "clusters": {1: {"Transport": ["train-001"]}},
-                "arg_c_f1": {2: 0.5},
-            }
-        )
-    )
-    code = main(
-        ["variability", "--vectors", "fixtures/vectors.jsonl", "--grid", str(grid)]
-    )
+def test_variability_reports_differing_beyond_k_exit_2(in_repo_root, tmp_path, capsys):
+    (tmp_path / "keywords").mkdir()
+    first = k_reports(tmp_path, ks=(1,))
+    second = k_reports(tmp_path / "keywords", ks=(2,), include_keywords=True)
+    code = main(["variability", "--vectors", VECTORS, *first, *second])
     assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: reports {first[0]} and {second[0]} differ in fixture_path: "
+        f"{short_repr(str(tmp_path / 'completions.jsonl'))} vs "
+        f"{short_repr(str(tmp_path / 'keywords' / 'completions.jsonl'))}\n"
+    )
+
+
+def test_variability_repeated_k_exit_2(in_repo_root, tmp_path, capsys):
+    (path,) = k_reports(tmp_path, ks=(2,))
+    copy = shutil.copy(path, tmp_path / "copy.json")
+    code = main(["variability", "--vectors", VECTORS, path, str(copy)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: reports {path} and {copy} both have k 2\n"
+
+
+def test_variability_tampered_report_exit_2(in_repo_root, tmp_path, capsys):
+    paths = k_reports(tmp_path)
+    report = json.loads(Path(paths[1]).read_text(encoding="utf-8"))
+    report["score"]["micro"]["arg_c"]["f1"] = 0.99
+    Path(paths[1]).write_text(json.dumps(report), encoding="utf-8")
+    code = main(["variability", "--vectors", VECTORS, *paths])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: report file {paths[1]} differs from its rerun at score.micro.arg_c.f1\n"
+
+
+def test_variability_report_with_no_examples_exit_2(in_repo_root, tmp_path, capsys):
+    code = main(["variability", "--vectors", VECTORS, *k_reports(tmp_path, ks=(0, 1))])
+    assert code == 2
+    assert capsys.readouterr().err == "error: no clusters for k=0: its report shows no examples\n"
 
 
 def test_variability_constant_f1_has_no_correlation(in_repo_root, tmp_path, capsys):
-    grid = yaml.safe_load((ROOT / "fixtures/variability_grid.yaml").read_text())
-    grid["arg_c_f1"] = {k: 0.1 for k in grid["arg_c_f1"]}
-    path = tmp_path / "grid.yaml"
-    path.write_text(yaml.safe_dump(grid))
-    code = main(["variability", "--vectors", "fixtures/vectors.jsonl", "--grid", str(path)])
+    paths = k_reports(tmp_path, kept=1)  # the same answers at every k
+    code = main(["variability", "--vectors", VECTORS, *paths])
     assert code == 0
-    assert json.loads(capsys.readouterr().out)["correlation"] is None
+    got = json.loads(capsys.readouterr().out)
+    assert got == _expected_variability(paths)
+    assert len({point["arg_c_f1"] for point in got["per_k"].values()}) == 1
+    assert len({point["mean_variability"] for point in got["per_k"].values()}) == 3
+    assert got["correlation"] is None
 
 
-GRID = {"clusters": {1: {"Transport": ["train-001"]}}, "arg_c_f1": {1: 0.5}}
-
-
-def _grid(**overrides) -> bytes:
-    return yaml.safe_dump({**GRID, **overrides}).encode()
+def _golden_report(**changes) -> bytes:
+    """The golden run report with each ``path=value`` of ``changes`` set; ``__`` joins a
+    path's keys and a digit key indexes a list."""
+    report = json.loads((ROOT / GOLDEN_REPORT).read_text(encoding="utf-8"))
+    for path, value in changes.items():
+        *steps, last = [int(s) if s.isdigit() else s for s in path.split("__")]
+        node = report
+        for step in steps:
+            node = node[step]
+        node[last] = value
+    return json.dumps(report).encode()
 
 
 @pytest.mark.parametrize(
     "bad_file, content",
     [
-        ("vectors", (ROOT / "fixtures/vectors.jsonl").read_bytes() + b"\xff\n"),
-        ("grid", _grid() + b"# \xff\n"),
-        ("grid", _grid(clusters={"two": {"Transport": ["train-001"]}})),
-        ("grid", _grid(clusters={1: [["train-001"]]})),
-        ("grid", _grid(arg_c_f1={1: "high"})),
-        ("grid", _grid(arg_c_f1={1: float("nan")})),
-        ("grid", _grid(arg_c_f1={1: True})),
-        ("grid", _grid(arg_c_f1={1: "0.5"})),
-        ("grid", _grid(arg_c_f1={1: 10**400})),
-        ("grid", _grid(clusters={1: {"Transport": "train-001"}})),
-        ("grid", _grid(clusters={1.5: {"Transport": ["train-001"]}})),
-        ("grid", _grid(clusters={True: {"Transport": ["train-001"]}})),
-        ("grid", _grid(arg_c_f1={1: 0.5, "01": 0.7})),
+        ("vectors", (ROOT / VECTORS).read_bytes() + b"\xff\n"),
+        ("report", (ROOT / GOLDEN_REPORT).read_bytes() + b"\xff"),
+        ("report", _golden_report(config__k="two")),
+        ("report", _golden_report(instances__0__example_ids=[["train-001"]])),
+        ("report", _golden_report(score__micro__arg_c__f1="high")),
+        ("report", _golden_report(score__micro__arg_c__f1=float("nan"))),
+        ("report", _golden_report(score__micro__arg_c__f1=True)),
+        ("report", _golden_report(score__micro__arg_c__f1="0.8125")),
+        ("report", _golden_report(score__micro__arg_c__f1=10**400)),
+        ("report", _golden_report(instances__0__example_ids="train-001")),
+        ("report", _golden_report(config__k=1.5)),
+        ("report", _golden_report(config__k=True)),
+        ("second report", (ROOT / GOLDEN_REPORT).read_bytes()),
     ],
     ids=[
         "vectors-not-utf8",
-        "grid-not-utf8",
+        "report-not-utf8",
         "k-not-an-integer",
         "cluster-table-a-list",
         "f1-not-a-number",
@@ -815,11 +870,11 @@ def _grid(**overrides) -> bytes:
 def test_variability_bad_input_exit_2_naming_the_file(
     in_repo_root, tmp_path, capsys, bad_file, content
 ):
-    paths = {"vectors": "fixtures/vectors.jsonl", "grid": str(tmp_path / "grid.yaml")}
-    Path(paths["grid"]).write_bytes(_grid())
-    paths[bad_file] = str(tmp_path / f"bad-{bad_file}")
+    paths = {"vectors": VECTORS, "report": GOLDEN_REPORT}
+    paths[bad_file] = str(tmp_path / f"bad-{bad_file.replace(' ', '-')}")
     Path(paths[bad_file]).write_bytes(content)
-    code = main(["variability", "--vectors", paths["vectors"], "--grid", paths["grid"]])
+    reports = [paths["report"], *([paths["second report"]] if "second report" in paths else [])]
+    code = main(["variability", "--vectors", paths["vectors"], *reports])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and paths[bad_file] in err

@@ -17,7 +17,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ROOT, reference_load_corpus
+from conftest import ROOT, k_reports, reference_load_corpus
 from evarg import files
 from evarg.cli import main
 from evarg.client import CompletionRequest, RecordingBackend, ReplayBackend
@@ -280,7 +280,6 @@ def _readme_run_yaml():
 
 YAML_DOCUMENTS = {
     "ontology": lambda: (ROOT / "fixtures/ontology.yaml").read_text(encoding="utf-8"),
-    "grid": lambda: (ROOT / "fixtures/variability_grid.yaml").read_text(encoding="utf-8"),
     "readme-run-config": _readme_run_yaml,
 }
 
@@ -303,10 +302,6 @@ def test_chosen_yaml_loader_agrees_with_the_pure_python_loader(tmp_path, documen
 # input -> (the command reading the file at {path}, the start of its error message)
 YAML_INPUTS = {
     "config": (["run", "--config", "{path}"], "error: config file {path} is not valid YAML: "),
-    "grid": (
-        ["variability", "--vectors", "fixtures/vectors.jsonl", "--grid", "{path}"],
-        "error: grid file {path} is not valid YAML: ",
-    ),
     "ontology": (
         ["validate", "--ontology", "{path}"], "error: ontology file {path} is not valid YAML: "
     ),
@@ -331,16 +326,16 @@ def test_invalid_yaml_exit_2_with_its_message(tmp_path, in_repo_root, capsys, wh
 def test_yaml_nested_to_the_bound_loads_and_deeper_is_refused(tmp_path, monkeypatch, loader):
     monkeypatch.setattr(files, "YAML_LOADER", loader)
     bound = files.MAX_YAML_DEPTH
-    path = tmp_path / "grid.yaml"
+    path = tmp_path / "config.yaml"
     path.write_text("[" * bound + "]" * bound, encoding="utf-8")
-    value = files.read_yaml(path, "grid")
+    value = files.read_yaml(path, "config")
     for _ in range(bound - 1):
         (value,) = value
     assert value == []
     path.write_text("- " * bound + "[]", encoding="utf-8")  # block sequences, then a flow one
-    message = f"grid file {path} nests deeper than {bound} levels"
+    message = f"config file {path} nests deeper than {bound} levels"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        files.read_yaml(path, "grid")
+        files.read_yaml(path, "config")
 
 
 RUN_FROM_FIXTURES = [
@@ -351,13 +346,13 @@ RUN_FROM_FIXTURES = [
 NESTING_BOMB_INPUTS = {
     "ontology": ["validate", "--ontology", "{path}"],
     "config": ["run", "--config", "{path}"],
-    "grid": ["variability", "--vectors", "fixtures/vectors.jsonl", "--grid", "{path}"],
     "train": [*RUN_FROM_FIXTURES, "--train", "{path}"],
     "test": [*RUN_FROM_FIXTURES, "--test", "{path}"],
     "fixture": [*RUN_FROM_FIXTURES, "--fixtures", "{path}"],
     "amr": [*RUN_FROM_FIXTURES, "--amr", "{path}"],
-    "vectors": ["variability", "--vectors", "{path}", "--grid", "fixtures/variability_grid.yaml"],
+    "vectors": ["variability", "--vectors", "{path}", "fixtures/golden/run_report.json"],
     "report": ["compare", "{path}", "fixtures/golden/run_report.json"],
+    "variability-report": ["variability", "--vectors", "fixtures/vectors.jsonl", "{path}"],
 }
 
 
@@ -457,35 +452,16 @@ def test_a_huge_value_in_an_error_is_quoted_short(tmp_path, in_repo_root, capsys
     assert err.count("\n") == 1 and len(err) < len(str(path)) + 300
 
 
-# case -> a grid file's clusters and arg_c_f1 tables, and the start of its error message
-# after "grid file <path> is malformed: "
-HUGE_GRIDS = {
-    "ids": ({1: {"Transport": HUGE_TEXT}}, {1: 0.5}, "TypeError(\"ids for 'Transport' are not"),
-    "event-type": ({1: {HUGE_TEXT: "x"}}, {1: 0.5}, "TypeError(\"ids for 'xxxxxxxxxxxx...xx"),
-    "score": ({1: {"Transport": ["train-001"]}}, {1: HUGE_TEXT}, "TypeError(\"'xxxxxxxxxxxx...xx"),
-    "k": ({HUGE_TEXT: {}}, {1: 0.5}, "ValueError(\"k must be an integer, not 'xxxxxxxxxxxx...xx"),
-}
-
-
-@pytest.mark.parametrize("case", HUGE_GRIDS)
-def test_a_huge_value_in_a_grid_error_is_quoted_short(tmp_path, in_repo_root, capsys, case):
-    clusters, arg_c_f1, message = HUGE_GRIDS[case]
-    path = tmp_path / "grid.yaml"
-    path.write_text(yaml.safe_dump({"clusters": clusters, "arg_c_f1": arg_c_f1}))
-    assert main([arg.format(path=path) for arg in NESTING_BOMB_INPUTS["grid"]]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: grid file {path} is malformed: {message}")
-    assert err.count("\n") == 1 and len(err) < len(str(path)) + 300
-
-
-def test_a_grid_naming_a_huge_missing_id_is_quoted_short(tmp_path, in_repo_root, capsys):
-    path = tmp_path / "grid.yaml"
-    grid = {"clusters": {1: {"Transport": [HUGE_TEXT]}}, "arg_c_f1": {1: 0.5}}
-    path.write_text(yaml.safe_dump(grid))
-    assert main([arg.format(path=path) for arg in NESTING_BOMB_INPUTS["grid"]]) == 2
-    err = capsys.readouterr().err
+def test_a_report_naming_a_huge_missing_id_is_quoted_short(tmp_path, in_repo_root, capsys):
+    train = tmp_path / "train.jsonl"
+    train.write_text(
+        (ROOT / "fixtures/train.jsonl").read_text(encoding="utf-8").replace("train-001", HUGE_TEXT),
+        encoding="utf-8",
+    )
+    reports = k_reports(tmp_path, ks=(1,), train_path=str(train))
+    assert main(["variability", "--vectors", "fixtures/vectors.jsonl", *reports]) == 2
     quoted = "['xxxxxxxxxxxx...xxxxxxxxxxxxx']"
-    assert err == f"error: vector file lacks ids {quoted} for 'Transport'\n"
+    assert capsys.readouterr().err == f"error: vector file lacks ids {quoted} for 'Transport'\n"
 
 
 @pytest.mark.parametrize(
@@ -504,10 +480,6 @@ def test_a_repr_one_character_too_long_is_abbreviated():
     assert files.short_repr(value) == "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
 
 
-VARIABILITY_FROM_FIXTURES = [
-    "variability", "--vectors", "fixtures/vectors.jsonl",
-    "--grid", "fixtures/variability_grid.yaml",
-]
 # fixture file -> the command reading it, run in a directory holding a copy of fixtures/
 MUTATED_INPUTS = {
     "ontology.yaml": RUN_FROM_FIXTURES,
@@ -515,8 +487,7 @@ MUTATED_INPUTS = {
     "test.jsonl": RUN_FROM_FIXTURES,
     "completions.jsonl": RUN_FROM_FIXTURES,
     "amr.jsonl": [*RUN_FROM_FIXTURES, "--amr", "fixtures/amr.jsonl"],
-    "vectors.jsonl": VARIABILITY_FROM_FIXTURES,
-    "variability_grid.yaml": VARIABILITY_FROM_FIXTURES,
+    "vectors.jsonl": NESTING_BOMB_INPUTS["vectors"],
     "golden/run_report.json": ["compare", *["fixtures/golden/run_report.json"] * 2],
     "run.yaml": ["run", "--config", "fixtures/run.yaml"],
 }

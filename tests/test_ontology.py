@@ -223,3 +223,95 @@ events:
     template: t
 """
         )
+
+
+PER = {"name": "PER", "description": "a person"}
+ROLE_X = {"name": "x", "types": ["PER"]}
+
+
+def _event(**fields):
+    return {"name": "A", "template": "t", **fields}
+
+
+# case -> (an ontology document, the exit code of ``validate`` on it, what it writes to stderr)
+VALIDATE_ONTOLOGY = {
+    "parent-a-number": (
+        {"entities": [PER], "events": [_event(parent=3)]},
+        2, "error: invalid ontology:\n  event 'A': parent must be a string\n",
+    ),
+    "own-parent": (
+        {"entities": [PER], "events": [_event(parent="A")]},
+        2, "error: invalid ontology:\n  event 'A' is its own parent\n",
+    ),
+    "keywords-empty-or-a-number": (
+        {"entities": [PER], "events": [_event(keywords=["", 1])]},
+        2, "error: invalid ontology:\n  event 'A': keywords must be non-empty strings\n",
+    ),
+    "keywords-a-string": (
+        {"entities": [PER], "events": [_event(keywords="abc")]},
+        2, "error: invalid ontology:\n  event 'A': keywords must be non-empty strings\n",
+    ),
+    "roles-a-mapping": (
+        {"entities": [PER], "events": [_event(roles={"x": ["PER"]})]},
+        2, "error: event 'A': roles must be a list\n",
+    ),
+    "role-a-string": (
+        {"entities": [PER], "events": [_event(roles=["x"])]},
+        2, "error: event 'A': each role must be a mapping\n",
+    ),
+    "role-description-a-number": (
+        {"entities": [PER], "events": [_event(roles=[{**ROLE_X, "description": 3}])]},
+        2, "error: invalid ontology:\n  event 'A': role 'x' description must be text\n",
+    ),
+    "entities-not-a-list": ({"entities": "PER"}, 2, "error: 'entities' must be a list\n"),
+    "events-not-a-list": ({"events": "A"}, 2, "error: 'events' must be a list\n"),
+    "entity-not-a-mapping": ({"entities": ["PER"]}, 2, "error: entities[0] must be a mapping\n"),
+    "event-not-a-mapping": ({"events": ["A"]}, 2, "error: events[0] must be a mapping\n"),
+    "event-name-empty": (
+        {"events": [_event(name="")]},
+        2, "error: invalid ontology:\n  events[0] has no usable name\n",
+    ),
+    "event-name-a-list": (
+        {"events": [_event(name=["A"])]},
+        2, "error: invalid ontology:\n  events[0] has no usable name\n",
+    ),
+    "document-a-list": ([PER], 2, "error: ontology document must be a mapping\n"),
+    # an empty document is an ontology with no types, and null roles or a null
+    # role description are none
+    "empty-document": (None, 0, ""),
+    "roles-null": ({"events": [_event(roles=None)]}, 0, ""),
+    "role-description-null": (
+        {"entities": [PER], "events": [_event(roles=[{**ROLE_X, "description": None}])]}, 0, ""
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATE_ONTOLOGY)
+def test_validate_rejects_a_malformed_ontology_with_its_message(tmp_path, capsys, case):
+    document, code, err = VALIDATE_ONTOLOGY[case]
+    path = tmp_path / "ontology.yaml"
+    path.write_text("" if document is None else json.dumps(document), encoding="utf-8")
+    assert main(["validate", "--ontology", str(path)]) == code
+    assert capsys.readouterr().err == err
+
+
+HUGE = "x" * 300_000
+# case -> an ontology document quoting a 300,000-character value in its error
+HUGE_ONTOLOGY_VALUES = {
+    "entity-name": {"entities": [{"name": HUGE + "!", "description": "d"}]},
+    "class-name-collision": {"events": [_event(name="A:" + HUGE), _event(name="B:" + HUGE)]},
+    "parent": {"events": [_event(parent=HUGE)]},
+    "role-name": {"entities": [PER], "events": [_event(roles=[{"name": HUGE + "!"}])]},
+    "role-type": {"entities": [PER], "events": [_event(roles=[{**ROLE_X, "types": [HUGE]}])]},
+    "template-placeholder": {"events": [_event(template="{" + HUGE + "}")]},
+}
+
+
+@pytest.mark.parametrize("case", HUGE_ONTOLOGY_VALUES)
+def test_a_huge_value_in_an_ontology_error_is_quoted_short(tmp_path, capsys, case):
+    path = tmp_path / "ontology.yaml"
+    path.write_text(json.dumps(HUGE_ONTOLOGY_VALUES[case]), encoding="utf-8")
+    assert main(["validate", "--ontology", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid ontology:\n  ")
+    assert "xxx...xxx" in err and len(err) < 500

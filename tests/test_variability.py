@@ -179,7 +179,7 @@ def test_load_vectors_rejects_empty_values_and_bad_json(tmp_path):
     bad.write_text("nope\n")
     with pytest.raises(ConfigError, match="bad vector record"):
         load_vectors(str(bad))
-    # values must be a list of finite numbers and the id a string, as a grid names it
+    # values must be a list of finite numbers and the id a string, as a report names it
     for record in (
         '{"example_id": "a", "values": "123"}',
         '{"example_id": "a", "values": [true, false, 1]}',
@@ -203,13 +203,12 @@ def test_load_vectors_missing_file(tmp_path):
 
 
 def test_report_per_k_and_correlation():
-    clusters_per_k = {
-        1: [cluster([0.0, 0.0])],
-        2: [cluster([0.0, 0.0], [2.0, 0.0])],
-        3: [cluster([0.0], [3.0], [6.0]), cluster([0.0], [0.0], [0.0])],
+    points = {
+        1: ([cluster([0.0, 0.0])], 0.2),
+        2: ([cluster([0.0, 0.0], [2.0, 0.0])], 0.3),
+        3: ([cluster([0.0], [3.0], [6.0]), cluster([0.0], [0.0], [0.0])], 0.4),
     }
-    arg_c = {1: 0.2, 2: 0.3, 3: 0.4}
-    report = variability_report(clusters_per_k, arg_c)
+    report = variability_report(points)
     assert report["per_k"]["1"] == {"mean_variability": 0.0, "arg_c_f1": 0.2}
     assert report["per_k"]["2"]["mean_variability"] == pytest.approx(1.0)
     assert report["per_k"]["3"]["mean_variability"] == pytest.approx(1.0)
@@ -220,16 +219,10 @@ def test_report_per_k_and_correlation():
 
 
 def test_report_correlation_none_when_flat():
-    clusters_per_k = {1: [cluster([0.0])], 2: [cluster([1.0])]}
-    report = variability_report(clusters_per_k, {1: 0.1, 2: 0.9})
+    report = variability_report({1: ([cluster([0.0])], 0.1), 2: ([cluster([1.0])], 0.9)})
     assert report["correlation"] is None
-
-
-def test_report_rejects_mismatched_k_grid():
-    with pytest.raises(ConfigError, match="grids differ"):
-        variability_report({1: [cluster([0.0])]}, {2: 0.5})
 
 
 def test_report_rejects_empty_cluster_list():
     with pytest.raises(ConfigError, match="no clusters"):
-        variability_report({1: []}, {1: 0.5})
+        variability_report({1: ([], 0.5)})
