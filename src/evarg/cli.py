@@ -16,7 +16,7 @@ import sys
 
 from .client import BackendError
 from .corpus import load_corpus, validate_against_ontology
-from .files import ConfigError, read_yaml
+from .files import ConfigError, read_yaml, short_repr
 from .harness import (
     SETTING_TYPES,
     MissingFixtures,
@@ -89,7 +89,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     try:
         inst = plan.test.by_id(args.id)
     except KeyError:
-        raise ConfigError(f"unknown id {args.id!r}") from None
+        raise ConfigError(f"unknown id {short_repr(args.id)}") from None
     bundle = plan.task(inst).bundle
     # the flag, never the merged config: a config file's output_path names its run's report
     if args.output_path:

@@ -7,11 +7,12 @@ once, as a ``HashedPrefix`` state that prompts sharing a prefix extend.
 Every backend has one lookup that needs no request, ``stored(digest)``:
 a replay backend gives its recorded answer or, as it cannot send, raises
 ``MissingFixtures``; a recording backend gives its file's answer or
-``None``; the HTTP backend stores nothing. Only a miss is sent, through
-``complete``, which cuts the answer at the stop patterns by the same
-``truncate_at_stop`` as a stored one, so replayed fixtures and live
-calls agree byte for byte. Credentials never enter fixtures: the HTTP
-backend reads its key from the environment and records only a prompt hash.
+``None``; the HTTP backend stores nothing. ``complete(backend, tasks,
+...)``, a run's one answer step, looks every task up, has the backend
+send each miss once and cuts every answer once at the stop patterns, so
+replayed fixtures and live calls agree byte for byte. Credentials never
+enter fixtures: the HTTP backend reads its key from the environment and
+records only a prompt hash.
 """
 
 from __future__ import annotations
@@ -59,13 +60,6 @@ class CompletionRequest:
             raise ValueError("max_new_tokens must be positive")
         if not 0 <= self.temperature < float("inf"):
             raise ValueError(f"temperature must be finite and >= 0, not {self.temperature!r}")
-
-
-@dataclass(frozen=True)
-class CompletionResponse:
-    text: str
-    finish_reason: str  # stop | length, or what a replayed fixture recorded
-    latency_ms: int = 0
 
 
 def _escaped(text: str) -> bytes:
@@ -150,18 +144,34 @@ def truncate_at_stop(text: str, stop_patterns: tuple[str, ...]) -> tuple[str, bo
     return text[:cut], True
 
 
-def complete(backend, req: CompletionRequest, digest: str) -> CompletionResponse:
-    """Obtain a completion and enforce stop truncation client-side.
+def complete(backend, tasks, stop_patterns: tuple[str, ...], max_in_flight: int) -> list:
+    """Each task's ``(text, finish_reason)``, in task order: a run's one answer step.
 
-    ``digest`` is ``request_digest(req)``, hashed once by the caller and
-    handed on so a fixture lookup need not hash the request again. A
-    completion that no pattern cuts is returned as the backend gave it.
+    A task has a ``digest`` and a ``request``, read only to send it. Each
+    digest is looked up once with ``backend.stored``; a backend that cannot
+    send has its misses raised as one ``MissingFixtures``, in task order,
+    before any request is built. Each other miss is sent once, on
+    ``max_in_flight`` threads, its request built as it is sent. Every
+    answer is cut once at ``stop_patterns``; a cut one finished by ``stop``.
     """
-    resp = backend.complete(req, digest)
-    text, hit = truncate_at_stop(resp.text, req.stop_patterns)
-    if not hit:
-        return resp
-    return CompletionResponse(text=text, finish_reason="stop", latency_ms=resp.latency_ms)
+    from concurrent.futures import ThreadPoolExecutor  # not with the module: only a run needs it
+    answers, misses = [], []
+    for task in tasks:
+        try:
+            answers.append(backend.stored(task.digest))
+        except MissingFixtures as exc:
+            misses += exc.digests
+    if misses:
+        raise MissingFixtures(misses)
+    unsent = {task.digest: task for task, answer in zip(tasks, answers) if answer is None}
+    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+        replies = pool.map(lambda t: backend.complete(t.request, t.digest), unsent.values())
+        sent = dict(zip(unsent, replies))
+    for i, task in enumerate(tasks):
+        text, finish = answers[i] or sent[task.digest]
+        text, hit = truncate_at_stop(text, stop_patterns)
+        answers[i] = text, "stop" if hit else finish
+    return answers
 
 
 PATH = "/v1/completions"
@@ -242,7 +252,7 @@ class HttpBackend:
     POSTs {model, prompt, max_tokens, temperature, stop} to endpoint +
     ``PATH`` with the bearer token in ``API_KEY_ENV`` at call time, and
     retries 429, 5xx and transport errors with backoff. ``complete`` has
-    no use for the digest.
+    no use for the digest and gives the answer uncut.
 
     Each thread that calls ``complete`` gets its own keep-alive connection
     on its first call; ``close`` closes every thread's. The proxy named by
@@ -297,7 +307,7 @@ class HttpBackend:
     def stored(self, digest: str) -> None:
         """An endpoint stores no answer: each is sent."""
 
-    def complete(self, req: CompletionRequest, digest: str) -> CompletionResponse:
+    def complete(self, req: CompletionRequest, digest: str) -> tuple[str, str]:
         from http.client import HTTPException
 
         headers = dict(self._headers)
@@ -322,7 +332,6 @@ class HttpBackend:
                 time.sleep(min(BACKOFF_BASE_S * 2 ** (attempt - 1), BACKOFF_CAP_S))
             if conn.sock is not None and _dropped(conn.sock):
                 conn.close()  # closed by the server while idle: reopened, spending no retry
-            started = time.monotonic()
             try:
                 conn.request("POST", self._path, payload, headers)
                 resp = conn.getresponse()
@@ -331,7 +340,6 @@ class HttpBackend:
                 conn.close()  # the next attempt opens a new connection
                 last_error = exc
                 continue
-            latency = int((time.monotonic() - started) * 1000)
             if resp.status in (401, 403):
                 raise BackendError(f"endpoint rejected credential (HTTP {resp.status})")
             if resp.status == 429 or resp.status >= 500:
@@ -352,7 +360,7 @@ class HttpBackend:
             finish = choice.get("finish_reason")
             if finish not in ("stop", "length"):
                 finish = "length"
-            return CompletionResponse(text=text, finish_reason=finish, latency_ms=latency)
+            return text, finish
         raise BackendError(f"retries exhausted calling {self._url}: {last_error}")
 
     def close(self) -> None:
@@ -388,9 +396,6 @@ class ReplayBackend:
     def __init__(self, fixture_path: str, *, entries: dict[str, tuple[str, str]] | None = None):
         self._entries = read_fixtures(fixture_path) if entries is None else entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def stored(self, digest: str) -> tuple[str, str]:
         """The answer recorded for ``digest``; ``MissingFixtures`` if none, as none can be sent."""
         try:
@@ -398,8 +403,8 @@ class ReplayBackend:
         except KeyError:
             raise MissingFixtures([digest]) from None
 
-    def complete(self, req: CompletionRequest, digest: str) -> CompletionResponse:
-        return CompletionResponse(*self.stored(digest))
+    def complete(self, req: CompletionRequest, digest: str) -> tuple[str, str]:
+        return self.stored(digest)
 
     def close(self) -> None:
         """Nothing to release: the fixture file is read whole and closed."""
@@ -426,11 +431,9 @@ class RecordingBackend:
         """The answer recorded for ``digest``; ``None`` if it must be sent."""
         return self._entries.get(digest)
 
-    def complete(self, req: CompletionRequest, digest: str) -> CompletionResponse:
-        latency = 0
+    def complete(self, req: CompletionRequest, digest: str) -> tuple[str, str]:
         if digest not in self._entries:
-            resp = self.inner.complete(req, digest)
-            latency = resp.latency_ms
+            text, finish = self.inner.complete(req, digest)
             record = {
                 "digest": digest,
                 "request": {
@@ -441,15 +444,14 @@ class RecordingBackend:
                     "prompt_sha256": hashlib.sha256(req.prompt.encode("utf-8")).hexdigest(),
                     "prompt_chars": len(req.prompt),
                 },
-                "response": {"text": resp.text, "finish_reason": resp.finish_reason},
+                "response": {"text": text, "finish_reason": finish},
             }
             with self._lock:
                 if digest not in self._entries:
                     with open(self.fixture_path, "a", encoding="utf-8") as fh:
                         fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-                    self._entries[digest] = (resp.text, resp.finish_reason)
-        text, finish = self._entries[digest]
-        return CompletionResponse(text=text, finish_reason=finish, latency_ms=latency)
+                    self._entries[digest] = (text, finish)
+        return self._entries[digest]
 
     def close(self) -> None:
         self.inner.close()

@@ -11,17 +11,15 @@ digest prefix. A task holds only its own task block and its request's
 digest, hashed from the group's prefix state over that block alone.
 ``run`` builds every task before it builds a backend, so an input no
 prompt can be built from fails the run before any request is sent. It
-then looks each task's digest up once, in task order, in the answers
-the backend stores: a replay fixture, a recording's file, or a report's
-own completions. Only the misses go further. A backend that cannot send
-fails the run with one ``MissingFixtures`` that lists them, and no
-request is built; otherwise a missing digest's request and full prompt
-are built only as it is sent, once. The report serializes
-byte-identically across runs when the backend is replay. Reports are
-written atomically, a piece at a time into a temp file that then
-replaces the target. ``load_report`` verifies one by rerunning its
-config on its own completions; ``compare`` differences the F1 of two
-verified reports.
+then hands the tasks to ``client.complete``, the one answer step, which
+looks each digest up in what the backend stores (a replay fixture, a
+recording's file, or a report's own completions), sends each miss once,
+building its request and full prompt only then, and cuts every answer
+at the stop patterns. The report serializes byte-identically across
+runs when the backend is replay. Reports are written atomically, a
+piece at a time into a temp file that then replaces the target.
+``load_report`` verifies one by rerunning its config on its own
+completions; ``compare`` differences the F1 of two verified reports.
 ``run`` and ``load_report`` pause CPython's cyclic collector while they
 work and then restore its state: a run's objects form no reference cycles,
 so its collections would free nothing, only walk the corpus it keeps.
@@ -36,7 +34,6 @@ import math
 import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 from . import client as client_mod
@@ -50,7 +47,6 @@ from .client import (
     check_endpoint,
     request_digest,
     settings_prefix,
-    truncate_at_stop,
 )
 from .corpus import (
     Dataset,
@@ -71,7 +67,15 @@ from .emitter import (
     assemble_prompt,
     prompt_frame,
 )
-from .files import ConfigError, json_text, read_jsonl, short_repr, string_field, write_json
+from .files import (
+    ConfigError,
+    json_text,
+    read_jsonl,
+    short_repr,
+    short_text,
+    string_field,
+    write_json,
+)
 from .ontology import Ontology, derive_class_name, load_ontology
 from .parsing import parse_completion
 from .scoring import score
@@ -319,48 +323,25 @@ def run(cfg: RunConfig) -> dict:
 def _run(plan: Plan, build_backend) -> dict:
     """The report of ``plan``'s run, completed by ``build_backend(plan.cfg)``."""
     cfg = plan.cfg
-    shortfall: dict[str, dict] = {}
     skipped: list[dict] = []
     tasks: list[Task] = []
     for inst in plan.test.instances:
         task = plan.task(inst)
-        bundle = task.bundle
-        available = len(bundle.example_ids)
-        if available < cfg.k:
-            cls = derive_class_name(inst.event_type)
-            note = shortfall.setdefault(cls, {"requested": cfg.k, "available": available})
-            note["available"] = max(note["available"], available)
-        chars = len(bundle.preamble) + len(bundle.task)
+        chars = len(task.bundle.preamble) + len(task.bundle.task)
         if cfg.max_prompt_chars is not None and chars > cfg.max_prompt_chars:
             skipped.append({"id": inst.id, "prompt_chars": chars})
             continue
         tasks.append(task)
 
+    style = cfg.prompt_style
     backend = build_backend(cfg)
-    # each task is looked up once, in task order; a backend that cannot send
-    # raises for a miss, and a run's such misses are raised as one
-    answers, misses = [], []
     try:
-        for task in tasks:
-            try:
-                answers.append(backend.stored(task.digest))
-            except MissingFixtures as exc:
-                misses += exc.digests
-        if misses:
-            raise MissingFixtures(misses)
-        unsent = {task.digest: task for task, answer in zip(tasks, answers) if answer is None}
-        # the other misses are sent once per digest, each request built only as it is sent
-        with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-            sent = dict(zip(unsent, pool.map(functools.partial(_send, backend), unsent.values())))
+        answers = client_mod.complete(backend, tasks, STOP_PATTERNS[style], cfg.max_in_flight)
     finally:
         backend.close()
 
-    style = cfg.prompt_style
     instances = []
-    for t, answer in zip(tasks, answers):
-        # a stored answer is cut as ``client.complete`` cut a sent one; a second cut changes nothing
-        text, finish = answer or sent[t.digest]
-        text, cut = truncate_at_stop(text, t.bundle.stop_patterns)
+    for t, (text, finish) in zip(tasks, answers):
         instances.append(
             {
                 "id": t.instance.id,
@@ -369,7 +350,7 @@ def _run(plan: Plan, build_backend) -> dict:
                 "prompt_chars": len(t.bundle.preamble) + len(t.bundle.task),
                 "example_ids": list(t.bundle.example_ids),
                 "completion": text,
-                "finish_reason": "stop" if cut else finish,
+                "finish_reason": finish,
                 "parsed": parse_completion(text, plan.ontology, t.instance.event_type, style),
             }
         )
@@ -380,15 +361,14 @@ def _run(plan: Plan, build_backend) -> dict:
         "config": {k: v for k, v in asdict(cfg).items() if k != "output_path"},
         "instances": instances,
         "skipped": skipped,
-        "shortfall": shortfall,
+        # each class's examples were selected once, for its group
+        "shortfall": {
+            cls: {"requested": cfg.k, "available": len(examples)}
+            for cls, (examples, _, _) in plan._groups.items()
+            if len(examples) < cfg.k
+        },
         "score": score(preds, plan.test),
     }
-
-
-def _send(backend, task: Task) -> tuple[str, str]:
-    """``task``'s completion and finish reason from ``backend``, its request built now."""
-    resp = client_mod.complete(backend, task.request, task.digest)
-    return resp.text, resp.finish_reason
 
 
 def write_report(report: dict, path: str | None) -> None:
@@ -461,7 +441,7 @@ def load_report(path: str) -> dict:
             for e in report["instances"]
         }
     except (KeyError, TypeError, ValueError, RecursionError, ConfigError) as exc:
-        raise ConfigError(f"report file {path} is malformed: {exc!r}") from exc
+        raise ConfigError(f"report file {path} is malformed: {short_text(repr(exc))}") from exc
     try:
         plan = prepare(cfg)
         rerun = _run(plan, lambda cfg: ReplayBackend(path, entries=entries))
@@ -469,13 +449,11 @@ def load_report(path: str) -> dict:
         raise ConfigError(f"report file {path}: {exc}") from exc
     except MissingFixtures as exc:
         first = next(i.id for i in plan.test.instances if plan.task(i).digest in exc.digests)
-        message = (
-            f"its config gives test instance {short_repr(first)} a prompt that no instance stores"
-        )
-        raise ConfigError(f"report file {path}: {message}") from None
+        message = f"gives test instance {short_repr(first)} a prompt that no instance stores"
+        raise ConfigError(f"report file {path}: its config {message}") from None
     difference = _first_difference(report, rerun)
     if difference is not None:
-        raise ConfigError(f"report file {path} differs from its rerun at {difference}")
+        raise ConfigError(f"report file {path} differs from its rerun at {short_text(difference)}")
     return report
 
 

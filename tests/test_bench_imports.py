@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import json
 
 import pytest
 
 from conftest import ROOT
+from evarg.harness import RunConfig, run
 
 BENCH = ROOT / "bench"
 
@@ -55,3 +57,19 @@ def test_the_benchmark_tracer_finds_the_layers_it_wraps(monkeypatch, capsys):
         if line.startswith(prefix):
             missing.update(line[len(prefix) :].split(", "))
     assert missing <= STALE_TRACE_TARGETS
+
+
+@pytest.mark.skipif(not BENCH.is_dir(), reason="no bench/ directory")
+def test_the_benchmark_tracer_times_one_answer_step_per_run(monkeypatch, in_repo_root, golden_dir):
+    """``client.complete`` is a run's whole answer step, so a replay run is timed there too."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    golden = json.loads((golden_dir / "run_report.json").read_text(encoding="utf-8"))
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        report = run(RunConfig(**golden["config"]))
+    finally:
+        tracer.restore()
+    assert report == golden
+    assert [span.name for span in tracer.spans].count("client.complete") == 1

@@ -464,6 +464,12 @@ def test_emit_unknown_id_exit_2(config_file, capsys):
     assert "test-999" in capsys.readouterr().err
 
 
+def test_emit_quotes_a_huge_unknown_id_short(config_file, capsys):
+    assert main(["emit", "--config", config_file(), "--id", "x" * 100_000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown id 'xxx") and len(err.encode("utf-8")) < 1024
+
+
 # --- compare ---------------------------------------------------------------
 
 
@@ -537,6 +543,24 @@ def test_compare_incomplete_config_exit_2(report_file, tmp_path, capsys):
     code = main(["compare", report_file(), incomplete])
     assert code == 2
     assert f"error: report file {incomplete} is malformed: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda report: report["config"].update({"x" * 300_000: 1}), " is malformed: "),
+        (lambda report: report.update({"x" * 300_000: 1}), " differs from its rerun at xxx"),
+    ],
+    ids=["unknown-config-key", "unknown-report-key"],
+)
+def test_compare_quotes_a_huge_key_of_a_report_short(report_file, tmp_path, capsys, edit, problem):
+    report = json.loads(Path(report_file()).read_text(encoding="utf-8"))
+    edit(report)
+    edited = _write(tmp_path / "edited.json", json.dumps(report))
+    assert main(["compare", report_file(), edited]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report file {edited}{problem}")
+    assert len(err.encode("utf-8")) < 1024
 
 
 @pytest.mark.parametrize(

@@ -27,12 +27,12 @@ from evarg.client import (
     TIMEOUT_S,
     BackendError,
     CompletionRequest,
-    CompletionResponse,
     HttpBackend,
     MissingFixtures,
     RecordingBackend,
     ReplayBackend,
     complete,
+    read_fixtures,
     request_digest,
     settings_prefix,
     truncate_at_stop,
@@ -211,24 +211,82 @@ def test_truncate_idempotent_and_clean(text, patterns):
     assert truncate_at_stop(out, pats) == (out, False)
 
 
-def test_complete_wrapper_truncates_and_marks_stop():
-    class Fixed:
-        def complete(self, req, digest):
-            return CompletionResponse(text='x)\nclass Tail', finish_reason="length")
-
-    resp = complete(Fixed(), REQ, DIGEST)
-    assert resp.text == "x)\n"
-    assert resp.finish_reason == "stop"
+# --- the answer step ------------------------------------------------------
 
 
-def test_complete_wrapper_keeps_backend_finish_when_no_hit():
-    class Fixed:
-        def complete(self, req, digest):
-            return CompletionResponse(text="plain", finish_reason="length")
+SETTINGS = settings_prefix(REQ.model_id, REQ.max_new_tokens, REQ.temperature, REQ.stop_patterns)
 
-    resp = complete(Fixed(), REQ, DIGEST)
-    assert resp.text == "plain"
-    assert resp.finish_reason == "length"
+
+class Task:
+    """A task as ``complete`` reads one: a digest, and a request built each time it is read."""
+
+    def __init__(self, prompt: str):
+        self.prompt, self.digest, self.reads = prompt, request_digest(prompt, SETTINGS), 0
+
+    @property
+    def request(self) -> CompletionRequest:
+        self.reads += 1
+        return replace(REQ, prompt=self.prompt)
+
+
+class Answers:
+    """Stores the answers in ``stored`` by digest and sends the rest, each to its prompt."""
+
+    def __init__(self, stored: dict[str, tuple[str, str]], answer: str = "x)\nclass Tail"):
+        self.stored_answers, self.answer, self.sent = stored, answer, []
+
+    def stored(self, digest):
+        return self.stored_answers.get(digest)
+
+    def complete(self, req, digest):
+        self.sent.append(digest)
+        return self.answer, "length"
+
+
+def test_complete_cuts_a_stored_answer_and_marks_it_stopped():
+    task = Task("hello")
+    backend = Answers({task.digest: ('x)\nclass Tail', "length")})
+    assert complete(backend, [task], REQ.stop_patterns, 2) == [("x)\n", "stop")]
+    assert backend.sent == [] and task.reads == 0
+
+
+def test_complete_keeps_the_finish_reason_of_an_answer_no_pattern_cuts():
+    stored, sent = Task("stored"), Task("sent")
+    backend = Answers({stored.digest: ("plain", "length")}, answer="also plain")
+    answers = complete(backend, [stored, sent], REQ.stop_patterns, 2)
+    assert answers == [("plain", "length"), ("also plain", "length")]
+
+
+def test_complete_cuts_a_sent_answer_as_it_cuts_a_stored_one():
+    stored, sent = Task("stored"), Task("sent")
+    backend = Answers({stored.digest: ('x)\nclass Tail', "length")})
+    answers = complete(backend, [stored, sent], REQ.stop_patterns, 2)
+    assert answers == [("x)\n", "stop")] * 2
+    assert backend.sent == [sent.digest] and (stored.reads, sent.reads) == (0, 1)
+
+
+def test_complete_sends_a_missing_digest_once_for_every_task_it_answers():
+    """Two tasks share a prompt the backend lacks; a third is stored."""
+    first, twin, stored = Task("missing"), Task("missing"), Task("stored")
+    backend = Answers({stored.digest: ("kept)", "stop")})
+    answers = complete(backend, [first, stored, twin], REQ.stop_patterns, 4)
+    assert answers == [("x)\n", "stop"), ("kept)", "stop"), ("x)\n", "stop")]
+    assert backend.sent == [first.digest]
+    assert first.reads + twin.reads + stored.reads == 1
+
+
+def test_complete_raises_every_replay_miss_at_once_in_task_order_building_no_request(
+    tmp_path, monkeypatch
+):
+    tasks = [Task(prompt) for prompt in ("b", "stored", "a", "b")]
+    path = tmp_path / "f.jsonl"
+    _write_fixture(path, [(tasks[1].digest, "kept)", "stop")])
+    built = []
+    monkeypatch.setattr(CompletionRequest, "__post_init__", built.append)
+    with pytest.raises(MissingFixtures) as err:
+        complete(ReplayBackend(str(path)), tasks, REQ.stop_patterns, 4)
+    assert err.value.digests == [tasks[0].digest, tasks[2].digest, tasks[3].digest]
+    assert built == [] and sum(task.reads for task in tasks) == 0
 
 
 # --- replay ----------------------------------------------------------------
@@ -249,9 +307,7 @@ def test_replay_round_trip(tmp_path):
     path = tmp_path / "f.jsonl"
     _write_fixture(path, [(request_digest(REQ), "answer)", "stop")])
     backend = ReplayBackend(str(path))
-    assert len(backend) == 1
-    resp = backend.complete(REQ, DIGEST)
-    assert (resp.text, resp.finish_reason) == ("answer)", "stop")
+    assert backend.stored(DIGEST) == backend.complete(REQ, DIGEST) == ("answer)", "stop")
 
 
 def test_replay_miss_carries_digest(tmp_path):
@@ -267,9 +323,8 @@ def test_replay_last_entry_wins(tmp_path):
     path = tmp_path / "f.jsonl"
     digest = request_digest(REQ)
     _write_fixture(path, [(digest, "old", "stop"), (digest, "new", "stop")])
-    backend = ReplayBackend(str(path))
-    assert len(backend) == 1
-    assert backend.complete(REQ, DIGEST).text == "new"
+    assert read_fixtures(str(path)) == {digest: ("new", "stop")}
+    assert ReplayBackend(str(path)).complete(REQ, DIGEST) == ("new", "stop")
 
 
 def test_replay_missing_file_is_config_error(tmp_path):
@@ -302,8 +357,11 @@ def test_replay_response_that_is_not_an_object_is_named(tmp_path, response):
 
 
 def test_shipped_fixture_loads(fixtures_dir):
-    backend = ReplayBackend(str(fixtures_dir / "completions.jsonl"))
-    assert len(backend) == 24
+    path = str(fixtures_dir / "completions.jsonl")
+    backend = ReplayBackend(path)
+    recorded = read_fixtures(path)
+    assert len(recorded) == 24
+    assert all(backend.stored(digest) == answer for digest, answer in recorded.items())
 
 
 # --- HTTP backend against a loopback stub -----------------------------------
@@ -364,9 +422,7 @@ def test_http_posts_openai_shaped_body(http_backend, stub, no_key):
     stub.script.append(
         (200, {"choices": [{"text": "agent=)", "finish_reason": "stop"}]})
     )
-    resp = http_backend(stub.url).complete(REQ, DIGEST)
-    assert resp.text == "agent=)"
-    assert resp.finish_reason == "stop"
+    assert http_backend(stub.url).complete(REQ, DIGEST) == ("agent=)", "stop")
     sent = stub.requests[0]
     assert sent["path"] == "/v1/completions"
     assert sent["auth"] is None
@@ -434,8 +490,8 @@ def test_http_retries_server_errors_then_succeeds(http_backend, stub, no_key, sl
             (200, {"choices": [{"text": "late", "finish_reason": "stop"}]}),
         ]
     )
-    resp = http_backend(stub.url).complete(REQ, DIGEST)
-    assert resp.text == "late"
+    text, _ = http_backend(stub.url).complete(REQ, DIGEST)
+    assert text == "late"
     assert len(stub.requests) == 3
     assert sleeps == [1.0, 2.0]
 
@@ -492,11 +548,11 @@ def test_http_retries_rate_limits_server_and_transport_errors(
             stub.script.extend([(failure, {"error": "later"})] * 2)
         stub.script.append((200, {"choices": [{"text": "late", "finish_reason": "stop"}]}))
         started = time.monotonic()
-        resp = http_backend(stub.url).complete(REQ, DIGEST)
+        text, _ = http_backend(stub.url).complete(REQ, DIGEST)
         elapsed = time.monotonic() - started
     finally:
         stub.close()
-    assert resp.text == "late"
+    assert text == "late"
     assert sleeps == [1, 2]
     assert len(stub.requests) == (1 if failure == "refused" else 3)
     assert elapsed < 5
@@ -542,7 +598,7 @@ def test_http_malformed_success_body(http_backend, stub, no_key):
 
 def test_http_unknown_finish_reason_normalized(http_backend, stub, no_key):
     stub.script.append((200, {"choices": [{"text": "x"}]}))
-    assert http_backend(stub.url).complete(REQ, DIGEST).finish_reason == "length"
+    assert http_backend(stub.url).complete(REQ, DIGEST) == ("x", "length")
 
 
 def test_http_connection_refused_retries_then_fails(http_backend, no_key, sleeps):
@@ -583,7 +639,7 @@ def test_http_reopens_a_connection_the_server_closed_while_idle(http_backend, st
     backend = http_backend(stub.url)
     backend.complete(REQ, DIGEST)
     assert stub.dropped.wait(timeout=5)
-    assert backend.complete(REQ, DIGEST).text == "ok"
+    assert backend.complete(REQ, DIGEST)[0] == "ok"
     assert sleeps == []
     first, second = (sent["client"] for sent in stub.requests)
     assert first != second
@@ -593,7 +649,7 @@ def test_http_proxy_from_the_environment_is_sent_the_absolute_url(
     http_backend, stub, no_key, proxy_env
 ):
     proxy_env("HTTP_PROXY", stub.url)
-    assert http_backend("http://completions.invalid").complete(REQ, DIGEST).text == "ok"
+    assert http_backend("http://completions.invalid").complete(REQ, DIGEST)[0] == "ok"
     [sent] = stub.requests
     assert sent["path"] == "http://completions.invalid/v1/completions"
     assert sent["proxy_auth"] is None
@@ -606,7 +662,7 @@ def test_http_no_proxy_covering_the_endpoint_goes_direct(
     try:
         proxy_env("HTTP_PROXY", refusing.url)
         proxy_env("NO_PROXY", "example.org,127.0.0.1")
-        assert http_backend(stub.url).complete(REQ, DIGEST).text == "ok"
+        assert http_backend(stub.url).complete(REQ, DIGEST)[0] == "ok"
     finally:
         refusing.close()
     assert [sent["path"] for sent in stub.requests] == ["/v1/completions"]
@@ -665,7 +721,7 @@ def test_https_is_verified_against_the_ca_file_the_environment_names(
     with pytest.raises(BackendError, match="certificate verify failed"):
         http_backend(stub.url).complete(REQ, DIGEST)
     monkeypatch.setenv("SSL_CERT_FILE", str(cert))
-    assert http_backend(stub.url).complete(REQ, DIGEST).text == "ok"
+    assert http_backend(stub.url).complete(REQ, DIGEST)[0] == "ok"
     assert [sent["path"] for sent in stub.requests] == ["/v1/completions"]
 
 
@@ -679,11 +735,11 @@ def test_record_then_replay_is_byte_identical(http_backend, stub, tmp_path, monk
     path = tmp_path / "rec.jsonl"
 
     recorder = RecordingBackend(http_backend(stub.url), str(path))
-    live = complete(recorder, REQ, DIGEST)
-    assert live.text == 'x=[PER("a")])\n'
+    [live] = complete(recorder, [Task("hello")], REQ.stop_patterns, 1)
+    assert live == ('x=[PER("a")])\n', "stop")
 
-    replayed = complete(ReplayBackend(str(path)), REQ, DIGEST)
-    assert (replayed.text, replayed.finish_reason) == (live.text, live.finish_reason)
+    [replayed] = complete(ReplayBackend(str(path)), [Task("hello")], REQ.stop_patterns, 1)
+    assert replayed == live
 
 
 def test_recording_dedupes_identical_requests(http_backend, stub, tmp_path, monkeypatch):
@@ -702,7 +758,7 @@ def test_concurrent_recording_appends_each_digest_once(tmp_path):
     class Echo:
         def complete(self, req, digest):
             time.sleep(0.005)  # lets several threads miss the same digest at once
-            return CompletionResponse(text=req.prompt.upper(), finish_reason="stop")
+            return req.prompt.upper(), "stop"
 
     path = tmp_path / "rec.jsonl"
     recorder = RecordingBackend(Echo(), str(path))
@@ -715,10 +771,10 @@ def test_concurrent_recording_appends_each_digest_once(tmp_path):
             responses = [f.result(timeout=30) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert [resp.text for resp in responses] == [r.prompt.upper() for r in reqs]
+    assert responses == [(r.prompt.upper(), "stop") for r in reqs]
     digests = [json.loads(line)["digest"] for line in path.read_text().splitlines()]
     assert sorted(digests) == sorted({request_digest(r) for r in reqs})
-    assert len(ReplayBackend(str(path))) == 50
+    assert len(read_fixtures(str(path))) == 50
 
 
 def test_racing_misses_are_served_the_one_recorded_answer(tmp_path):
@@ -733,7 +789,7 @@ def test_racing_misses_are_served_the_one_recorded_answer(tmp_path):
             self.both_missed.wait()
             with lock:
                 answer, self.calls = f"answer {self.calls}", self.calls + 1
-            return CompletionResponse(text=answer, finish_reason="stop", latency_ms=7)
+            return answer, "stop"
 
     lock = threading.Lock()
     path = tmp_path / "rec.jsonl"
@@ -744,10 +800,8 @@ def test_racing_misses_are_served_the_one_recorded_answer(tmp_path):
     [line] = path.read_text().splitlines()
     recorded = json.loads(line)["response"]
     assert recorded["text"] in ("answer 0", "answer 1")
-    for resp in responses:
-        assert (resp.text, resp.finish_reason) == (recorded["text"], recorded["finish_reason"])
-        assert resp.latency_ms == 7
-    assert ReplayBackend(str(path)).complete(REQ, DIGEST).text == recorded["text"]
+    assert responses == [(recorded["text"], recorded["finish_reason"])] * 2
+    assert ReplayBackend(str(path)).complete(REQ, DIGEST)[0] == recorded["text"]
 
 
 def test_recordings_hold_no_prompt_or_credentials(http_backend, stub, tmp_path, monkeypatch):

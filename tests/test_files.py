@@ -47,7 +47,7 @@ LOADERS = {
     ),
     "fixture": (
         {"digest": "d", "response": {"text": SEPARATORS, "finish_reason": "stop"}},
-        lambda path: ReplayBackend(path).complete(CompletionRequest(prompt="p"), "d").text,
+        lambda path: ReplayBackend(path).stored("d")[0],
         "fixture",
     ),
     "vector": (
@@ -249,7 +249,7 @@ def test_recording_backend_serves_a_recorded_line_separator(tmp_path):
     path = tmp_path / "recording.jsonl"
     path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
     backend = RecordingBackend(inner=None, fixture_path=str(path))
-    assert backend.complete(CompletionRequest(prompt="p"), "d").text == SEPARATORS
+    assert backend.complete(CompletionRequest(prompt="p"), "d") == (SEPARATORS, "stop")
 
 
 def test_cli_reads_a_test_corpus_with_a_line_separator(tmp_path, in_repo_root, capsys):
