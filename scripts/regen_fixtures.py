@@ -7,6 +7,9 @@ computed spans, completion fixtures keyed by request digest, golden
 prompt files, the golden run report, the golden variability report) are
 rewritten in place. Run from anywhere; paths inside generated reports
 stay relative to the repository root.
+
+Completion fixtures are recorded by ``record``, as a live run records
+them through ``RecordingBackend``; tests import it to record theirs.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-os.chdir(REPO_ROOT)
 
+from evarg.client import RecordingBackend  # noqa: E402
 from evarg.corpus import load_corpus, validate_against_ontology  # noqa: E402
-from evarg.harness import RunConfig, prepare, run, write_report  # noqa: E402
+from evarg.harness import RunConfig, _run, prepare, run, write_report  # noqa: E402
 from evarg.ontology import load_ontology  # noqa: E402
 from evarg.variability import load_points, load_vectors, variability_report  # noqa: E402
 
@@ -275,7 +278,32 @@ def emit_golden(name: str, text: str) -> None:
     print(f"wrote {path}")
 
 
+class AnswerSource:
+    """A backend that stores nothing and answers each test instance of ``plan`` by ``answer``."""
+
+    def __init__(self, plan, answer):
+        self._instances = {plan.task(inst).digest: inst for inst in plan.test.instances}
+        self._answer = answer
+
+    def stored(self, digest: str) -> None:
+        """No answer is stored here: each is made."""
+
+    def complete(self, req, digest: str) -> tuple[str, str]:
+        return self._answer(self._instances[digest])
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+
+def record(cfg: RunConfig, fixture_path, answer) -> dict:
+    """``cfg``'s report; ``answer(instance)`` gives each ``(text, finish_reason)`` not yet
+    in ``fixture_path``, and ``RecordingBackend`` appends it there."""
+    plan = prepare(cfg)
+    return _run(plan, lambda cfg: RecordingBackend(AnswerSource(plan, answer), str(fixture_path)))
+
+
 def main() -> None:
+    os.chdir(REPO_ROOT)
     GOLDEN.mkdir(parents=True, exist_ok=True)
 
     write_jsonl(FIXTURES / "train.jsonl", (corpus_record(r) for r in TRAIN))
@@ -309,32 +337,13 @@ def main() -> None:
         plan = prepare(replace(BASE, **settings))
         emit_golden(name, plan.task(plan.test.by_id(instance_id)).bundle.text)
 
-    # completion fixtures for the frozen replay runs (code and t1, k=1)
-    records = []
-    for cfg, responses in (
-        (BASE, CODE_RESPONSES),
-        (replace(BASE, prompt_style="t1"), T1_RESPONSES),
-    ):
-        plan = prepare(cfg)
-        for inst in plan.test.instances:
-            task = plan.task(inst)
-            request = task.request
-            text, finish = responses[inst.id]
-            records.append(
-                {
-                    "digest": task.digest,
-                    "request": {
-                        "model_id": request.model_id,
-                        "max_new_tokens": request.max_new_tokens,
-                        "temperature": request.temperature,
-                        "stop_patterns": list(request.stop_patterns),
-                        "prompt_chars": len(request.prompt),
-                        "note": f"{cfg.prompt_style} {inst.id}",
-                    },
-                    "response": {"text": text, "finish_reason": finish},
-                }
-            )
-    write_jsonl(FIXTURES / "completions.jsonl", records)
+    # completion fixtures for the frozen replay runs (k=1), one thread keeping task order
+    completions = FIXTURES / "completions.jsonl"
+    completions.unlink(missing_ok=True)
+    for style, responses in (("code", CODE_RESPONSES), ("t1", T1_RESPONSES)):
+        cfg = replace(BASE, prompt_style=style, max_in_flight=1)
+        record(cfg, completions, lambda inst: responses[inst.id])
+    print(f"wrote {completions}")
 
     report = run(BASE)
     write_report(report, str(GOLDEN / "run_report.json"))

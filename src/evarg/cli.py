@@ -54,7 +54,7 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} must hold a mapping")
     unknown = sorted(set(data) - _CONFIG_FIELDS, key=str)
     if unknown:
-        raise ConfigError(f"config file {path}: unknown keys {unknown}")
+        raise ConfigError(f"config file {path}: unknown keys {short_repr(unknown)}")
     return data
 
 

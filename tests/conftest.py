@@ -12,6 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "scripts"))
 
 from evarg import emitter  # noqa: E402
 from evarg.corpus import (  # noqa: E402
@@ -23,10 +24,11 @@ from evarg.corpus import (  # noqa: E402
     load_corpus,
 )
 from evarg.files import read_jsonl, short_repr  # noqa: E402
-from evarg.harness import RunConfig, prepare, run, write_report  # noqa: E402
+from evarg.harness import RunConfig, write_report  # noqa: E402
 from evarg.ontology import load_ontology  # noqa: E402
 from evarg.parsing import parse_completion  # noqa: E402
 from evarg.scoring import _PREPOSITIONS, score  # noqa: E402
+from regen_fixtures import record  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -193,9 +195,13 @@ def exhaustive_match(gold_pairs, pred_pairs):
 def k_reports(directory: Path, ks=(1, 2, 3), kept=None, **settings) -> list[str]:
     """Paths of replay reports of the shipped corpora, one per k in ``ks``, in ``directory``.
 
-    The runs share one completions file, written here: each test instance's
+    The runs share one completions file, recorded here: each test instance's
     answer is its first ``kept`` gold arguments (``k`` of them by default)
     as ``emitter`` renders them. ``settings`` override the runs' other settings.
+
+    The largest k is recorded first: a class with too few training instances
+    for two k is shown one prompt at both, and as a recording keeps the first
+    answer a digest gets, that class is answered as at the largest k.
     """
     fixture = directory / "completions.jsonl"
     settings = {
@@ -205,22 +211,17 @@ def k_reports(directory: Path, ks=(1, 2, 3), kept=None, **settings) -> list[str]
         "fixture_path": str(fixture),
         **settings,
     }
-    configs = [RunConfig(k=k, **settings) for k in ks]
-    with open(fixture, "w", encoding="utf-8") as fh:
-        for cfg in configs:
-            plan = prepare(cfg)
-            for inst in plan.test.instances:
-                gold = inst._replace(arguments=inst.arguments[: cfg.k if kept is None else kept])
-                event = plan.ontology.resolve_event(inst.event_type)
-                text = emitter._answer(gold, event, plan.ontology, cfg.prompt_style)
-                response = {"text": text, "finish_reason": "stop"}
-                fh.write(json.dumps({"digest": plan.task(inst).digest, "response": response}))
-                fh.write("\n")
-    paths = []
-    for cfg in configs:
-        paths.append(str(directory / f"report-k{cfg.k}.json"))
-        write_report(run(cfg), paths[-1])
-    return paths
+    ontology = load_ontology(settings["ontology_path"])
+    for k in sorted(ks, reverse=True):
+        cfg = RunConfig(k=k, **settings)
+
+        def answer(inst):
+            gold = inst._replace(arguments=inst.arguments[: k if kept is None else kept])
+            event = ontology.resolve_event(inst.event_type)
+            return emitter._answer(gold, event, ontology, cfg.prompt_style), "stop"
+
+        write_report(record(cfg, fixture, answer), str(directory / f"report-k{k}.json"))
+    return [str(directory / f"report-k{k}.json") for k in ks]
 
 
 def drop_the_first_instance(report: dict) -> None:

@@ -274,6 +274,14 @@ def test_a_huge_config_value_is_quoted_short(config_file, capsys, override, mess
 
 
 @pytest.mark.parametrize("command", [["run"], ["emit", "--id", "test-001"]])
+def test_a_huge_unknown_config_key_is_quoted_short(config_file, capsys, command):
+    assert main([*command, "--config", config_file(**{"x" * 100_000: 1})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file ") and ": unknown keys ['xxxx" in err
+    assert len(err.encode("utf-8")) < 1000
+
+
+@pytest.mark.parametrize("command", [["run"], ["emit", "--id", "test-001"]])
 @pytest.mark.parametrize(
     "old, new",
     [('"role": "agent"', '"role": "pilot"'), ('"entity_type": "PER"', '"entity_type": "ALIEN"')],

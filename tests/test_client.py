@@ -38,9 +38,19 @@ from evarg.client import (
     truncate_at_stop,
 )
 from evarg.files import ConfigError
+from evarg.harness import RunConfig, prepare
 
 REQ = CompletionRequest(prompt="hello", stop_patterns=('"""', "class"))
 DIGEST = request_digest(REQ)
+# the request summary a recording stores with each answer: no prompt, only its hash and length
+REQUEST_SUMMARY = {
+    "model_id",
+    "max_new_tokens",
+    "temperature",
+    "stop_patterns",
+    "prompt_sha256",
+    "prompt_chars",
+}
 
 
 # --- digests ---------------------------------------------------------------
@@ -817,19 +827,27 @@ def test_recordings_hold_no_prompt_or_credentials(http_backend, stub, tmp_path, 
     assert secret_prompt not in content
     record = json.loads(content)
     assert set(record) == {"digest", "request", "response"}
-    assert set(record["request"]) == {
-        "model_id",
-        "max_new_tokens",
-        "temperature",
-        "stop_patterns",
-        "prompt_sha256",
-        "prompt_chars",
-    }
+    assert set(record["request"]) == REQUEST_SUMMARY
     assert record["request"]["prompt_chars"] == len(secret_prompt)
 
 
 def test_shipped_fixture_holds_no_prompts(fixtures_dir):
+    """Each shipped record summarizes the code or t1 k=1 prompt it answers, as a recording does."""
+    prompts = {}
+    for style in ("code", "t1"):
+        cfg = RunConfig(
+            ontology_path=str(fixtures_dir / "ontology.yaml"),
+            train_path=str(fixtures_dir / "train.jsonl"),
+            test_path=str(fixtures_dir / "test.jsonl"),
+            fixture_path=str(fixtures_dir / "completions.jsonl"),
+            prompt_style=style,
+        )
+        plan = prepare(cfg)
+        prompts.update((t.digest, t.bundle.text) for t in map(plan.task, plan.test.instances))
     for line in (fixtures_dir / "completions.jsonl").read_text().splitlines():
         record = json.loads(line)
-        assert "prompt" not in record.get("request", {})
+        request, prompt = record["request"], prompts[record["digest"]]
+        assert set(request) == REQUEST_SUMMARY
+        assert request["prompt_sha256"] == hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        assert request["prompt_chars"] == len(prompt)
         assert set(record["response"]) == {"text", "finish_reason"}

@@ -14,7 +14,7 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 import pytest
 import yaml
 
-from conftest import ROOT, drop_the_first_instance, list_the_first_instance_twice, rescore
+from conftest import ROOT, drop_the_first_instance, list_the_first_instance_twice, record, rescore
 from evarg import client, corpus, emitter, files, harness
 from evarg.client import BackendError, CompletionRequest, HttpBackend, ReplayBackend, request_digest
 from evarg.corpus import select_same_type, split_hierarchy
@@ -52,16 +52,6 @@ def cfg_code(in_repo_root):
 @pytest.fixture
 def cfg_t1(in_repo_root):
     return RunConfig(prompt_style="t1", **BASE)
-
-
-def synth_fixture(cfg: RunConfig, path, respond) -> None:
-    """Record fixture entries for every prompt a config would send."""
-    plan = prepare(cfg)
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in plan.test.instances:
-            text, finish = respond(inst)
-            response = {"text": text, "finish_reason": finish}
-            fh.write(json.dumps({"digest": plan.task(inst).digest, "response": response}) + "\n")
 
 
 # --- golden replay run -----------------------------------------------------
@@ -193,7 +183,7 @@ def test_a_run_encodes_its_request_settings_once(cfg_code, tmp_path, monkeypatch
             rec = json.loads(records[n % len(records)])
             fh.write(json.dumps({**rec, "id": f"{rec['id']}-{n}"}) + "\n")
     cfg = replace(cfg_code, test_path=str(test), fixture_path=str(tmp_path / "fixture.jsonl"))
-    synth_fixture(cfg, cfg.fixture_path, lambda inst: (")", "stop"))
+    record(cfg, cfg.fixture_path, lambda inst: (")", "stop"))
     encoded, digests = [], []
     dumps, digest = json.dumps, harness.request_digest
 
@@ -445,7 +435,7 @@ def test_a_run_selects_each_class_examples_once(cfg_code, tmp_path, monkeypatch,
     cfg = replace(
         cfg_code, test_path=str(test), fixture_path=str(fixture), selection_mode=mode, k=2
     )
-    synth_fixture(cfg, fixture, lambda inst: (")", "stop"))
+    record(cfg, fixture, lambda inst: (")", "stop"))
     calls = []
     for name in ("select_same_type", "select_sibling", "select_non_sibling"):
         select = getattr(harness, name)
@@ -534,7 +524,7 @@ def test_a_plan_given_the_whole_training_file_runs_the_same(cfg_code, tmp_path, 
                 seed=seed,
             )
             try:
-                synth_fixture(cfg, fixture, lambda inst: (f"{inst.id})", "stop"))
+                record(cfg, fixture, lambda inst: (f"{inst.id})", "stop"))
             except ConfigError:
                 pass
             kept = outcome(cfg)
@@ -633,7 +623,7 @@ def test_shortfall_notes_available_examples(cfg_code, tmp_path):
 def test_zero_shot_run(cfg_code, tmp_path):
     fixture = tmp_path / "zero.jsonl"
     cfg = replace(cfg_code, k=0, fixture_path=str(fixture))
-    synth_fixture(cfg, fixture, lambda inst: (")", "stop"))
+    record(cfg, fixture, lambda inst: (")", "stop"))
     report = run(cfg)
     assert all(entry["example_ids"] == [] for entry in report["instances"])
     assert all(entry["parsed"]["roles"] == {} for entry in report["instances"])
@@ -643,7 +633,7 @@ def test_zero_shot_run(cfg_code, tmp_path):
 def test_amr_changes_only_annotated_prompts(cfg_code, tmp_path, golden_dir):
     fixture = tmp_path / "amr.jsonl"
     cfg = replace(cfg_code, amr_path="fixtures/amr.jsonl", fixture_path=str(fixture))
-    synth_fixture(cfg, fixture, lambda inst: (")", "stop"))
+    record(cfg, fixture, lambda inst: (")", "stop"))
     with_amr = {e["id"]: e["prompt_digest"] for e in run(cfg)["instances"]}
     golden = json.loads((golden_dir / "run_report.json").read_text())
     without = {e["id"]: e["prompt_digest"] for e in golden["instances"]}
@@ -1045,7 +1035,7 @@ def test_a_run_stores_parses_that_are_already_json(cfg_code, tmp_path, style):
     cfg = replace(cfg_code, prompt_style=style)
     if style == "t2":  # the shipped completions hold no t2 prompt
         cfg = replace(cfg, fixture_path=str(tmp_path / "t2.jsonl"))
-        synth_fixture(cfg, cfg.fixture_path, _t2_completion)
+        record(cfg, cfg.fixture_path, _t2_completion)
     report = run(cfg)
     kinds = {kind.value for kind in DiagnosticKind}
     seen = []
@@ -1346,7 +1336,7 @@ def test_no_collection_starts_while_run_or_load_report_works(cfg_code, tmp_path)
         fixture_path=str(tmp_path / "fixture.jsonl"),
         output_path=str(tmp_path / "report.json"),
     )
-    synth_fixture(cfg, cfg.fixture_path, lambda inst: (")", "stop"))
+    record(cfg, cfg.fixture_path, lambda inst: (")", "stop"))
     emit = _command("emit", tmp_path, train_path=cfg.train_path, fixture_path=cfg.fixture_path)
     validate = _command("validate", tmp_path, test_path=cfg.train_path)
     steps = {
