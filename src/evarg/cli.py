@@ -30,8 +30,6 @@ from .harness import (
 from .ontology import load_ontology
 from .variability import load_points, load_vectors, variability_report
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
-
 # Flags spelled other than their setting; the rest are the name with dashes.
 _SHORT_FLAGS = {
     "ontology_path": "ontology",
@@ -52,7 +50,7 @@ def _load_config_file(path: str) -> dict:
         return {}
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
-    unknown = sorted(set(data) - _CONFIG_FIELDS, key=str)
+    unknown = sorted(set(data) - SETTING_TYPES.keys(), key=str)
     if unknown:
         raise ConfigError(f"config file {path}: unknown keys {short_repr(unknown)}")
     return data
@@ -73,7 +71,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 def _build_config(args: argparse.Namespace) -> RunConfig:
     """The config in the ``--config`` file, overridden by the run flags in ``args``."""
     settings = _load_config_file(args.config) if args.config else {}
-    for name in _CONFIG_FIELDS:
+    for name in SETTING_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             settings[name] = value

@@ -45,19 +45,18 @@ class TrainingInstance(NamedTuple):
 
 @dataclass(frozen=True)
 class Dataset:
-    """A corpus's instances in file order.
+    """A corpus's instances in file order, and how many each class had there.
 
-    A dataset loaded whole has ``counts`` ``None``. One cut at ``k`` per
-    class by ``load_corpus(..., per_class=k)`` holds only each class's
-    first ``k`` instances, in file order, and ``counts`` holds every class
-    of the file with how many instances it had there, in the order the
-    classes first appear. The records past the cut were checked as strictly
-    as the kept ones, but no instance was built for them.
+    ``counts`` holds every class of the file with how many instances it had
+    there, in the order the classes first appear, however the file was
+    loaded. A dataset loaded whole holds every instance. One cut at ``k`` per
+    class by ``load_corpus(..., per_class=k)`` holds only each class's first
+    ``k`` instances, in file order; the records past the cut were checked as
+    strictly as the kept ones, but no instance was built for them.
     """
 
-    split: str  # train | dev | test
     instances: tuple[TrainingInstance, ...]
-    counts: tuple[tuple[str, int], ...] | None = None
+    counts: tuple[tuple[str, int], ...]
 
     @cached_property
     def _ids(self) -> dict[str, TrainingInstance]:
@@ -65,7 +64,7 @@ class Dataset:
 
     @cached_property
     def by_class(self) -> dict[str, tuple[TrainingInstance, ...]]:
-        """Class name -> its instances in corpus order; classes without any are absent."""
+        """Class name -> its kept instances in corpus order; classes without any are absent."""
         groups: dict[str, list[TrainingInstance]] = {}
         for inst in self.instances:
             groups.setdefault(derive_class_name(inst.event_type), []).append(inst)
@@ -74,50 +73,41 @@ class Dataset:
     @cached_property
     def class_counts(self) -> dict[str, int]:
         """Class name -> how many instances it had in the file; classes without any are absent."""
-        if self.counts is not None:
-            return dict(self.counts)
-        return {cls: len(insts) for cls, insts in self.by_class.items()}
+        return dict(self.counts)
 
     def by_id(self, instance_id: str) -> TrainingInstance:
         return self._ids[instance_id]
 
 
 def load_corpus(path: str | Path, split: str, per_class: int | None = None) -> Dataset:
-    """Load a corpus file, validating spans and id uniqueness.
+    """Load a corpus file, validating spans and id uniqueness, and count its classes.
 
-    With ``per_class``, every record is still read, checked and counted and
-    every id checked unique across the file, but only each class's first
-    ``per_class`` instances are built and kept; a record past its class's cut
-    goes through the same checks, in the same order, and builds nothing. See
-    ``Dataset``.
+    ``split`` names the file in error messages. With ``per_class``, every
+    record is still read, checked and counted and every id checked unique
+    across the file, but only each class's first ``per_class`` instances are
+    built and kept; a record past its class's cut goes through the same
+    checks, in the same order, and builds nothing. See ``Dataset``.
     """
     # id -> its instance; None for one past its class's cut, kept for the duplicate check
     instances: dict[str, TrainingInstance | None] = {}
     counts: dict[str, int] = {}
-    classes: dict[str, str] = {}  # event type -> its class name, derived once per load
 
     def add(rec: dict) -> None:
         # the class is read before the checks; a record without a str event_type
         # takes the kept path, whose checks reject it in their usual order
-        cls = None
-        if per_class is not None:
-            event_type = rec.get("event_type")
-            if type(event_type) is str:
-                cls = classes.get(event_type)
-                if cls is None:
-                    cls = classes[event_type] = derive_class_name(event_type)
-        keep = cls is None or counts.get(cls, 0) < per_class
+        event_type = rec.get("event_type")
+        cls = derive_class_name(event_type) if type(event_type) is str else None
+        keep = cls is None or per_class is None or counts.get(cls, 0) < per_class
         inst = _instance_from_record(rec, keep)
         instance_id = inst.id if keep else inst
         if instance_id in instances:
             raise ValueError(f"duplicate instance id {short_repr(instance_id)}")
-        if cls is not None:
-            counts[cls] = counts.get(cls, 0) + 1
+        counts[cls] = counts.get(cls, 0) + 1
         instances[instance_id] = inst if keep else None
 
     read_jsonl(path, split, add)
     kept = tuple(inst for inst in instances.values() if inst is not None)
-    return Dataset(split, kept, None if per_class is None else tuple(counts.items()))
+    return Dataset(kept, tuple(counts.items()))
 
 
 _new = tuple.__new__  # a NamedTuple from all its fields, skipping its Python-level __new__
@@ -264,13 +254,13 @@ def select_sibling(
     event = ontology.resolve_event(event_type)
     if event.parent is None or event.parent not in split:
         raise ConfigError(
-            f"event type {event.class_name!r} has no sibling training type with data"
+            f"event type {short_repr(event.class_name)} has no sibling training type with data"
         )
     decision = split[event.parent]
     if event.class_name == decision.train_child:
         raise ConfigError(
-            f"event type {event.class_name!r} is the training child of "
-            f"{event.parent!r}, not a test type"
+            f"event type {short_repr(event.class_name)} is the training child of "
+            f"{short_repr(event.parent)}, not a test type"
         )
     return select_same_type(dataset, decision.train_child, k)
 
@@ -297,7 +287,7 @@ def select_non_sibling(
     )
     if not candidates:
         raise ConfigError(
-            f"no non-sibling event type with data exists for {event.class_name!r}"
+            f"no non-sibling event type with data exists for {short_repr(event.class_name)}"
         )
     chosen = random.Random(seed).choice(candidates)
     return select_same_type(dataset, chosen, k)

@@ -127,16 +127,8 @@ class PromptBundle:
     task: str
 
     @property
-    def preamble(self) -> str:
-        return self.frame.preamble
-
-    @property
     def stop_patterns(self) -> tuple[str, ...]:
         return self.frame.stop_patterns
-
-    @property
-    def example_ids(self) -> tuple[str, ...]:
-        return self.frame.example_ids
 
     @property
     def text(self) -> str:

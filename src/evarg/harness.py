@@ -327,7 +327,7 @@ def _run(plan: Plan, build_backend) -> dict:
     tasks: list[Task] = []
     for inst in plan.test.instances:
         task = plan.task(inst)
-        chars = len(task.bundle.preamble) + len(task.bundle.task)
+        chars = len(task.bundle.frame.preamble) + len(task.bundle.task)
         if cfg.max_prompt_chars is not None and chars > cfg.max_prompt_chars:
             skipped.append({"id": inst.id, "prompt_chars": chars})
             continue
@@ -347,8 +347,8 @@ def _run(plan: Plan, build_backend) -> dict:
                 "id": t.instance.id,
                 "event_type": derive_class_name(t.instance.event_type),
                 "prompt_digest": t.digest,
-                "prompt_chars": len(t.bundle.preamble) + len(t.bundle.task),
-                "example_ids": list(t.bundle.example_ids),
+                "prompt_chars": len(t.bundle.frame.preamble) + len(t.bundle.task),
+                "example_ids": list(t.bundle.frame.example_ids),
                 "completion": text,
                 "finish_reason": finish,
                 "parsed": parse_completion(text, plan.ontology, t.instance.event_type, style),

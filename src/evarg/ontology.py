@@ -107,7 +107,7 @@ def siblings(ontology: Ontology, event_type: str) -> set[str]:
     """
     node = ontology.resolve_event(event_type)
     if node.parent is None:
-        logger.warning("siblings(%s): type has no parent", node.class_name)
+        logger.warning("siblings(%s): type has no parent", short_text(node.class_name))
         return set()
     return set(ontology.children(node.parent)) - {node.class_name}
 

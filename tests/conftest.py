@@ -4,6 +4,7 @@ import socket
 import sys
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from evarg.corpus import (  # noqa: E402
 )
 from evarg.files import read_jsonl, short_repr  # noqa: E402
 from evarg.harness import RunConfig, write_report  # noqa: E402
-from evarg.ontology import load_ontology  # noqa: E402
+from evarg.ontology import derive_class_name, load_ontology  # noqa: E402
 from evarg.parsing import parse_completion  # noqa: E402
 from evarg.scoring import _PREPOSITIONS, score  # noqa: E402
 from regen_fixtures import record  # noqa: E402
@@ -134,7 +135,7 @@ def reference_load_corpus(path, split: str) -> Dataset:
         instances[inst.id] = inst
 
     read_jsonl(path, split, add)
-    return Dataset(split=split, instances=tuple(instances.values()))
+    return Dataset(tuple(instances.values()), _class_counts(instances.values()))
 
 
 _TOKEN_RE = re.compile(r"(\w+)|[^\w\s]")
@@ -255,8 +256,15 @@ def make_instance(
     )
 
 
-def make_dataset(split: str, instances) -> Dataset:
-    return Dataset(split=split, instances=tuple(instances))
+def make_dataset(instances) -> Dataset:
+    """A dataset holding ``instances`` whole, with each class's count."""
+    instances = tuple(instances)
+    return Dataset(instances, _class_counts(instances))
+
+
+def _class_counts(instances) -> tuple[tuple[str, int], ...]:
+    """Each class of ``instances`` with how many it has, in the order the classes first appear."""
+    return tuple(Counter(derive_class_name(inst.event_type) for inst in instances).items())
 
 
 def untyped_parse(roles: dict) -> dict:

@@ -184,7 +184,6 @@ def test_criterion_04_scorer_matches_exhaustive_oracle(capfd):
             )
 
         golds = make_dataset(
-            "g",
             [
                 make_instance(
                     "a1", "alpha beta gamma struck .", "struck", "Conflict:Attack",
@@ -228,7 +227,6 @@ def test_criterion_05_metric_orderings(capfd, train_set):
                 for _ in range(rng.randint(0, 4))
             ]
             golds = make_dataset(
-                "g",
                 [make_instance("i1", sentence, "hit", "Conflict:Attack", args=gold_args)],
             )
             pred_roles = {}
@@ -238,7 +236,7 @@ def test_criterion_05_metric_orderings(capfd, train_set):
             assert report["micro"]["arg_c"]["f1"] <= report["micro"]["arg_i"]["f1"]
 
         inst = train_set.by_id("train-002")
-        golds = make_dataset("g", [inst])
+        golds = make_dataset([inst])
         mirrored: dict = {}
         for arg in inst.arguments:
             mirrored.setdefault(arg.role, []).append(arg.surface)
@@ -329,7 +327,7 @@ def test_criterion_07_selection_determinism_and_split(capfd, ontology, train_set
                     make_instance(f"m-{serial:04d}", sentence, trigger, event_type)
                 )
                 serial += 1
-        mirrored = make_dataset("train", rows)
+        mirrored = make_dataset(rows)
         split = split_hierarchy(ontology, mirrored)
         assert split["Transaction"].train_child == "Transfer_Money"
         assert tuple(split["Transaction"].test_children) == ("Transfer_Ownership",)

@@ -273,6 +273,31 @@ def test_a_huge_config_value_is_quoted_short(config_file, capsys, override, mess
     assert err.endswith(", not 'xxxxxxxxxxxx...xxxxxxxxxxxxx'\n")
 
 
+@pytest.mark.parametrize("mode, code", [("sibling", 2), ("non_sibling", 3)])
+def test_a_hierarchy_mode_quotes_a_huge_event_type_short(tmp_path, mode, code):
+    """A top-level type's huge name reaches stderr short, also through the siblings warning."""
+    name = "Huge" + "x" * 100_000
+    ontology = yaml.safe_load((ROOT / "fixtures/ontology.yaml").read_text(encoding="utf-8"))
+    ontology["events"].append({"name": name, "template": "Something happened."})
+    _write(tmp_path / "ontology.yaml", yaml.safe_dump(ontology))
+    record = {"id": "huge", "sentence": "It happened .", "event_type": name,
+              "trigger": {"start": 3, "end": 11, "surface": "happened"}}
+    test = (ROOT / "fixtures/test.jsonl").read_text(encoding="utf-8")
+    _write(tmp_path / "test.jsonl", json.dumps(record) + "\n" + test)
+    config = {**BASE, "ontology_path": str(tmp_path / "ontology.yaml"),
+              "test_path": str(tmp_path / "test.jsonl"), "selection_mode": mode}
+    _write(tmp_path / "cfg.yaml", yaml.safe_dump(config))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "evarg", "run", "--config", str(tmp_path / "cfg.yaml"),
+            "--out", str(tmp_path / "report.json")]
+    # a fresh interpreter, so the warning goes where the command line sends it
+    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr[:2000]
+    assert name not in done.stderr and "Hugexxxxxxxx...xxxxxxxxxxxx" in done.stderr
+    assert len(done.stderr.encode("utf-8")) < 2048
+
+
 @pytest.mark.parametrize("command", [["run"], ["emit", "--id", "test-001"]])
 def test_a_huge_unknown_config_key_is_quoted_short(config_file, capsys, command):
     assert main([*command, "--config", config_file(**{"x" * 100_000: 1})]) == 2
@@ -726,11 +751,15 @@ def test_compare_a_mutated_config_exits_0_only_for_its_own_rerun(
     assert codes[0] and codes[2]
 
 
+def _quick_start_commands(readme: str) -> list[list[str]]:
+    """The ``evarg`` commands of README's Quick start block, each split into its words."""
+    block = readme.split("\n## Quick start\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("evarg ")]
+
+
 def test_readme_quick_start_commands_parse():
     """Each ``evarg`` command in README's Quick start is one the parser accepts."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("\n## Quick start\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("evarg ")]
+    commands = _quick_start_commands((ROOT / "README.md").read_text(encoding="utf-8"))
     assert [argv[1] for argv in commands] == [
         "emit", "run", "run", "compare", "variability", "validate"
     ]
@@ -740,6 +769,22 @@ def test_readme_quick_start_commands_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README's Quick start command does not parse: {' '.join(argv)}")
+
+
+def test_readme_quick_start_runs_end_to_end(in_repo_root, tmp_path, capsys):
+    """README's Quick start, run in order on its minimal ``run.yaml``, exits 0 at each step."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    config = readme.split("A minimal `run.yaml`:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "run.yaml").write_text(config, encoding="utf-8")
+    moved = {name: str(tmp_path / name) for name in ("run.yaml", "code.json", "t1.json")}
+    commands = [[moved.get(arg, arg) for arg in argv[1:]] for argv in _quick_start_commands(readme)]
+    assert ["compare", moved["code.json"], moved["t1.json"]] in commands
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 0, argv
+        if argv[0] == "compare":
+            expected = harness.compare(moved["code.json"], moved["t1.json"])
+            assert capsys.readouterr().out == json_text(expected) + "\n"
 
 
 # --- variability -----------------------------------------------------------

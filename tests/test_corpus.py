@@ -95,7 +95,6 @@ def test_record_fields_are_pinned():
 
 def test_by_class_files_raw_and_class_names_under_one_key():
     data = make_dataset(
-        "train",
         [
             make_instance("a", "Kim returned .", "returned", "Movement:Transport"),
             make_instance("b", "Kim paid Joe .", "paid", "Transaction:Transfer-Money"),
@@ -112,7 +111,7 @@ def test_by_class_files_raw_and_class_names_under_one_key():
 def test_built_indexes_stay_out_of_equality_and_hash(train_set):
     train_set.by_id("train-001")
     assert train_set.by_class
-    fresh = Dataset(train_set.split, train_set.instances)
+    fresh = Dataset(train_set.instances, train_set.counts)
     assert fresh == train_set
     assert hash(fresh) == hash(train_set)
 
@@ -131,8 +130,7 @@ def test_a_cut_load_keeps_each_class_first_k_and_counts_every_record(tmp_path, k
     path = _write_corpus(tmp_path, _class_records(classes))
     whole = load_corpus(path, "train")
     cut = load_corpus(path, "train", per_class=k)
-    assert whole.counts is None
-    assert cut.counts == (("Transport", 3), ("Attack", 2))
+    assert whole.counts == cut.counts == (("Transport", 3), ("Attack", 2))
     assert cut.class_counts == whole.class_counts == {"Transport": 3, "Attack": 2}
     assert cut.by_class == {c: i[:k] for c, i in whole.by_class.items() if k}
     # the classes alternate, so the first k of each are the file's first 2k records
@@ -144,10 +142,10 @@ def test_a_cut_dataset_stays_hashable_and_its_counts_count_in_equality(tmp_path)
     cut = load_corpus(path, "train", per_class=1)
     cut.by_id("r0")
     assert cut.by_class and cut.class_counts
-    fresh = Dataset(cut.split, cut.instances, cut.counts)
+    fresh = Dataset(cut.instances, cut.counts)
     assert fresh == cut
     assert hash(fresh) == hash(cut)
-    assert Dataset(cut.split, cut.instances) != cut
+    assert Dataset(cut.instances, ()) != cut
 
 
 # raw event types; each pair names one class, as by_class files them
@@ -456,7 +454,6 @@ def test_split_prefers_higher_count(ontology, train_set):
 
 def test_split_tie_breaks_lexicographically(ontology):
     data = make_dataset(
-        "train",
         [
             make_instance("a", "Kim paid Joe .", "paid", "Transaction:Transfer-Money"),
             make_instance("b", "Kim bought it .", "bought", "Transaction:Transfer-Ownership"),
@@ -503,7 +500,6 @@ def test_non_sibling_deterministic_per_seed(ontology, train_set):
 
 def test_non_sibling_errors_when_no_candidates(ontology):
     data = make_dataset(
-        "train",
         [make_instance("a", "Kim paid Joe .", "paid", "Transaction:Transfer-Money")],
     )
     with pytest.raises(ConfigError, match="no non-sibling event type with data"):
@@ -512,7 +508,6 @@ def test_non_sibling_errors_when_no_candidates(ontology):
 
 def test_validate_against_ontology_flags_problems(ontology):
     data = make_dataset(
-        "test",
         [
             make_instance(
                 "bad-1",

@@ -79,7 +79,7 @@ def test_bundle_metadata(ontology, kim, kelly):
     bundle = _bundle(ontology, kim, [kelly])
     assert bundle.stop_patterns == CODE_STOP_PATTERNS
     assert bundle.text.endswith("\ntransport_event = Transport(")
-    assert bundle.example_ids == ("train-001",)
+    assert bundle.frame.example_ids == ("train-001",)
 
 
 def test_text_bundles_stop_on_blank_line(ontology, kim, kelly):
@@ -99,7 +99,7 @@ def test_docstring_quotes_balanced(ontology, kim, kelly):
 
 def test_zero_shot_prompt_has_no_examples(ontology, kim):
     bundle = _bundle(ontology, kim, [])
-    assert bundle.example_ids == ()
+    assert bundle.frame.example_ids == ()
     # exactly one task block, no completed instantiation
     assert bundle.text.count("transport_event = Transport(") == 1
 

@@ -222,12 +222,12 @@ def test_tasks_of_one_group_share_one_preamble_and_keep_no_full_prompt(cfg_code)
     plan = prepare(cfg_code)
     first, second = (plan.task(plan.test.by_id(i)) for i in ("test-001", "test-002"))
     assert first.instance.event_type == second.instance.event_type
-    assert first.bundle.example_ids == second.bundle.example_ids
-    assert first.bundle.preamble is second.bundle.preamble
+    assert first.bundle.frame.example_ids == second.bundle.frame.example_ids
+    assert first.bundle.frame.preamble is second.bundle.frame.preamble
     for task in (first, second):
         prompt = task.bundle.text
         assert task.request.prompt == prompt
-        assert task.bundle.preamble and task.bundle.task
+        assert task.bundle.frame.preamble and task.bundle.task
         assert max(len(text) for text in _strings(task)) < len(prompt)
 
 

@@ -228,7 +228,6 @@ def test_grounded_head_of_fixed_surfaces():
 
 def test_identified_full_classified_half():
     golds = make_dataset(
-        "g",
         [
             make_instance(
                 "i1",
@@ -248,7 +247,6 @@ def test_identified_full_classified_half():
 
 def test_empty_predictions_against_gold_scores_zero():
     golds = make_dataset(
-        "g",
         [
             make_instance(
                 "i1", "Kelly left .", "left", "Movement:Transport",
@@ -263,7 +261,6 @@ def test_empty_predictions_against_gold_scores_zero():
 
 def test_micro_pools_counts_across_types():
     golds = make_dataset(
-        "g",
         [
             make_instance(
                 "a1",
@@ -302,7 +299,7 @@ def test_micro_pools_counts_across_types():
 
 def test_gold_replayed_as_predictions_is_perfect(train_set):
     inst = train_set.by_id("train-002")
-    golds = make_dataset("g", [inst])
+    golds = make_dataset([inst])
     roles: dict = {}
     for arg in inst.arguments:
         roles.setdefault(arg.role, []).append(arg.surface)
@@ -316,7 +313,6 @@ def test_gold_replayed_as_predictions_is_perfect(train_set):
 
 def test_ungrounded_prediction_counts_as_false_positive():
     golds = make_dataset(
-        "g",
         [
             make_instance(
                 "i1", "Kelly left Houston .", "left", "Movement:Transport",
@@ -335,7 +331,6 @@ def test_ungrounded_prediction_counts_as_false_positive():
 
 def test_empty_prediction_is_ungrounded_false_positive():
     golds = make_dataset(
-        "g",
         [
             make_instance(
                 "i1", "Kelly left Houston .", "left", "Movement:Transport",
@@ -352,7 +347,6 @@ def test_empty_prediction_is_ungrounded_false_positive():
 
 def test_case_insensitive_grounding_still_matches():
     golds = make_dataset(
-        "g",
         [
             make_instance(
                 "i1", "Kelly left .", "left", "Movement:Transport",
@@ -367,7 +361,6 @@ def test_case_insensitive_grounding_still_matches():
 
 def test_same_head_predictions_dedupe():
     golds = make_dataset(
-        "g",
         [
             make_instance(
                 "i1", "the Irish teacher taught .", "taught", "Movement:Transport",
@@ -383,7 +376,6 @@ def test_same_head_predictions_dedupe():
 
 def test_duplicate_predictions_change_nothing():
     golds = make_dataset(
-        "g",
         [
             make_instance(
                 "i1", "Kelly left Houston .", "left", "Movement:Transport",
@@ -423,14 +415,14 @@ def test_gold_explicit_head_is_honored():
             ),
         ),
     )
-    golds = make_dataset("g", [inst])
+    golds = make_dataset([inst])
     # the annotated head is "Irish", so the heuristic head "teacher" misses
     assert score([("i1", event(agent=["teacher"]))], golds)["micro"]["arg_i"]["f1"] == 0.0
     assert score([("i1", event(agent=["Irish"]))], golds)["micro"]["arg_i"]["f1"] == 1.0
 
 
 def test_unknown_instance_id_raises():
-    golds = make_dataset("g", [])
+    golds = make_dataset([])
     with pytest.raises(KeyError):
         score([("ghost", event())], golds)
 
@@ -459,7 +451,6 @@ def test_greedy_matching_equals_exhaustive_on_small_instances():
 
 def test_prediction_order_never_changes_the_report():
     golds = make_dataset(
-        "g",
         [
             make_instance(
                 "i1",
@@ -492,7 +483,6 @@ def test_classified_never_exceeds_identified_random():
             for _ in range(rng.randint(0, 4))
         ]
         golds = make_dataset(
-            "g",
             [make_instance("i1", sentence, "hit", "Conflict:Attack", args=gold_args)],
         )
         pred_roles: dict = {}
@@ -504,7 +494,6 @@ def test_classified_never_exceeds_identified_random():
 
 def test_report_dict_shape():
     golds = make_dataset(
-        "g",
         [
             make_instance(
                 "i1", "Kelly left .", "left", "Movement:Transport",
