@@ -155,10 +155,7 @@ def _slots(template: str) -> str:
 
 
 def emit_entity_class(ontology: Ontology, name: str) -> str:
-    try:
-        entity = ontology.entity_types[name]
-    except KeyError:
-        raise ConfigError(f"unknown entity type: {name!r}") from None
+    entity = ontology.entity_types[name]
     lines = [f"class {entity.name}(Entity):"]
     lines.extend(_docstring_block(entity.description.splitlines() or [""], "    "))
     return "\n".join(lines)

@@ -16,9 +16,9 @@ built with libyaml, and by its pure-Python ``SafeLoader`` otherwise; both
 accept the same safe subset. Both build a document's nodes by recursion, so
 a document nested deeper than ``MAX_YAML_DEPTH`` is refused before that.
 
-``json_text`` writes the report format: the text of
-``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)``;
-``write_json`` passes the same text to a writer a piece at a time.
+``write_json`` writes the report format, the text of
+``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)``,
+to a writer a piece at a time.
 """
 
 from __future__ import annotations
@@ -149,24 +149,16 @@ def read_yaml(path: str | Path, what: str) -> Any:
         raise ConfigError(f"{what} file {path} is not valid YAML: {exc}") from exc
 
 
-def json_text(value: Any) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)``, built in one pass.
-
-    ``value`` is a tree of dicts with str keys, lists, strs, ints, floats,
-    bools and None; anything else, a tuple or a non-str key included,
-    raises ``TypeError``. On Python 3.11 ``json.dumps`` with ``indent``
-    runs its pure-Python encoder, which takes more than twice as long.
-    """
-    chunks: list[str] = []
-    _append_json(value, chunks, "\n", None)
-    return "".join(chunks)
-
-
 def write_json(value: Any, write: Callable[[str], Any]) -> None:
-    """Pass ``json_text(value)`` to ``write`` in pieces of about ``JSON_BATCH`` chunks.
+    """Pass ``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)`` to ``write``.
 
-    Only one piece of the text is held at a time. A value ``json_text``
-    rejects raises the same ``TypeError``, after the pieces before it were written.
+    The text is built in one pass and passed in pieces of about
+    ``JSON_BATCH`` chunks, so only one piece is held at a time. ``value`` is
+    a tree of dicts with str keys, lists, strs, ints, floats, bools and None;
+    anything else, a tuple or a non-str key included, raises ``TypeError``
+    after the pieces before it were written. On Python 3.11 ``json.dumps``
+    with ``indent`` runs its pure-Python encoder, which takes more than twice
+    as long.
     """
     chunks: list[str] = []
     _append_json(value, chunks, "\n", write)
@@ -178,14 +170,12 @@ _INFINITY = float("inf")
 
 # Module level, not a closure: a closure that calls itself is a reference
 # cycle, which keeps ``chunks`` alive until the cycle collector runs.
-def _append_json(
-    value: Any, chunks: list[str], newline: str, write: Callable[[str], Any] | None
-) -> None:
+def _append_json(value: Any, chunks: list[str], newline: str, write: Callable[[str], Any]) -> None:
     """Append the JSON text of ``value`` to ``chunks``; ``newline`` begins a line at its depth.
 
     A str inside a container is written with its key or separator, in one
-    chunk. With a ``write``, when ``JSON_BATCH`` or more chunks are pending
-    after a value, they are passed to it joined and ``chunks`` is emptied.
+    chunk. When ``JSON_BATCH`` or more chunks are pending after a value,
+    they are passed to ``write`` joined and ``chunks`` is emptied.
     """
     if isinstance(value, dict):
         if not value:
@@ -241,6 +231,6 @@ def _append_json(
             chunks.append(float.__repr__(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if write is not None and len(chunks) >= JSON_BATCH:
+    if len(chunks) >= JSON_BATCH:
         write("".join(chunks))
         chunks.clear()

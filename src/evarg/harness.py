@@ -69,7 +69,6 @@ from .emitter import (
 )
 from .files import (
     ConfigError,
-    json_text,
     read_jsonl,
     short_repr,
     short_text,
@@ -375,15 +374,16 @@ def write_report(report: dict, path: str | None) -> None:
     """Serialize with stable key order and atomically replace the target.
 
     The bytes are ``json.dumps(report, sort_keys=True, indent=2,
-    ensure_ascii=False)`` and a line break; without a ``path`` they go to
-    stdout. A file is written a piece at a time by ``write_json`` into a
-    temp file in the target's directory, which then replaces the target;
-    a report that cannot be written (``TypeError`` for a value that is not
-    JSON) leaves the target as it was and no temp file. The file gets the
-    mode ``open(path, "w")`` gives a new file: ``0o666`` less the umask.
+    ensure_ascii=False)`` and a line break, written a piece at a time by
+    ``write_json``. Without a ``path`` they go to stdout, where the pieces
+    before a value that is not JSON (``TypeError``) stay written. A file is
+    written into a temp file in the target's directory, which then replaces
+    the target; a report that cannot be written leaves the target as it was
+    and no temp file. The file gets the mode ``open(path, "w")`` gives a new
+    file: ``0o666`` less the umask.
     """
     if not path:
-        sys.stdout.write(json_text(report))
+        write_json(report, sys.stdout.write)
         sys.stdout.write("\n")
         return
     directory = os.path.dirname(os.path.abspath(path))

@@ -8,14 +8,11 @@ threads.
 from __future__ import annotations
 
 import functools
-import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .files import ConfigError, read_yaml, short_repr, short_text
-
-logger = logging.getLogger(__name__)
 
 # every ontology name and every name a completion reader accepts; a name must fullmatch
 IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -102,12 +99,10 @@ def ancestors(ontology: Ontology, event_type: str) -> list[str]:
 def siblings(ontology: Ontology, event_type: str) -> set[str]:
     """Event types sharing the immediate parent of ``event_type``.
 
-    A type with no parent has no siblings; that case is logged and yields
-    the empty set.
+    A type with no parent has no siblings.
     """
     node = ontology.resolve_event(event_type)
     if node.parent is None:
-        logger.warning("siblings(%s): type has no parent", short_text(node.class_name))
         return set()
     return set(ontology.children(node.parent)) - {node.class_name}
 

@@ -3,48 +3,34 @@
 Variability of a cluster of example sentence vectors is the mean
 Euclidean distance from the cluster mean. Vectors come precomputed from
 a newline-delimited JSON file (one record per example); producing them
-is out of scope here. The clusters and scores come from run reports, each
-verified by ``load_report``: a report's clusters are the distinct sets of
-example ids its instances were shown, per event type, and its point is
-its ``config.k`` and its micro Arg-C F1.
+is out of scope here. A cluster is the tuple of its vectors, each of one
+dimension as ``load_vectors`` checked. The clusters and scores come from
+run reports, each verified by ``load_report``: a report's clusters are the
+distinct sets of example ids its instances were shown, per event type, and
+its point is its ``config.k`` and its micro Arg-C F1. Every sum and mean is
+taken by ``math.fsum``, which rounds the same on every Python; ``sum``
+compensates from 3.12 on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .files import ConfigError, read_jsonl, short_repr, string_field
 from .harness import load_report
 
-
-@dataclass(frozen=True)
-class VectorCluster:
-    event_type: str
-    vectors: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.vectors:
-            raise ConfigError(f"empty vector cluster for {short_repr(self.event_type)}")
-        dims = {len(v) for v in self.vectors}
-        if len(dims) != 1:
-            raise ConfigError(
-                f"dimension mismatch in cluster {short_repr(self.event_type)}: {sorted(dims)}"
-            )
+Cluster = tuple[tuple[float, ...], ...]  # the vectors of one cluster's examples
 
 
-def variability(cluster: VectorCluster) -> float:
-    """Mean Euclidean distance of the cluster's vectors from their mean."""
-    n = len(cluster.vectors)
-    centroid = [math.fsum(column) / n for column in zip(*cluster.vectors)]
-    return math.fsum(math.dist(v, centroid) for v in cluster.vectors) / n
+def variability(cluster: Cluster) -> float:
+    """Mean Euclidean distance of a non-empty cluster's vectors from their mean."""
+    n = len(cluster)
+    centroid = [math.fsum(column) / n for column in zip(*cluster)]
+    return math.fsum(math.dist(v, centroid) for v in cluster) / n
 
 
 def pearson(xs: list[float], ys: list[float]) -> float | None:
-    """Pearson r in ``numpy.corrcoef``'s order, or None when undefined (short or constant series).
-
-    ``math.fsum`` rounds the same on every Python; ``sum`` compensates from 3.12 on.
-    """
+    """Pearson r in ``numpy.corrcoef``'s order; None when undefined (short or constant series)."""
     if len(xs) != len(ys):
         raise ValueError("series length mismatch")
     n = len(xs)
@@ -95,24 +81,24 @@ def load_vectors(path: str) -> dict[str, tuple[float, ...]]:
 
 def _cluster(
     event_type: str, ids: tuple[str, ...], vectors: dict[str, tuple[float, ...]]
-) -> VectorCluster:
+) -> Cluster:
     missing = [i for i in ids if i not in vectors]
     if missing:
         raise ConfigError(
             f"vector file lacks ids {short_repr(missing)} for {short_repr(event_type)}"
         )
-    return VectorCluster(event_type, tuple(vectors[i] for i in ids))
+    return tuple(vectors[i] for i in ids)
 
 
 def load_points(
     paths: list[str], vectors: dict[str, tuple[float, ...]]
-) -> dict[int, tuple[list[VectorCluster], float]]:
+) -> dict[int, tuple[list[Cluster], float]]:
     """``{k: (clusters, micro Arg-C F1)}`` of the reports at ``paths``, each verified.
 
     The reports must agree on every config key but ``k``, and no two may
     share a ``k``; every example id they show must have a vector in ``vectors``.
     """
-    points: dict[int, tuple[list[VectorCluster], float]] = {}
+    points: dict[int, tuple[list[Cluster], float]] = {}
     path_of: dict[int, str] = {}
     first: dict | None = None  # the config of the report at paths[0]
     for path in paths:
@@ -135,7 +121,7 @@ def load_points(
     return points
 
 
-def variability_report(points: dict[int, tuple[list[VectorCluster], float]]) -> dict:
+def variability_report(points: dict[int, tuple[list[Cluster], float]]) -> dict:
     """Mean variability per k plus its Pearson correlation with Arg-C F1."""
     per_k = {}
     means: list[float] = []
@@ -144,7 +130,7 @@ def variability_report(points: dict[int, tuple[list[VectorCluster], float]]) -> 
         clusters, arg_c_f1 = points[k]
         if not clusters:
             raise ConfigError(f"no clusters for k={short_repr(k)}: its report shows no examples")
-        mean = sum(variability(c) for c in clusters) / len(clusters)
+        mean = math.fsum(map(variability, clusters)) / len(clusters)
         per_k[str(k)] = {"mean_variability": mean, "arg_c_f1": arg_c_f1}
         means.append(mean)
         scores.append(arg_c_f1)

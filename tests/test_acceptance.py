@@ -27,7 +27,7 @@ from evarg.emitter import (
 from evarg.harness import RunConfig, compare, load_amr, run, write_report
 from evarg.parsing import parse_completion
 from evarg.scoring import _match_instance, score
-from evarg.variability import VectorCluster, variability
+from evarg.variability import variability
 
 SEED = 20240823
 ROLES = ["agent", "artifact", "vehicle", "origin", "destination"]
@@ -361,11 +361,11 @@ def test_criterion_08_variability_formula(capfd):
                 tuple(rng.uniform(-10, 10) for _ in range(dim))
                 for _ in range(rng.randint(1, 8))
             )
-            got = variability(VectorCluster("T", vectors))
+            got = variability(vectors)
             assert abs(got - oracle(vectors)) < 1e-9
 
-        assert variability(VectorCluster("T", ((0.0, 0.0), (2.0, 0.0)))) == 1.0
-        assert variability(VectorCluster("T", ((3.0, 4.0),))) == 0.0
+        assert variability(((0.0, 0.0), (2.0, 0.0))) == 1.0
+        assert variability(((3.0, 4.0),)) == 0.0
 
     _announce(capfd, 8, "variability equals direct recomputation to 1e-9", body, bound=2.0)
 

@@ -1,6 +1,6 @@
 """Input files: every JSON-lines loader reads and reports through ``files.read_jsonl``,
 and every YAML input is parsed by the one loader ``files`` chooses. Reports are
-written as ``files.json_text`` spells JSON."""
+written as ``files.write_json`` spells JSON."""
 
 import collections
 import json
@@ -627,19 +627,20 @@ def _nested(depth):
 @example(_nested(60))
 @example('é\u2028"\\\x00')
 @example({"": [], "a": {}, "\u2028": [[], {}, [{}]]})
-def test_json_text_is_what_json_dumps_writes_for_a_report(value):
-    assert files.json_text(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
-
+def test_write_json_is_what_json_dumps_writes_for_a_report(value):
+    pieces = []
+    files.write_json(value, pieces.append)
+    assert "".join(pieces) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
 
 
 @settings(max_examples=200)
 @given(_JSON_TREES, st.integers(min_value=1, max_value=8))
 @example(_nested(60), 1)
-def test_write_json_pieces_join_to_json_text(value, batch):
+def test_write_json_pieces_join_to_the_text_at_any_batch(value, batch):
     pieces = []
     default, files.JSON_BATCH = files.JSON_BATCH, batch
     try:
         files.write_json(value, pieces.append)
     finally:
         files.JSON_BATCH = default
-    assert "".join(pieces) == files.json_text(value)
+    assert "".join(pieces) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)

@@ -10,6 +10,7 @@ import textwrap
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import MISSING, fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -864,7 +865,19 @@ def test_write_report_streams_the_bytes_of_the_joined_text(tmp_path):
     assert len(pieces) >= 3
     path = tmp_path / "r.json"
     write_report(report, str(path))
-    assert path.read_bytes() == (files.json_text(report) + "\n").encode("utf-8")
+    text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_write_report_streams_a_report_to_stdout(monkeypatch):
+    report = _report_of(20)
+    pieces = []
+    monkeypatch.setattr(files, "JSON_BATCH", 1)
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=pieces.append))
+    write_report(report, None)
+    assert len(pieces) >= 3
+    text = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert "".join(pieces) == text
 
 
 def test_a_report_that_fails_after_its_first_piece_leaves_the_target(tmp_path):
@@ -1438,6 +1451,7 @@ def test_importing_harness_leaves_numpy_unloaded():
         import contextlib, io, sys
         import evarg.harness, evarg.variability
         from evarg.cli import main
+        logging_loaded = "logging" in sys.modules
 
         inputs = ["--ontology", "fixtures/ontology.yaml", "--train", "fixtures/train.jsonl",
                   "--test", "fixtures/test.jsonl", "--fixtures", "fixtures/completions.jsonl"]
@@ -1449,7 +1463,7 @@ def test_importing_harness_leaves_numpy_unloaded():
                 main(["run", *inputs]),
             ]
         watched = {"numpy", "requests", "http.client", "ssl"}
-        print(codes, sorted(watched & set(sys.modules)))
+        print(logging_loaded, codes, sorted(watched & set(sys.modules)))
         evarg.harness.HttpBackend(endpoint="http://127.0.0.1:9").close()
         print(sorted(watched & set(sys.modules)))
         """
@@ -1463,4 +1477,4 @@ def test_importing_harness_leaves_numpy_unloaded():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[0, 0, 0] []", "['http.client', 'ssl']"]
+    assert result.stdout.splitlines() == ["False [0, 0, 0] []", "['http.client', 'ssl']"]

@@ -76,11 +76,10 @@ def test_siblings_of_transfer_money(ontology):
     assert siblings(ontology, "Transport") == set()
 
 
-def test_siblings_of_root_warns_and_returns_empty(ontology, caplog):
-    with caplog.at_level(logging.WARNING):
-        result = siblings(ontology, "Movement")
-    assert result == set()
-    assert any("Movement" in rec.message for rec in caplog.records)
+def test_siblings_of_root_are_empty_and_unlogged(ontology, caplog):
+    with caplog.at_level(logging.DEBUG):
+        assert siblings(ontology, "Movement") == set()
+    assert caplog.records == []
 
 
 def test_children_query(ontology):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from evarg.files import ConfigError
 from evarg.variability import (
-    VectorCluster,
     load_vectors,
     pearson,
     variability,
@@ -17,7 +16,7 @@ from evarg.variability import (
 
 
 def cluster(*vectors):
-    return VectorCluster("Transport", tuple(tuple(v) for v in vectors))
+    return tuple(tuple(v) for v in vectors)
 
 
 # --- variability formula ---------------------------------------------------
@@ -67,16 +66,6 @@ def test_positive_scaling_scales_variability(vectors, factor):
     base = variability(cluster(*vectors))
     scaled = variability(cluster(*[[factor * x for x in v] for v in vectors]))
     assert scaled == pytest.approx(factor * base, rel=1e-6, abs=1e-6)
-
-
-def test_empty_cluster_rejected():
-    with pytest.raises(ConfigError, match="empty vector cluster"):
-        VectorCluster("Transport", ())
-
-
-def test_mixed_dimensions_rejected():
-    with pytest.raises(ConfigError, match="dimension mismatch"):
-        cluster([1.0], [1.0, 2.0])
 
 
 # --- pearson ---------------------------------------------------------------
