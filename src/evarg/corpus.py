@@ -22,12 +22,6 @@ class Span(NamedTuple):
     end: int
 
 
-class Trigger(NamedTuple):
-    start: int
-    end: int
-    surface: str
-
-
 class GoldArgument(NamedTuple):
     role: str
     surface: str
@@ -38,7 +32,7 @@ class GoldArgument(NamedTuple):
 class TrainingInstance(NamedTuple):
     id: str
     sentence: str
-    trigger: Trigger
+    trigger: Span
     event_type: str
     arguments: tuple[GoldArgument, ...] = ()
 
@@ -182,7 +176,7 @@ def _instance_from_record(rec: dict, keep: bool = True) -> TrainingInstance | st
         raise not_a_string("event_type", event_type)
     if not keep:
         return instance_id
-    trigger = _new(Trigger, (start, end, surface))
+    trigger = _new(Span, (start, end))
     return _new(TrainingInstance, (instance_id, sentence, trigger, event_type, tuple(arguments)))
 
 
@@ -212,11 +206,10 @@ def validate_against_ontology(dataset: Dataset, ontology: Ontology) -> list[str]
 def select_same_type(dataset: Dataset, event_type: str, k: int) -> list[TrainingInstance]:
     """First ``min(k, available)`` instances of ``event_type`` in corpus order.
 
-    Fewer than ``k`` available is legal; callers observe the shortfall from
-    the result length.
+    ``k`` is not negative: ``RunConfig`` rejects a negative one. Fewer than
+    ``k`` available is legal; callers observe the shortfall from the result
+    length.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     return list(dataset.by_class.get(derive_class_name(event_type), ())[:k])
 
 

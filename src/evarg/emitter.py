@@ -19,7 +19,6 @@ from .ontology import (
     EventTypeDef,
     Ontology,
     ancestors,
-    derive_class_name,
     instance_variable,
 )
 
@@ -94,10 +93,11 @@ class PromptFrame:
 
     A prompt is ``preamble``, then its task block: ``head``, the task's
     sentence, its AMR lines after ``amr_lead`` when it has any, then
-    ``tail``, which ends with the style's completion prefix.
+    ``tail``, which ends with the style's completion prefix. A frame is
+    used only for instances of its own class, as ``Plan`` groups them, and
+    with an AMR that is not blank, as ``load_amr`` rejects a blank one.
     """
 
-    class_name: str
     preamble: str
     head: str
     amr_lead: str
@@ -195,9 +195,7 @@ def emit_event_class(ontology: Ontology, event_type: str, opts: EmitterOptions) 
 
 def _marked_sentence(inst: TrainingInstance, mark_trigger: bool) -> str:
     sentence = inst.sentence
-    start, end = inst.trigger.start, inst.trigger.end
-    if not (0 <= start <= end <= len(sentence)):
-        raise ConfigError(f"trigger span out of bounds for instance {short_repr(inst.id)}")
+    start, end = inst.trigger
     if not mark_trigger:
         return sentence
     return sentence[:start] + "**" + sentence[start:end] + "**" + sentence[end:]
@@ -386,7 +384,6 @@ def prompt_frame(
     event = ontology.resolve_event(event_type)
     head, amr_lead, tail = _task_frame(event, opts)
     return PromptFrame(
-        class_name=event.class_name,
         preamble=preamble,
         head=head,
         amr_lead=amr_lead,
@@ -411,16 +408,12 @@ def assemble_prompt(
     Code style defines classes; ``t1`` uses labelled text blocks and
     ``t2`` fills a template. ``frame`` is ``prompt_frame``'s result for
     the same arguments, when the caller already has it; the bundle keeps
-    that object. ``amr``, the task sentence's semantic graph, must not be
-    blank.
+    that object. ``amr`` is the task sentence's semantic graph.
+
+    Two preconditions are the caller's, and nothing here checks them:
+    ``event_type`` is ``task``'s own class, as ``Plan`` groups instances
+    by class, and ``amr`` is not blank, as ``load_amr`` rejects a blank one.
     """
-    if amr is not None and not amr.strip():
-        raise ConfigError(f"instance {short_repr(task.id)}: empty AMR")
     if frame is None:
         frame = prompt_frame(ontology, event_type, examples, opts)
-    if derive_class_name(task.event_type) != frame.class_name:
-        raise ConfigError(
-            f"instance {short_repr(task.id)} has type {short_repr(task.event_type)}, "
-            f"expected {short_repr(event_type)}"
-        )
     return PromptBundle(frame, frame.task_block(task, amr))

@@ -414,7 +414,8 @@ def test_criterion_10_live_endpoint(capfd, in_repo_root, tmp_path):
         )
 
     def body():
-        first_line = open("fixtures/test.jsonl", encoding="utf-8").readline()
+        with open("fixtures/test.jsonl", encoding="utf-8") as fh:
+            first_line = fh.readline()
         single = tmp_path / "one.jsonl"
         single.write_text(first_line)
         cfg = RunConfig(

@@ -1010,7 +1010,8 @@ def test_a_test_corpus_that_validate_rejects_exits_2_in_run_emit_and_compare(
     in_repo_root, tmp_path, capsys, golden_dir
 ):
     """The test gold is what a run scores, so it must pass ``evarg validate``."""
-    records = [json.loads(line) for line in (ROOT / "fixtures/test.jsonl").open(encoding="utf-8")]
+    lines = (ROOT / "fixtures/test.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
     arguments = records[0]["arguments"]
     surface = arguments[0]["surface"]
     arguments.append({"role": "bogus_role", "surface": surface, "entity_type": "NOPE"})
@@ -1040,7 +1041,7 @@ def _test_record(**changes):
 
     ``role`` and ``entity_type`` change its first argument.
     """
-    record = json.loads((ROOT / "fixtures/test.jsonl").open(encoding="utf-8").readline())
+    record = json.loads((ROOT / "fixtures/test.jsonl").read_text(encoding="utf-8").splitlines()[0])
     argument = record["arguments"][0]
     for key in ("role", "entity_type"):
         if key in changes:

@@ -1,6 +1,10 @@
+import json
+import random
+
 import pytest
 
 from conftest import make_instance
+from evarg.corpus import load_corpus
 from evarg.emitter import (
     CODE_STOP_PATTERNS,
     TEXT_STOP_PATTERNS,
@@ -126,6 +130,47 @@ def test_trigger_marking_is_the_only_difference(ontology, kim, kelly):
     )
 
 
+MARK_WORDS = ("Kim", "left", "Zürich", "東京", "naïve", "on", "café", "🚀", "Ωmega", ".")
+
+
+def _marking_records(rng):
+    """Records whose triggers sit at a sentence's start, middle or end, or span nothing."""
+    records = []
+    for placement in ("start", "middle", "end", "empty"):
+        words = [rng.choice(MARK_WORDS) for _ in range(rng.randint(3, 7))] + ["東京"]
+        rng.shuffle(words)
+        sentence = " ".join(words)
+        starts = [sum(len(w) + 1 for w in words[:j]) for j in range(len(words))]
+        if placement == "empty":
+            start = end = rng.randint(0, len(sentence))
+        else:
+            middle = rng.randrange(1, len(words) - 1)
+            at = {"start": 0, "middle": middle, "end": len(words) - 1}[placement]
+            start, end = starts[at], starts[at] + len(words[at])
+        records.append({
+            "id": placement,
+            "sentence": sentence,
+            "trigger": {"start": start, "end": end, "surface": sentence[start:end]},
+            "event_type": "Movement:Transport",
+        })
+    return records
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_loaded_trigger_is_marked_at_its_own_offsets(tmp_path, ontology, seed):
+    records = _marking_records(random.Random(seed))
+    path = tmp_path / "test.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    for inst, rec in zip(load_corpus(path, "test").instances, records, strict=True):
+        sentence, trig = rec["sentence"], rec["trigger"]
+        start, end = trig["start"], trig["end"]
+        marked = f"{sentence[:start]}**{trig['surface']}**{sentence[end:]}"
+        for style in PromptStyle:
+            lead = "" if style == PromptStyle.CODE else "Sentence: "
+            task = _bundle(ontology, inst, [], prompt_style=style).task
+            assert lead + marked in task.splitlines(), (rec["id"], style)
+
+
 def test_keyword_toggle_adds_only_keyword_lines(ontology, kim, kelly):
     base = _bundle(ontology, kim, [kelly]).text.splitlines()
     with_kw = _bundle(ontology, kim, [kelly], include_keywords=True).text.splitlines()
@@ -236,11 +281,6 @@ def test_example_rejects_unknown_entity_type(ontology):
     )
     with pytest.raises(ConfigError, match="ALIEN"):
         emit_example(inst, ontology, EmitterOptions())
-
-
-def test_task_prompt_type_mismatch_rejected(ontology, kim):
-    with pytest.raises(ConfigError, match="expected 'Conflict:Attack'"):
-        assemble_prompt(ontology, "Conflict:Attack", [], kim, EmitterOptions())
 
 
 def test_event_class_for_unknown_type_rejected(ontology):
@@ -362,33 +402,19 @@ def test_t1_definitions_of_every_example_type_precede_the_examples(
     ]
 
 
-def test_empty_amr_rejected(ontology, kim):
-    with pytest.raises(ConfigError, match="empty AMR"):
-        _bundle(ontology, kim, [], amr="   ")
-
-
 HUGE_ID = "i" * 300_000
 
 
-@pytest.mark.parametrize(
-    "case", ["trigger-bounds", "role", "entity-type", "empty-amr", "type-mismatch"]
-)
+@pytest.mark.parametrize("case", ["role", "entity-type"])
 def test_an_instance_message_quotes_a_huge_id_short(ontology, kim, kelly, case):
-    task, examples, amr = kim._replace(id=HUGE_ID), [kelly], None
     argument = kelly.arguments[0]
-    if case == "trigger-bounds":
-        task = task._replace(trigger=task.trigger._replace(end=len(task.sentence) + 1))
-    elif case == "role":
+    if case == "role":
         examples = [kelly._replace(id=HUGE_ID, arguments=(argument._replace(role=HUGE_ID),))]
-    elif case == "entity-type":
+    else:
         typed = argument._replace(entity_type=HUGE_ID)
         examples = [kelly._replace(id=HUGE_ID, arguments=(typed,))]
-    elif case == "empty-amr":
-        amr = " "
-    else:
-        task = task._replace(event_type="Conflict:Attack")
     with pytest.raises(ConfigError) as err:
-        assemble_prompt(ontology, kim.event_type, examples, task, EmitterOptions(), amr=amr)
+        assemble_prompt(ontology, kim.event_type, examples, kim, EmitterOptions())
     message = str(err.value)
     assert f"instance {short_repr(HUGE_ID)}" in message and len(message) < 1000
 

@@ -387,7 +387,8 @@ def test_sibling_tasks_share_the_plans_hierarchy_split(cfg_code, monkeypatch):
 
 
 def _fixture_records(split: str) -> list[dict]:
-    return [json.loads(line) for line in (ROOT / f"fixtures/{split}.jsonl").open(encoding="utf-8")]
+    path = ROOT / f"fixtures/{split}.jsonl"
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 def _write_train(path, copies: dict[str, int]) -> None:

@@ -11,7 +11,7 @@ from conftest import (
     reference_head_span,
     untyped_parse,
 )
-from evarg.corpus import GoldArgument, Span, Trigger, TrainingInstance
+from evarg.corpus import GoldArgument, Span, TrainingInstance
 from evarg.scoring import _PREPOSITIONS, _match_instance, ground, grounded_head, head_span, score
 
 
@@ -404,7 +404,7 @@ def test_gold_explicit_head_is_honored():
     inst = TrainingInstance(
         id="i1",
         sentence=s,
-        trigger=Trigger(s.index("taught"), s.index("taught") + 6, "taught"),
+        trigger=Span(s.index("taught"), s.index("taught") + 6),
         event_type="Movement:Transport",
         arguments=(
             GoldArgument(
